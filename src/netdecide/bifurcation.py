@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import TANH, Sigmoid, ata_reduced3_field, normalized_field, reduced3_field
+from .dynamics import TANH, Sigmoid, normalized_field, reduced3_field
 from .graphs import Graph, PopulationSpec
 
 NEWTON_TOL = 1e-12
@@ -28,37 +28,21 @@ class BifurcationError(RuntimeError):
 # Jacobians
 # ---------------------------------------------------------------------------
 
-def jacobian(x: np.ndarray, g: Graph, u: float | None = None,
-             ubar: float | None = None, utilde: np.ndarray | None = None,
+def _jacobian(x, degrees, weights, u, sigmoid):
+    # np.reshape gives a scalar effort shape (1, 1) and per-agent efforts (n, 1).
+    return -np.diag(degrees) + (np.reshape(u, (-1, 1)) * weights) * sigmoid.d1(x)
+
+
+def jacobian(x: np.ndarray, g: Graph, u: float | np.ndarray,
              sigmoid: Sigmoid = TANH) -> np.ndarray:
-    """Jacobian -D + U A diag(S'(x)); pass either u or (ubar, utilde)."""
-    x = np.asarray(x, dtype=float)
-    if u is not None:
-        efforts = np.full(g.n, float(u))
-    elif ubar is not None:
-        ut = np.zeros(g.n) if utilde is None else np.asarray(utilde, dtype=float)
-        efforts = ubar + ut
-    else:
-        raise ValueError("provide u or ubar")
-    return -np.diag(g.degrees) + (efforts[:, None] * g.weights) * sigmoid.d1(x)[None, :]
+    """Jacobian -D + U A diag(S'(x)) of normalized_field; u is one effort or one per agent."""
+    return _jacobian(np.asarray(x, dtype=float), g.degrees, g.weights, u, sigmoid)
 
 
 def reduced3_jacobian(y: np.ndarray, spec: PopulationSpec, u: float,
                       sigmoid: Sigmoid = TANH) -> np.ndarray:
-    """3x3 Jacobian of the group-reduced field."""
-    y = np.asarray(y, dtype=float)
-    n = spec.sizes
-    a = spec.coupling
-    d = spec.group_degrees()
-    sp = sigmoid.d1(y)
-    jac = np.empty((3, 3))
-    for k in range(3):
-        for m in range(3):
-            if k == m:
-                jac[k, m] = -d[k] + u * (n[k] - 1) * sp[k]
-            else:
-                jac[k, m] = u * n[m] * a[k, m] * sp[m]
-    return jac
+    """3x3 Jacobian of reduced3_field: the same matrix on (spec.degrees, spec.quotient)."""
+    return _jacobian(np.asarray(y, dtype=float), spec.degrees, spec.quotient, u, sigmoid)
 
 
 # ---------------------------------------------------------------------------
@@ -157,20 +141,8 @@ def normalized_problem(g: Graph, beta=None, sigmoid: Sigmoid = TANH) -> Continua
     """Continuation of the normalized network field over u."""
     return ContinuationProblem(
         f=lambda x, u: normalized_field(x, g, u, beta, sigmoid),
-        jac_x=lambda x, u: jacobian(x, g, u=u, sigmoid=sigmoid),
+        jac_x=lambda x, u: jacobian(x, g, u, sigmoid),
         jac_p=lambda x, u: g.weights @ sigmoid.value(x),
-    )
-
-
-def hetero_problem(g: Graph, utilde, beta=None, sigmoid: Sigmoid = TANH) -> ContinuationProblem:
-    """Continuation of the heterogeneous-effort field over the mean effort."""
-    from .dynamics import hetero_field
-
-    utilde = np.asarray(utilde, dtype=float)
-    return ContinuationProblem(
-        f=lambda x, ub: hetero_field(x, g, ub, utilde, beta, sigmoid),
-        jac_x=lambda x, ub: jacobian(x, g, ubar=ub, utilde=utilde, sigmoid=sigmoid),
-        jac_p=lambda x, ub: g.weights @ sigmoid.value(x),
     )
 
 
@@ -183,13 +155,15 @@ def reduced3_problem(spec: PopulationSpec, beta_a: float, beta_b: float,
     )
 
 
+# ata_problem builds through this alias: a tracer that rebinds the public name
+# to wrap each problem's callbacks must not wrap ata_problem's twice.
+_reduced3_problem = reduced3_problem
+
+
 def ata_problem(n: int, n3: int, beta: float, sigmoid: Sigmoid = TANH) -> ContinuationProblem:
-    """Continuation of the all-to-all swap-symmetric reduced field over u."""
-    spec = PopulationSpec(n, n, n3)
-    return ContinuationProblem(
-        f=lambda y, u: ata_reduced3_field(y, n, n3, u, beta, sigmoid),
-        jac_x=lambda y, u: reduced3_jacobian(y, spec, u, sigmoid),
-    )
+    """Continuation over u of the all-to-all swap-symmetric reduced field:
+    the three-group problem with n1 = n2 = n, unit coupling, beta_A = beta_B = beta."""
+    return _reduced3_problem(PopulationSpec(n, n, n3), beta, beta, sigmoid)
 
 
 @dataclass(frozen=True)
@@ -713,16 +687,20 @@ def ubar_star(g: Graph, utilde: np.ndarray,
     """Mean effort at which the heterogeneous linearization at 0 is singular.
 
     Scans det(-D + U A) for a sign change near ubar = 1 and bisects; also
-    returns the null right eigenvector normalized to unit mean.
+    returns the null right eigenvector normalized to unit mean.  The
+    heterogeneities utilde must sum to zero, so that ubar is the mean effort.
     """
     utilde = np.asarray(utilde, dtype=float)
+    if abs(utilde.sum()) > 1e-12:
+        raise ValueError(
+            f"effort heterogeneities must sum to zero (got {utilde.sum():.3e})")
     if np.abs(utilde).max() > 0.2 * g.degrees.min():
         warnings.warn("effort heterogeneities are large relative to the degrees; "
                       "the singular point may be far from 1 or ill-defined",
                       stacklevel=2)
 
     def jac_at(ub):
-        return jacobian(np.zeros(g.n), g, ubar=ub, utilde=utilde, sigmoid=sigmoid)
+        return jacobian(np.zeros(g.n), g, ub + utilde, sigmoid)
 
     def sign_at(ub):
         sign, _ = np.linalg.slogdet(jac_at(ub))

@@ -18,8 +18,11 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import experiments as ex
 from .bifurcation import BifurcationError
+from .graphs import is_strongly_connected
 from .solver import SolverError
 
 
@@ -86,56 +89,35 @@ def _apply_seed(doc: dict, args) -> dict:
     return doc
 
 
-def cmd_simulate(args) -> int:
-    doc = _apply_seed(load_config(args.config), args)
-    scenario = build_scenario(ex.SimulateScenario, doc)
-    out = _out_dir(args, "simulate")
-    result = ex.run_simulate(scenario, out_dir=out)
-    print(f"terminal max-norm {result.terminal_norm:.6e}, "
-          f"field max-norm {result.terminal_field_norm:.6e}, "
-          f"decision {result.decision.value}")
-    print(f"artifacts in {out}")
-    return 0
+def _simulate_scenario(doc: dict, args):
+    scenario = build_scenario(ex.SimulateScenario, _apply_seed(doc, args))
+    ex.graph_from_config(scenario.graph)
+    return scenario, "simulate"
 
 
-def cmd_continue(args) -> int:
-    doc = load_config(args.config)
+def _continue_scenario(doc: dict, args):
     scenario = build_scenario(ex.PitchforkScenario, doc)
-    g = ex.graph_from_config(scenario.graph)
-    from .graphs import is_strongly_connected
-    if not is_strongly_connected(g):
+    if not is_strongly_connected(ex.graph_from_config(scenario.graph)):
         raise ConfigError("continuation requires a strongly connected graph")
-    out = _out_dir(args, "continue")
-    result = ex.run_pitchfork_diagram(scenario, out_dir=out)
-    print(f"singular points: {result.singular_params}")
-    print(f"artifacts in {out}")
-    return 0
+    return scenario, "continue"
 
 
-def cmd_sweep(args) -> int:
-    doc = load_config(args.config)
-    name = args.scenario or doc.pop("scenario", None)
+def _sweep_scenario(doc: dict, args):
+    name = getattr(args, "scenario", None) or doc.pop("scenario", None)
     if name not in SWEEP_SCENARIOS:
         raise ConfigError(
             f"unknown scenario {name!r}; valid scenarios: "
             + ", ".join(sorted(SWEEP_SCENARIOS)))
     doc.pop("scenario", None)
-    cls, runner = SWEEP_SCENARIOS[name]
+    cls = SWEEP_SCENARIOS[name][0]
     if "seed" in {f.name for f in dataclasses.fields(cls)}:
         doc = _apply_seed(doc, args)
-    scenario = build_scenario(cls, doc)
-    out = _out_dir(args, name)
-    kwargs = {}
-    if runner is ex.run_value_sensitivity:
-        kwargs["jobs"] = args.jobs
-    runner(scenario, out_dir=out, **kwargs)
-    print(f"artifacts in {out}")
-    return 0
+    return build_scenario(cls, doc), name
 
 
-def cmd_adaptive(args) -> int:
-    doc = _apply_seed(load_config(args.config), args)
-    case = args.case or doc.pop("case", "symmetric")
+def _adaptive_scenario(doc: dict, args):
+    doc = _apply_seed(doc, args)
+    case = getattr(args, "case", None) or doc.pop("case", "symmetric")
     if case not in ADAPTIVE_CASES:
         raise ConfigError(f"unknown adaptive case {case!r}; valid cases: "
                           + ", ".join(ADAPTIVE_CASES))
@@ -148,7 +130,55 @@ def cmd_adaptive(args) -> int:
         scenario = ex.adaptive_scenario(case, **doc)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    out = _out_dir(args, f"adaptive_{case}")
+    ex.graph_from_config(scenario.graph)
+    return scenario, f"adaptive_{case}"
+
+
+# (doc, args) -> (scenario, default output name); validate runs these too, so
+# it accepts exactly the configs the commands accept.
+SCENARIO_BUILDERS = {
+    "simulate": _simulate_scenario,
+    "continue": _continue_scenario,
+    "sweep": _sweep_scenario,
+    "adaptive": _adaptive_scenario,
+}
+
+
+def cmd_simulate(args) -> int:
+    scenario, name = _simulate_scenario(load_config(args.config), args)
+    out = _out_dir(args, name)
+    result = ex.run_simulate(scenario, out_dir=out)
+    print(f"terminal max-norm {result.terminal_norm:.6e}, "
+          f"field max-norm {result.terminal_field_norm:.6e}, "
+          f"decision {result.decision.value}")
+    print(f"artifacts in {out}")
+    return 0
+
+
+def cmd_continue(args) -> int:
+    scenario, name = _continue_scenario(load_config(args.config), args)
+    out = _out_dir(args, name)
+    result = ex.run_pitchfork_diagram(scenario, out_dir=out)
+    print(f"singular points: {result.singular_params}")
+    print(f"artifacts in {out}")
+    return 0
+
+
+def cmd_sweep(args) -> int:
+    scenario, name = _sweep_scenario(load_config(args.config), args)
+    runner = SWEEP_SCENARIOS[name][1]
+    out = _out_dir(args, name)
+    kwargs = {}
+    if runner is ex.run_value_sensitivity:
+        kwargs["jobs"] = args.jobs
+    runner(scenario, out_dir=out, **kwargs)
+    print(f"artifacts in {out}")
+    return 0
+
+
+def cmd_adaptive(args) -> int:
+    scenario, name = _adaptive_scenario(load_config(args.config), args)
+    out = _out_dir(args, name)
     result = ex.run_adaptive(scenario, out_dir=out)
     d = result.diagnostics
     print(f"ubar_c {d['ubar_c']}, terminal |y| {abs(d['terminal_y']):.6f}, "
@@ -161,30 +191,10 @@ def cmd_validate(args) -> int:
     doc = load_config(args.config)
     command = args.command_name or doc.get("command")
     doc.pop("command", None)
-    if command == "simulate":
-        build_scenario(ex.SimulateScenario, doc)
-    elif command == "continue":
-        scenario = build_scenario(ex.PitchforkScenario, doc)
-        ex.graph_from_config(scenario.graph)
-    elif command == "sweep":
-        name = doc.pop("scenario", None)
-        if name not in SWEEP_SCENARIOS:
-            raise ConfigError(
-                f"unknown scenario {name!r}; valid scenarios: "
-                + ", ".join(sorted(SWEEP_SCENARIOS)))
-        build_scenario(SWEEP_SCENARIOS[name][0], doc)
-    elif command == "adaptive":
-        case = doc.pop("case", "symmetric")
-        if case not in ADAPTIVE_CASES:
-            raise ConfigError(f"unknown adaptive case {case!r}")
-        known = {f.name for f in dataclasses.fields(ex.AdaptiveScenario)} - {"case"}
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys {unknown}")
-        ex.adaptive_scenario(case, **doc)
-    else:
+    if command not in SCENARIO_BUILDERS:
         raise ConfigError(
             f"validate needs a command (--command or a 'command' key); got {command!r}")
+    SCENARIO_BUILDERS[command](doc, args)
     print("config ok")
     return 0
 
@@ -206,7 +216,7 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--jobs", type=int, default=1,
                            help="parallel workers for sweep grids (default 1)")
 
-    p = sub.add_parser("simulate", help="integrate one field variant")
+    p = sub.add_parser("simulate", help="integrate the model and classify the decision")
     common(p)
     p.set_defaults(handler=cmd_simulate)
 
@@ -240,12 +250,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    # LinAlgError subclasses ValueError, so it must be caught first.
+    except (SolverError, BifurcationError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, BifurcationError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

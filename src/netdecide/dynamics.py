@@ -1,19 +1,28 @@
-"""Vector fields for networked opinion dynamics and their reductions.
+"""The model equation, its three-group quotient, and decision metrics.
 
 All fields are pure functions of their inputs.  States are plain numpy
-arrays; x_i > 0 means agent i favors alternative A.  The normalized model
+arrays; x_i > 0 means agent i favors alternative A.  The model is
 
-    dx/dt = -D x + u A S(x) + beta
+    dx/dt = -D x + U A S(x) + beta
 
-is the workhorse; the raw-parameter model carries inertia u_I and social
-effort u_S separately, with u = u_S / u_I and beta = nu / u_I.
+in time normalized by the inertia: D is the in-degree matrix, A the
+adjacency, S an odd saturating sigmoid, beta the information vector, and U
+either one social effort u or a diagonal of per-agent efforts (ubar + utilde
+for heterogeneous efforts).  The raw-time model with inertia u_I, social gain
+u_S and information nu is u_I times this one with u = u_S / u_I and
+beta = nu / u_I.
+
+``normalized_field`` evaluates it on a graph.  ``reduced3_field`` evaluates
+the same expression on the equitable-partition quotient of a three-group
+network (``PopulationSpec.degrees``, ``PopulationSpec.quotient``), which is
+the full field restricted to the group-consensus manifold.
 """
 
 from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -58,42 +67,6 @@ TANH = Sigmoid(
 # ---------------------------------------------------------------------------
 # Parameters and auxiliary state
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Effort and information parameters of the raw-time model."""
-
-    u_I: float = 1.0
-    u_S: float = 1.0
-    nu: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.u_I <= 0:
-            raise ValueError("inertia gain u_I must be positive")
-        if self.u_S < 0:
-            raise ValueError("social effort gain u_S must be nonnegative")
-        if self.nu is not None:
-            object.__setattr__(self, "nu", np.asarray(self.nu, dtype=float))
-
-    @property
-    def u(self) -> float:
-        """Normalized social effort u = u_S / u_I."""
-        return self.u_S / self.u_I
-
-    @property
-    def beta(self) -> np.ndarray | None:
-        """Normalized information vector beta = nu / u_I."""
-        return None if self.nu is None else self.nu / self.u_I
-
-
-def check_zero_sum(utilde: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    utilde = np.asarray(utilde, dtype=float)
-    if abs(utilde.sum()) > tol:
-        raise ValueError(
-            f"effort heterogeneities must sum to zero (got {utilde.sum():.3e})"
-        )
-    return utilde
-
 
 def beta_vector(spec: PopulationSpec, beta_a: float, beta_b: float) -> np.ndarray:
     """Information vector (+beta_A informed-A, -beta_B informed-B, 0 uninformed)."""
@@ -164,47 +137,31 @@ class Decision(enum.Enum):
 # Vector fields
 # ---------------------------------------------------------------------------
 
-def full_field(x: np.ndarray, g: Graph, params: ModelParams,
-               sigmoid: Sigmoid = TANH) -> np.ndarray:
-    """Raw-time dynamics: -u_I D x + u_S A S(x) + nu."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.n,):
-        raise ValueError(f"state has shape {x.shape}, expected ({g.n},)")
-    nu = params.nu if params.nu is not None else 0.0
-    if params.nu is not None and params.nu.shape != (g.n,):
-        raise ValueError("information vector nu has wrong length")
-    return -params.u_I * g.degrees * x + params.u_S * (g.weights @ sigmoid.value(x)) + nu
+def _field(x, degrees, weights, u, beta, sigmoid):
+    out = -degrees * x + u * (weights @ sigmoid.value(x))
+    return out if beta is None else out + beta
 
 
-def normalized_field(x: np.ndarray, g: Graph, u: float,
+def normalized_field(x: np.ndarray, g: Graph, u: float | np.ndarray,
                      beta: np.ndarray | None = None,
                      sigmoid: Sigmoid = TANH) -> np.ndarray:
-    """Normalized-time dynamics: -D x + u A S(x) + beta."""
+    """Normalized-time dynamics -D x + U A S(x) + beta; u is one effort or one per agent."""
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
         raise ValueError(f"state has shape {x.shape}, expected ({g.n},)")
-    if u < 0:
+    # A scalar effort must not pay for a numpy reduction on every call.
+    if isinstance(u, np.ndarray):
+        if u.shape != (g.n,):
+            raise ValueError(f"efforts have shape {u.shape}, expected ({g.n},)")
+        if (u < 0).any():
+            raise ValueError("social efforts u must be nonnegative")
+    elif u < 0:
         raise ValueError("social effort u must be nonnegative")
-    out = -g.degrees * x + u * (g.weights @ sigmoid.value(x))
     if beta is not None:
         beta = np.asarray(beta, dtype=float)
         if beta.shape != (g.n,):
             raise ValueError("information vector beta has wrong length")
-        out = out + beta
-    return out
-
-
-def hetero_field(x: np.ndarray, g: Graph, ubar: float, utilde: np.ndarray,
-                 beta: np.ndarray | None = None,
-                 sigmoid: Sigmoid = TANH) -> np.ndarray:
-    """Heterogeneous-effort dynamics: -D x + U A S(x) + beta, U = diag(ubar + utilde)."""
-    x = np.asarray(x, dtype=float)
-    utilde = check_zero_sum(utilde)
-    efforts = ubar + utilde
-    out = -g.degrees * x + efforts * (g.weights @ sigmoid.value(x))
-    if beta is not None:
-        out = out + np.asarray(beta, dtype=float)
-    return out
+    return _field(x, g.degrees, g.weights, u, beta, sigmoid)
 
 
 def reduced3_field(y: np.ndarray, spec: PopulationSpec, u: float,
@@ -212,37 +169,13 @@ def reduced3_field(y: np.ndarray, spec: PopulationSpec, u: float,
                    sigmoid: Sigmoid = TANH) -> np.ndarray:
     """Three-group reduction of the structured network dynamics.
 
-    Group 1 (informed about A) carries +beta_A and group 2 carries -beta_B,
-    matching the per-agent information convention of the full model so that
-    the reduced field is exactly the full field restricted to the
-    group-consensus manifold.
+    The model equation on the quotient (spec.degrees, spec.quotient).  Group 1
+    (informed about A) carries +beta_A and group 2 carries -beta_B, matching
+    the per-agent information convention of the full model, so the reduced
+    field is exactly the full field restricted to the group-consensus manifold.
     """
-    y = np.asarray(y, dtype=float)
-    n = spec.sizes
-    a = spec.coupling
-    d = spec.group_degrees()
-    s = sigmoid.value(y)
-    betas = (float(beta_a), -float(beta_b), 0.0)
-    out = np.empty(3)
-    for k in range(3):
-        social = (n[k] - 1) * s[k] + sum(
-            n[m] * a[k, m] * s[m] for m in range(3) if m != k
-        )
-        out[k] = -d[k] * y[k] + u * social + betas[k]
-    return out
-
-
-def ata_reduced3_field(y: np.ndarray, n: int, n3: int, u: float, beta: float,
-                       sigmoid: Sigmoid = TANH) -> np.ndarray:
-    """All-to-all swap-symmetric reduced model (n1 = n2 = n, unit coupling)."""
-    y = np.asarray(y, dtype=float)
-    big_n = 2 * n + n3
-    s = sigmoid.value(y)
-    return np.array([
-        -(big_n - 1) * y[0] + u * ((n - 1) * s[0] + n * s[1] + n3 * s[2]) + beta,
-        -(big_n - 1) * y[1] + u * (n * s[0] + (n - 1) * s[1] + n3 * s[2]) - beta,
-        -(big_n - 1) * y[2] + u * (n * s[0] + n * s[1] + (n3 - 1) * s[2]),
-    ])
+    beta = np.array([beta_a, -beta_b, 0.0], dtype=float)
+    return _field(np.asarray(y, dtype=float), spec.degrees, spec.quotient, u, beta, sigmoid)
 
 
 def scalar_consensus_field(y: float, u: float, n_agents: int,
@@ -268,7 +201,7 @@ def adaptive_field(x: np.ndarray, ubar: float, est: EstimatorState, g: Graph,
     The effort update uses the first agent's estimate of the average opinion;
     after the estimator has converged this equals eps * (y_th^2 - y^2).
     """
-    dx = hetero_field(x, g, ubar, utilde, beta, sigmoid)
+    dx = normalized_field(x, g, ubar + np.asarray(utilde, dtype=float), beta, sigmoid)
     y1 = est.yhat(x, g)[0]
     dubar = cfg.epsilon * (cfg.y_th ** 2 - y1 ** 2)
     return dx, float(dubar)

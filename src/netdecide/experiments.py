@@ -29,7 +29,6 @@ from .dynamics import (
     beta_vector,
     classify_decision,
     group_opinion,
-    hetero_field,
     normalized_field,
     reduced3_field,
 )
@@ -351,7 +350,7 @@ class QuinticDiagram:
 
 
 def _deadlock_start(spec: PopulationSpec, u0: float, beta: float) -> np.ndarray:
-    d1 = spec.group_degrees()[0]
+    d1 = spec.degrees[0]
     guess = np.array([beta / (d1 + u0), -beta / (d1 + u0), 0.0])
     return bif.newton_solve(lambda y: reduced3_field(y, spec, u0, beta, beta),
                             lambda y: bif.reduced3_jacobian(y, spec, u0),
@@ -472,7 +471,7 @@ def run_reduction_demo(scenario: ReductionScenario = ReductionScenario(),
     cfg = IntegratorConfig(rtol=1e-11, atol=1e-13, max_time=scenario.t_end)
     traj = integrate(lambda t, x: normalized_field(x, g, scenario.u, beta), x0, cfg)
 
-    d_min = spec.group_degrees().min()
+    d_min = spec.degrees.min()
     v0 = group_spread(x0, g.groups)
     mask = traj.times <= scenario.bound_horizon
     sample_times = traj.times[mask]
@@ -695,9 +694,10 @@ class AdaptiveResult:
     diagnostics: dict
 
 
-def _utilde_pattern(n: int, amplitude: float) -> np.ndarray:
+def _utilde_pattern(n: int, amplitude: float) -> float | np.ndarray:
+    # Homogeneous efforts stay scalar, so the field takes its scalar-u path.
     if amplitude == 0.0:
-        return np.zeros(n)
+        return 0.0
     pattern = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n)])
     if n % 2 == 1:
         pattern[-1] = 0.0
@@ -745,7 +745,7 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
     # phase 2: fast opinions coupled to the slow mean-effort update
     def rhs(t, z):
         x, ub = z[:n], z[n]
-        dx = hetero_field(x, g, ub, utilde, beta)
+        dx = normalized_field(x, g, ub + utilde, beta)
         yh = y_estimate(x)
         return np.concatenate([dx, [acfg.epsilon * (acfg.y_th ** 2 - yh ** 2)]])
 
@@ -754,7 +754,7 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
         yh = y_estimate(x)
         if abs(yh ** 2 - acfg.y_th ** 2) >= scenario.stop_tol:
             return False
-        return bool(np.abs(hetero_field(x, g, z[n], utilde, beta)).max()
+        return bool(np.abs(normalized_field(x, g, z[n] + utilde, beta)).max()
                     < scenario.stop_tol)
 
     events = [lambda t, z: abs(z[:n].mean()) - scenario.escape_band,
@@ -823,7 +823,6 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
 @dataclass(frozen=True)
 class SimulateScenario:
     graph: dict = field(default_factory=lambda: {"kind": "complete", "n": 10})
-    field_kind: str = "normalized"          # "normalized" | "hetero"
     u: float = 0.5
     beta_a: float = 0.0
     beta_b: float = 0.0
@@ -854,10 +853,8 @@ class SimulateResult:
 
 
 def run_simulate(scenario: SimulateScenario, out_dir=None) -> SimulateResult:
-    """Integrate one field variant and classify the terminal state."""
+    """Integrate the model with efforts u + utilde and classify the terminal state."""
     g = graph_from_config(scenario.graph)
-    if scenario.u < 0:
-        raise ValueError("social effort u must be nonnegative")
     if scenario.graph.get("kind") == "population":
         spec = population_spec_from_config(scenario.graph)
         beta = beta_vector(spec, scenario.beta_a, scenario.beta_b)
@@ -865,13 +862,8 @@ def run_simulate(scenario: SimulateScenario, out_dir=None) -> SimulateResult:
         beta = None
     else:
         raise ValueError("beta_a/beta_b require a population graph")
-    utilde = _utilde_pattern(g.n, scenario.utilde_amplitude)
-    if scenario.field_kind == "normalized":
-        f = lambda t, x: normalized_field(x, g, scenario.u, beta)
-    elif scenario.field_kind == "hetero":
-        f = lambda t, x: hetero_field(x, g, scenario.u, utilde, beta)
-    else:
-        raise ValueError(f"unknown field kind {scenario.field_kind!r}")
+    efforts = scenario.u + _utilde_pattern(g.n, scenario.utilde_amplitude)
+    f = lambda t, x: normalized_field(x, g, efforts, beta)
     rng = np.random.default_rng(scenario.seed)
     x0 = scenario.x0_amplitude * rng.uniform(-1, 1, g.n)
     cfg = IntegratorConfig(rtol=scenario.rtol, atol=scenario.atol,

@@ -31,8 +31,8 @@ class Graph:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"weights must be a square matrix, got shape {w.shape}")
-        if np.any(w < 0):
-            raise ValueError("adjacency weights must be nonnegative")
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise ValueError("adjacency weights must be finite and nonnegative")
         if np.any(np.diag(w) != 0):
             raise ValueError("self-weights a_ii must be zero")
         w.flags.writeable = False
@@ -73,7 +73,9 @@ class PopulationSpec:
     """Three-group structured network: informed-A, informed-B, uninformed.
 
     ``coupling[k, m]`` is the uniform weight an agent of group k places on an
-    agent of group m; within-group weights must equal 1.
+    agent of group m; within-group weights must equal 1.  The groups are an
+    equitable partition of the block graph; ``degrees`` and ``quotient`` give
+    its quotient, on which the model has the same field and Jacobian.
     """
 
     n1: int
@@ -88,12 +90,20 @@ class PopulationSpec:
         c = np.array(self.coupling, dtype=float)
         if c.shape != (3, 3):
             raise ValueError(f"coupling must be 3x3, got shape {c.shape}")
-        if np.any(c < 0):
-            raise ValueError("coupling weights must be nonnegative")
+        if not np.all(np.isfinite(c) & (c >= 0)):
+            raise ValueError("coupling weights must be finite and nonnegative")
         if np.any(np.diag(c) != 1.0):
             raise ValueError("within-group coupling must equal 1 (a_kk = 1)")
         c.flags.writeable = False
         object.__setattr__(self, "coupling", c)
+        n = np.array(self.sizes, dtype=float)
+        q = c * n
+        np.fill_diagonal(q, np.maximum(n - 1.0, 0.0))
+        q.flags.writeable = False
+        object.__setattr__(self, "_quotient", q)
+        deg = q.sum(axis=1)
+        deg.flags.writeable = False
+        object.__setattr__(self, "_degrees", deg)
 
     @property
     def sizes(self) -> tuple[int, int, int]:
@@ -103,15 +113,15 @@ class PopulationSpec:
     def n_total(self) -> int:
         return self.n1 + self.n2 + self.n3
 
-    def group_degrees(self) -> np.ndarray:
-        """Closed-form uniform in-degree per group: (n_k - 1) + sum_m n_m a_km."""
-        n = np.array(self.sizes, dtype=float)
-        d = np.empty(3)
-        for k in range(3):
-            d[k] = max(n[k] - 1.0, 0.0) + sum(
-                n[m] * self.coupling[k, m] for m in range(3) if m != k
-            )
-        return d
+    @property
+    def quotient(self) -> np.ndarray:
+        """Quotient weights Q: Q_km = n_m a_km off the diagonal, Q_kk = max(n_k - 1, 0)."""
+        return self._quotient
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """Uniform in-degree per group, the row sums of Q."""
+        return self._degrees
 
 
 def build_graph(weights) -> Graph:

@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from netdecide import experiments as ex
 from netdecide.cli import main
+
+TWO_DYADS = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
 
 
 def write_cfg(tmp_path, name, doc):
@@ -49,6 +53,22 @@ class TestSimulate:
         assert echoed["t_end"] == 50.0          # default materialized
         assert echoed["graph"]["kind"] == "complete"
 
+    def test_nonfinite_weights_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json",
+                        {"graph": {"kind": "weights", "weights": [0, float("nan"), 1, 0]}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert main(["validate", "--command", "simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.count("finite") == 2
+
+    def test_linalg_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(ex, "run_simulate", singular)
+        cfg = write_cfg(tmp_path, "cfg.json", {"u": 0.5})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_seed_override(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {"u": 1.5})
         out = tmp_path / "out"
@@ -80,9 +100,8 @@ class TestContinue:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_disconnected_graph_exits_2(self, tmp_path, capsys):
-        weights = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
         cfg = write_cfg(tmp_path, "cfg.json",
-                        {"graph": {"kind": "weights", "n": 4, "weights": weights}})
+                        {"graph": {"kind": "weights", "n": 4, "weights": TWO_DYADS}})
         assert main(["continue", "--config", cfg]) == 2
         assert "strongly connected" in capsys.readouterr().err
 
@@ -128,3 +147,14 @@ class TestValidate:
                         {"command": "sweep", "scenario": "hysteresis",
                          "beta_b_step": 0.5})
         assert main(["validate", "--config", cfg]) == 0
+
+    def test_disconnected_continue_graph_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json",
+                        {"graph": {"kind": "weights", "n": 4, "weights": TWO_DYADS}})
+        assert main(["validate", "--command", "continue", "--config", cfg]) == 2
+        assert "strongly connected" in capsys.readouterr().err
+
+    def test_adaptive_bad_type_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", {"epsilon": "abc"})
+        assert main(["validate", "--command", "adaptive", "--config", cfg]) == 2
+        assert "invalid configuration" in capsys.readouterr().err

@@ -6,22 +6,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import lift_to_manifold
+from netdecide.bifurcation import jacobian, reduced3_jacobian, ubar_star
 from netdecide.dynamics import (
     TANH,
     AdaptiveConfig,
     Decision,
     DecisionConfig,
     EstimatorState,
-    ModelParams,
     adaptive_field,
-    ata_reduced3_field,
     beta_vector,
     classify_decision,
     disagreement,
     estimator_field,
-    full_field,
     group_opinion,
-    hetero_field,
     normalized_field,
     reduced3_field,
     scalar_consensus_field,
@@ -65,37 +62,27 @@ class TestSigmoid:
 
 
 class TestFields:
-    def test_full_field_zero(self, k10):
-        p = ModelParams(u_I=1.0, u_S=1.0)
-        assert np.array_equal(full_field(np.zeros(10), k10, p), np.zeros(10))
-
-    def test_full_field_scalar_loop_oracle(self, rng):
-        g = complete_graph(3)
-        p = ModelParams(u_I=2.0, u_S=4.0, nu=np.array([1.0, 0.0, -1.0]))
-        x = np.array([0.1, -0.2, 0.3])
-        got = full_field(x, g, p)
-        # independent entrywise evaluation
-        expected = np.empty(3)
-        for i in range(3):
-            acc = -p.u_I * g.degrees[i] * x[i] + p.nu[i]
-            for j in range(3):
-                acc += p.u_S * g.weights[i, j] * np.tanh(x[j])
-            expected[i] = acc
-        assert got == pytest.approx(expected, abs=1e-14)
-
     def test_dimension_mismatch(self, k10):
         with pytest.raises(ValueError, match="shape"):
             normalized_field(np.zeros(3), k10, 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            normalized_field(np.zeros(10), k10, np.ones(3))
+
+    def test_rejects_negative_efforts(self, k10):
+        with pytest.raises(ValueError, match="nonnegative"):
+            normalized_field(np.zeros(10), k10, -1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            normalized_field(np.zeros(10), k10, np.array([-0.1] + [1.0] * 9))
 
     @given(st.integers(0, 1000))
     def test_timescale_consistency(self, seed):
+        """Raw time: -u_I D x + u_S A S(x) + nu = u_I f(x; u_S / u_I, nu / u_I)."""
         rng = np.random.default_rng(seed)
         g = complete_graph(5)
         x = rng.normal(size=5)
         nu = rng.normal(size=5)
         u_i, u_s = 2.0, 3.0
-        p = ModelParams(u_I=u_i, u_S=u_s, nu=nu)
-        lhs = full_field(x, g, p)
+        lhs = -u_i * g.degrees * x + u_s * (g.weights @ np.tanh(x)) + nu
         rhs = u_i * normalized_field(x, g, u_s / u_i, nu / u_i)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
@@ -110,61 +97,76 @@ class TestFields:
 
     def test_hetero_matches_normalized_when_uniform(self, k10, rng):
         x = rng.normal(size=10)
-        got = hetero_field(x, k10, 1.3, np.zeros(10))
+        got = normalized_field(x, k10, np.full(10, 1.3))
         assert got == pytest.approx(normalized_field(x, k10, 1.3), abs=1e-14)
 
     def test_hetero_zero_state(self, k10):
         ut = 0.05 * np.array([1, -1] * 5, dtype=float)
-        assert np.array_equal(hetero_field(np.zeros(10), k10, 0.9, ut), np.zeros(10))
+        assert np.array_equal(normalized_field(np.zeros(10), k10, 0.9 + ut), np.zeros(10))
 
     def test_hetero_scalar_loop_oracle(self):
         g = complete_graph(3)
         ubar, ut = 1.0, np.array([0.1, -0.1, 0.0])
+        beta = np.array([0.3, 0.0, -0.2])
         x = np.array([0.2, 0.0, -0.2])
-        got = hetero_field(x, g, ubar, ut)
+        got = normalized_field(x, g, ubar + ut, beta)
         expected = np.empty(3)
         for i in range(3):
-            acc = -g.degrees[i] * x[i]
+            acc = -g.degrees[i] * x[i] + beta[i]
             for j in range(3):
                 acc += (ubar + ut[i]) * g.weights[i, j] * np.tanh(x[j])
             expected[i] = acc
         assert got == pytest.approx(expected, abs=1e-15)
 
     def test_hetero_rejects_nonzero_sum(self, k10):
+        # ubar is the mean effort only if utilde sums to zero; ubar_star is
+        # the one public function that takes utilde.
         with pytest.raises(ValueError, match="sum to zero"):
-            hetero_field(np.zeros(10), k10, 1.0, np.full(10, 0.01))
+            ubar_star(k10, np.full(10, 0.01))
+
+
+def _random_spec(sizes, off_diagonal) -> PopulationSpec:
+    coupling = np.ones((3, 3))
+    coupling[~np.eye(3, dtype=bool)] = off_diagonal
+    return PopulationSpec(*sizes, coupling=coupling)
 
 
 class TestReducedModels:
-    def test_embedding_consistency(self, spec_223, rng):
-        g = three_population_graph(spec_223)
-        u, ba, bb = 1.4, 0.7, 0.3
-        beta = beta_vector(spec_223, ba, bb)
-        for _ in range(10):
-            y = rng.normal(size=3)
-            x = lift_to_manifold(y, spec_223)
-            full = normalized_field(x, g, u, beta)
-            red = reduced3_field(y, spec_223, u, ba, bb)
-            assert full == pytest.approx(lift_to_manifold(red, spec_223), abs=1e-12)
+    @given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+           st.lists(st.floats(0.0, 2.0), min_size=6, max_size=6),
+           st.floats(0.0, 1e3),
+           st.integers(0, 2 ** 32 - 1))
+    def test_quotient_commutes_with_lift(self, sizes, off_diagonal, u, seed):
+        """Field and Jacobian of the network at a lifted state, applied to a
+        lifted vector, equal the lifts of their quotient counterparts."""
+        spec = _random_spec(sizes, off_diagonal)
+        g = three_population_graph(spec)
+        rng = np.random.default_rng(seed)
+        y, v = rng.normal(size=3), rng.normal(size=3)
+        ba, bb = rng.normal(size=2)
+        x = lift_to_manifold(y, spec)
+        # rounding scale: the largest term summed into one entry
+        scale = 1.0 + spec.degrees.max() * (1.0 + u) * (1.0 + np.abs(y).max() + np.abs(v).max())
+        tol = 1e-13 * scale
+
+        full = normalized_field(x, g, u, beta_vector(spec, ba, bb))
+        red = reduced3_field(y, spec, u, ba, bb)
+        assert full == pytest.approx(lift_to_manifold(red, spec), abs=tol)
+
+        full_jv = jacobian(x, g, u) @ lift_to_manifold(v, spec)
+        red_jv = reduced3_jacobian(y, spec, u) @ v
+        assert full_jv == pytest.approx(lift_to_manifold(red_jv, spec), abs=tol)
 
     def test_reduced_zero(self):
         spec = PopulationSpec(2, 2, 3)
         assert reduced3_field(np.zeros(3), spec, 1.0, 0.0, 0.0) == pytest.approx(np.zeros(3))
-
-    def test_ata_specializes_reduced(self, rng):
-        n, n3, u, beta = 3, 4, 1.2, 0.4
-        spec = PopulationSpec(n, n, n3)
-        for _ in range(10):
-            y = rng.normal(size=3)
-            assert ata_reduced3_field(y, n, n3, u, beta) == pytest.approx(
-                reduced3_field(y, spec, u, beta, beta), abs=1e-13)
 
     def test_ata_deadlock_family(self):
         from netdecide.bifurcation import ystar_root
 
         n, n3, u, beta = 10, 80, 1.0, 0.1
         ys = ystar_root(u, beta, 2 * n + n3)
-        f = ata_reduced3_field(np.array([ys, -ys, 0.0]), n, n3, u, beta)
+        f = reduced3_field(np.array([ys, -ys, 0.0]), PopulationSpec(n, n, n3), u, beta, beta)
         assert np.abs(f).max() < 1e-12
 
     def test_ata_consensus_branch(self):
@@ -172,16 +174,16 @@ class TestReducedModels:
 
         n, n3, u = 4, 4, 2.0
         c = y_s(u)
-        f = ata_reduced3_field(np.array([c, c, c]), n, n3, u, 0.0)
+        f = reduced3_field(np.array([c, c, c]), PopulationSpec(n, n, n3), u, 0.0, 0.0)
         assert np.abs(f).max() < 1e-10
 
     def test_ata_swap_equivariance(self, rng):
-        n, n3, u, beta = 3, 4, 1.5, 0.8
+        spec, u, beta = PopulationSpec(3, 3, 4), 1.5, 0.8
         for _ in range(10):
             y = rng.normal(size=3)
             swapped = np.array([-y[1], -y[0], -y[2]])
-            f = ata_reduced3_field(y, n, n3, u, beta)
-            f_swapped = ata_reduced3_field(swapped, n, n3, u, beta)
+            f = reduced3_field(y, spec, u, beta, beta)
+            f_swapped = reduced3_field(swapped, spec, u, beta, beta)
             expected = np.array([-f[1], -f[0], -f[2]])
             assert f_swapped == pytest.approx(expected, abs=1e-12)
 
@@ -305,16 +307,3 @@ class TestDecisionMetrics:
         assert classify_decision(mixed, DecisionConfig(eta=0.1)) is Decision.DEADLOCK_DISAGREEMENT
         small = np.full(3, 0.2)
         assert classify_decision(small, cfg) is Decision.DEADLOCK_NO_DECISION
-
-
-class TestModelParams:
-    def test_normalization(self):
-        p = ModelParams(u_I=2.0, u_S=3.0, nu=np.array([4.0, 0.0]))
-        assert p.u == pytest.approx(1.5)
-        assert p.beta == pytest.approx([2.0, 0.0])
-
-    def test_rejects_bad_gains(self):
-        with pytest.raises(ValueError):
-            ModelParams(u_I=0.0, u_S=1.0)
-        with pytest.raises(ValueError):
-            ModelParams(u_I=1.0, u_S=-1.0)

@@ -39,6 +39,8 @@ def test_complete_graph_degrees():
     ([[0.5, 1], [1, 0]], "zero"),
     ([[0, -1], [1, 0]], "nonnegative"),
     ([[0, 1, 0], [1, 0, 1]], "square"),
+    ([[0, np.nan], [1, 0]], "finite"),
+    ([[0, np.inf], [1, 0]], "finite"),
 ])
 def test_build_graph_rejects(weights, message):
     with pytest.raises(ValueError, match=message):
@@ -131,7 +133,7 @@ def test_three_population_blocks():
 
 def test_three_population_group_degrees(spec_223):
     g = three_population_graph(spec_223)
-    expected = spec_223.group_degrees()
+    expected = spec_223.degrees
     for k, grp in enumerate(g.groups):
         assert g.degrees[grp] == pytest.approx(expected[k], abs=1e-12)
     assert len(set(np.round(expected, 12))) == 3
@@ -141,6 +143,10 @@ def test_population_spec_rejects_bad_coupling():
     with pytest.raises(ValueError, match="a_kk"):
         PopulationSpec(2, 2, 2, coupling=np.array([
             [2.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0],
+        ]))
+    with pytest.raises(ValueError, match="finite"):
+        PopulationSpec(2, 2, 2, coupling=np.array([
+            [1.0, np.nan, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0],
         ]))
 
 
