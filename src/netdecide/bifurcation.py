@@ -6,16 +6,20 @@ approximations for the structured network models.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .dynamics import TANH, Sigmoid, normalized_field, reduced3_field
+from .dynamics import normalized_field, reduced3_field, sech2
 from .graphs import Graph, PopulationSpec
 
 NEWTON_TOL = 1e-12
 REFINE_TOL = 1e-8
+# Continuation step control: first and smallest arclength step, point budget.
+H0 = 0.01
+H_MIN = 1e-5
+MAX_POINTS = 20_000
 SWITCH_OFFSET = 1e-3
 STABILITY_MARGIN = 1e-8
 
@@ -28,21 +32,19 @@ class BifurcationError(RuntimeError):
 # Jacobians
 # ---------------------------------------------------------------------------
 
-def _jacobian(x, degrees, weights, u, sigmoid):
+def _jacobian(x, degrees, weights, u):
     # np.reshape gives a scalar effort shape (1, 1) and per-agent efforts (n, 1).
-    return -np.diag(degrees) + (np.reshape(u, (-1, 1)) * weights) * sigmoid.d1(x)
+    return -np.diag(degrees) + (np.reshape(u, (-1, 1)) * weights) * sech2(x)
 
 
-def jacobian(x: np.ndarray, g: Graph, u: float | np.ndarray,
-             sigmoid: Sigmoid = TANH) -> np.ndarray:
+def jacobian(x: np.ndarray, g: Graph, u: float | np.ndarray) -> np.ndarray:
     """Jacobian -D + U A diag(S'(x)) of normalized_field; u is one effort or one per agent."""
-    return _jacobian(np.asarray(x, dtype=float), g.degrees, g.weights, u, sigmoid)
+    return _jacobian(np.asarray(x, dtype=float), g.degrees, g.weights, u)
 
 
-def reduced3_jacobian(y: np.ndarray, spec: PopulationSpec, u: float,
-                      sigmoid: Sigmoid = TANH) -> np.ndarray:
+def reduced3_jacobian(y: np.ndarray, spec: PopulationSpec, u: float) -> np.ndarray:
     """3x3 Jacobian of reduced3_field: the same matrix on (spec.degrees, spec.quotient)."""
-    return _jacobian(np.asarray(y, dtype=float), spec.degrees, spec.quotient, u, sigmoid)
+    return _jacobian(np.asarray(y, dtype=float), spec.degrees, spec.quotient, u)
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +139,20 @@ class ContinuationProblem:
         return (np.atleast_1d(self.f(x, p + h)) - np.atleast_1d(self.f(x, p - h))) / (2 * h)
 
 
-def normalized_problem(g: Graph, beta=None, sigmoid: Sigmoid = TANH) -> ContinuationProblem:
+def normalized_problem(g: Graph, beta=None) -> ContinuationProblem:
     """Continuation of the normalized network field over u."""
     return ContinuationProblem(
-        f=lambda x, u: normalized_field(x, g, u, beta, sigmoid),
-        jac_x=lambda x, u: jacobian(x, g, u, sigmoid),
-        jac_p=lambda x, u: g.weights @ sigmoid.value(x),
+        f=lambda x, u: normalized_field(x, g, u, beta),
+        jac_x=lambda x, u: jacobian(x, g, u),
+        jac_p=lambda x, u: g.weights @ np.tanh(x),
     )
 
 
-def reduced3_problem(spec: PopulationSpec, beta_a: float, beta_b: float,
-                     sigmoid: Sigmoid = TANH) -> ContinuationProblem:
+def reduced3_problem(spec: PopulationSpec, beta_a: float, beta_b: float) -> ContinuationProblem:
     """Continuation of the three-group reduced field over u."""
     return ContinuationProblem(
-        f=lambda y, u: reduced3_field(y, spec, u, beta_a, beta_b, sigmoid),
-        jac_x=lambda y, u: reduced3_jacobian(y, spec, u, sigmoid),
+        f=lambda y, u: reduced3_field(y, spec, u, beta_a, beta_b),
+        jac_x=lambda y, u: reduced3_jacobian(y, spec, u),
     )
 
 
@@ -160,23 +161,10 @@ def reduced3_problem(spec: PopulationSpec, beta_a: float, beta_b: float,
 _reduced3_problem = reduced3_problem
 
 
-def ata_problem(n: int, n3: int, beta: float, sigmoid: Sigmoid = TANH) -> ContinuationProblem:
+def ata_problem(n: int, n3: int, beta: float) -> ContinuationProblem:
     """Continuation over u of the all-to-all swap-symmetric reduced field:
     the three-group problem with n1 = n2 = n, unit coupling, beta_A = beta_B = beta."""
-    return _reduced3_problem(PopulationSpec(n, n, n3), beta, beta, sigmoid)
-
-
-@dataclass(frozen=True)
-class ContinuationConfig:
-    h0: float = 0.01
-    h_min: float = 1e-5
-    h_max: float = 0.1
-    newton_tol: float = NEWTON_TOL
-    refine_tol: float = REFINE_TOL
-    max_points: int = 20_000
-    direction: int = 1
-    detect_folds: bool = True
-    detect_det_flips: bool = True
+    return _reduced3_problem(PopulationSpec(n, n, n3), beta, beta)
 
 
 @dataclass
@@ -237,14 +225,14 @@ def _tangent(problem, x, p, reference):
     return tan
 
 
-def _correct(problem, z_pred, tan, tol, max_iter=25):
+def _correct(problem, z_pred, tan):
     """Newton on the bordered system {f(x,p)=0, tan.(z - z_pred)=0}."""
     n = len(z_pred) - 1
     z = z_pred.copy()
-    for _ in range(max_iter):
+    for _ in range(25):
         fx = np.atleast_1d(problem.f(z[:n], z[n]))
         res = np.abs(fx).max()
-        if res <= tol:
+        if res <= NEWTON_TOL:
             return z
         jac = np.atleast_2d(problem.jac_x(z[:n], z[n]))
         fp = np.atleast_1d(problem.fp(z[:n], z[n]))
@@ -260,12 +248,11 @@ def _correct(problem, z_pred, tan, tol, max_iter=25):
         except np.linalg.LinAlgError:
             return None
     fx = np.atleast_1d(problem.f(z[:n], z[n]))
-    return z if np.abs(fx).max() <= tol else None
+    return z if np.abs(fx).max() <= NEWTON_TOL else None
 
 
-def _solve_at_param(problem, x_guess, p, tol):
-    return newton_solve(lambda x: problem.f(x, p), lambda x: problem.jac_x(x, p),
-                        x_guess, tol=tol)
+def _solve_at_param(problem, x_guess, p):
+    return newton_solve(lambda x: problem.f(x, p), lambda x: problem.jac_x(x, p), x_guess)
 
 
 def null_vectors(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,20 +270,20 @@ def null_vectors(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
                     p_start: float, p_range: tuple[float, float],
-                    cfg: ContinuationConfig = ContinuationConfig(),
-                    classify: bool = True,
+                    h_max: float = 0.1,
                     symmetric_trunk: bool = False,
                     initial_reference: np.ndarray | None = None) -> Branch:
     """Pseudo-arclength predictor-corrector with singularity detection.
 
-    Records stability flips, refines sign changes of det(J) and of the
-    parameter component of the tangent to cfg.refine_tol in the parameter,
+    Steps grow from H0 up to h_max and halve down to H_MIN on corrector
+    failure.  Records stability flips, refines sign changes of det(J) and of
+    the parameter component of the tangent to REFINE_TOL in the parameter,
     and classifies each refined point.  The first tangent is oriented along
     `initial_reference` when given (e.g. away from a singular point after
-    branch switching), otherwise along cfg.direction in the parameter.
+    branch switching), otherwise towards increasing parameter.
     """
     p_lo, p_hi = min(p_range), max(p_range)
-    x = _solve_at_param(problem, np.asarray(x_start, dtype=float), p_start, cfg.newton_tol)
+    x = _solve_at_param(problem, np.asarray(x_start, dtype=float), p_start)
     branch = Branch()
     eq = _make_equilibrium(x, p_start, np.atleast_2d(problem.jac_x(x, p_start)))
     n = len(x)
@@ -305,18 +292,18 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
         ref = ref / np.linalg.norm(ref)
     else:
         ref = np.zeros(n + 1)
-        ref[n] = float(cfg.direction)
+        ref[n] = 1.0
     tan = _tangent(problem, x, p_start, ref)
     eq.tangent = tan
     branch.points.append(eq)
 
-    h = cfg.h0
+    h = H0
     z = np.concatenate([x, [p_start]])
-    while len(branch.points) < cfg.max_points:
+    while len(branch.points) < MAX_POINTS:
         z_new = None
-        while h >= cfg.h_min:
+        while h >= H_MIN:
             z_pred = z + h * tan
-            z_new = _correct(problem, z_pred, tan, cfg.newton_tol)
+            z_new = _correct(problem, z_pred, tan)
             if z_new is not None:
                 break
             h *= 0.5
@@ -328,14 +315,13 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
         if p_new > p_hi or p_new < p_lo:
             p_end = p_hi if p_new > p_hi else p_lo
             try:
-                x_end = _solve_at_param(problem, z_new[:n], p_end, cfg.newton_tol)
+                x_end = _solve_at_param(problem, z_new[:n], p_end)
             except BifurcationError:
                 branch.terminated = "range"
                 break
             eq_end = _make_equilibrium(x_end, p_end, np.atleast_2d(problem.jac_x(x_end, p_end)))
             eq_end.tangent = _tangent(problem, x_end, p_end, tan)
-            _detect_events(problem, branch, branch.points[-1], eq_end, cfg,
-                           classify, symmetric_trunk)
+            _detect_events(problem, branch, branch.points[-1], eq_end, symmetric_trunk)
             branch.points.append(eq_end)
             branch.terminated = "range"
             break
@@ -344,43 +330,35 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
         eq_new = _make_equilibrium(z_new[:n], p_new,
                                    np.atleast_2d(problem.jac_x(z_new[:n], p_new)))
         eq_new.tangent = tan_new
-        _detect_events(problem, branch, branch.points[-1], eq_new, cfg,
-                       classify, symmetric_trunk)
+        _detect_events(problem, branch, branch.points[-1], eq_new, symmetric_trunk)
         branch.points.append(eq_new)
         z, tan = z_new, tan_new
-        h = min(h * 1.3, cfg.h_max)
+        h = min(h * 1.3, h_max)
     else:
         branch.terminated = "max points"
     return branch
 
 
-def _detect_events(problem, branch, prev: Equilibrium, new: Equilibrium, cfg,
-                   classify, symmetric_trunk):
-    det_flip = cfg.detect_det_flips and prev.det_sign * new.det_sign < 0
-    fold_flip = (cfg.detect_folds and prev.tangent is not None
-                 and new.tangent is not None
+def _detect_events(problem, branch, prev: Equilibrium, new: Equilibrium, symmetric_trunk):
+    fold_flip = (prev.tangent is not None and new.tangent is not None
                  and prev.tangent[-1] * new.tangent[-1] < 0)
-    candidates = []
     if fold_flip:
         # a fold also flips det(J); the tangent refinement owns the interval
-        candidates.append(_refine_fold(problem, prev, new, cfg))
-    elif det_flip:
-        candidates.append(_refine_det_flip(problem, prev, new, cfg))
-    for sp in candidates:
-        if classify:
-            sp.kind = classify_singularity(sp, problem,
-                                           symmetric_trunk=symmetric_trunk,
-                                           refine_tol=cfg.refine_tol)
-        duplicate = any(
-            abs(sp.param - other.param) <= max(10 * cfg.refine_tol, 1e-6)
-            and np.linalg.norm(sp.x - other.x) <= 1e-5
-            for other in branch.singular_points
-        )
-        if not duplicate:
-            branch.singular_points.append(sp)
+        sp = _refine_fold(problem, prev, new)
+    elif prev.det_sign * new.det_sign < 0:
+        sp = _refine_det_flip(problem, prev, new)
+    else:
+        return
+    sp.kind = classify_singularity(sp, problem, symmetric_trunk=symmetric_trunk)
+    duplicate = any(
+        abs(sp.param - other.param) <= 1e-6 and np.linalg.norm(sp.x - other.x) <= 1e-5
+        for other in branch.singular_points
+    )
+    if not duplicate:
+        branch.singular_points.append(sp)
 
 
-def _refine_det_flip(problem, eq_lo: Equilibrium, eq_hi: Equilibrium, cfg):
+def _refine_det_flip(problem, eq_lo: Equilibrium, eq_hi: Equilibrium):
     """Parameter bisection of a det(J) sign change between two branch points.
 
     Fixed-parameter Newton from the interpolated state is well conditioned
@@ -392,19 +370,19 @@ def _refine_det_flip(problem, eq_lo: Equilibrium, eq_hi: Equilibrium, cfg):
     x_lo, x_hi = eq_lo.x, eq_hi.x
     s_lo = eq_lo.det_sign
     for _ in range(80):
-        if abs(p_hi - p_lo) <= cfg.refine_tol:
+        if abs(p_hi - p_lo) <= REFINE_TOL:
             break
         frac = 0.5
         p_mid = p_lo + frac * (p_hi - p_lo)
         guess = x_lo + frac * (x_hi - x_lo)
         try:
-            x_mid = _solve_at_param(problem, guess, p_mid, cfg.newton_tol)
+            x_mid = _solve_at_param(problem, guess, p_mid)
         except BifurcationError:
             # essentially at the singularity; tighten from both sides
             p_mid = p_lo + 0.4 * (p_hi - p_lo)
             guess = x_lo + 0.4 * (x_hi - x_lo)
             try:
-                x_mid = _solve_at_param(problem, guess, p_mid, cfg.newton_tol)
+                x_mid = _solve_at_param(problem, guess, p_mid)
             except BifurcationError:
                 break
         s_mid, _ = np.linalg.slogdet(np.atleast_2d(problem.jac_x(x_mid, p_mid)))
@@ -417,7 +395,7 @@ def _refine_det_flip(problem, eq_lo: Equilibrium, eq_hi: Equilibrium, cfg):
     return _singular_point_at(problem, x_sp, p_sp, eq_lo.tangent)
 
 
-def _refine_fold(problem, eq_lo: Equilibrium, eq_hi: Equilibrium, cfg):
+def _refine_fold(problem, eq_lo: Equilibrium, eq_hi: Equilibrium):
     """Arclength bisection of a tangent-parameter sign change (fold bracket).
 
     The bordered corrector is nonsingular at a fold, so arclength bisection is
@@ -429,10 +407,10 @@ def _refine_fold(problem, eq_lo: Equilibrium, eq_hi: Equilibrium, cfg):
     tan_lo = eq_lo.tangent
     val_lo = tan_lo[-1]
     for _ in range(80):
-        if abs(z_hi[n] - z_lo[n]) <= cfg.refine_tol and np.linalg.norm(z_hi - z_lo) <= 1e-7:
+        if abs(z_hi[n] - z_lo[n]) <= REFINE_TOL and np.linalg.norm(z_hi - z_lo) <= 1e-7:
             break
         z_mid_pred = 0.5 * (z_lo + z_hi)
-        z_mid = _correct(problem, z_mid_pred, tan_lo, cfg.newton_tol)
+        z_mid = _correct(problem, z_mid_pred, tan_lo)
         if z_mid is None:
             break
         tan_mid = _tangent(problem, z_mid[:n], z_mid[n], tan_lo)
@@ -461,8 +439,7 @@ def _singular_point_at(problem, x_sp, p_sp, tan_ref):
 
 
 def classify_singularity(sp: SingularPoint, problem: ContinuationProblem,
-                         symmetric_trunk: bool = False,
-                         refine_tol: float = REFINE_TOL) -> str:
+                         symmetric_trunk: bool = False) -> str:
     """Distinguish fold from pitchfork at a refined singular point.
 
     A fold has a vanishing parameter component of the branch tangent and a
@@ -484,14 +461,12 @@ def classify_singularity(sp: SingularPoint, problem: ContinuationProblem,
         return "ambiguous"
     if symmetric_trunk:
         return "pitchfork"
-    found = _probe_new_solutions(problem, sp, refine_tol)
-    if found:
+    if _probe_new_solutions(problem, sp):
         return "pitchfork"
     return "ambiguous"
 
 
-def _amplitude_solve(problem, sp: SingularPoint, a: float,
-                     tol: float = NEWTON_TOL, max_iter: int = 40):
+def _amplitude_solve(problem, sp: SingularPoint, a: float):
     """Solve {f(x,p)=0, phi.(x - x*) = a} for (x, p).
 
     The amplitude constraint along the null eigenvector keeps the bordered
@@ -502,10 +477,10 @@ def _amplitude_solve(problem, sp: SingularPoint, a: float,
     n = len(sp.x)
     x = sp.x + a * phi
     p = sp.param
-    for _ in range(max_iter):
+    for _ in range(40):
         fx = np.atleast_1d(problem.f(x, p))
         res_amp = phi @ (x - sp.x) - a
-        if np.abs(fx).max() <= tol and abs(res_amp) <= tol:
+        if np.abs(fx).max() <= NEWTON_TOL and abs(res_amp) <= NEWTON_TOL:
             return x, p
         bordered = np.zeros((n + 1, n + 1))
         bordered[:n, :n] = np.atleast_2d(problem.jac_x(x, p))
@@ -523,7 +498,7 @@ def _amplitude_solve(problem, sp: SingularPoint, a: float,
     return None
 
 
-def _probe_new_solutions(problem, sp, refine_tol) -> bool:
+def _probe_new_solutions(problem, sp) -> bool:
     """Look for a pair of off-trunk solutions emerging at the point."""
     for amp in (1e-2, 3e-2, 0.1):
         sides = []
@@ -562,14 +537,16 @@ def branch_switch(problem: ContinuationProblem, sp: SingularPoint,
 # Scalar roots and closed-form approximations
 # ---------------------------------------------------------------------------
 
-def y_s(u: float, sigmoid: Sigmoid = TANH, tol: float = 1e-12) -> float:
-    """Positive root of y - u S(y) = 0 (bracketing bisection + Newton polish)."""
+def y_s(u: float, tol: float = 1e-12) -> float:
+    """Positive root of y - u tanh(y) = 0 (bracketing bisection + Newton polish)."""
+    if not np.isfinite(u):
+        raise ValueError(f"effort u must be finite (got {u})")
     if u <= 1.0:
         raise ValueError("the branch equation has a positive root only for u > 1")
     lo, hi = 1e-12, float(u) + 1.0
 
     def f(y):
-        return y - u * float(sigmoid.value(y))
+        return y - u * float(np.tanh(y))
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -581,7 +558,7 @@ def y_s(u: float, sigmoid: Sigmoid = TANH, tol: float = 1e-12) -> float:
             break
     y = 0.5 * (lo + hi)
     for _ in range(50):
-        df = 1.0 - u * float(sigmoid.d1(y))
+        df = 1.0 - u * float(sech2(y))
         if df == 0:
             break
         step = f(y) / df
@@ -591,24 +568,26 @@ def y_s(u: float, sigmoid: Sigmoid = TANH, tol: float = 1e-12) -> float:
     return float(y)
 
 
-def ystar_root(u: float, beta: float, n_agents: int,
-               sigmoid: Sigmoid = TANH, tol: float = NEWTON_TOL) -> float:
-    """Unique root of (N-1) y + u S(y) - beta = 0 (strictly increasing LHS)."""
+def ystar_root(u: float, beta: float, n_agents: int, tol: float = NEWTON_TOL) -> float:
+    """Unique root of (N-1) y + u tanh(y) - beta = 0 (strictly increasing LHS)."""
+    if not (np.isfinite(u) and np.isfinite(beta)):
+        raise ValueError(f"u and beta must be finite (got u = {u}, beta = {beta})")
     if n_agents < 2 or u < 0:
         raise ValueError("need N >= 2 and u >= 0")
     k = n_agents - 1
 
     def f(y):
-        return k * y + u * float(sigmoid.value(y)) - beta
+        return k * y + u * float(np.tanh(y)) - beta
 
     y = beta / (k + u) if (k + u) > 0 else 0.0
     for _ in range(100):
-        df = k + u * float(sigmoid.d1(y))
+        df = k + u * float(sech2(y))
         step = f(y) / df
         y -= step
         if abs(step) <= tol * max(1.0, abs(y)) and abs(f(y)) <= 1e-14 * max(1.0, abs(beta)):
-            break
-    return float(y)
+            return float(y)
+    raise BifurcationError(f"deadlock root did not converge in 100 Newton steps "
+                           f"(u = {u}, beta = {beta}, N = {n_agents})")
 
 
 def ystar_series(u: float, beta: float, n_agents: int) -> float:
@@ -633,7 +612,7 @@ def us_star_hat(nu: float, n_agents: int, n3: int) -> float:
     return 1.0 / nu + _ustar_coefficient(n_agents, n3) * nu ** 3
 
 
-def ustar_numeric(n: int, n3: int, beta: float, sigmoid: Sigmoid = TANH,
+def ustar_numeric(n: int, n3: int, beta: float,
                   u_range: tuple[float, float] = (0.5, 3.0),
                   tol: float = 1e-10) -> float:
     """Singular effort of the swap-symmetric reduced model, solved numerically.
@@ -645,8 +624,8 @@ def ustar_numeric(n: int, n3: int, beta: float, sigmoid: Sigmoid = TANH,
     spec = PopulationSpec(n, n, n3)
 
     def det_at(u):
-        ys = ystar_root(u, beta, big_n, sigmoid)
-        jac = reduced3_jacobian(np.array([ys, -ys, 0.0]), spec, u, sigmoid)
+        ys = ystar_root(u, beta, big_n)
+        jac = reduced3_jacobian(np.array([ys, -ys, 0.0]), spec, u)
         return float(np.linalg.det(jac))
 
     grid = np.linspace(u_range[0], u_range[1], 61)
@@ -683,7 +662,7 @@ class SingularEffort:
 
 def ubar_star(g: Graph, utilde: np.ndarray,
               bracket: tuple[float, float] = (0.5, 1.5),
-              sigmoid: Sigmoid = TANH, tol: float = 1e-12) -> SingularEffort:
+              tol: float = 1e-12) -> SingularEffort:
     """Mean effort at which the heterogeneous linearization at 0 is singular.
 
     Scans det(-D + U A) for a sign change near ubar = 1 and bisects; also
@@ -700,7 +679,7 @@ def ubar_star(g: Graph, utilde: np.ndarray,
                       stacklevel=2)
 
     def jac_at(ub):
-        return jacobian(np.zeros(g.n), g, ub + utilde, sigmoid)
+        return jacobian(np.zeros(g.n), g, ub + utilde)
 
     def sign_at(ub):
         sign, _ = np.linalg.slogdet(jac_at(ub))

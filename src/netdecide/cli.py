@@ -42,11 +42,15 @@ SWEEP_SCENARIOS = {
 ADAPTIVE_CASES = ("symmetric", "case1", "case2")
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"non-finite number {name} in config")
+
+
 def load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

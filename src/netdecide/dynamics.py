@@ -6,9 +6,9 @@ arrays; x_i > 0 means agent i favors alternative A.  The model is
     dx/dt = -D x + U A S(x) + beta
 
 in time normalized by the inertia: D is the in-degree matrix, A the
-adjacency, S an odd saturating sigmoid, beta the information vector, and U
-either one social effort u or a diagonal of per-agent efforts (ubar + utilde
-for heterogeneous efforts).  The raw-time model with inertia u_I, social gain
+adjacency, S = tanh, beta the information vector, and U either one social
+effort u or a diagonal of per-agent efforts (ubar + utilde for heterogeneous
+efforts).  The raw-time model with inertia u_I, social gain
 u_S and information nu is u_I times this one with u = u_S / u_I and
 beta = nu / u_I.
 
@@ -21,52 +21,18 @@ the full field restricted to the group-consensus manifold.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .graphs import Graph, PopulationSpec
 
 
-# ---------------------------------------------------------------------------
-# Saturating nonlinearity
-# ---------------------------------------------------------------------------
-
-def _sech2(z):
-    # 4 e^{-2|z|} / (1 + e^{-2|z|})^2, stable for large |z|
+def sech2(z):
+    """Derivative of tanh: 4 e^{-2|z|} / (1 + e^{-2|z|})^2, stable for large |z|."""
     e = np.exp(-2.0 * np.abs(z))
     return 4.0 * e / (1.0 + e) ** 2
 
-
-@dataclass(frozen=True)
-class Sigmoid:
-    """Odd saturating nonlinearity with its first three derivatives.
-
-    Any shipped family must be odd, strictly monotone, sector-(0,1] bounded
-    (0 < S(z)/z <= 1 and S'(z) <= 1) and concave for z > 0.
-    """
-
-    name: str
-    value: Callable[[np.ndarray], np.ndarray]
-    d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
-    d3: Callable[[np.ndarray], np.ndarray]
-
-
-TANH = Sigmoid(
-    name="tanh",
-    value=np.tanh,
-    d1=_sech2,
-    d2=lambda z: -2.0 * np.tanh(z) * _sech2(z),
-    d3=lambda z: _sech2(z) * (4.0 * np.tanh(z) ** 2 - 2.0 * _sech2(z)),
-)
-
-
-# ---------------------------------------------------------------------------
-# Parameters and auxiliary state
-# ---------------------------------------------------------------------------
 
 def beta_vector(spec: PopulationSpec, beta_a: float, beta_b: float) -> np.ndarray:
     """Information vector (+beta_A informed-A, -beta_B informed-B, 0 uninformed)."""
@@ -75,43 +41,6 @@ def beta_vector(spec: PopulationSpec, beta_a: float, beta_b: float) -> np.ndarra
         np.full(spec.n2, -float(beta_b)),
         np.zeros(spec.n3),
     ])
-
-
-@dataclass
-class EstimatorState:
-    """Auxiliary state of the average-opinion consensus estimator."""
-
-    w: np.ndarray
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("estimator gain alpha must be positive")
-        self.w = np.asarray(self.w, dtype=float)
-
-    def yhat(self, x: np.ndarray, g: Graph) -> np.ndarray:
-        """Agent estimates of the average opinion, recomputed from (w, x)."""
-        return g.laplacian @ self.w + x
-
-
-@dataclass(frozen=True)
-class AdaptiveConfig:
-    """Slow-timescale gain and decision threshold of the adaptive loop."""
-
-    epsilon: float = 0.01
-    y_th: float = 0.5
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.y_th <= 0:
-            raise ValueError("decision threshold y_th must be positive")
-        if self.epsilon > 0.1:
-            warnings.warn(
-                f"epsilon = {self.epsilon} is large; the slow/fast timescale "
-                "separation underpinning the adaptive analysis may not hold",
-                stacklevel=2,
-            )
 
 
 @dataclass(frozen=True)
@@ -137,14 +66,13 @@ class Decision(enum.Enum):
 # Vector fields
 # ---------------------------------------------------------------------------
 
-def _field(x, degrees, weights, u, beta, sigmoid):
-    out = -degrees * x + u * (weights @ sigmoid.value(x))
+def _field(x, degrees, weights, u, beta):
+    out = -degrees * x + u * (weights @ np.tanh(x))
     return out if beta is None else out + beta
 
 
 def normalized_field(x: np.ndarray, g: Graph, u: float | np.ndarray,
-                     beta: np.ndarray | None = None,
-                     sigmoid: Sigmoid = TANH) -> np.ndarray:
+                     beta: np.ndarray | None = None) -> np.ndarray:
     """Normalized-time dynamics -D x + U A S(x) + beta; u is one effort or one per agent."""
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
@@ -161,12 +89,11 @@ def normalized_field(x: np.ndarray, g: Graph, u: float | np.ndarray,
         beta = np.asarray(beta, dtype=float)
         if beta.shape != (g.n,):
             raise ValueError("information vector beta has wrong length")
-    return _field(x, g.degrees, g.weights, u, beta, sigmoid)
+    return _field(x, g.degrees, g.weights, u, beta)
 
 
 def reduced3_field(y: np.ndarray, spec: PopulationSpec, u: float,
-                   beta_a: float, beta_b: float,
-                   sigmoid: Sigmoid = TANH) -> np.ndarray:
+                   beta_a: float, beta_b: float) -> np.ndarray:
     """Three-group reduction of the structured network dynamics.
 
     The model equation on the quotient (spec.degrees, spec.quotient).  Group 1
@@ -175,36 +102,26 @@ def reduced3_field(y: np.ndarray, spec: PopulationSpec, u: float,
     field is exactly the full field restricted to the group-consensus manifold.
     """
     beta = np.array([beta_a, -beta_b, 0.0], dtype=float)
-    return _field(np.asarray(y, dtype=float), spec.degrees, spec.quotient, u, beta, sigmoid)
+    return _field(np.asarray(y, dtype=float), spec.degrees, spec.quotient, u, beta)
 
 
-def scalar_consensus_field(y: float, u: float, n_agents: int,
-                           sigmoid: Sigmoid = TANH) -> float:
+def scalar_consensus_field(y: float, u: float, n_agents: int) -> float:
     """All-to-all dynamics restricted to the consensus manifold."""
     if n_agents < 2:
         raise ValueError("need at least two agents")
-    return float(-(n_agents - 1) * y + u * (n_agents - 1) * sigmoid.value(y))
+    return float(-(n_agents - 1) * y + u * (n_agents - 1) * np.tanh(y))
 
 
-def estimator_field(est: EstimatorState, x: np.ndarray, g: Graph) -> np.ndarray:
-    """dw/dt = -alpha sgn(L yhat), with sgn(0) = 0 entrywise."""
-    yhat = est.yhat(x, g)
-    return -est.alpha * np.sign(g.laplacian @ yhat)
+def adaptive_field(x: np.ndarray, ubar: float, y_hat: float, g: Graph,
+                   utilde: float | np.ndarray, beta: np.ndarray | None,
+                   epsilon: float, y_th: float) -> tuple[np.ndarray, float]:
+    """Fast opinion field and slow mean-effort rate of the adaptive loop.
 
-
-def adaptive_field(x: np.ndarray, ubar: float, est: EstimatorState, g: Graph,
-                   utilde: np.ndarray, beta: np.ndarray | None,
-                   cfg: AdaptiveConfig,
-                   sigmoid: Sigmoid = TANH) -> tuple[np.ndarray, float]:
-    """Fast opinion field plus slow mean-effort update.
-
-    The effort update uses the first agent's estimate of the average opinion;
-    after the estimator has converged this equals eps * (y_th^2 - y^2).
+    The efforts are ubar + utilde, and the mean effort follows
+    d(ubar)/dt = epsilon (y_th^2 - y_hat^2), where y_hat is an agent's
+    estimate of the average opinion.
     """
-    dx = normalized_field(x, g, ubar + np.asarray(utilde, dtype=float), beta, sigmoid)
-    y1 = est.yhat(x, g)[0]
-    dubar = cfg.epsilon * (cfg.y_th ** 2 - y1 ** 2)
-    return dx, float(dubar)
+    return normalized_field(x, g, ubar + utilde, beta), epsilon * (y_th ** 2 - y_hat ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import bifurcation as bif
 from .dynamics import (
-    AdaptiveConfig,
     Decision,
     DecisionConfig,
+    adaptive_field,
     beta_vector,
     classify_decision,
     group_opinion,
@@ -176,9 +176,9 @@ def run_pitchfork_diagram(scenario: PitchforkScenario = PitchforkScenario(),
     """Trace the undecided trunk, locate its singularity, switch branches."""
     g = graph_from_config(scenario.graph)
     problem = bif.normalized_problem(g)
-    cfg = bif.ContinuationConfig(h_max=scenario.h_max)
     trunk = bif.continue_branch(problem, np.zeros(g.n), scenario.u_range[0],
-                                scenario.u_range, cfg=cfg, symmetric_trunk=True)
+                                scenario.u_range, h_max=scenario.h_max,
+                                symmetric_trunk=True)
     pitchforks = [sp for sp in trunk.singular_points if sp.kind == "pitchfork"]
     upper = lower = None
     if pitchforks:
@@ -188,7 +188,7 @@ def run_pitchfork_diagram(scenario: PitchforkScenario = PitchforkScenario(),
             ref = np.concatenate([seed.x - sp.x, [seed.param - sp.param]])
             br = bif.continue_branch(problem, seed.x, seed.param,
                                      (sp.param, scenario.u_branch_end),
-                                     cfg=cfg, initial_reference=ref)
+                                     h_max=scenario.h_max, initial_reference=ref)
             # orient by the sign of the consensus component
             if br.points[-1].x.mean() >= 0:
                 upper = br
@@ -365,9 +365,9 @@ def run_quintic_transition(scenario: QuinticScenario = QuinticScenario(),
     for beta in scenario.beta_grid:
         problem = bif.reduced3_problem(spec, beta, beta)
         u0 = scenario.u_range[0]
-        cfg = bif.ContinuationConfig(h_max=scenario.h_max)
         trunk = bif.continue_branch(problem, _deadlock_start(spec, u0, beta), u0,
-                                    scenario.u_range, cfg=cfg, symmetric_trunk=True)
+                                    scenario.u_range, h_max=scenario.h_max,
+                                    symmetric_trunk=True)
         pitchforks = [sp for sp in trunk.singular_points if sp.kind == "pitchfork"]
         outer = []
         folds = []
@@ -386,7 +386,7 @@ def run_quintic_transition(scenario: QuinticScenario = QuinticScenario(),
                 ref = np.concatenate([seed.x - sp.x, [seed.param - sp.param]])
                 br = bif.continue_branch(problem, seed.x, seed.param,
                                          (scenario.u_range[0] / 2, scenario.u_range[1]),
-                                         cfg=cfg, initial_reference=ref)
+                                         h_max=scenario.h_max, initial_reference=ref)
                 outer.append(br)
                 folds += [s.param for s in br.singular_points if s.kind == "fold"]
             if ok:
@@ -533,8 +533,7 @@ def _u_star_continuation(args) -> float:
     problem = bif.ata_problem(n, n3, beta)
     ys = bif.ystar_root(u_scan[0], beta, big_n)
     start = np.array([ys, -ys, 0.0])
-    cfg = bif.ContinuationConfig(h_max=h_max)
-    branch = bif.continue_branch(problem, start, u_scan[0], u_scan, cfg=cfg,
+    branch = bif.continue_branch(problem, start, u_scan[0], u_scan, h_max=h_max,
                                  symmetric_trunk=True)
     pitchforks = [sp for sp in branch.singular_points if sp.kind == "pitchfork"]
     if not pitchforks:
@@ -668,6 +667,12 @@ class AdaptiveScenario:
             raise ValueError("estimator gain and tolerance must be positive")
         if self.escape_band <= 0 or self.stop_tol <= 0:
             raise ValueError("bands and tolerances must be positive")
+        if self.epsilon > 0.1:
+            warnings.warn(
+                f"epsilon = {self.epsilon} is large; the slow/fast timescale "
+                "separation underpinning the adaptive analysis may not hold",
+                stacklevel=3,
+            )
 
 
 def adaptive_scenario(case: str, **overrides) -> AdaptiveScenario:
@@ -722,7 +727,7 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
     else:
         raise ValueError("informed cases need a population graph")
     utilde = _utilde_pattern(n, scenario.utilde_amplitude)
-    acfg = AdaptiveConfig(epsilon=scenario.epsilon, y_th=scenario.y_th)
+    eps, y_th = scenario.epsilon, scenario.y_th
     rng = np.random.default_rng(scenario.seed)
     x0 = scenario.x0_amplitude * rng.uniform(-1, 1, n)
 
@@ -744,21 +749,22 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
 
     # phase 2: fast opinions coupled to the slow mean-effort update
     def rhs(t, z):
-        x, ub = z[:n], z[n]
-        dx = normalized_field(x, g, ub + utilde, beta)
-        yh = y_estimate(x)
-        return np.concatenate([dx, [acfg.epsilon * (acfg.y_th ** 2 - yh ** 2)]])
+        x = z[:n]
+        dx, dubar = adaptive_field(x, z[n], y_estimate(x), g, utilde, beta, eps, y_th)
+        return np.concatenate([dx, [dubar]])
 
+    # Evaluates the field only once the effort law is near rest, so a step
+    # does not pay for a seventh field call.
     def stop(t, z):
         x = z[:n]
         yh = y_estimate(x)
-        if abs(yh ** 2 - acfg.y_th ** 2) >= scenario.stop_tol:
+        if abs(yh ** 2 - y_th ** 2) >= scenario.stop_tol:
             return False
         return bool(np.abs(normalized_field(x, g, z[n] + utilde, beta)).max()
                     < scenario.stop_tol)
 
     events = [lambda t, z: abs(z[:n].mean()) - scenario.escape_band,
-              lambda t, z: abs(z[:n].mean()) - acfg.y_th]
+              lambda t, z: abs(z[:n].mean()) - y_th]
     band = scenario.jump_band
     if band is not None:
         events.append(lambda t, z: abs(z[:n].mean()) - band)
@@ -794,8 +800,8 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
         "ubar_at_jump": float(jump_hits[0].state[n]) if jump_hits else None,
         "terminal_y": float(ys[-1]),
         "terminal_ubar": float(ubars[-1]),
-        "terminal_abs_y_minus_yth": float(abs(abs(ys[-1]) - acfg.y_th)),
-        "terminal_dubar": float(acfg.epsilon * (acfg.y_th ** 2 - ys[-1] ** 2)),
+        "terminal_abs_y_minus_yth": float(abs(abs(ys[-1]) - y_th)),
+        "terminal_dubar": float(eps * (y_th ** 2 - ys[-1] ** 2)),
         "settled": bool(stop(traj.times[-1], traj.states[-1])),
         "estimator_converged": estimator_converged,
         "estimator_time": est_run.s_elapsed,

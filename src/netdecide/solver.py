@@ -41,7 +41,6 @@ class IntegratorConfig:
     atol: float = 1e-10
     max_time: float = 200.0
     event_time_tol: float = 1e-9
-    first_step: float | None = None
     max_step: float | None = None
 
     def __post_init__(self):
@@ -187,7 +186,12 @@ def _locate_event(f, event, t0, x0, t1, time_tol):
     lo, hi = t0, t1
     if g0 == 0.0:
         return t0, x0
-    while hi - lo > time_tol:
+    # Far from t = 0 the float spacing exceeds time_tol, and the midpoint of
+    # two neighbouring floats is one of them: stop a few spacings apart.
+    width = max(time_tol, 4.0 * float(np.spacing(max(abs(t0), abs(t1)))))
+    for _ in range(200):
+        if hi - lo <= width:
+            break
         mid = 0.5 * (lo + hi)
         xm = state_at(mid)
         gm = event(mid, xm)
@@ -217,7 +221,7 @@ def _integrate(field, x0, cfg: IntegratorConfig, t0=0.0,
     adaptive = cfg.method == "rk45"
     if adaptive:
         k1 = field(t, x)
-        h = cfg.first_step if cfg.first_step is not None else min(cfg.dt, cfg.max_time / 10)
+        h = min(cfg.dt, cfg.max_time / 10)
     else:
         h = cfg.dt
     stop = False
@@ -293,8 +297,9 @@ def integrate_with_events(field, x0, events: Sequence[Callable],
                           ) -> tuple[Trajectory, list[EventHit]]:
     """Integrate and localize every sign change of the scalar event functions.
 
-    Each hit time is bisected to cfg.event_time_tol.  Events listed in
-    `terminal` stop the integration at the hit.
+    Each hit time is bisected to cfg.event_time_tol, or to four float
+    spacings of t where those are wider.  Events listed in `terminal` stop
+    the integration at the hit.
     """
     return _integrate(field, x0, cfg, t0=t0, events=events, terminal=terminal)
 
@@ -333,9 +338,7 @@ class EstimatorRun:
 
 
 def integrate_nonsmooth(w0: np.ndarray, x: np.ndarray, g: Graph, alpha: float,
-                        tol: float, h0: float | None = None,
-                        hard_cap_factor: float = 2.0,
-                        raise_on_cap: bool = True) -> EstimatorRun:
+                        tol: float, raise_on_cap: bool = True) -> EstimatorRun:
     """Drive the consensus estimator dw/ds = -alpha sgn(L(Lw + x)) to tolerance.
 
     Explicit Euler with rejection control: a step that fails to decrease the
@@ -343,7 +346,7 @@ def integrate_nonsmooth(w0: np.ndarray, x: np.ndarray, g: Graph, alpha: float,
     the step, so the error decreases monotonically and the elapsed time
     inherits the finite-time bound ||err(0)|| / lambda2.  The initial step is
     1e-4 / alpha.  Raises SolverError if the tolerance is not met within
-    hard_cap_factor * ||err(0)|| / lambda2 time units.
+    2 ||err(0)|| / lambda2 time units.
     """
     if alpha <= 0:
         raise ValueError("estimator gain alpha must be positive")
@@ -362,8 +365,8 @@ def integrate_nonsmooth(w0: np.ndarray, x: np.ndarray, g: Graph, alpha: float,
     if err <= tol:
         return EstimatorRun(w, 0.0, err, 0.0, 0, 0)
 
-    h0 = h0 if h0 is not None else 1e-4 / alpha
-    cap = hard_cap_factor * err / lam2
+    h0 = 1e-4 / alpha
+    cap = 2.0 * err / lam2
     h = h0
     s = 0.0
     mean_drift = 0.0

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -14,6 +17,26 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError inside the block once it has run for `seconds`.
+
+    For tests of loops that must end: a regression fails instead of hanging
+    the suite.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

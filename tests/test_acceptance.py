@@ -21,7 +21,6 @@ from netdecide.bifurcation import (
     y_s,
 )
 from netdecide.dynamics import (
-    TANH,
     beta_vector,
     normalized_field,
     scalar_consensus_field,

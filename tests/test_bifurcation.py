@@ -5,7 +5,6 @@ import pytest
 
 from netdecide.bifurcation import (
     BifurcationError,
-    ContinuationConfig,
     ata_problem,
     branch_switch,
     continue_branch,
@@ -134,6 +133,22 @@ class TestScalarRoots:
         with pytest.raises(ValueError):
             y_s(0.9)
 
+    @pytest.mark.parametrize("u", [np.nan, np.inf])
+    def test_y_s_rejects_nonfinite(self, u):
+        with pytest.raises(ValueError, match="finite"):
+            y_s(u)
+
+    @pytest.mark.parametrize("u, beta", [(np.nan, 0.1), (1.0, np.nan), (1.0, -np.inf)])
+    def test_ystar_root_rejects_nonfinite(self, u, beta):
+        with pytest.raises(ValueError, match="finite"):
+            ystar_root(u, beta, 10)
+
+    def test_ystar_root_reports_nonconvergence(self):
+        # A zero step tolerance cannot be met here: Newton alternates between
+        # neighbouring floats around the root.
+        with pytest.raises(BifurcationError, match="did not converge"):
+            ystar_root(1.0, 0.3, 10, tol=0.0)
+
     def test_ystar_root_values(self):
         assert ystar_root(1.0, 0.0, 100) == 0.0
         val = ystar_root(1.0, 0.1, 100)
@@ -204,7 +219,7 @@ class TestUstarNumeric:
         problem = ata_problem(10, 80, beta)
         ys = ystar_root(0.9, beta, 100)
         branch = continue_branch(problem, np.array([ys, -ys, 0.0]), 0.9,
-                                 (0.9, 1.1), cfg=ContinuationConfig(h_max=0.02),
+                                 (0.9, 1.1), h_max=0.02,
                                  symmetric_trunk=True)
         assert branch.singular_points
         sp = branch.singular_points[0]
@@ -312,15 +327,13 @@ class TestContinuation:
             lambda y: reduced3_field(y, spec, u0, beta, beta),
             lambda y: reduced3_jacobian(y, spec, u0),
             np.array([beta / (d1 + u0), -beta / (d1 + u0), 0.0]))
-        trunk = continue_branch(problem, start, u0, (u0, 3.0),
-                                cfg=ContinuationConfig(h_max=0.02),
+        trunk = continue_branch(problem, start, u0, (u0, 3.0), h_max=0.02,
                                 symmetric_trunk=True)
         pf = [sp for sp in trunk.singular_points if sp.kind == "pitchfork"]
         assert len(pf) == 1
         seed = branch_switch(problem, pf[0], +1)
         ref = np.concatenate([seed.x - pf[0].x, [seed.param - pf[0].param]])
-        outer = continue_branch(problem, seed.x, seed.param, (0.2, 3.0),
-                                cfg=ContinuationConfig(h_max=0.02),
+        outer = continue_branch(problem, seed.x, seed.param, (0.2, 3.0), h_max=0.02,
                                 initial_reference=ref)
         folds = [sp for sp in outer.singular_points if sp.kind == "fold"]
         assert len(folds) == 1

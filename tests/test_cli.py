@@ -34,6 +34,11 @@ class TestSimulate:
         path.write_text("{not json")
         assert main(["simulate", "--config", str(path)]) == 2
 
+    def test_nan_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", {"u": float("nan")})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "non-finite number NaN" in capsys.readouterr().err
+
     def test_negative_u_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "cfg.json", {"u": -1.0})
         assert main(["simulate", "--config", cfg]) == 2
@@ -116,6 +121,12 @@ class TestSweep:
         assert lines[0] == "nu,us_star_hat,us_star_numeric,rel_error"
         assert len(lines) == 3
 
+    def test_nan_in_grid_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", {"nu_grid": [float("nan"), 1.0]})
+        assert main(["sweep", "--scenario", "value_sensitivity", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "non-finite number NaN" in capsys.readouterr().err
+
     def test_unknown_scenario_lists_names(self, tmp_path, capsys):
         assert main(["sweep", "--scenario", "nope"]) == 2
         err = capsys.readouterr().err
@@ -141,6 +152,11 @@ class TestValidate:
     def test_rejects_bad_config_without_running(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {"u": -2.0})
         assert main(["validate", "--command", "simulate", "--config", cfg]) == 2
+
+    def test_nan_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", {"scenario": "hysteresis", "u": float("nan")})
+        assert main(["validate", "--command", "sweep", "--config", cfg]) == 2
+        assert "non-finite number NaN" in capsys.readouterr().err
 
     def test_command_key_in_config(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json",

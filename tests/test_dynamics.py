@@ -8,57 +8,46 @@ from hypothesis import strategies as st
 from conftest import lift_to_manifold
 from netdecide.bifurcation import jacobian, reduced3_jacobian, ubar_star
 from netdecide.dynamics import (
-    TANH,
-    AdaptiveConfig,
     Decision,
     DecisionConfig,
-    EstimatorState,
     adaptive_field,
     beta_vector,
     classify_decision,
     disagreement,
-    estimator_field,
     group_opinion,
     normalized_field,
     reduced3_field,
     scalar_consensus_field,
+    sech2,
 )
+from netdecide.experiments import AdaptiveScenario
 from netdecide.graphs import PopulationSpec, complete_graph, path_graph, three_population_graph
+from netdecide.solver import integrate_nonsmooth
 
-# sigmoid derivative underflow: sech^2 is below the smallest double past ~372
+# tanh derivative underflow: sech^2 is below the smallest double past ~372
 SECH_UNDERFLOW = 350.0
 
 
-class TestSigmoid:
+class TestTanh:
     def test_odd(self):
         z = np.linspace(-20, 20, 401)
-        assert np.array_equal(TANH.value(-z), -TANH.value(z))
+        assert np.array_equal(np.tanh(-z), -np.tanh(z))
 
     def test_sector_and_slope(self):
         z = np.logspace(-8, 3, 400)
-        ratio = TANH.value(z) / z
+        ratio = np.tanh(z) / z
         assert np.all(ratio > 0) and np.all(ratio <= 1.0)
-        d = TANH.d1(np.concatenate([-z, z]))
+        d = sech2(np.concatenate([-z, z]))
         assert np.all(d <= 1.0) and np.all(d >= 0.0)
         rep = z[z <= SECH_UNDERFLOW]
-        assert np.all(TANH.d1(rep) > 0)
-        assert TANH.d1(np.array([0.0]))[0] == 1.0
+        assert np.all(sech2(rep) > 0)
+        assert sech2(np.array([0.0]))[0] == 1.0
 
-    def test_concavity_sign(self):
-        z = np.linspace(0.01, 10, 100)
-        assert np.all(TANH.d2(z) < 0)
-        assert np.all(TANH.d2(-z) > 0)
-        assert TANH.d2(np.array([0.0]))[0] == 0.0
-        assert TANH.d3(np.array([0.0]))[0] == pytest.approx(-2.0, abs=1e-14)
-
-    @pytest.mark.parametrize("deriv, base", [(TANH.d1, TANH.value),
-                                             (TANH.d2, TANH.d1),
-                                             (TANH.d3, TANH.d2)])
-    def test_derivative_chain(self, deriv, base):
+    def test_sech2_is_tanh_derivative(self):
         z = np.linspace(-3, 3, 61)
         h = 1e-6
-        fd = (base(z + h) - base(z - h)) / (2 * h)
-        assert deriv(z) == pytest.approx(fd, abs=1e-8)
+        fd = (np.tanh(z + h) - np.tanh(z - h)) / (2 * h)
+        assert sech2(z) == pytest.approx(fd, abs=1e-8)
 
 
 class TestFields:
@@ -224,59 +213,38 @@ class TestLyapunov:
 
 
 class TestEstimator:
-    def test_consensus_is_equilibrium(self, k10):
-        # w = 0 with a uniform state gives yhat = y*1 exactly (integer weights)
-        x = np.full(10, 2.0)
-        est = EstimatorState(w=np.zeros(10), alpha=2.0)
-        assert np.array_equal(est.yhat(x, k10), x)
-        assert np.abs(estimator_field(est, x, k10)).max() == 0.0
-
-    def test_mean_invariance(self, k10, rng):
-        x = rng.normal(size=10)
-        w = rng.normal(size=10)
-        est = EstimatorState(w=w)
-        yhat = est.yhat(x, k10)
-        assert yhat.mean() == pytest.approx(x.mean(), abs=1e-12)
-
     def test_two_node_hand_computation(self):
+        # dw/ds = -3 sgn(L(Lw + x)) = (-3, 3) until L w + x = (1 - 6s, 6s)
+        # meets the mean 0.5 at s = 1/12, where w = (-1/4, 1/4).
         g = path_graph(2)
-        est = EstimatorState(w=np.zeros(2), alpha=3.0)
         x = np.array([1.0, 0.0])
-        assert est.yhat(x, g) == pytest.approx([1.0, 0.0])
-        field = estimator_field(est, x, g)
-        assert field == pytest.approx([-3.0, 3.0])
+        tol = 1e-9
+        run = integrate_nonsmooth(np.zeros(2), x, g, alpha=3.0, tol=tol)
+        assert g.laplacian @ run.w + x == pytest.approx(np.full(2, x.mean()), abs=tol)
+        assert run.w == pytest.approx([-0.25, 0.25], abs=tol)
+        assert run.s_elapsed == pytest.approx(1 / 12, abs=1e-4)
 
 
 class TestAdaptiveField:
     def test_rest_point(self, k10):
-        cfg = AdaptiveConfig(epsilon=0.01, y_th=0.5)
         # consensus state at the threshold, with matching equilibrium effort
         y = 0.5
         ubar = y / np.tanh(y)
-        x = np.full(10, y)
-        lap = k10.laplacian
-        w = np.linalg.lstsq(lap, x.mean() - x, rcond=None)[0]
-        est = EstimatorState(w=w)
-        dx, dub = adaptive_field(x, ubar, est, k10, np.zeros(10), None, cfg)
+        dx, dub = adaptive_field(np.full(10, y), ubar, y, k10, np.zeros(10), None, 0.01, 0.5)
         assert np.abs(dx).max() < 1e-12
         assert abs(dub) < 1e-12
 
     def test_effort_grows_in_deadlock(self, k10):
-        cfg = AdaptiveConfig(epsilon=0.01, y_th=0.5)
-        est = EstimatorState(w=np.zeros(10))
-        _, dub = adaptive_field(np.zeros(10), 0.9, est, k10, np.zeros(10), None, cfg)
+        _, dub = adaptive_field(np.zeros(10), 0.9, 0.0, k10, 0.0, None, 0.01, 0.5)
         assert dub == pytest.approx(0.01 * 0.25)
 
     def test_effort_shrinks_past_threshold(self, k10):
-        cfg = AdaptiveConfig(epsilon=0.01, y_th=0.5)
-        x = np.full(10, 0.8)
-        est = EstimatorState(w=np.zeros(10))
-        _, dub = adaptive_field(x, 1.2, est, k10, np.zeros(10), None, cfg)
+        _, dub = adaptive_field(np.full(10, 0.8), 1.2, 0.8, k10, 0.0, None, 0.01, 0.5)
         assert dub < 0
 
     def test_large_epsilon_warns(self):
         with pytest.warns(UserWarning, match="timescale"):
-            AdaptiveConfig(epsilon=0.5, y_th=0.5)
+            AdaptiveScenario(epsilon=0.5)
 
 
 class TestDecisionMetrics:

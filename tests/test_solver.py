@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import deadline
 from netdecide.dynamics import normalized_field, scalar_consensus_field
 from netdecide.graphs import complete_graph, lambda2, path_graph
 from netdecide.solver import (
@@ -106,6 +107,18 @@ class TestEvents:
                                            terminal={0})
         assert hits and hits[0].time == pytest.approx(0.5, abs=1e-9)
         assert traj.final_time == pytest.approx(0.5, abs=1e-9)
+
+    def test_bisection_ends_far_from_origin(self):
+        # Near t = 1.6e7 neighbouring floats are 3.7e-9 apart, more than
+        # event_time_tol, so halving the bracket cannot reach that width.
+        c = 1.6e7 + 1 / 3
+        event = lambda t, x: (t - c) + 1e-12
+        cfg = IntegratorConfig(max_time=1.0)
+        with deadline(10.0):
+            _, hits = integrate_with_events(lambda t, x: np.zeros(1), np.zeros(1),
+                                            [event], cfg, t0=1.6e7)
+        assert len(hits) == 1
+        assert hits[0].time == pytest.approx(c, abs=4 * np.spacing(c))
 
 
 class TestSettle:
