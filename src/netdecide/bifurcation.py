@@ -538,7 +538,10 @@ def branch_switch(problem: ContinuationProblem, sp: SingularPoint,
 # ---------------------------------------------------------------------------
 
 def y_s(u: float, tol: float = 1e-12) -> float:
-    """Positive root of y - u tanh(y) = 0 (bracketing bisection + Newton polish)."""
+    """Positive root of y - u tanh(y) = 0 (bracketing bisection + Newton polish).
+
+    Raises BifurcationError if the Newton polish does not meet `tol`.
+    """
     if not np.isfinite(u):
         raise ValueError(f"effort u must be finite (got {u})")
     if u <= 1.0:
@@ -564,8 +567,8 @@ def y_s(u: float, tol: float = 1e-12) -> float:
         step = f(y) / df
         y -= step
         if abs(step) <= tol * max(1.0, abs(y)):
-            break
-    return float(y)
+            return float(y)
+    raise BifurcationError(f"branch root did not converge in 50 Newton steps (u = {u})")
 
 
 def ystar_root(u: float, beta: float, n_agents: int, tol: float = NEWTON_TOL) -> float:

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -49,18 +50,26 @@ from .solver import (
 # Graph configuration language (shared with the CLI)
 # ---------------------------------------------------------------------------
 
+def _size(value, key: str) -> int:
+    """An agent count from a config: an integer, or a float equal to one."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ValueError(f"graph size {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def graph_from_config(cfg: dict) -> Graph:
     """Build a graph from a {"kind": ...} document."""
     kind = cfg.get("kind")
     if kind == "complete":
-        return complete_graph(int(cfg["n"]), float(cfg.get("weight", 1.0)))
+        return complete_graph(_size(cfg["n"], "n"), float(cfg.get("weight", 1.0)))
     if kind == "directed_ring":
-        return directed_ring(int(cfg["n"]), float(cfg.get("weight", 1.0)))
+        return directed_ring(_size(cfg["n"], "n"), float(cfg.get("weight", 1.0)))
     if kind == "population":
         return three_population_graph(population_spec_from_config(cfg))
     if kind == "weights":
         w = np.array(cfg["weights"], dtype=float)
-        n = int(cfg.get("n", 0)) or int(round(len(np.ravel(w)) ** 0.5))
+        n = _size(cfg.get("n", 0), "n") or int(round(len(np.ravel(w)) ** 0.5))
         return Graph(np.reshape(w, (n, n)))
     raise ValueError(f"unknown graph kind {kind!r}; expected complete, "
                      "directed_ring, population, or weights")
@@ -68,8 +77,8 @@ def graph_from_config(cfg: dict) -> Graph:
 
 def population_spec_from_config(cfg: dict) -> PopulationSpec:
     coupling = np.array(cfg.get("coupling", np.ones((3, 3))), dtype=float)
-    return PopulationSpec(int(cfg["n1"]), int(cfg["n2"]), int(cfg["n3"]),
-                          coupling=coupling.reshape(3, 3))
+    sizes = [_size(cfg[key], key) for key in ("n1", "n2", "n3")]
+    return PopulationSpec(*sizes, coupling=coupling.reshape(3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +166,10 @@ class PitchforkScenario:
     h_max: float = 0.1
 
     def __post_init__(self):
-        if self.u_range[0] < 0 or self.u_range[1] <= self.u_range[0]:
+        # Each check is written so that NaN fails it.
+        if not 0 <= self.u_range[0] < self.u_range[1]:
             raise ValueError("u_range must be an increasing pair of nonnegative efforts")
-        if self.h_max <= 0:
+        if not self.h_max > 0:
             raise ValueError("h_max must be positive")
 
 
@@ -235,11 +245,11 @@ class HysteresisScenario:
     horizon: float = 200.0
 
     def __post_init__(self):
-        if self.u < 0:
+        if not self.u >= 0:
             raise ValueError("social effort u must be nonnegative")
-        if self.beta_b_step <= 0 or self.beta_b_max <= self.beta_b_min:
+        if not (self.beta_b_step > 0 and self.beta_b_max > self.beta_b_min):
             raise ValueError("information sweep grid must be increasing")
-        if self.settle_tol <= 0 or self.horizon <= 0:
+        if not (self.settle_tol > 0 and self.horizon > 0):
             raise ValueError("settle tolerance and horizon must be positive")
 
 
@@ -331,6 +341,12 @@ class QuinticScenario:
     beta_grid: tuple[float, ...] = (1.0, 3.0)
     u_range: tuple[float, float] = (0.4, 3.0)
     h_max: float = 0.02
+
+    def __post_init__(self):
+        if not 0 <= self.u_range[0] < self.u_range[1]:
+            raise ValueError("u_range must be an increasing pair of nonnegative efforts")
+        if not self.h_max > 0:
+            raise ValueError("h_max must be positive")
 
     def population_spec(self) -> PopulationSpec:
         c = np.array([[1.0, self.a12, self.a13],
@@ -434,7 +450,7 @@ class ReductionScenario:
     bound_horizon: float = 4.0
 
     def __post_init__(self):
-        if self.u < 0 or self.t_end <= 0 or self.bound_horizon <= 0:
+        if not (self.u >= 0 and self.t_end > 0 and self.bound_horizon > 0):
             raise ValueError("effort and horizons must be nonnegative/positive")
 
 
@@ -522,7 +538,7 @@ class ValueSensitivityScenario:
     h_max: float = 0.02
 
     def __post_init__(self):
-        if any(nu <= 0 for nu in self.nu_grid):
+        if not all(nu > 0 for nu in self.nu_grid):
             raise ValueError("alternative values nu must be positive")
 
 
@@ -590,6 +606,10 @@ class UninformedInfluenceScenario:
     n_total: int = 7
     n3_values: tuple[int, ...] = (1, 3, 5)
     nu_grid: tuple[float, ...] = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
+
+    def __post_init__(self):
+        if not all(nu > 0 for nu in self.nu_grid):
+            raise ValueError("alternative values nu must be positive")
 
 
 @dataclass
@@ -659,13 +679,13 @@ class AdaptiveScenario:
     stop_tol: float = 1e-7
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.y_th <= 0:
+        if not (self.epsilon > 0 and self.y_th > 0):
             raise ValueError("epsilon and y_th must be positive")
-        if self.ubar0 <= 0:
+        if not self.ubar0 > 0:
             raise ValueError("initial mean effort must be positive")
-        if self.alpha <= 0 or self.estimator_tol <= 0:
+        if not (self.alpha > 0 and self.estimator_tol > 0):
             raise ValueError("estimator gain and tolerance must be positive")
-        if self.escape_band <= 0 or self.stop_tol <= 0:
+        if not (self.escape_band > 0 and self.stop_tol > 0):
             raise ValueError("bands and tolerances must be positive")
         if self.epsilon > 0.1:
             warnings.warn(
@@ -753,15 +773,16 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
         dx, dubar = adaptive_field(x, z[n], y_estimate(x), g, utilde, beta, eps, y_th)
         return np.concatenate([dx, [dubar]])
 
-    # Evaluates the field only once the effort law is near rest, so a step
-    # does not pay for a seventh field call.
-    def stop(t, z):
-        x = z[:n]
-        yh = y_estimate(x)
-        if abs(yh ** 2 - y_th ** 2) >= scenario.stop_tol:
-            return False
-        return bool(np.abs(normalized_field(x, g, z[n] + utilde, beta)).max()
-                    < scenario.stop_tol)
+    # dz = rhs(t, z) is the step's own last stage, so dz[:n] is the opinion
+    # field at the new state; the verdict at the final state is kept.
+    settled = False
+
+    def stop(t, z, dz):
+        nonlocal settled
+        yh = y_estimate(z[:n])
+        settled = bool(abs(yh ** 2 - y_th ** 2) < scenario.stop_tol
+                       and np.abs(dz[:n]).max() < scenario.stop_tol)
+        return settled
 
     events = [lambda t, z: abs(z[:n].mean()) - scenario.escape_band,
               lambda t, z: abs(z[:n].mean()) - y_th]
@@ -802,7 +823,7 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
         "terminal_ubar": float(ubars[-1]),
         "terminal_abs_y_minus_yth": float(abs(abs(ys[-1]) - y_th)),
         "terminal_dubar": float(eps * (y_th ** 2 - ys[-1] ** 2)),
-        "settled": bool(stop(traj.times[-1], traj.states[-1])),
+        "settled": settled,
         "estimator_converged": estimator_converged,
         "estimator_time": est_run.s_elapsed,
         "estimator_error": est_run.error,
@@ -842,11 +863,11 @@ class SimulateScenario:
     delta_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.u < 0:
+        if not self.u >= 0:
             raise ValueError("social effort u must be nonnegative")
-        if self.t_end <= 0 or self.rtol <= 0 or self.atol <= 0:
+        if not (self.t_end > 0 and self.rtol > 0 and self.atol > 0):
             raise ValueError("horizon and tolerances must be positive")
-        if self.eta <= 0 or self.delta_tol < 0:
+        if not (self.eta > 0 and self.delta_tol >= 0):
             raise ValueError("decision thresholds must be positive")
 
 

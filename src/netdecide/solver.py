@@ -6,6 +6,7 @@ discontinuous consensus estimator.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -46,11 +47,12 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown integrator method {self.method!r}")
-        if self.dt <= 0 or self.rtol <= 0 or self.atol <= 0:
+        # Written as not (x > 0) so that NaN fails the check too.
+        if not (self.dt > 0 and self.rtol > 0 and self.atol > 0):
             raise ValueError("steps and tolerances must be positive")
-        if self.max_time <= 0 or self.event_time_tol <= 0:
+        if not (self.max_time > 0 and self.event_time_tol > 0):
             raise ValueError("max_time and event tolerances must be positive")
-        if self.max_step is not None and self.max_step <= 0:
+        if self.max_step is not None and not self.max_step > 0:
             raise ValueError("max_step must be positive")
 
 
@@ -130,20 +132,19 @@ class EventHit:
 
 
 # Dormand-Prince 5(4) tableau; the 5th-order solution is propagated (FSAL).
+# Row i of _DP_A holds the stage-i coefficients, zero-padded; row 6 equals the
+# 5th-order weights, so the stage-7 input is the new state itself.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_A = np.zeros((7, 7))
+_DP_A[1, :1] = [1 / 5]
+_DP_A[2, :2] = [3 / 40, 9 / 40]
+_DP_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+_DP_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_DP_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+_DP_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
-_DP_ERR = _DP_B5 - _DP_B4
+_DP_ERR = _DP_A[6] - _DP_B4
 
 
 def _rk4_step(f, t, x, h):
@@ -155,14 +156,16 @@ def _rk4_step(f, t, x, h):
 
 
 def _dp_step(f, t, x, h, k1):
-    """One Dormand-Prince step; returns (x5, err_vector, k_last)."""
-    k = [k1]
+    """One Dormand-Prince step; returns (x5, err_vector, k_last).
+
+    k_last = f(t + h, x5), evaluated at the very array x5 (FSAL).
+    """
+    k = np.empty((7, x.size))
+    k[0] = k1
     for i in range(1, 7):
-        xi = x + h * sum(a * ki for a, ki in zip(_DP_A[i], k))
-        k.append(f(t + _DP_C[i] * h, xi))
-    x5 = x + h * sum(b * ki for b, ki in zip(_DP_B5, k) if b != 0.0)
-    err = h * sum(e * ki for e, ki in zip(_DP_ERR, k) if e != 0.0)
-    return x5, err, k[-1]
+        xi = x + h * (_DP_A[i, :i] @ k[:i])
+        k[i] = f(t + _DP_C[i] * h, xi)
+    return xi, h * (_DP_ERR @ k), k[6]
 
 
 def _locate_event(f, event, t0, x0, t1, time_tol):
@@ -208,7 +211,14 @@ def _locate_event(f, event, t0, x0, t1, time_tol):
 def _integrate(field, x0, cfg: IntegratorConfig, t0=0.0,
                events: Sequence[Callable] = (), terminal: set[int] | None = None,
                stop_condition: Callable | None = None):
-    """Shared engine for both steppers; records every accepted step."""
+    """Shared engine for both steppers; records every accepted step.
+
+    After each accepted step, `stop_condition(t, x, dxdt)` (if given) is
+    called with the new time, the new state and dxdt = field(t, x); the
+    integration ends when it returns true.  The rk45 path passes its FSAL
+    stage, so the test costs no field call; the rk4 path evaluates the field.
+    Returns (Trajectory, event hits).
+    """
     x = np.asarray(x0, dtype=float).copy()
     t = float(t0)
     t_end = t0 + cfg.max_time
@@ -234,8 +244,9 @@ def _integrate(field, x0, cfg: IntegratorConfig, t0=0.0,
             while True:
                 x_new, err, k_last = _dp_step(field, t, x, h, k1)
                 scale = cfg.atol + cfg.rtol * np.maximum(np.abs(x), np.abs(x_new))
-                err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-                if not np.isfinite(err_norm) or not np.all(np.isfinite(x_new)):
+                # RMS norm; sum()/size is np.mean without its Python wrapper.
+                err_norm = math.sqrt(float(((err / scale) ** 2).sum()) / x.size)
+                if not math.isfinite(err_norm) or not np.isfinite(x_new).all():
                     h *= 0.25
                     if h < min_step:
                         raise SolverError("non-finite state", time=t)
@@ -274,13 +285,15 @@ def _integrate(field, x0, cfg: IntegratorConfig, t0=0.0,
 
         t, x, g_prev = t_new, x_new, g_new
         if adaptive:
-            k1 = k_last if not stop else field(t, x)
-            h = h_next
+            k1, h = k_last, h_next
         if t > times[-1]:
             times.append(t)
             states.append(x.copy())
-        if stop_condition is not None and stop_condition(t, x):
-            break
+        if stop_condition is not None:
+            # k_last is f(t, x) unless a terminal event moved (t, x).
+            dxdt = k1 if adaptive and not stop else field(t, x)
+            if stop_condition(t, x, dxdt):
+                break
 
     return Trajectory(np.array(times), np.array(states)), hits
 
@@ -309,16 +322,22 @@ def integrate_to_equilibrium(field, x0, cfg: IntegratorConfig | None = None,
                              t0: float = 0.0) -> tuple[np.ndarray, bool, float]:
     """Integrate until ||field||_inf < tol or the horizon is reached.
 
+    The settle test runs through `_integrate`'s `stop_condition(t, x, dxdt)`
+    and reads dxdt, the derivative the step already holds, so it calls the
+    field no extra time.  The settled flag is the verdict at the final state.
+
     Returns (final state, settled flag, elapsed time).
     """
     cfg = replace(cfg or IntegratorConfig(), max_time=horizon)
+    residual = np.inf
 
-    def settled(t, x):
-        return float(np.abs(field(t, x)).max()) < tol
+    def settled(t, x, dxdt):
+        nonlocal residual
+        residual = float(np.abs(dxdt).max())
+        return residual < tol
 
     traj, _ = _integrate(field, x0, cfg, t0=t0, stop_condition=settled)
-    x_final = traj.final_state
-    return x_final, settled(traj.final_time, x_final), traj.final_time - t0
+    return traj.final_state, residual < tol, traj.final_time - t0
 
 
 # ---------------------------------------------------------------------------

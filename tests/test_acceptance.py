@@ -95,7 +95,7 @@ def test_criterion_3_global_stability():
         for _ in range(100):
             x0 = rng.uniform(-1, 1, 10)
             traj, _ = _integrate(lambda t, x: normalized_field(x, g, u), x0, cfg,
-                                 stop_condition=lambda t, x: np.abs(x).max() < 1e-6)
+                                 stop_condition=lambda t, x, dxdt: np.abs(x).max() < 1e-6)
             ok &= np.abs(traj.final_state).max() < 1e-6
 
     # u = 1: collapse to the consensus manifold is exponential, but the
@@ -112,7 +112,7 @@ def test_criterion_3_global_stability():
         ok &= spread < 1e-9
         scalar = lambda t, y: np.array([scalar_consensus_field(y[0], 1.0, 10)])
         tr2, _ = _integrate(scalar, np.array([x1.mean()]), cfg2,
-                            stop_condition=lambda t, y: abs(y[0]) < 1e-6)
+                            stop_condition=lambda t, y, dydt: abs(y[0]) < 1e-6)
         ok &= abs(tr2.final_state[0]) < 1e-6
 
     # energy decay on random nonzero states

@@ -143,6 +143,12 @@ class TestScalarRoots:
         with pytest.raises(ValueError, match="finite"):
             ystar_root(u, beta, 10)
 
+    def test_y_s_reports_nonconvergence(self):
+        # Just above the pitchfork the root is ill-conditioned, and Newton
+        # keeps stepping by ~1e-14, so a zero step tolerance is never met.
+        with pytest.raises(BifurcationError, match="did not converge"):
+            y_s(1.0001, tol=0.0)
+
     def test_ystar_root_reports_nonconvergence(self):
         # A zero step tolerance cannot be met here: Newton alternates between
         # neighbouring floats around the root.

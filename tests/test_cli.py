@@ -65,6 +65,20 @@ class TestSimulate:
         assert main(["validate", "--command", "simulate", "--config", cfg]) == 2
         assert capsys.readouterr().err.count("finite") == 2
 
+    def test_non_integer_size_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", {"graph": {"kind": "complete", "n": 10.7}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_size_runs(self, tmp_path):
+        cfg = write_cfg(tmp_path, "cfg.json", {"graph": {"kind": "population",
+                                                         "n1": 2.0, "n2": 2, "n3": 6.0}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        header = (out / "trajectory.csv").read_text().splitlines()[0]
+        assert header.split(",")[-1] == "x_10"
+
     def test_linalg_error_exits_3(self, tmp_path, capsys, monkeypatch):
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")

@@ -195,6 +195,22 @@ class TestAdaptive:
             ex.adaptive_scenario("case3")
 
 
+@pytest.mark.parametrize("cls, field", [
+    (ex.PitchforkScenario, "h_max"),
+    (ex.HysteresisScenario, "u"),
+    (ex.QuinticScenario, "h_max"),
+    (ex.ReductionScenario, "t_end"),
+    (ex.ValueSensitivityScenario, "nu_grid"),
+    (ex.UninformedInfluenceScenario, "nu_grid"),
+    (ex.AdaptiveScenario, "epsilon"),
+    (ex.SimulateScenario, "rtol"),
+])
+def test_scenario_rejects_nan(cls, field):
+    value = (float("nan"),) if field == "nu_grid" else float("nan")
+    with pytest.raises(ValueError):
+        cls(**{field: value})
+
+
 class TestDeterminism:
     def test_byte_identical_outputs(self, tmp_path):
         a = tmp_path / "a"

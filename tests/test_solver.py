@@ -3,6 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import netdecide.dynamics as dyn
+import netdecide.experiments as ex
+import netdecide.solver as solver
 from conftest import deadline
 from netdecide.dynamics import normalized_field, scalar_consensus_field
 from netdecide.graphs import complete_graph, lambda2, path_graph
@@ -14,6 +17,7 @@ from netdecide.solver import (
     integrate_nonsmooth,
     integrate_to_equilibrium,
     integrate_with_events,
+    _dp_step,
 )
 
 Y_S_2 = 1.9150080481545375  # bisection oracle for y = 2 tanh(y)
@@ -70,6 +74,106 @@ class TestIntegrate:
         cfg = IntegratorConfig(method="rk4", dt=0.5, max_time=10.0)
         with np.errstate(all="ignore"), pytest.raises(SolverError, match="non-finite"):
             integrate(lambda t, x: x ** 2, np.array([1.0]), cfg)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("name", ["dt", "rtol", "atol", "max_time",
+                                      "event_time_tol", "max_step"])
+    def test_rejects_nan(self, name):
+        with pytest.raises(ValueError, match="positive"):
+            IntegratorConfig(**{name: float("nan")})
+
+
+class TestDormandPrinceStep:
+    def test_matches_explicit_tableau(self, rng):
+        m = rng.normal(size=(6, 6))
+        c = rng.normal(size=6)
+        calls = []
+
+        def f(t, x):
+            calls.append(x)
+            return m @ x + t * c
+
+        t, h = 0.3, 0.1
+        x = rng.normal(size=6)
+        k1 = f(t, x)
+        x5, err, k_last = _dp_step(f, t, x, h, k1)
+
+        k2 = f(t + h / 5, x + h * (k1 / 5))
+        k3 = f(t + 3 * h / 10, x + h * (3 / 40 * k1 + 9 / 40 * k2))
+        k4 = f(t + 4 * h / 5, x + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+        k5 = f(t + 8 * h / 9, x + h * (19372 / 6561 * k1 - 25360 / 2187 * k2
+                                       + 64448 / 6561 * k3 - 212 / 729 * k4))
+        k6 = f(t + h, x + h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
+                               + 49 / 176 * k4 - 5103 / 18656 * k5))
+        y5 = x + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
+                      - 2187 / 6784 * k5 + 11 / 84 * k6)
+        k7 = f(t + h, y5)
+        y4 = x + h * (5179 / 57600 * k1 + 7571 / 16695 * k3 + 393 / 640 * k4
+                      - 92097 / 339200 * k5 + 187 / 2100 * k6 + 1 / 40 * k7)
+        np.testing.assert_allclose(x5, y5, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(err, y5 - y4, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(k_last, k7, rtol=0, atol=1e-14)
+        # FSAL: the returned state is the very array of the 7th stage call.
+        assert calls[6] is x5
+        assert np.array_equal(k_last, f(t + h, x5))
+
+
+class TestSettleTestUsesStage:
+    def test_no_point_evaluated_twice(self, k10, rng):
+        seen = []
+
+        def f(t, x):
+            seen.append((t, x.tobytes()))
+            return normalized_field(x, k10, 0.5)
+
+        x, ok, _ = integrate_to_equilibrium(f, rng.uniform(-0.5, 0.5, 10), tol=1e-8,
+                                            horizon=100.0)
+        assert ok
+        assert len(seen) > 100
+        assert len(set(seen)) == len(seen)
+
+    def test_adaptive_run_evaluates_no_point_twice(self, monkeypatch):
+        # Each opinion-field call is keyed by the time of the right-hand-side
+        # or stop-test call it runs in: the autonomous field may meet the same
+        # state again at a later time, which is not a repeated evaluation.
+        # Event location re-integrates from the step start by design, so the
+        # calls it makes are not recorded.
+        seen, now = [], {"t": None, "locating": False}
+        real_field, real_integrate = dyn.normalized_field, ex._integrate
+        real_locate = solver._locate_event
+
+        def field(x, g, u, beta=None):
+            if not now["locating"]:
+                seen.append((now["t"], x.tobytes(), np.asarray(u, dtype=float).tobytes()))
+            return real_field(x, g, u, beta)
+
+        def timed(fn):
+            def call(t, *args):
+                now["t"] = t
+                return fn(t, *args)
+            return call
+
+        def integrate(rhs, z0, cfg, stop_condition=None, **kwargs):
+            return real_integrate(timed(rhs), z0, cfg, stop_condition=timed(stop_condition),
+                                  **kwargs)
+
+        def locate(*args):
+            now["locating"] = True
+            try:
+                return real_locate(*args)
+            finally:
+                now["locating"] = False
+
+        # adaptive_field looks the field up in dynamics, run_adaptive in experiments
+        monkeypatch.setattr(dyn, "normalized_field", field)
+        monkeypatch.setattr(ex, "normalized_field", field)
+        monkeypatch.setattr(ex, "_integrate", integrate)
+        monkeypatch.setattr(solver, "_locate_event", locate)
+        res = ex.run_adaptive(ex.adaptive_scenario("symmetric"))
+        assert res.diagnostics["settled"]
+        assert len(seen) > 100
+        assert len(set(seen)) == len(seen)
 
 
 class TestEvents:
