@@ -175,7 +175,7 @@ class SingularPoint:
     null_right: np.ndarray
     null_left: np.ndarray
     tangent_param: float
-    det_residual: float
+    refined: bool               # the bracket closed to REFINE_TOL
 
 
 @dataclass
@@ -183,17 +183,6 @@ class Branch:
     points: list[Equilibrium] = field(default_factory=list)
     singular_points: list[SingularPoint] = field(default_factory=list)
     terminated: str = "range"
-
-    @property
-    def params(self) -> np.ndarray:
-        return np.array([pt.param for pt in self.points])
-
-    @property
-    def states(self) -> np.ndarray:
-        return np.array([pt.x for pt in self.points])
-
-    def point_nearest(self, param: float) -> Equilibrium:
-        return self.points[int(np.argmin(np.abs(self.params - param)))]
 
 
 def _tangent(problem, x, p, reference):
@@ -364,7 +353,8 @@ def _refine_det_flip(problem, eq_lo: Equilibrium, eq_hi: Equilibrium):
     Fixed-parameter Newton from the interpolated state is well conditioned
     everywhere except at the singular parameter itself, unlike the arclength
     corrector, whose bordered matrix is singular at a branch point on a
-    symmetric trunk.
+    symmetric trunk.  The point is `refined` when the parameter bracket
+    closed to REFINE_TOL, not when both Newton solves at a midpoint failed.
     """
     p_lo, p_hi = eq_lo.param, eq_hi.param
     x_lo, x_hi = eq_lo.x, eq_hi.x
@@ -392,7 +382,8 @@ def _refine_det_flip(problem, eq_lo: Equilibrium, eq_hi: Equilibrium):
             p_hi, x_hi = p_mid, x_mid
     x_sp = 0.5 * (x_lo + x_hi)
     p_sp = 0.5 * (p_lo + p_hi)
-    return _singular_point_at(problem, x_sp, p_sp, eq_lo.tangent)
+    return _singular_point_at(problem, x_sp, p_sp, eq_lo.tangent,
+                              refined=abs(p_hi - p_lo) <= REFINE_TOL)
 
 
 def _refine_fold(problem, eq_lo: Equilibrium, eq_hi: Equilibrium):
@@ -400,14 +391,20 @@ def _refine_fold(problem, eq_lo: Equilibrium, eq_hi: Equilibrium):
 
     The bordered corrector is nonsingular at a fold, so arclength bisection is
     safe here; the parameter gap collapses quadratically with arclength.
+    The point is `refined` when the bracket closed to REFINE_TOL in the
+    parameter and 1e-7 in the state, not when the corrector failed first.
     """
     n = len(eq_lo.x)
     z_lo = np.concatenate([eq_lo.x, [eq_lo.param]])
     z_hi = np.concatenate([eq_hi.x, [eq_hi.param]])
     tan_lo = eq_lo.tangent
     val_lo = tan_lo[-1]
+
+    def closed():
+        return abs(z_hi[n] - z_lo[n]) <= REFINE_TOL and np.linalg.norm(z_hi - z_lo) <= 1e-7
+
     for _ in range(80):
-        if abs(z_hi[n] - z_lo[n]) <= REFINE_TOL and np.linalg.norm(z_hi - z_lo) <= 1e-7:
+        if closed():
             break
         z_mid_pred = 0.5 * (z_lo + z_hi)
         z_mid = _correct(problem, z_mid_pred, tan_lo)
@@ -420,10 +417,10 @@ def _refine_fold(problem, eq_lo: Equilibrium, eq_hi: Equilibrium):
             z_hi = z_mid
     x_sp = 0.5 * (z_lo[:n] + z_hi[:n])
     p_sp = 0.5 * (z_lo[n] + z_hi[n])
-    return _singular_point_at(problem, x_sp, p_sp, tan_lo)
+    return _singular_point_at(problem, x_sp, p_sp, tan_lo, refined=closed())
 
 
-def _singular_point_at(problem, x_sp, p_sp, tan_ref):
+def _singular_point_at(problem, x_sp, p_sp, tan_ref, refined: bool):
     jac = np.atleast_2d(problem.jac_x(x_sp, p_sp))
     right, left = null_vectors(jac)
     try:
@@ -431,11 +428,9 @@ def _singular_point_at(problem, x_sp, p_sp, tan_ref):
         tangent_param = float(tan_sp[-1])
     except BifurcationError:
         tangent_param = float(tan_ref[-1])
-    sign, logdet = np.linalg.slogdet(jac)
     return SingularPoint(kind="unclassified", param=float(p_sp), x=np.asarray(x_sp),
                          null_right=right, null_left=left,
-                         tangent_param=tangent_param,
-                         det_residual=float(sign * np.exp(min(logdet, 700.0))))
+                         tangent_param=tangent_param, refined=bool(refined))
 
 
 def classify_singularity(sp: SingularPoint, problem: ContinuationProblem,

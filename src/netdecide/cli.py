@@ -172,10 +172,7 @@ def cmd_sweep(args) -> int:
     scenario, name = _sweep_scenario(load_config(args.config), args)
     runner = SWEEP_SCENARIOS[name][1]
     out = _out_dir(args, name)
-    kwargs = {}
-    if runner is ex.run_value_sensitivity:
-        kwargs["jobs"] = args.jobs
-    runner(scenario, out_dir=out, **kwargs)
+    runner(scenario, out_dir=out)
     print(f"artifacts in {out}")
     return 0
 
@@ -212,13 +209,10 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, jobs=False):
+    def common(p):
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int, help="override the scenario seed")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1,
-                           help="parallel workers for sweep grids (default 1)")
 
     p = sub.add_parser("simulate", help="integrate the model and classify the decision")
     common(p)
@@ -231,7 +225,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a named scenario sweep")
     p.add_argument("--scenario", help="scenario name ("
                    + ", ".join(sorted(SWEEP_SCENARIOS)) + ")")
-    common(p, jobs=True)
+    common(p)
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("adaptive", help="run the adaptive closed loop")

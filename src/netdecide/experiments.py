@@ -14,9 +14,7 @@ import csv
 import dataclasses
 import hashlib
 import json
-import numbers
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +31,14 @@ from .dynamics import (
     normalized_field,
     reduced3_field,
 )
-from .graphs import Graph, PopulationSpec, complete_graph, directed_ring, three_population_graph
+from .graphs import (
+    Graph,
+    PopulationSpec,
+    agent_count,
+    complete_graph,
+    directed_ring,
+    three_population_graph,
+)
 from .solver import (
     FMT,
     IntegratorConfig,
@@ -50,26 +55,18 @@ from .solver import (
 # Graph configuration language (shared with the CLI)
 # ---------------------------------------------------------------------------
 
-def _size(value, key: str) -> int:
-    """An agent count from a config: an integer, or a float equal to one."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer()):
-        raise ValueError(f"graph size {key!r} must be an integer, got {value!r}")
-    return int(value)
-
-
 def graph_from_config(cfg: dict) -> Graph:
     """Build a graph from a {"kind": ...} document."""
     kind = cfg.get("kind")
     if kind == "complete":
-        return complete_graph(_size(cfg["n"], "n"), float(cfg.get("weight", 1.0)))
+        return complete_graph(agent_count(cfg["n"], "n"), float(cfg.get("weight", 1.0)))
     if kind == "directed_ring":
-        return directed_ring(_size(cfg["n"], "n"), float(cfg.get("weight", 1.0)))
+        return directed_ring(agent_count(cfg["n"], "n"), float(cfg.get("weight", 1.0)))
     if kind == "population":
         return three_population_graph(population_spec_from_config(cfg))
     if kind == "weights":
         w = np.array(cfg["weights"], dtype=float)
-        n = _size(cfg.get("n", 0), "n") or int(round(len(np.ravel(w)) ** 0.5))
+        n = agent_count(cfg.get("n", 0), "n") or int(round(len(np.ravel(w)) ** 0.5))
         return Graph(np.reshape(w, (n, n)))
     raise ValueError(f"unknown graph kind {kind!r}; expected complete, "
                      "directed_ring, population, or weights")
@@ -77,7 +74,7 @@ def graph_from_config(cfg: dict) -> Graph:
 
 def population_spec_from_config(cfg: dict) -> PopulationSpec:
     coupling = np.array(cfg.get("coupling", np.ones((3, 3))), dtype=float)
-    sizes = [_size(cfg[key], key) for key in ("n1", "n2", "n3")]
+    sizes = [agent_count(cfg[key], key) for key in ("n1", "n2", "n3")]
     return PopulationSpec(*sizes, coupling=coupling.reshape(3, 3))
 
 
@@ -150,6 +147,7 @@ def _singular_points_doc(branches: dict[str, bif.Branch]) -> list[dict]:
                 "param": sp.param,
                 "state": sp.x,
                 "nullvec": sp.null_right,
+                "refined": sp.refined,
             })
     return docs
 
@@ -542,9 +540,9 @@ class ValueSensitivityScenario:
             raise ValueError("alternative values nu must be positive")
 
 
-def _u_star_continuation(args) -> float:
+def _u_star_continuation(n: int, n3: int, beta: float, u_scan: tuple[float, float],
+                         h_max: float) -> float:
     """Singular effort of the deadlock branch located by continuation."""
-    n, n3, beta, u_scan, h_max = args
     big_n = 2 * n + n3
     problem = bif.ata_problem(n, n3, beta)
     ys = bif.ystar_root(u_scan[0], beta, big_n)
@@ -567,7 +565,7 @@ class ValueSensitivityResult:
 
 
 def run_value_sensitivity(scenario: ValueSensitivityScenario = ValueSensitivityScenario(),
-                          out_dir=None, jobs: int = 1) -> ValueSensitivityResult:
+                          out_dir=None) -> ValueSensitivityResult:
     """Series vs continuation estimate of the raw-effort bifurcation point.
 
     Equal-value alternatives: the inertia is 1/nu, the normalized information
@@ -579,12 +577,8 @@ def run_value_sensitivity(scenario: ValueSensitivityScenario = ValueSensitivityS
     big_n = 2 * n + n3
     nu_grid = np.array(scenario.nu_grid, dtype=float)
     us_hat = np.array([bif.us_star_hat(nu, big_n, n3) for nu in nu_grid])
-    tasks = [(n, n3, nu ** 2, scenario.u_scan, scenario.h_max) for nu in nu_grid]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            u_stars = list(pool.map(_u_star_continuation, tasks))
-    else:
-        u_stars = [_u_star_continuation(t) for t in tasks]
+    u_stars = [_u_star_continuation(n, n3, nu ** 2, scenario.u_scan, scenario.h_max)
+               for nu in nu_grid]
     us_numeric = np.array(u_stars) / nu_grid
     rel_error = np.abs(us_hat - us_numeric) / us_numeric
     result = ValueSensitivityResult(nu_grid, us_hat, us_numeric, rel_error)

@@ -1,6 +1,6 @@
-"""Time integration: fixed-step RK4, adaptive Dormand-Prince 5(4), event
-location by bisection, and a rejection-controlled Euler scheme for the
-discontinuous consensus estimator.
+"""Time integration: adaptive Dormand-Prince 5(4) with events located on
+each step's continuous extension, and a rejection-controlled Euler scheme
+for the discontinuous consensus estimator.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from .graphs import Graph, lambda2
 
 FMT = "%.17g"
 
+# Bisection width of an event time, unless four float spacings of t are wider.
+EVENT_TIME_TOL = 1e-9
+
 
 class SolverError(RuntimeError):
     """Numerical failure (step underflow, non-finite state, non-convergence)."""
@@ -30,38 +33,22 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Stepper selection and tolerances.
+    """Error tolerances of the Dormand-Prince pair and the integration span."""
 
-    method "rk45" is the adaptive embedded pair (default); "rk4" is the
-    classical fixed-step scheme with step ``dt``.
-    """
-
-    method: str = "rk45"
-    dt: float = 0.01
     rtol: float = 1e-8
     atol: float = 1e-10
     max_time: float = 200.0
-    event_time_tol: float = 1e-9
-    max_step: float | None = None
 
     def __post_init__(self):
-        if self.method not in ("rk4", "rk45"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
         # Written as not (x > 0) so that NaN fails the check too.
-        if not (self.dt > 0 and self.rtol > 0 and self.atol > 0):
-            raise ValueError("steps and tolerances must be positive")
-        if not (self.max_time > 0 and self.event_time_tol > 0):
-            raise ValueError("max_time and event tolerances must be positive")
-        if self.max_step is not None and not self.max_step > 0:
-            raise ValueError("max_step must be positive")
+        if not (self.rtol > 0 and self.atol > 0 and self.max_time > 0):
+            raise ValueError("tolerances and max_time must be positive")
 
 
 @dataclass
 class Trajectory:
-    """Time-indexed record of a simulated field, plus optional channels.
-
-    Channels: "ubar" and "y" are scalar series, "yhat" is a (T, N) matrix.
-    """
+    """Time-indexed record of a simulated field, plus scalar channels
+    (such as "ubar" and "y") with one value per time."""
 
     times: np.ndarray
     states: np.ndarray
@@ -87,41 +74,17 @@ class Trajectory:
         return float(self.times[-1])
 
     def to_csv(self, path: str | Path) -> None:
-        """Header: t, x_1..x_N[, ubar, y, yhat_1..yhat_N], 17 significant digits."""
+        """Header: t, x_1..x_N, then the channels in insertion order;
+        17 significant digits."""
         n = self.states.shape[1]
-        header = ["t"] + [f"x_{i + 1}" for i in range(n)]
-        cols = [self.times] + [self.states[:, i] for i in range(n)]
-        for name in ("ubar", "y"):
-            if name in self.channels:
-                header.append(name)
-                cols.append(np.asarray(self.channels[name]))
-        if "yhat" in self.channels:
-            yhat = np.atleast_2d(np.asarray(self.channels["yhat"]))
-            header += [f"yhat_{i + 1}" for i in range(yhat.shape[1])]
-            cols += [yhat[:, i] for i in range(yhat.shape[1])]
+        header = ["t"] + [f"x_{i + 1}" for i in range(n)] + list(self.channels)
+        cols = ([self.times] + [self.states[:, i] for i in range(n)]
+                + list(self.channels.values()))
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\r\n")
             writer.writerow(header)
             for row in zip(*cols):
                 writer.writerow([FMT % v for v in row])
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "Trajectory":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            data = np.array([[float(v) for v in row] for row in reader])
-        idx = {name: i for i, name in enumerate(header)}
-        n = sum(1 for name in header if name.startswith("x_"))
-        states = data[:, [idx[f"x_{i + 1}"] for i in range(n)]]
-        channels = {}
-        for name in ("ubar", "y"):
-            if name in idx:
-                channels[name] = data[:, idx[name]]
-        n_hat = sum(1 for name in header if name.startswith("yhat_"))
-        if n_hat:
-            channels["yhat"] = data[:, [idx[f"yhat_{i + 1}"] for i in range(n_hat)]]
-        return cls(times=data[:, 0], states=states, channels=channels)
 
 
 @dataclass(frozen=True)
@@ -145,58 +108,62 @@ _DP_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
 _DP_ERR = _DP_A[6] - _DP_B4
-
-
-def _rk4_step(f, t, x, h):
-    k1 = f(t, x)
-    k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-    k4 = f(t + h, x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+# Continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6): over
+# a step of length h from x0 with stages k, the state at t0 + theta h is
+# x0 + h [theta, theta^2, theta^3, theta^4] (P^T k).  Rows sum to _DP_A[6].
+_DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 
 def _dp_step(f, t, x, h, k1):
-    """One Dormand-Prince step; returns (x5, err_vector, k_last).
+    """One Dormand-Prince step; returns (x5, err_vector, k).
 
-    k_last = f(t + h, x5), evaluated at the very array x5 (FSAL).
+    k is the (7, n) stage array; k[6] = f(t + h, x5), evaluated at the very
+    array x5 (FSAL).
     """
     k = np.empty((7, x.size))
     k[0] = k1
     for i in range(1, 7):
         xi = x + h * (_DP_A[i, :i] @ k[:i])
         k[i] = f(t + _DP_C[i] * h, xi)
-    return xi, h * (_DP_ERR @ k), k[6]
+    return xi, h * (_DP_ERR @ k), k
 
 
-def _locate_event(f, event, t0, x0, t1, time_tol):
-    """Bisect a bracketed sign change of `event` over [t0, t1].
+def _dense_state(x0, h, q, theta):
+    """State at t0 + theta h on the continuous extension, q = P^T k."""
+    return x0 + h * (np.array([theta, theta ** 2, theta ** 3, theta ** 4]) @ q)
 
-    Candidate states are obtained by re-integrating from (t0, x0) with a few
-    RK4 substeps, so the located time reflects the trajectory itself rather
-    than an interpolant.
+
+def _locate_event(event, t0, x0, t1, k):
+    """Bisect a bracketed sign change of `event` over the step [t0, t1].
+
+    Candidate states come from the step's continuous extension built from
+    its stages k, so locating an event calls no field.  The bracket closes
+    to EVENT_TIME_TOL, or to four float spacings of t where those are wider,
+    within at most 200 halvings.
     """
-
-    def state_at(t):
-        if t == t0:
-            return x0
-        h = (t - t0) / 4.0
-        x = x0
-        for i in range(4):
-            x = _rk4_step(f, t0 + i * h, x, h)
-        return x
-
     g0 = event(t0, x0)
-    lo, hi = t0, t1
     if g0 == 0.0:
         return t0, x0
-    # Far from t = 0 the float spacing exceeds time_tol, and the midpoint of
-    # two neighbouring floats is one of them: stop a few spacings apart.
-    width = max(time_tol, 4.0 * float(np.spacing(max(abs(t0), abs(t1)))))
+    h = t1 - t0
+    q = _DP_P.T @ k
+    lo, hi = t0, t1
+    # Far from t = 0 the float spacing exceeds EVENT_TIME_TOL, and the midpoint
+    # of two neighbouring floats is one of them: stop a few spacings apart.
+    width = max(EVENT_TIME_TOL, 4.0 * float(np.spacing(max(abs(t0), abs(t1)))))
     for _ in range(200):
         if hi - lo <= width:
             break
         mid = 0.5 * (lo + hi)
-        xm = state_at(mid)
+        xm = _dense_state(x0, h, q, (mid - t0) / h)
         gm = event(mid, xm)
         if gm == 0.0:
             return mid, xm
@@ -204,122 +171,88 @@ def _locate_event(f, event, t0, x0, t1, time_tol):
             lo = mid
         else:
             hi = mid
-    xh = state_at(hi)
-    return hi, xh
+    return hi, _dense_state(x0, h, q, (hi - t0) / h)
 
 
-def _integrate(field, x0, cfg: IntegratorConfig, t0=0.0,
-               events: Sequence[Callable] = (), terminal: set[int] | None = None,
+def _integrate(field, x0, cfg: IntegratorConfig, events: Sequence[Callable] = (),
                stop_condition: Callable | None = None):
-    """Shared engine for both steppers; records every accepted step.
+    """Dormand-Prince 5(4) over [0, cfg.max_time]; records every accepted step.
 
-    After each accepted step, `stop_condition(t, x, dxdt)` (if given) is
-    called with the new time, the new state and dxdt = field(t, x); the
-    integration ends when it returns true.  The rk45 path passes its FSAL
-    stage, so the test costs no field call; the rk4 path evaluates the field.
-    Returns (Trajectory, event hits).
+    Each sign change of an event function over an accepted step is located
+    on that step's continuous extension.  After each accepted step,
+    `stop_condition(t, x, dxdt)` (if given) is called with the new time, the
+    new state and dxdt = field(t, x), the FSAL stage the step already holds;
+    the integration ends when it returns true.
+    Returns (Trajectory, event hits in time order).
     """
     x = np.asarray(x0, dtype=float).copy()
-    t = float(t0)
-    t_end = t0 + cfg.max_time
+    t = 0.0
+    t_end = cfg.max_time
     times = [t]
     states = [x.copy()]
     hits: list[EventHit] = []
     g_prev = [ev(t, x) for ev in events]
-    terminal = terminal or set()
 
-    adaptive = cfg.method == "rk45"
-    if adaptive:
-        k1 = field(t, x)
-        h = min(cfg.dt, cfg.max_time / 10)
-    else:
-        h = cfg.dt
-    stop = False
-    while t < t_end and not stop:
+    k1 = field(t, x)
+    h = min(0.01, cfg.max_time / 10)
+    while t < t_end:
         h = min(h, t_end - t)
-        if cfg.max_step is not None:
-            h = min(h, cfg.max_step)
         min_step = 1e-14 * max(abs(t), 1.0)
-        if adaptive:
-            while True:
-                x_new, err, k_last = _dp_step(field, t, x, h, k1)
-                scale = cfg.atol + cfg.rtol * np.maximum(np.abs(x), np.abs(x_new))
-                # RMS norm; sum()/size is np.mean without its Python wrapper.
-                err_norm = math.sqrt(float(((err / scale) ** 2).sum()) / x.size)
-                if not math.isfinite(err_norm) or not np.isfinite(x_new).all():
-                    h *= 0.25
-                    if h < min_step:
-                        raise SolverError("non-finite state", time=t)
-                    continue
-                if err_norm <= 1.0:
-                    break
-                h *= max(0.2, 0.9 * err_norm ** -0.2)
+        while True:
+            x_new, err, k = _dp_step(field, t, x, h, k1)
+            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(x), np.abs(x_new))
+            # RMS norm; sum()/size is np.mean without its Python wrapper.
+            err_norm = math.sqrt(float(((err / scale) ** 2).sum()) / x.size)
+            if not math.isfinite(err_norm) or not np.isfinite(x_new).all():
+                h *= 0.25
                 if h < min_step:
-                    raise SolverError("step-size underflow", time=t)
-            t_new = t + h
-            h_next = h * min(5.0, max(0.2, 0.9 * (err_norm + 1e-16) ** -0.2))
-        else:
-            x_new = _rk4_step(field, t, x, h)
-            if not np.all(np.isfinite(x_new)):
-                raise SolverError("non-finite state", time=t)
-            t_new = t + h
-            h_next = cfg.dt
+                    raise SolverError("non-finite state", time=t)
+                continue
+            if err_norm <= 1.0:
+                break
+            h *= max(0.2, 0.9 * err_norm ** -0.2)
+            if h < min_step:
+                raise SolverError("step-size underflow", time=t)
+        t_new = t + h
 
         g_new = [ev(t_new, x_new) for ev in events]
-        step_hits: list[EventHit] = []
+        step_hits = []
         for i, (ga, gb) in enumerate(zip(g_prev, g_new)):
             if (ga < 0 < gb) or (gb < 0 < ga) or (gb == 0.0 and ga != 0.0):
-                t_hit, x_hit = _locate_event(field, events[i], t, x, t_new,
-                                             cfg.event_time_tol)
+                t_hit, x_hit = _locate_event(events[i], t, x, t_new, k)
                 step_hits.append(EventHit(i, t_hit, x_hit))
-        step_hits.sort(key=lambda hit: hit.time)
-        for pos, hit in enumerate(step_hits):
-            if hit.index in terminal:
-                # truncate the step at the first terminal hit
-                step_hits = step_hits[:pos + 1]
-                t_new, x_new = hit.time, hit.state
-                g_new = [ev(t_new, x_new) for ev in events]
-                stop = True
-                break
-        hits.extend(step_hits)
+        hits.extend(sorted(step_hits, key=lambda hit: hit.time))
 
-        t, x, g_prev = t_new, x_new, g_new
-        if adaptive:
-            k1, h = k_last, h_next
-        if t > times[-1]:
-            times.append(t)
-            states.append(x.copy())
-        if stop_condition is not None:
-            # k_last is f(t, x) unless a terminal event moved (t, x).
-            dxdt = k1 if adaptive and not stop else field(t, x)
-            if stop_condition(t, x, dxdt):
-                break
+        t, x, g_prev, k1 = t_new, x_new, g_new, k[6]
+        h *= min(5.0, max(0.2, 0.9 * (err_norm + 1e-16) ** -0.2))
+        times.append(t)
+        states.append(x.copy())
+        if stop_condition is not None and stop_condition(t, x, k1):
+            break
 
     return Trajectory(np.array(times), np.array(states)), hits
 
 
-def integrate(field, x0, cfg: IntegratorConfig, t0: float = 0.0) -> Trajectory:
-    """Integrate a smooth field over [t0, t0 + cfg.max_time]."""
-    traj, _ = _integrate(field, x0, cfg, t0=t0)
+def integrate(field, x0, cfg: IntegratorConfig) -> Trajectory:
+    """Integrate a smooth field over [0, cfg.max_time]."""
+    traj, _ = _integrate(field, x0, cfg)
     return traj
 
 
 def integrate_with_events(field, x0, events: Sequence[Callable],
-                          cfg: IntegratorConfig, t0: float = 0.0,
-                          terminal: set[int] | None = None
-                          ) -> tuple[Trajectory, list[EventHit]]:
+                          cfg: IntegratorConfig) -> tuple[Trajectory, list[EventHit]]:
     """Integrate and localize every sign change of the scalar event functions.
 
-    Each hit time is bisected to cfg.event_time_tol, or to four float
-    spacings of t where those are wider.  Events listed in `terminal` stop
-    the integration at the hit.
+    Each hit is bisected on the continuous extension of the step that
+    brackets it, to EVENT_TIME_TOL in time or to four float spacings of t
+    where those are wider.  Hits are returned in time order.
     """
-    return _integrate(field, x0, cfg, t0=t0, events=events, terminal=terminal)
+    return _integrate(field, x0, cfg, events=events)
 
 
 def integrate_to_equilibrium(field, x0, cfg: IntegratorConfig | None = None,
-                             tol: float = 1e-8, horizon: float = 200.0,
-                             t0: float = 0.0) -> tuple[np.ndarray, bool, float]:
+                             tol: float = 1e-8, horizon: float = 200.0
+                             ) -> tuple[np.ndarray, bool, float]:
     """Integrate until ||field||_inf < tol or the horizon is reached.
 
     The settle test runs through `_integrate`'s `stop_condition(t, x, dxdt)`
@@ -336,8 +269,8 @@ def integrate_to_equilibrium(field, x0, cfg: IntegratorConfig | None = None,
         residual = float(np.abs(dxdt).max())
         return residual < tol
 
-    traj, _ = _integrate(field, x0, cfg, t0=t0, stop_condition=settled)
-    return traj.final_state, residual < tol, traj.final_time - t0
+    traj, _ = _integrate(field, x0, cfg, stop_condition=settled)
+    return traj.final_state, residual < tol, traj.final_time
 
 
 # ---------------------------------------------------------------------------

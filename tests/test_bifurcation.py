@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import netdecide.bifurcation as bif
 from netdecide.bifurcation import (
     BifurcationError,
     ata_problem,
@@ -343,7 +344,22 @@ class TestContinuation:
                                 initial_reference=ref)
         folds = [sp for sp in outer.singular_points if sp.kind == "fold"]
         assert len(folds) == 1
+        assert folds[0].refined is True
         assert folds[0].param < pf[0].param  # branches bend backward
+
+    def test_refinement_reports_convergence(self, k10, monkeypatch):
+        problem = normalized_problem(k10)
+        branch = continue_branch(problem, np.zeros(10), 0.5, (0.5, 1.5),
+                                 symmetric_trunk=True)
+        assert branch.singular_points[0].refined
+        i = next(i for i, pt in enumerate(branch.points) if pt.param > 1.0)
+        lo, hi = branch.points[i - 1], branch.points[i]
+
+        def fail(*args):
+            raise BifurcationError("no convergence")
+
+        monkeypatch.setattr(bif, "_solve_at_param", fail)
+        assert not bif._refine_det_flip(problem, lo, hi).refined
 
     def test_determinism(self, k10):
         problem = normalized_problem(k10)

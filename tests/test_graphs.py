@@ -200,3 +200,14 @@ def test_json_population_shorthand():
     g = graph_from_json(doc)
     assert g.n == 7
     assert g.groups is not None
+
+
+@pytest.mark.parametrize("n", [2.5, "2", True])
+def test_json_rejects_non_integer_size(n):
+    with pytest.raises(ValueError, match="integer"):
+        graph_from_json({"n": n, "weights": [[0, 1], [1, 0]]})
+
+
+def test_json_accepts_integral_float_size():
+    g = graph_from_json({"n": 2.0, "weights": [[0, 1], [1, 0]]})
+    assert g.n == 2

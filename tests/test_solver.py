@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
+from scipy.integrate import RK45, solve_ivp
 
 import netdecide.dynamics as dyn
 import netdecide.experiments as ex
@@ -34,29 +37,15 @@ class TestIntegrate:
         assert traj.final_time == pytest.approx(1.0, abs=1e-12)
         assert traj.final_state[0] == pytest.approx(np.exp(-1), abs=1e-8)
 
-    def test_linear_equation_fixed(self):
-        cfg = IntegratorConfig(method="rk4", dt=0.01, max_time=1.0)
-        traj = integrate(exp_decay, np.array([1.0]), cfg)
-        assert traj.final_state[0] == pytest.approx(np.exp(-1), abs=1e-8)
-
-    def test_rk4_order(self):
-        errs = []
-        for dt in (0.1, 0.05):
-            cfg = IntegratorConfig(method="rk4", dt=dt, max_time=1.0)
-            traj = integrate(exp_decay, np.array([1.0]), cfg)
-            errs.append(abs(traj.final_state[0] - np.exp(-1)))
-        ratio = errs[0] / errs[1]
-        assert 8.0 < ratio < 32.0  # 4th order: ~16x per halving
-
     def test_adaptive_vs_reference(self):
         rtol = 1e-6
         field = lambda t, y: np.array([scalar_consensus_field(y[0], 2.0, 10)])
         cfg = IntegratorConfig(rtol=rtol, atol=1e-12, max_time=5.0)
         traj = integrate(field, np.array([0.1]), cfg)
-        ref_cfg = IntegratorConfig(method="rk4", dt=1e-4, max_time=5.0)
-        ref = integrate(field, np.array([0.1]), ref_cfg)
+        ref = solve_ivp(field, (0.0, 5.0), [0.1], method="DOP853", rtol=1e-12, atol=1e-14)
         # compare at the shared endpoint
-        assert abs(traj.final_state[0] - ref.final_state[0]) <= 10 * rtol
+        assert ref.success and ref.t[-1] == traj.final_time
+        assert abs(traj.final_state[0] - ref.y[0, -1]) <= 10 * rtol
 
     def test_scalar_consensus_converges(self):
         field = lambda t, y: np.array([scalar_consensus_field(y[0], 2.0, 10)])
@@ -71,14 +60,13 @@ class TestIntegrate:
         assert np.abs(traj.final_state).max() < 1e-6
 
     def test_nonfinite_state_reported(self):
-        cfg = IntegratorConfig(method="rk4", dt=0.5, max_time=10.0)
+        cfg = IntegratorConfig(max_time=10.0)
         with np.errstate(all="ignore"), pytest.raises(SolverError, match="non-finite"):
             integrate(lambda t, x: x ** 2, np.array([1.0]), cfg)
 
 
 class TestConfig:
-    @pytest.mark.parametrize("name", ["dt", "rtol", "atol", "max_time",
-                                      "event_time_tol", "max_step"])
+    @pytest.mark.parametrize("name", ["rtol", "atol", "max_time"])
     def test_rejects_nan(self, name):
         with pytest.raises(ValueError, match="positive"):
             IntegratorConfig(**{name: float("nan")})
@@ -97,7 +85,7 @@ class TestDormandPrinceStep:
         t, h = 0.3, 0.1
         x = rng.normal(size=6)
         k1 = f(t, x)
-        x5, err, k_last = _dp_step(f, t, x, h, k1)
+        x5, err, k = _dp_step(f, t, x, h, k1)
 
         k2 = f(t + h / 5, x + h * (k1 / 5))
         k3 = f(t + 3 * h / 10, x + h * (3 / 40 * k1 + 9 / 40 * k2))
@@ -113,10 +101,38 @@ class TestDormandPrinceStep:
                       - 92097 / 339200 * k5 + 187 / 2100 * k6 + 1 / 40 * k7)
         np.testing.assert_allclose(x5, y5, rtol=0, atol=1e-14)
         np.testing.assert_allclose(err, y5 - y4, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(k_last, k7, rtol=0, atol=1e-14)
+        assert k.shape == (7, 6)
+        for got, want in zip(k, (k1, k2, k3, k4, k5, k6, k7)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
         # FSAL: the returned state is the very array of the 7th stage call.
         assert calls[6] is x5
-        assert np.array_equal(k_last, f(t + h, x5))
+        assert np.array_equal(k[6], f(t + h, x5))
+
+
+class TestContinuousExtension:
+    def test_matches_scipy_dense_output_matrix(self):
+        assert np.array_equal(solver._DP_P, RK45.P)
+
+    def test_endpoints_and_midpoint(self):
+        t, h = 0.4, 0.3
+        x = np.array([1.5, -0.25])
+        x5, err, k = _dp_step(exp_decay, t, x, h, exp_decay(t, x))
+        q = solver._DP_P.T @ k
+        assert np.array_equal(solver._dense_state(x, h, q, 0.0), x)
+        np.testing.assert_allclose(solver._dense_state(x, h, q, 1.0), x5,
+                                   rtol=0, atol=4 * np.spacing(np.abs(x5).max()))
+        mid = solver._dense_state(x, h, q, 0.5)
+        exact = x * np.exp(-0.5 * h)
+        assert np.all(np.abs(mid - exact) <= np.abs(err))
+
+    def test_event_located_on_extension(self):
+        t, h = 0.0, 0.25
+        x = np.array([1.0])
+        x5, _, k = _dp_step(exp_decay, t, x, h, exp_decay(t, x))
+        event = lambda t, x: x[0] - 0.8
+        t_hit, x_hit = solver._locate_event(event, t, x, t + h, k)
+        assert t_hit == pytest.approx(np.log(1 / 0.8), abs=1e-6)
+        assert x_hit[0] == pytest.approx(0.8, abs=1e-8)
 
 
 class TestSettleTestUsesStage:
@@ -137,15 +153,11 @@ class TestSettleTestUsesStage:
         # Each opinion-field call is keyed by the time of the right-hand-side
         # or stop-test call it runs in: the autonomous field may meet the same
         # state again at a later time, which is not a repeated evaluation.
-        # Event location re-integrates from the step start by design, so the
-        # calls it makes are not recorded.
-        seen, now = [], {"t": None, "locating": False}
+        seen, now = [], {"t": None}
         real_field, real_integrate = dyn.normalized_field, ex._integrate
-        real_locate = solver._locate_event
 
         def field(x, g, u, beta=None):
-            if not now["locating"]:
-                seen.append((now["t"], x.tobytes(), np.asarray(u, dtype=float).tobytes()))
+            seen.append((now["t"], x.tobytes(), np.asarray(u, dtype=float).tobytes()))
             return real_field(x, g, u, beta)
 
         def timed(fn):
@@ -158,18 +170,10 @@ class TestSettleTestUsesStage:
             return real_integrate(timed(rhs), z0, cfg, stop_condition=timed(stop_condition),
                                   **kwargs)
 
-        def locate(*args):
-            now["locating"] = True
-            try:
-                return real_locate(*args)
-            finally:
-                now["locating"] = False
-
         # adaptive_field looks the field up in dynamics, run_adaptive in experiments
         monkeypatch.setattr(dyn, "normalized_field", field)
         monkeypatch.setattr(ex, "normalized_field", field)
         monkeypatch.setattr(ex, "_integrate", integrate)
-        monkeypatch.setattr(solver, "_locate_event", locate)
         res = ex.run_adaptive(ex.adaptive_scenario("symmetric"))
         assert res.diagnostics["settled"]
         assert len(seen) > 100
@@ -178,11 +182,10 @@ class TestSettleTestUsesStage:
 
 class TestEvents:
     def test_sinusoid_crossings(self):
-        # trivial dynamics; event depends on time only, zeros at pi and 2 pi
-        field = lambda t, x: np.zeros(1)
+        # event depends on time only, zeros at pi and 2 pi
         event = lambda t, x: np.sin(t)
-        cfg = IntegratorConfig(rtol=1e-8, atol=1e-10, max_time=7.0, max_step=0.5)
-        _, hits = integrate_with_events(field, np.zeros(1), [event], cfg)
+        cfg = IntegratorConfig(rtol=1e-8, atol=1e-10, max_time=7.0)
+        _, hits = integrate_with_events(exp_decay, np.ones(1), [event], cfg)
         times = [h.time for h in hits]
         assert len(times) == 2
         assert times[0] == pytest.approx(np.pi, abs=1e-9)
@@ -203,24 +206,15 @@ class TestEvents:
         _, hits = integrate_with_events(field, np.array([1.0]), [event], cfg)
         assert hits == []
 
-    def test_terminal_event_stops(self):
-        field = lambda t, x: np.ones(1)
-        event = lambda t, x: x[0] - 0.5
-        cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, max_time=10.0)
-        traj, hits = integrate_with_events(field, np.zeros(1), [event], cfg,
-                                           terminal={0})
-        assert hits and hits[0].time == pytest.approx(0.5, abs=1e-9)
-        assert traj.final_time == pytest.approx(0.5, abs=1e-9)
-
     def test_bisection_ends_far_from_origin(self):
         # Near t = 1.6e7 neighbouring floats are 3.7e-9 apart, more than
-        # event_time_tol, so halving the bracket cannot reach that width.
+        # EVENT_TIME_TOL, so halving the bracket cannot reach that width.
         c = 1.6e7 + 1 / 3
         event = lambda t, x: (t - c) + 1e-12
-        cfg = IntegratorConfig(max_time=1.0)
+        cfg = IntegratorConfig(max_time=1.6e7 + 1)
         with deadline(10.0):
             _, hits = integrate_with_events(lambda t, x: np.zeros(1), np.zeros(1),
-                                            [event], cfg, t0=1.6e7)
+                                            [event], cfg)
         assert len(hits) == 1
         assert hits[0].time == pytest.approx(c, abs=4 * np.spacing(c))
 
@@ -290,16 +284,18 @@ class TestTrajectoryCsv:
     def test_round_trip(self, tmp_path, rng):
         times = np.linspace(0, 1, 11)
         states = rng.normal(size=(11, 3))
-        channels = {"ubar": rng.normal(size=11), "y": states.mean(axis=1),
-                    "yhat": rng.normal(size=(11, 3))}
+        channels = {"ubar": rng.normal(size=11), "y": states.mean(axis=1)}
         traj = Trajectory(times, states, channels)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
-        back = Trajectory.from_csv(path)
-        assert np.array_equal(back.times, times)
-        assert np.array_equal(back.states, states)
-        assert np.array_equal(back.channels["ubar"], channels["ubar"])
-        assert np.array_equal(back.channels["yhat"], channels["yhat"])
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh))
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert header == ["t", "x_1", "x_2", "x_3", "ubar", "y"]
+        assert np.array_equal(back[:, 0], times)
+        assert np.array_equal(back[:, 1:4], states)
+        assert np.array_equal(back[:, 4], channels["ubar"])
+        assert np.array_equal(back[:, 5], channels["y"])
 
     def test_header_layout(self, tmp_path):
         traj = Trajectory(np.array([0.0, 1.0]), np.zeros((2, 2)),
