@@ -8,9 +8,7 @@ from .bifurcation import (
     SingularPoint,
     ata_problem,
     branch_switch,
-    classify_singularity,
     continue_branch,
-    find_equilibrium,
     jacobian,
     normalized_problem,
     reduced3_jacobian,
@@ -29,24 +27,18 @@ from .dynamics import (
     adaptive_field,
     beta_vector,
     classify_decision,
-    disagreement,
     group_opinion,
     normalized_field,
     reduced3_field,
-    scalar_consensus_field,
 )
 from .graphs import (
     Graph,
     PopulationSpec,
-    build_graph,
     complete_graph,
     directed_ring,
     graph_from_json,
-    graph_to_json,
     is_strongly_connected,
-    is_z2_symmetric,
     lambda2,
-    left_null_eigenvector,
     path_graph,
     three_population_graph,
 )
@@ -59,7 +51,6 @@ from .solver import (
     integrate,
     integrate_nonsmooth,
     integrate_to_equilibrium,
-    integrate_with_events,
 )
 
 __version__ = "0.1.0"

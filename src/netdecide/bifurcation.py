@@ -1,6 +1,11 @@
 """Equilibria, linear stability, pseudo-arclength continuation with
 singularity detection/classification, and closed-form bifurcation-point
 approximations for the structured network models.
+
+Every Newton solve on the extended unknown z = (x, p) goes through one
+bordered matrix [[J, f_p], [row]] (``_bordered``): the tangent of a branch,
+the arclength corrector, fold refinement, and the amplitude-constrained
+solves of the pitchfork probe and of branch switching.
 """
 
 from __future__ import annotations
@@ -110,14 +115,6 @@ def newton_solve(f: Callable, jac: Callable, x0: np.ndarray,
     raise BifurcationError(f"Newton did not converge (residual {norm:.3e})")
 
 
-def find_equilibrium(f: Callable, jac: Callable, x_guess: np.ndarray,
-                     param: float = np.nan, tol: float = NEWTON_TOL,
-                     max_iter: int = 50) -> Equilibrium:
-    """Converge from x_guess and tag stability from the Jacobian spectrum."""
-    x = newton_solve(f, jac, x_guess, tol=tol, max_iter=max_iter)
-    return _make_equilibrium(x, param, np.atleast_2d(jac(x)))
-
-
 # ---------------------------------------------------------------------------
 # Continuation
 # ---------------------------------------------------------------------------
@@ -185,26 +182,27 @@ class Branch:
     terminated: str = "range"
 
 
-def _tangent(problem, x, p, reference):
-    """Unit tangent of the solution curve via a bordered solve."""
+def _bordered(problem, x, p, row):
+    """The bordered matrix [[J, f_p], [row]] of the extended system at (x, p)."""
     n = len(x)
-    jac = np.atleast_2d(problem.jac_x(x, p))
-    fp = np.atleast_1d(problem.fp(x, p))
-    bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = jac
-    bordered[:n, n] = fp
-    bordered[n, :] = reference
+    bordered = np.empty((n + 1, n + 1))
+    bordered[:n, :n] = problem.jac_x(x, p)
+    bordered[:n, n] = problem.fp(x, p)
+    bordered[n] = row
+    return bordered
+
+
+def _tangent(problem, x, p, reference):
+    """Unit tangent of the solution curve, oriented along `reference`."""
+    n = len(x)
+    bordered = _bordered(problem, x, p, reference)
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
     try:
         tan = np.linalg.solve(bordered, rhs)
     except np.linalg.LinAlgError:
         # fall back to the least-singular direction of [J | f_p]
-        aug = np.hstack([jac, fp[:, None]])
-        _, _, vt = np.linalg.svd(aug)
-        tan = vt[-1]
-        if tan @ reference < 0:
-            tan = -tan
+        tan = np.linalg.svd(bordered[:n])[2][-1]
     norm = np.linalg.norm(tan)
     if norm == 0:
         raise BifurcationError("degenerate tangent")
@@ -214,30 +212,25 @@ def _tangent(problem, x, p, reference):
     return tan
 
 
-def _correct(problem, z_pred, tan):
-    """Newton on the bordered system {f(x,p)=0, tan.(z - z_pred)=0}."""
+def _correct(problem, z_pred, row):
+    """Newton on the bordered system {f(x, p) = 0, row.(z - z_pred) = 0}.
+
+    Returns z with ||f||_inf <= NEWTON_TOL within 25 iterations, else None.
+    """
     n = len(z_pred) - 1
     z = z_pred.copy()
+    rhs = np.empty(n + 1)
     for _ in range(25):
-        fx = np.atleast_1d(problem.f(z[:n], z[n]))
-        res = np.abs(fx).max()
-        if res <= NEWTON_TOL:
+        fx = problem.f(z[:n], z[n])
+        if np.abs(fx).max() <= NEWTON_TOL:
             return z
-        jac = np.atleast_2d(problem.jac_x(z[:n], z[n]))
-        fp = np.atleast_1d(problem.fp(z[:n], z[n]))
-        bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = jac
-        bordered[:n, n] = fp
-        bordered[n, :] = tan
-        rhs = np.zeros(n + 1)
         rhs[:n] = -fx
-        rhs[n] = -(tan @ (z - z_pred))
+        rhs[n] = -(row @ (z - z_pred))
         try:
-            z = z + np.linalg.solve(bordered, rhs)
+            z = z + np.linalg.solve(_bordered(problem, z[:n], z[n], row), rhs)
         except np.linalg.LinAlgError:
             return None
-    fx = np.atleast_1d(problem.f(z[:n], z[n]))
-    return z if np.abs(fx).max() <= NEWTON_TOL else None
+    return z if np.abs(problem.f(z[:n], z[n])).max() <= NEWTON_TOL else None
 
 
 def _solve_at_param(problem, x_guess, p):
@@ -462,35 +455,15 @@ def classify_singularity(sp: SingularPoint, problem: ContinuationProblem,
 
 
 def _amplitude_solve(problem, sp: SingularPoint, a: float):
-    """Solve {f(x,p)=0, phi.(x - x*) = a} for (x, p).
+    """Solve {f(x,p)=0, phi.(x - x*) = a} for z = (x, p), or return None.
 
-    The amplitude constraint along the null eigenvector keeps the bordered
-    Newton system nonsingular arbitrarily close to the singular point, which
-    a plain fixed-parameter solve is not.  Returns (x, p) or None.
+    The corrector from z_pred = (x* + a phi, p*) with row (phi, 0): phi has
+    unit norm, so its constraint is the amplitude.  Along the null
+    eigenvector the bordered matrix stays nonsingular arbitrarily close to
+    the singular point, which a plain fixed-parameter solve does not.
     """
     phi = sp.null_right
-    n = len(sp.x)
-    x = sp.x + a * phi
-    p = sp.param
-    for _ in range(40):
-        fx = np.atleast_1d(problem.f(x, p))
-        res_amp = phi @ (x - sp.x) - a
-        if np.abs(fx).max() <= NEWTON_TOL and abs(res_amp) <= NEWTON_TOL:
-            return x, p
-        bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = np.atleast_2d(problem.jac_x(x, p))
-        bordered[:n, n] = np.atleast_1d(problem.fp(x, p))
-        bordered[n, :n] = phi
-        rhs = np.concatenate([-fx, [-res_amp]])
-        try:
-            delta = np.linalg.solve(bordered, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        x = x + delta[:n]
-        p = p + delta[n]
-        if not np.isfinite(p) or not np.all(np.isfinite(x)):
-            return None
-    return None
+    return _correct(problem, np.append(sp.x + a * phi, sp.param), np.append(phi, 0.0))
 
 
 def _probe_new_solutions(problem, sp) -> bool:
@@ -498,14 +471,12 @@ def _probe_new_solutions(problem, sp) -> bool:
     for amp in (1e-2, 3e-2, 0.1):
         sides = []
         for sgn in (+1.0, -1.0):
-            sol = _amplitude_solve(problem, sp, sgn * amp)
-            if sol is None:
+            z = _amplitude_solve(problem, sp, sgn * amp)
+            if z is None:
                 break
-            sides.append(sol)
-        if len(sides) == 2:
-            (x1, _), (x2, _) = sides
-            if np.linalg.norm(x1 - x2) > amp:
-                return True
+            sides.append(z[:-1])
+        if len(sides) == 2 and np.linalg.norm(sides[0] - sides[1]) > amp:
+            return True
     return False
 
 
@@ -518,11 +489,10 @@ def branch_switch(problem: ContinuationProblem, sp: SingularPoint,
     amplitude suggests a misclassified point.
     """
     for amp in (offset, 10 * offset, 50 * offset):
-        sol = _amplitude_solve(problem, sp, direction * amp)
-        if sol is not None:
-            x, p = sol
-            jac = np.atleast_2d(problem.jac_x(x, p))
-            return _make_equilibrium(x, p, jac)
+        z = _amplitude_solve(problem, sp, direction * amp)
+        if z is not None:
+            x, p = z[:-1], z[-1]
+            return _make_equilibrium(x, p, np.atleast_2d(problem.jac_x(x, p)))
     raise BifurcationError(
         "branch switch failed at every amplitude (misclassified singular point?)"
     )

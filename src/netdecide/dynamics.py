@@ -49,9 +49,10 @@ class DecisionConfig:
     delta_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.eta <= 0:
+        # Written as not (x > 0) so that NaN fails the check too.
+        if not self.eta > 0:
             raise ValueError("decision threshold eta must be positive")
-        if self.delta_tol < 0:
+        if not self.delta_tol >= 0:
             raise ValueError("delta_tol must be nonnegative")
 
 
@@ -103,13 +104,6 @@ def reduced3_field(y: np.ndarray, spec: PopulationSpec, u: float,
     """
     beta = np.array([beta_a, -beta_b, 0.0], dtype=float)
     return _field(np.asarray(y, dtype=float), spec.degrees, spec.quotient, u, beta)
-
-
-def scalar_consensus_field(y: float, u: float, n_agents: int) -> float:
-    """All-to-all dynamics restricted to the consensus manifold."""
-    if n_agents < 2:
-        raise ValueError("need at least two agents")
-    return float(-(n_agents - 1) * y + u * (n_agents - 1) * np.tanh(y))
 
 
 def adaptive_field(x: np.ndarray, ubar: float, y_hat: float, g: Graph,

@@ -10,7 +10,6 @@ defaults materialized, one or more CSV data files, and summary.json.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -40,7 +39,6 @@ from .graphs import (
     three_population_graph,
 )
 from .solver import (
-    FMT,
     IntegratorConfig,
     SolverError,
     Trajectory,
@@ -48,6 +46,7 @@ from .solver import (
     integrate,
     integrate_nonsmooth,
     integrate_to_equilibrium,
+    write_csv,
 )
 
 
@@ -78,6 +77,20 @@ def population_spec_from_config(cfg: dict) -> PopulationSpec:
     return PopulationSpec(*sizes, coupling=coupling.reshape(3, 3))
 
 
+def _graph_and_beta(graph_cfg: dict, beta_a: float, beta_b: float):
+    """The graph of a config and its information vector (None when uninformed).
+
+    Information needs the groups of a population graph; any graph may run
+    uninformed.
+    """
+    g = graph_from_config(graph_cfg)
+    if graph_cfg.get("kind") == "population":
+        return g, beta_vector(population_spec_from_config(graph_cfg), beta_a, beta_b)
+    if beta_a == 0.0 and beta_b == 0.0:
+        return g, None
+    raise ValueError("beta_a/beta_b require a population graph")
+
+
 # ---------------------------------------------------------------------------
 # Output helpers
 # ---------------------------------------------------------------------------
@@ -98,14 +111,6 @@ def _as_jsonable(obj):
 
 def write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(_as_jsonable(doc), sort_keys=True, indent=2) + "\n")
-
-
-def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([FMT % v for v in row])
 
 
 def config_hash(doc: dict) -> str:
@@ -731,15 +736,8 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
     if phase 1 ends at its time cap without reaching tolerance, the run
     proceeds with the stale-w live-x estimate and warns.
     """
-    g = graph_from_config(scenario.graph)
+    g, beta = _graph_and_beta(scenario.graph, scenario.beta_a, scenario.beta_b)
     n = g.n
-    if scenario.graph.get("kind") == "population":
-        spec = population_spec_from_config(scenario.graph)
-        beta = beta_vector(spec, scenario.beta_a, scenario.beta_b)
-    elif scenario.beta_a == 0.0 and scenario.beta_b == 0.0:
-        beta = None
-    else:
-        raise ValueError("informed cases need a population graph")
     utilde = _utilde_pattern(n, scenario.utilde_amplitude)
     eps, y_th = scenario.epsilon, scenario.y_th
     rng = np.random.default_rng(scenario.seed)
@@ -747,7 +745,7 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
 
     # phase 1: opinions and efforts frozen while the estimator converges
     est_run = integrate_nonsmooth(np.zeros(n), x0, g, scenario.alpha,
-                                  tol=scenario.estimator_tol, raise_on_cap=False)
+                                  tol=scenario.estimator_tol)
     estimator_converged = est_run.error <= scenario.estimator_tol
     if not estimator_converged:
         warnings.warn(
@@ -875,14 +873,7 @@ class SimulateResult:
 
 def run_simulate(scenario: SimulateScenario, out_dir=None) -> SimulateResult:
     """Integrate the model with efforts u + utilde and classify the terminal state."""
-    g = graph_from_config(scenario.graph)
-    if scenario.graph.get("kind") == "population":
-        spec = population_spec_from_config(scenario.graph)
-        beta = beta_vector(spec, scenario.beta_a, scenario.beta_b)
-    elif scenario.beta_a == 0.0 and scenario.beta_b == 0.0:
-        beta = None
-    else:
-        raise ValueError("beta_a/beta_b require a population graph")
+    g, beta = _graph_and_beta(scenario.graph, scenario.beta_a, scenario.beta_b)
     efforts = scenario.u + _utilde_pattern(g.n, scenario.utilde_amplitude)
     f = lambda t, x: normalized_field(x, g, efforts, beta)
     rng = np.random.default_rng(scenario.seed)

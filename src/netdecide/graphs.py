@@ -12,13 +12,8 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
-
-# Relative tolerance (w.r.t. spectral radius) below which an eigenvalue of L
-# is treated as zero when checking simplicity.
-ZERO_EIG_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -32,6 +27,8 @@ class Graph:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"weights must be a square matrix, got shape {w.shape}")
+        if w.size == 0:
+            raise ValueError("a graph needs at least one agent")
         if not np.all(np.isfinite(w) & (w >= 0)):
             raise ValueError("adjacency weights must be finite and nonnegative")
         if np.any(np.diag(w) != 0):
@@ -125,11 +122,6 @@ class PopulationSpec:
         return self._degrees
 
 
-def build_graph(weights) -> Graph:
-    """Validate a nonnegative zero-diagonal square matrix and wrap it."""
-    return Graph(np.array(weights, dtype=float))
-
-
 def complete_graph(n: int, weight: float = 1.0) -> Graph:
     """All-to-all graph with uniform weights."""
     if n < 1:
@@ -178,40 +170,10 @@ def is_strongly_connected(g: Graph) -> bool:
     return bool(_reachable(mask, 0).all() and _reachable(mask.T, 0).all())
 
 
-def left_null_eigenvector(g: Graph) -> np.ndarray:
-    """Nonnegative left null eigenvector of L, normalized to unit 1-norm.
-
-    Fails if the zero eigenvalue of L^T is not simple within tolerance, which
-    is the numerical signature of a graph that is not strongly connected.
-    """
-    lap = g.laplacian
-    if g.n == 1:
-        return np.ones(1)
-    evals, evecs = np.linalg.eig(lap.T)
-    rho = max(np.abs(evals).max(), 1.0)
-    near_zero = np.abs(evals) <= ZERO_EIG_RTOL * rho
-    if near_zero.sum() != 1:
-        raise ValueError(
-            f"zero eigenvalue of L^T is not simple ({near_zero.sum()} candidates); "
-            "graph is not strongly connected"
-        )
-    idx = int(np.argmin(np.abs(evals)))
-    v = evecs[:, idx]
-    if np.abs(v.imag).max() > 1e-10:
-        raise ValueError("null eigenvector of L^T is not real")
-    v = v.real
-    s = v.sum()
-    if s == 0:
-        raise ValueError("degenerate null eigenvector (zero sum)")
-    v = v / s
-    if v.min() < -1e-9:
-        raise ValueError("null left eigenvector has negative entries")
-    v = np.clip(v, 0.0, None)
-    return v / np.abs(v).sum()
-
-
 def lambda2(g: Graph) -> float:
     """Second-smallest eigenvalue of the Laplacian of an undirected graph."""
+    if g.n < 2:
+        raise ValueError("lambda2 needs at least two agents")
     if not g.is_undirected:
         raise ValueError("lambda2 requires symmetric weights (undirected graph)")
     evals = np.linalg.eigvalsh(g.laplacian)
@@ -232,23 +194,6 @@ def three_population_graph(spec: PopulationSpec) -> Graph:
             w[np.ix_(groups[k], groups[m])] = spec.coupling[k, m]
     np.fill_diagonal(w, 0.0)
     return Graph(w, groups=groups)
-
-
-def is_z2_symmetric(spec: PopulationSpec, beta_a: float, beta_b: float) -> bool:
-    """Check the swap-symmetry conditions for the two informed groups."""
-    return (
-        beta_a == beta_b
-        and spec.n1 == spec.n2
-        and np.array_equal(spec.coupling, spec.coupling.T)
-        and spec.coupling[0, 2] == spec.coupling[1, 2]
-    )
-
-
-def graph_to_json(g: Graph) -> str:
-    return json.dumps(
-        {"n": g.n, "weights": [float(x) for x in g.weights.ravel()]},
-        sort_keys=True,
-    )
 
 
 def agent_count(value, key: str) -> int:
@@ -272,6 +217,3 @@ def graph_from_json(doc: str | dict) -> Graph:
     w = np.array(data["weights"], dtype=float).reshape(n, n)
     return Graph(w)
 
-
-def load_graph(path: str | Path) -> Graph:
-    return graph_from_json(Path(path).read_text())

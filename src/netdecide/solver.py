@@ -1,6 +1,7 @@
 """Time integration: adaptive Dormand-Prince 5(4) with events located on
-each step's continuous extension, and a rejection-controlled Euler scheme
-for the discontinuous consensus estimator.
+each step's continuous extension, a rejection-controlled Euler scheme for
+the discontinuous consensus estimator, and the CSV format of every output
+table.
 """
 
 from __future__ import annotations
@@ -19,6 +20,15 @@ FMT = "%.17g"
 
 # Bisection width of an event time, unless four float spacings of t are wider.
 EVENT_TIME_TOL = 1e-9
+
+
+def write_csv(path: str | Path, header: list[str], columns) -> None:
+    """One row per index of the equal-length columns; 17 significant digits."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([FMT % v for v in row])
 
 
 class SolverError(RuntimeError):
@@ -78,13 +88,7 @@ class Trajectory:
         17 significant digits."""
         n = self.states.shape[1]
         header = ["t"] + [f"x_{i + 1}" for i in range(n)] + list(self.channels)
-        cols = ([self.times] + [self.states[:, i] for i in range(n)]
-                + list(self.channels.values()))
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\r\n")
-            writer.writerow(header)
-            for row in zip(*cols):
-                writer.writerow([FMT % v for v in row])
+        write_csv(path, header, [self.times, *self.states.T, *self.channels.values()])
 
 
 @dataclass(frozen=True)
@@ -239,17 +243,6 @@ def integrate(field, x0, cfg: IntegratorConfig) -> Trajectory:
     return traj
 
 
-def integrate_with_events(field, x0, events: Sequence[Callable],
-                          cfg: IntegratorConfig) -> tuple[Trajectory, list[EventHit]]:
-    """Integrate and localize every sign change of the scalar event functions.
-
-    Each hit is bisected on the continuous extension of the step that
-    brackets it, to EVENT_TIME_TOL in time or to four float spacings of t
-    where those are wider.  Hits are returned in time order.
-    """
-    return _integrate(field, x0, cfg, events=events)
-
-
 def integrate_to_equilibrium(field, x0, cfg: IntegratorConfig | None = None,
                              tol: float = 1e-8, horizon: float = 200.0
                              ) -> tuple[np.ndarray, bool, float]:
@@ -290,15 +283,15 @@ class EstimatorRun:
 
 
 def integrate_nonsmooth(w0: np.ndarray, x: np.ndarray, g: Graph, alpha: float,
-                        tol: float, raise_on_cap: bool = True) -> EstimatorRun:
+                        tol: float) -> EstimatorRun:
     """Drive the consensus estimator dw/ds = -alpha sgn(L(Lw + x)) to tolerance.
 
     Explicit Euler with rejection control: a step that fails to decrease the
     estimation error ||Lw + x - mean(x) 1|| is rolled back and retried at half
     the step, so the error decreases monotonically and the elapsed time
-    inherits the finite-time bound ||err(0)|| / lambda2.  The initial step is
-    1e-4 / alpha.  Raises SolverError if the tolerance is not met within
-    2 ||err(0)|| / lambda2 time units.
+    inherits the finite-time bound ||err(0)|| / (alpha lambda2).  The initial
+    step is 1e-4 / alpha.  The run stops at twice that bound; then the
+    returned error is above tol, and the caller decides what that means.
     """
     if alpha <= 0:
         raise ValueError("estimator gain alpha must be positive")
@@ -318,22 +311,14 @@ def integrate_nonsmooth(w0: np.ndarray, x: np.ndarray, g: Graph, alpha: float,
         return EstimatorRun(w, 0.0, err, 0.0, 0, 0)
 
     h0 = 1e-4 / alpha
-    cap = 2.0 * err / lam2
+    cap = 2.0 * err / (alpha * lam2)
     h = h0
     s = 0.0
     mean_drift = 0.0
     n_steps = n_rejected = 0
     h_min = 1e-16 * h0
 
-    while err > tol:
-        if s > cap:
-            if raise_on_cap:
-                raise SolverError(
-                    f"estimator failed to reach tol {tol:.1e} within time cap "
-                    f"{cap:.3g} (error {err:.3e}); check graph assumptions or step",
-                    time=s,
-                )
-            break
+    while err > tol and s <= cap:
         yhat = lap @ w + x
         w_new = w - alpha * h * np.sign(lap @ yhat)
         err_new = error_of(w_new)

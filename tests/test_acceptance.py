@@ -20,11 +20,7 @@ from netdecide.bifurcation import (
     ustar_series,
     y_s,
 )
-from netdecide.dynamics import (
-    beta_vector,
-    normalized_field,
-    scalar_consensus_field,
-)
+from netdecide.dynamics import beta_vector, normalized_field
 from netdecide.graphs import complete_graph, directed_ring, lambda2, three_population_graph
 from netdecide.solver import IntegratorConfig, _integrate, integrate, integrate_nonsmooth
 
@@ -110,7 +106,7 @@ def test_criterion_3_global_stability():
         x1 = traj.final_state
         spread = x1.max() - x1.min()
         ok &= spread < 1e-9
-        scalar = lambda t, y: np.array([scalar_consensus_field(y[0], 1.0, 10)])
+        scalar = lambda t, y: -9 * y + 9.0 * np.tanh(y)
         tr2, _ = _integrate(scalar, np.array([x1.mean()]), cfg2,
                             stop_condition=lambda t, y, dydt: abs(y[0]) < 1e-6)
         ok &= abs(tr2.final_state[0]) < 1e-6

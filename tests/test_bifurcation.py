@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 import netdecide.bifurcation as bif
+import netdecide.experiments as ex
 from netdecide.bifurcation import (
+    NEWTON_TOL,
+    STABILITY_MARGIN,
+    SWITCH_OFFSET,
     BifurcationError,
     ata_problem,
     branch_switch,
     continue_branch,
-    find_equilibrium,
     jacobian,
     newton_solve,
     normalized_problem,
@@ -29,6 +32,10 @@ from netdecide.solver import IntegratorConfig, integrate
 
 Y_S_2 = 1.9150080481545375    # bisection oracle, y = 2 tanh(y)
 Y_S_10 = 9.999999958776924    # bisection oracle, y = 10 tanh(y)
+
+
+def real_parts(jac):
+    return np.linalg.eigvals(jac).real
 
 
 class TestJacobian:
@@ -76,26 +83,29 @@ class TestJacobian:
 
 
 class TestFindEquilibrium:
+    # Stable: every eigenvalue of the Jacobian has real part below
+    # -STABILITY_MARGIN; a saddle has none within the margin of zero.
     def test_consensus_branch(self, k10):
         f = lambda x: normalized_field(x, k10, 2.0)
         j = lambda x: jacobian(x, k10, u=2.0)
-        eq = find_equilibrium(f, j, np.full(10, 1.9), param=2.0)
-        assert eq.x == pytest.approx(np.full(10, Y_S_2), abs=1e-10)
-        assert eq.stability == "stable"
+        x = newton_solve(f, j, np.full(10, 1.9))
+        assert x == pytest.approx(np.full(10, Y_S_2), abs=1e-10)
+        assert np.all(real_parts(j(x)) < -STABILITY_MARGIN)
 
     def test_origin_stable_below(self, k10):
         f = lambda x: normalized_field(x, k10, 0.5)
         j = lambda x: jacobian(x, k10, u=0.5)
-        eq = find_equilibrium(f, j, np.full(10, 0.1), param=0.5)
-        assert np.abs(eq.x).max() < 1e-12
-        assert eq.stability == "stable"
+        x = newton_solve(f, j, np.full(10, 0.1))
+        assert np.abs(x).max() < 1e-12
+        assert np.all(real_parts(j(x)) < -STABILITY_MARGIN)
 
     def test_origin_saddle_above(self, k10):
         f = lambda x: normalized_field(x, k10, 2.0)
         j = lambda x: jacobian(x, k10, u=2.0)
-        eq = find_equilibrium(f, j, np.zeros(10), param=2.0)
-        assert eq.stability == "saddle"
-        assert eq.n_unstable == 1
+        x = newton_solve(f, j, np.zeros(10))
+        re = real_parts(j(x))
+        assert np.all(np.abs(re) > STABILITY_MARGIN)
+        assert np.sum(re > STABILITY_MARGIN) == 1
 
     def test_exactly_three_equilibria_near_pitchfork(self, k10):
         u = 1.05
@@ -346,6 +356,26 @@ class TestContinuation:
         assert len(folds) == 1
         assert folds[0].refined is True
         assert folds[0].param < pf[0].param  # branches bend backward
+
+    def test_switch_seed_meets_amplitude_constraint(self, k10):
+        """branch_switch solves {f = 0, phi.(x - x*) = +-SWITCH_OFFSET} through the
+        arclength corrector, on the k10 trunk and on the quintic beta = 3 trunk."""
+        k10_problem = normalized_problem(k10)
+        k10_branch = continue_branch(k10_problem, np.zeros(10), 0.5, (0.5, 1.5),
+                                     symmetric_trunk=True)
+        scenario, beta = ex.QuinticScenario(), 3.0
+        spec, u0 = scenario.population_spec(), scenario.u_range[0]
+        quintic = reduced3_problem(spec, beta, beta)
+        quintic_branch = continue_branch(quintic, ex._deadlock_start(spec, u0, beta), u0,
+                                         scenario.u_range, h_max=scenario.h_max,
+                                         symmetric_trunk=True)
+        for problem, branch in ((k10_problem, k10_branch), (quintic, quintic_branch)):
+            sp = next(sp for sp in branch.singular_points if sp.kind == "pitchfork")
+            for direction in (+1, -1):
+                seed = branch_switch(problem, sp, direction)
+                amplitude = sp.null_right @ (seed.x - sp.x)
+                assert abs(amplitude - direction * SWITCH_OFFSET) <= 1e-12
+                assert np.abs(problem.f(seed.x, seed.param)).max() <= NEWTON_TOL
 
     def test_refinement_reports_convergence(self, k10, monkeypatch):
         problem = normalized_problem(k10)

@@ -88,6 +88,14 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("graph", [{"kind": "directed_ring", "n": 0},
+                                       {"kind": "weights", "weights": []}])
+    def test_zero_agent_graph_exits_2(self, tmp_path, capsys, graph):
+        cfg = write_cfg(tmp_path, "cfg.json", {"graph": graph})
+        assert main(["validate", "--command", "simulate", "--config", cfg]) == 2
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.count("at least one agent") == 2
+
     def test_seed_override(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {"u": 1.5})
         out = tmp_path / "out"
@@ -124,6 +132,11 @@ class TestContinue:
         assert main(["continue", "--config", cfg]) == 2
         assert "strongly connected" in capsys.readouterr().err
 
+    def test_zero_agent_graph_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", {"graph": {"kind": "directed_ring", "n": 0}})
+        assert main(["continue", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "at least one agent" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_value_sensitivity(self, tmp_path):
@@ -155,6 +168,15 @@ class TestAdaptive:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["ubar_c"] is not None
         assert abs(abs(summary["terminal_y"]) - 0.5) < 1e-3
+
+    @pytest.mark.parametrize("graph, message", [
+        ({"kind": "directed_ring", "n": 0}, "at least one agent"),
+        ({"kind": "complete", "n": 1}, "two agents"),
+    ])
+    def test_too_few_agents_exit_2(self, tmp_path, capsys, graph, message):
+        cfg = write_cfg(tmp_path, "cfg.json", {"graph": graph})
+        assert main(["adaptive", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestValidate:

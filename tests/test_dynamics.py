@@ -17,7 +17,6 @@ from netdecide.dynamics import (
     group_opinion,
     normalized_field,
     reduced3_field,
-    scalar_consensus_field,
     sech2,
 )
 from netdecide.experiments import AdaptiveScenario
@@ -176,14 +175,6 @@ class TestReducedModels:
             expected = np.array([-f[1], -f[0], -f[2]])
             assert f_swapped == pytest.approx(expected, abs=1e-12)
 
-    def test_scalar_consensus(self):
-        assert scalar_consensus_field(0.0, 2.0, 10) == 0.0
-        ys = 1.9150080481545375  # bisection oracle for y = 2 tanh(y)
-        assert abs(scalar_consensus_field(ys, 2.0, 10)) < 1e-5
-        grid = np.linspace(1e-4, 5, 200)
-        vals = np.array([scalar_consensus_field(y, 0.5, 10) for y in grid])
-        assert np.all(vals < 0)  # unique root at the origin for u < 1
-
 
 class TestZ2Equivariance:
     def test_swap_commutes_with_field(self, rng):
@@ -275,3 +266,6 @@ class TestDecisionMetrics:
         assert classify_decision(mixed, DecisionConfig(eta=0.1)) is Decision.DEADLOCK_DISAGREEMENT
         small = np.full(3, 0.2)
         assert classify_decision(small, cfg) is Decision.DEADLOCK_NO_DECISION
+        for bad in ({"eta": np.nan}, {"eta": 0.5, "delta_tol": np.nan}):
+            with pytest.raises(ValueError):
+                DecisionConfig(**bad)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,14 @@ class TestAdaptive:
         d = res.diagnostics
         assert d["ubar_star"] == pytest.approx(1.0, abs=0.01)
         assert d["ubar_c"] > d["ubar_star"]
+
+    def test_estimator_converges_at_small_gain(self):
+        # The estimator's time cap scales with 1/alpha, like its finite-time bound.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = ex.run_adaptive(ex.adaptive_scenario("symmetric", alpha=0.25))
+        assert res.diagnostics["estimator_converged"]
+        assert res.diagnostics["estimator_error"] <= 1e-9
 
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError, match="unknown adaptive case"):

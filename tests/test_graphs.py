@@ -10,22 +10,18 @@ from hypothesis import strategies as st
 from netdecide.graphs import (
     Graph,
     PopulationSpec,
-    build_graph,
     complete_graph,
     directed_ring,
     graph_from_json,
-    graph_to_json,
     is_strongly_connected,
-    is_z2_symmetric,
     lambda2,
-    left_null_eigenvector,
     path_graph,
     three_population_graph,
 )
 
 
 def test_build_graph_dyad():
-    g = build_graph([[0, 1], [1, 0]])
+    g = Graph([[0, 1], [1, 0]])
     assert np.array_equal(g.degrees, [1, 1])
     assert np.array_equal(g.laplacian, [[1, -1], [-1, 1]])
 
@@ -41,10 +37,11 @@ def test_complete_graph_degrees():
     ([[0, 1, 0], [1, 0, 1]], "square"),
     ([[0, np.nan], [1, 0]], "finite"),
     ([[0, np.inf], [1, 0]], "finite"),
+    (np.zeros((0, 0)), "at least one agent"),
 ])
 def test_build_graph_rejects(weights, message):
     with pytest.raises(ValueError, match=message):
-        build_graph(np.array(weights, dtype=object if message == "square" else float))
+        Graph(np.array(weights, dtype=object if message == "square" else float))
 
 
 def test_graph_is_immutable(k10):
@@ -54,42 +51,16 @@ def test_graph_is_immutable(k10):
 
 def test_strong_connectivity_cases():
     assert is_strongly_connected(complete_graph(3))
-    two_dyads = build_graph([
+    two_dyads = Graph([
         [0, 1, 0, 0],
         [1, 0, 0, 0],
         [0, 0, 0, 1],
         [0, 0, 1, 0],
     ])
     assert not is_strongly_connected(two_dyads)
-    chain = build_graph([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    chain = Graph([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert not is_strongly_connected(chain)
     assert is_strongly_connected(directed_ring(6))
-
-
-def test_left_null_vector_undirected():
-    v = left_null_eigenvector(path_graph(4))
-    assert v == pytest.approx(np.full(4, 0.25), abs=1e-12)
-    v5 = left_null_eigenvector(complete_graph(5))
-    assert v5 == pytest.approx(np.full(5, 0.2), abs=1e-12)
-
-
-def test_left_null_vector_weighted_cycle(weighted_3cycle):
-    """Cross-check against an SVD null-space oracle."""
-    from scipy.linalg import null_space
-
-    v = left_null_eigenvector(weighted_3cycle)
-    assert np.abs(v @ weighted_3cycle.laplacian).max() < 1e-10
-    oracle = null_space(weighted_3cycle.laplacian.T).ravel()
-    oracle = oracle / oracle.sum()
-    assert v == pytest.approx(oracle, abs=1e-10)
-    assert v.min() >= 0
-    assert v.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_left_null_vector_rejects_disconnected():
-    g = build_graph([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-    with pytest.raises(ValueError, match="not simple"):
-        left_null_eigenvector(g)
 
 
 def test_lambda2_known_spectra():
@@ -112,6 +83,11 @@ def test_lambda2_three_population_equals_complete():
 def test_lambda2_rejects_directed():
     with pytest.raises(ValueError, match="symmetric"):
         lambda2(directed_ring(4))
+
+
+def test_lambda2_needs_two_agents():
+    with pytest.raises(ValueError, match="two agents"):
+        lambda2(complete_graph(1))
 
 
 def test_three_population_all_ones_is_complete():
@@ -150,17 +126,6 @@ def test_population_spec_rejects_bad_coupling():
         ]))
 
 
-def test_z2_symmetry_conditions():
-    sym = PopulationSpec(4, 4, 4)
-    assert is_z2_symmetric(sym, 1.0, 1.0)
-    assert not is_z2_symmetric(sym, 2.0, 1.0)
-    assert not is_z2_symmetric(PopulationSpec(3, 4, 4), 1.0, 1.0)
-    lopsided = PopulationSpec(4, 4, 4, coupling=np.array([
-        [1.0, 1.0, 0.5], [1.0, 1.0, 1.0], [0.5, 1.0, 1.0],
-    ]))
-    assert not is_z2_symmetric(lopsided, 1.0, 1.0)
-
-
 @given(st.integers(2, 8), st.integers(0, 10_000))
 def test_laplacian_invariants_random(n, seed):
     rng = np.random.default_rng(seed)
@@ -190,7 +155,8 @@ def test_simple_zero_eigenvalue_when_strongly_connected(weighted_3cycle):
 
 
 def test_json_round_trip(weighted_3cycle):
-    doc = graph_to_json(weighted_3cycle)
+    g = weighted_3cycle
+    doc = json.dumps({"n": g.n, "weights": [float(x) for x in g.weights.ravel()]})
     g2 = graph_from_json(doc)
     assert np.array_equal(g2.weights, weighted_3cycle.weights)
 
