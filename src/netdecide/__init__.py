@@ -36,7 +36,6 @@ from .graphs import (
     PopulationSpec,
     complete_graph,
     directed_ring,
-    graph_from_json,
     is_strongly_connected,
     lambda2,
     path_graph,

@@ -5,7 +5,8 @@ approximations for the structured network models.
 Every Newton solve on the extended unknown z = (x, p) goes through one
 bordered matrix [[J, f_p], [row]] (``_bordered``): the tangent of a branch,
 the arclength corrector, fold refinement, and the amplitude-constrained
-solves of the pitchfork probe and of branch switching.
+solve of branch switching.  A singular bordered matrix or a failed branch
+switch raises BifurcationError; nothing falls back to another method.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ H_MIN = 1e-5
 MAX_POINTS = 20_000
 SWITCH_OFFSET = 1e-3
 STABILITY_MARGIN = 1e-8
+EPS = float(np.finfo(float).eps)
 
 
 class BifurcationError(RuntimeError):
@@ -60,28 +62,16 @@ def reduced3_jacobian(y: np.ndarray, spec: PopulationSpec, u: float) -> np.ndarr
 class Equilibrium:
     x: np.ndarray
     param: float
-    eigenvalues: np.ndarray
-    stability: str              # "stable" | "saddle" | "nonhyperbolic"
-    n_unstable: int
+    n_unstable: int             # eigenvalues of J with real part > STABILITY_MARGIN
     det_sign: float = 0.0
     log_abs_det: float = -np.inf
     tangent: np.ndarray | None = None
 
 
-def _stability_of(eigenvalues: np.ndarray) -> tuple[str, int]:
-    re = eigenvalues.real
-    n_unstable = int(np.sum(re > STABILITY_MARGIN))
-    if np.any(np.abs(re) <= STABILITY_MARGIN):
-        return "nonhyperbolic", n_unstable
-    return ("stable", 0) if n_unstable == 0 else ("saddle", n_unstable)
-
-
 def _make_equilibrium(x, param, jac):
-    eigenvalues = np.linalg.eigvals(jac)
-    stability, n_unstable = _stability_of(eigenvalues)
+    n_unstable = int(np.sum(np.linalg.eigvals(jac).real > STABILITY_MARGIN))
     sign, logdet = np.linalg.slogdet(jac)
     return Equilibrium(x=np.asarray(x, dtype=float), param=float(param),
-                       eigenvalues=eigenvalues, stability=stability,
                        n_unstable=n_unstable, det_sign=float(sign),
                        log_abs_det=float(logdet))
 
@@ -193,23 +183,20 @@ def _bordered(problem, x, p, row):
 
 
 def _tangent(problem, x, p, reference):
-    """Unit tangent of the solution curve, oriented along `reference`."""
+    """Unit tangent of the solution curve, oriented along `reference`.
+
+    The last row of the bordered system sets reference.tan = 1, which fixes
+    the orientation; a singular bordered matrix raises BifurcationError.
+    """
     n = len(x)
     bordered = _bordered(problem, x, p, reference)
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
     try:
         tan = np.linalg.solve(bordered, rhs)
-    except np.linalg.LinAlgError:
-        # fall back to the least-singular direction of [J | f_p]
-        tan = np.linalg.svd(bordered[:n])[2][-1]
-    norm = np.linalg.norm(tan)
-    if norm == 0:
-        raise BifurcationError("degenerate tangent")
-    tan = tan / norm
-    if tan @ reference < 0:
-        tan = -tan
-    return tan
+    except np.linalg.LinAlgError as exc:
+        raise BifurcationError(f"singular bordered matrix at p = {p}") from exc
+    return tan / np.linalg.norm(tan)
 
 
 def _correct(problem, z_pred, row):
@@ -322,9 +309,7 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
 
 
 def _detect_events(problem, branch, prev: Equilibrium, new: Equilibrium, symmetric_trunk):
-    fold_flip = (prev.tangent is not None and new.tangent is not None
-                 and prev.tangent[-1] * new.tangent[-1] < 0)
-    if fold_flip:
+    if prev.tangent[-1] * new.tangent[-1] < 0:
         # a fold also flips det(J); the tangent refinement owns the interval
         sp = _refine_fold(problem, prev, new)
     elif prev.det_sign * new.det_sign < 0:
@@ -332,12 +317,7 @@ def _detect_events(problem, branch, prev: Equilibrium, new: Equilibrium, symmetr
     else:
         return
     sp.kind = classify_singularity(sp, problem, symmetric_trunk=symmetric_trunk)
-    duplicate = any(
-        abs(sp.param - other.param) <= 1e-6 and np.linalg.norm(sp.x - other.x) <= 1e-5
-        for other in branch.singular_points
-    )
-    if not duplicate:
-        branch.singular_points.append(sp)
+    branch.singular_points.append(sp)
 
 
 def _refine_det_flip(problem, eq_lo: Equilibrium, eq_hi: Equilibrium):
@@ -347,7 +327,7 @@ def _refine_det_flip(problem, eq_lo: Equilibrium, eq_hi: Equilibrium):
     everywhere except at the singular parameter itself, unlike the arclength
     corrector, whose bordered matrix is singular at a branch point on a
     symmetric trunk.  The point is `refined` when the parameter bracket
-    closed to REFINE_TOL, not when both Newton solves at a midpoint failed.
+    closed to REFINE_TOL, not when the Newton solve at a midpoint failed.
     """
     p_lo, p_hi = eq_lo.param, eq_hi.param
     x_lo, x_hi = eq_lo.x, eq_hi.x
@@ -355,19 +335,11 @@ def _refine_det_flip(problem, eq_lo: Equilibrium, eq_hi: Equilibrium):
     for _ in range(80):
         if abs(p_hi - p_lo) <= REFINE_TOL:
             break
-        frac = 0.5
-        p_mid = p_lo + frac * (p_hi - p_lo)
-        guess = x_lo + frac * (x_hi - x_lo)
+        p_mid = p_lo + 0.5 * (p_hi - p_lo)
         try:
-            x_mid = _solve_at_param(problem, guess, p_mid)
+            x_mid = _solve_at_param(problem, x_lo + 0.5 * (x_hi - x_lo), p_mid)
         except BifurcationError:
-            # essentially at the singularity; tighten from both sides
-            p_mid = p_lo + 0.4 * (p_hi - p_lo)
-            guess = x_lo + 0.4 * (x_hi - x_lo)
-            try:
-                x_mid = _solve_at_param(problem, guess, p_mid)
-            except BifurcationError:
-                break
+            break
         s_mid, _ = np.linalg.slogdet(np.atleast_2d(problem.jac_x(x_mid, p_mid)))
         if s_mid == s_lo or s_mid == 0.0:
             p_lo, x_lo, s_lo = p_mid, x_mid, s_mid
@@ -414,13 +386,8 @@ def _refine_fold(problem, eq_lo: Equilibrium, eq_hi: Equilibrium):
 
 
 def _singular_point_at(problem, x_sp, p_sp, tan_ref, refined: bool):
-    jac = np.atleast_2d(problem.jac_x(x_sp, p_sp))
-    right, left = null_vectors(jac)
-    try:
-        tan_sp = _tangent(problem, x_sp, p_sp, tan_ref)
-        tangent_param = float(tan_sp[-1])
-    except BifurcationError:
-        tangent_param = float(tan_ref[-1])
+    right, left = null_vectors(np.atleast_2d(problem.jac_x(x_sp, p_sp)))
+    tangent_param = float(_tangent(problem, x_sp, p_sp, tan_ref)[-1])
     return SingularPoint(kind="unclassified", param=float(p_sp), x=np.asarray(x_sp),
                          null_right=right, null_left=left,
                          tangent_param=tangent_param, refined=bool(refined))
@@ -431,10 +398,10 @@ def classify_singularity(sp: SingularPoint, problem: ContinuationProblem,
     """Distinguish fold from pitchfork at a refined singular point.
 
     A fold has a vanishing parameter component of the branch tangent and a
-    nonzero quadratic normal-form coefficient.  A pitchfork has a transversal
-    tangent and a pair of new solutions on one side, verified by trial Newton
-    solves seeded along the null eigenvector; symmetric trunks may skip the
-    probe.  Ambiguity is reported, never silently resolved.
+    nonzero quadratic normal-form coefficient.  A det(J) flip with a
+    transversal tangent is a pitchfork on a symmetric trunk, where symmetry
+    makes the bifurcating pair; elsewhere it is reported as ambiguous, never
+    silently resolved.
     """
     phi = sp.null_right
     if abs(sp.tangent_param) < 1e-3:
@@ -447,11 +414,7 @@ def classify_singularity(sp: SingularPoint, problem: ContinuationProblem,
         if abs(quad) > 1e-4:
             return "fold"
         return "ambiguous"
-    if symmetric_trunk:
-        return "pitchfork"
-    if _probe_new_solutions(problem, sp):
-        return "pitchfork"
-    return "ambiguous"
+    return "pitchfork" if symmetric_trunk else "ambiguous"
 
 
 def _amplitude_solve(problem, sp: SingularPoint, a: float):
@@ -466,36 +429,20 @@ def _amplitude_solve(problem, sp: SingularPoint, a: float):
     return _correct(problem, np.append(sp.x + a * phi, sp.param), np.append(phi, 0.0))
 
 
-def _probe_new_solutions(problem, sp) -> bool:
-    """Look for a pair of off-trunk solutions emerging at the point."""
-    for amp in (1e-2, 3e-2, 0.1):
-        sides = []
-        for sgn in (+1.0, -1.0):
-            z = _amplitude_solve(problem, sp, sgn * amp)
-            if z is None:
-                break
-            sides.append(z[:-1])
-        if len(sides) == 2 and np.linalg.norm(sides[0] - sides[1]) > amp:
-            return True
-    return False
-
-
 def branch_switch(problem: ContinuationProblem, sp: SingularPoint,
-                  direction: int, offset: float = SWITCH_OFFSET) -> Equilibrium:
+                  direction: int) -> Equilibrium:
     """Seed a bifurcating branch just past a pitchfork.
 
-    Solves the amplitude-constrained system seeded at x* + direction*offset*phi,
-    letting the parameter move past the singularity.  Failure at every
-    amplitude suggests a misclassified point.
+    Solves the amplitude-constrained system phi.(x - x*) = direction*SWITCH_OFFSET,
+    letting the parameter move past the singularity.  A failed solve raises
+    BifurcationError: it suggests a misclassified point.
     """
-    for amp in (offset, 10 * offset, 50 * offset):
-        z = _amplitude_solve(problem, sp, direction * amp)
-        if z is not None:
-            x, p = z[:-1], z[-1]
-            return _make_equilibrium(x, p, np.atleast_2d(problem.jac_x(x, p)))
-    raise BifurcationError(
-        "branch switch failed at every amplitude (misclassified singular point?)"
-    )
+    z = _amplitude_solve(problem, sp, direction * SWITCH_OFFSET)
+    if z is None:
+        raise BifurcationError(f"branch switch failed at amplitude {SWITCH_OFFSET:g} "
+                               "(misclassified singular point?)")
+    x, p = z[:-1], z[-1]
+    return _make_equilibrium(x, p, np.atleast_2d(problem.jac_x(x, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +452,10 @@ def branch_switch(problem: ContinuationProblem, sp: SingularPoint,
 def y_s(u: float, tol: float = 1e-12) -> float:
     """Positive root of y - u tanh(y) = 0 (bracketing bisection + Newton polish).
 
-    Raises BifurcationError if the Newton polish does not meet `tol`.
+    The polish stops when its step meets `tol` or when the residual is at the
+    round-off level of its two terms; just above u = 1 the root is
+    ill-conditioned and the step stalls above `tol`.  Raises BifurcationError
+    if neither happens within 50 Newton steps.
     """
     if not np.isfinite(u):
         raise ValueError(f"effort u must be finite (got {u})")
@@ -531,7 +481,9 @@ def y_s(u: float, tol: float = 1e-12) -> float:
             break
         step = f(y) / df
         y -= step
-        if abs(step) <= tol * max(1.0, abs(y)):
+        term = u * float(np.tanh(y))
+        if (abs(step) <= tol * max(1.0, abs(y))
+                or abs(y - term) <= 2 * EPS * (abs(y) + abs(term))):
             return float(y)
     raise BifurcationError(f"branch root did not converge in 50 Newton steps (u = {u})")
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import experiments as ex
 from .bifurcation import BifurcationError
-from .graphs import is_strongly_connected
+from .graphs import is_strongly_connected, lambda2
 from .solver import SolverError
 
 
@@ -134,7 +134,7 @@ def _adaptive_scenario(doc: dict, args):
         scenario = ex.adaptive_scenario(case, **doc)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    ex.graph_from_config(scenario.graph)
+    lambda2(ex.graph_from_config(scenario.graph))   # the estimator's graph requirements
     return scenario, f"adaptive_{case}"
 
 

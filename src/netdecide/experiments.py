@@ -65,7 +65,7 @@ def graph_from_config(cfg: dict) -> Graph:
         return three_population_graph(population_spec_from_config(cfg))
     if kind == "weights":
         w = np.array(cfg["weights"], dtype=float)
-        n = agent_count(cfg.get("n", 0), "n") or int(round(len(np.ravel(w)) ** 0.5))
+        n = agent_count(cfg["n"], "n") if "n" in cfg else int(round(len(np.ravel(w)) ** 0.5))
         return Graph(np.reshape(w, (n, n)))
     raise ValueError(f"unknown graph kind {kind!r}; expected complete, "
                      "directed_ring, population, or weights")
@@ -732,9 +732,8 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
     """Phase 1: estimator on frozen opinions.  Phase 2: slow effort feedback.
 
     After the finite-time estimator has converged it tracks the running
-    average exactly (sliding mode), so phase 2 uses the true average opinion;
-    if phase 1 ends at its time cap without reaching tolerance, the run
-    proceeds with the stale-w live-x estimate and warns.
+    average exactly (sliding mode), so phase 2 uses the true average opinion.
+    Phase 1 ending at its time cap above estimator_tol raises SolverError.
     """
     g, beta = _graph_and_beta(scenario.graph, scenario.beta_a, scenario.beta_b)
     n = g.n
@@ -746,23 +745,14 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
     # phase 1: opinions and efforts frozen while the estimator converges
     est_run = integrate_nonsmooth(np.zeros(n), x0, g, scenario.alpha,
                                   tol=scenario.estimator_tol)
-    estimator_converged = est_run.error <= scenario.estimator_tol
-    if not estimator_converged:
-        warnings.warn(
-            f"estimator stopped at its time cap with error {est_run.error:.2e}; "
-            "continuing with the live estimate", stacklevel=2)
-    w = est_run.w
-    lap = g.laplacian
-
-    def y_estimate(x):
-        if estimator_converged:
-            return float(x.mean())
-        return float((lap @ w + x)[0])
+    if est_run.error > scenario.estimator_tol:
+        raise SolverError(f"estimator did not reach estimator_tol within its time cap "
+                          f"(error {est_run.error:.2e} > {scenario.estimator_tol:.2e})")
 
     # phase 2: fast opinions coupled to the slow mean-effort update
     def rhs(t, z):
         x = z[:n]
-        dx, dubar = adaptive_field(x, z[n], y_estimate(x), g, utilde, beta, eps, y_th)
+        dx, dubar = adaptive_field(x, z[n], float(x.mean()), g, utilde, beta, eps, y_th)
         return np.concatenate([dx, [dubar]])
 
     # dz = rhs(t, z) is the step's own last stage, so dz[:n] is the opinion
@@ -771,7 +761,7 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
 
     def stop(t, z, dz):
         nonlocal settled
-        yh = y_estimate(z[:n])
+        yh = float(z[:n].mean())
         settled = bool(abs(yh ** 2 - y_th ** 2) < scenario.stop_tol
                        and np.abs(dz[:n]).max() < scenario.stop_tol)
         return settled
@@ -816,7 +806,6 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
         "terminal_abs_y_minus_yth": float(abs(abs(ys[-1]) - y_th)),
         "terminal_dubar": float(eps * (y_th ** 2 - ys[-1] ** 2)),
         "settled": settled,
-        "estimator_converged": estimator_converged,
         "estimator_time": est_run.s_elapsed,
         "estimator_error": est_run.error,
         "estimator_steps": est_run.n_steps,

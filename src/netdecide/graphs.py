@@ -9,7 +9,6 @@ arc reversal this coincides with the transpose convention.
 
 from __future__ import annotations
 
-import json
 import numbers
 from dataclasses import dataclass, field
 
@@ -202,18 +201,3 @@ def agent_count(value, key: str) -> int:
             or not float(value).is_integer()):
         raise ValueError(f"graph size {key!r} must be an integer, got {value!r}")
     return int(value)
-
-
-def graph_from_json(doc: str | dict) -> Graph:
-    """Parse {"n", "weights"} or the {"n1","n2","n3","coupling"} shorthand."""
-    data = json.loads(doc) if isinstance(doc, str) else doc
-    if {"n1", "n2", "n3"} <= set(data):
-        spec = PopulationSpec(
-            *(agent_count(data[key], key) for key in ("n1", "n2", "n3")),
-            coupling=np.array(data.get("coupling", np.ones((3, 3)))),
-        )
-        return three_population_graph(spec)
-    n = agent_count(data["n"], "n")
-    w = np.array(data["weights"], dtype=float).reshape(n, n)
-    return Graph(w)
-

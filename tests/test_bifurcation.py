@@ -154,11 +154,26 @@ class TestScalarRoots:
         with pytest.raises(ValueError, match="finite"):
             ystar_root(u, beta, 10)
 
-    def test_y_s_reports_nonconvergence(self):
-        # Just above the pitchfork the root is ill-conditioned, and Newton
-        # keeps stepping by ~1e-14, so a zero step tolerance is never met.
+    def test_y_s_reports_nonconvergence(self, monkeypatch):
+        # A NaN derivative makes every Newton step NaN, so neither the step
+        # test nor the residual test is ever met.
+        monkeypatch.setattr(bif, "sech2", lambda y: np.nan)
         with pytest.raises(BifurcationError, match="did not converge"):
-            y_s(1.0001, tol=0.0)
+            y_s(2.0)
+
+    @pytest.mark.parametrize("u", [1.00000000015, 1.0000000008, 1.00000002695, 1.0001])
+    def test_y_s_ill_conditioned_near_onset(self, u):
+        # Just above u = 1 the Newton step stalls at round-off above tol; the
+        # residual test accepts the iterate.  f'(y) ~ 2(u - 1) there, so a
+        # residual of 4 eps y moves the root by at most 4 eps y / (2(u - 1)).
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            uu = mpmath.mpf(u)
+            root = mpmath.findroot(lambda t: t - uu * mpmath.tanh(t), mpmath.sqrt(3 * (uu - 1)))
+            ref = float(root)
+        y = y_s(u)
+        eps = np.finfo(float).eps
+        assert abs(y - ref) <= 4 * eps * ref / (2 * (u - 1))
 
     def test_ystar_root_reports_nonconvergence(self):
         # A zero step tolerance cannot be met here: Newton alternates between
@@ -330,7 +345,8 @@ class TestContinuation:
         assert end.param == pytest.approx(2.0, abs=1e-12)
         sign = np.sign(end.x[0])
         assert end.x == pytest.approx(sign * np.full(10, Y_S_2), abs=1e-10)
-        assert end.stability == "stable"
+        assert end.n_unstable == 0
+        assert np.all(real_parts(jacobian(end.x, k10, end.param)) < -STABILITY_MARGIN)
 
     def test_fold_detection_subcritical(self):
         # weakly coupled informed groups: strong information folds the branches
@@ -376,6 +392,32 @@ class TestContinuation:
                 amplitude = sp.null_right @ (seed.x - sp.x)
                 assert abs(amplitude - direction * SWITCH_OFFSET) <= 1e-12
                 assert np.abs(problem.f(seed.x, seed.param)).max() <= NEWTON_TOL
+
+    def test_tangent_raises_on_singular_bordered_matrix(self):
+        # f = x^2 + p^2 at (0, 0): J = f_p = 0, so [[J, f_p], [row]] is singular.
+        problem = bif.ContinuationProblem(
+            f=lambda x, p: x ** 2 + p ** 2,
+            jac_x=lambda x, p: np.atleast_2d(2 * x),
+            jac_p=lambda x, p: np.atleast_1d(2 * p))
+        with pytest.raises(BifurcationError, match="singular bordered matrix at p = 0"):
+            bif._tangent(problem, np.zeros(1), 0.0, np.array([0.0, 1.0]))
+
+    def test_branch_switch_fails_after_one_attempt(self, k10, monkeypatch):
+        problem = normalized_problem(k10)
+        sp = bif.SingularPoint(kind="pitchfork", param=1.0, x=np.zeros(10),
+                               null_right=np.full(10, 10 ** -0.5),
+                               null_left=np.full(10, 10 ** -0.5),
+                               tangent_param=1.0, refined=True)
+        amplitudes = []
+
+        def fail(problem, sp, a):
+            amplitudes.append(a)
+            return None
+
+        monkeypatch.setattr(bif, "_amplitude_solve", fail)
+        with pytest.raises(BifurcationError, match="branch switch failed"):
+            branch_switch(problem, sp, -1)
+        assert amplitudes == [-SWITCH_OFFSET]
 
     def test_refinement_reports_convergence(self, k10, monkeypatch):
         problem = normalized_problem(k10)

@@ -7,6 +7,7 @@ import pytest
 
 from netdecide import experiments as ex
 from netdecide.cli import main
+from netdecide.solver import EstimatorRun
 
 TWO_DYADS = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
 
@@ -96,6 +97,13 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.count("at least one agent") == 2
 
+    def test_weights_size_zero_exits_2(self, tmp_path):
+        # "n": 0 is a size, not a missing one, so the 4 weights do not fit it.
+        cfg = write_cfg(tmp_path, "cfg.json",
+                        {"graph": {"kind": "weights", "n": 0, "weights": [0, 1, 1, 0]}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json", {"u": 1.5})
         out = tmp_path / "out"
@@ -178,6 +186,14 @@ class TestAdaptive:
         assert main(["adaptive", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
 
+    def test_estimator_at_time_cap_exits_3(self, tmp_path, capsys, monkeypatch):
+        def capped(w0, x, g, alpha, tol):
+            return EstimatorRun(np.asarray(w0), 20.0, 10 * tol, 0.0, 100, 3)
+
+        monkeypatch.setattr(ex, "integrate_nonsmooth", capped)
+        assert main(["adaptive", "--case", "symmetric", "--out", str(tmp_path / "out")]) == 3
+        assert "estimator did not reach estimator_tol" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_accepts_good_config(self, tmp_path, capsys):
@@ -205,6 +221,15 @@ class TestValidate:
                         {"graph": {"kind": "weights", "n": 4, "weights": TWO_DYADS}})
         assert main(["validate", "--command", "continue", "--config", cfg]) == 2
         assert "strongly connected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("graph, message", [
+        ({"kind": "directed_ring", "n": 4}, "symmetric weights"),
+        ({"kind": "complete", "n": 1}, "two agents"),
+    ])
+    def test_adaptive_graph_fails_estimator_exits_2(self, tmp_path, capsys, graph, message):
+        cfg = write_cfg(tmp_path, "cfg.json", {"graph": graph})
+        assert main(["validate", "--command", "adaptive", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
 
     def test_adaptive_bad_type_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "cfg.json", {"epsilon": "abc"})

@@ -8,7 +8,7 @@ import pytest
 
 import netdecide.experiments as ex
 from netdecide.dynamics import Decision, DecisionConfig, classify_decision
-from netdecide.solver import SolverError
+from netdecide.solver import EstimatorRun, SolverError
 
 
 class TestPitchforkDiagram:
@@ -150,7 +150,7 @@ class TestAdaptive:
         d = res.diagnostics
         assert d["terminal_abs_y_minus_yth"] < 1e-3
         assert abs(d["terminal_dubar"]) < 0.01 * 1e-3
-        assert d["estimator_converged"]
+        assert d["estimator_error"] <= 1e-9
         assert d["ubar_c"] > 1.0
 
     def test_symmetric_effort_monotone_in_deadlock(self):
@@ -191,8 +191,15 @@ class TestAdaptive:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = ex.run_adaptive(ex.adaptive_scenario("symmetric", alpha=0.25))
-        assert res.diagnostics["estimator_converged"]
         assert res.diagnostics["estimator_error"] <= 1e-9
+
+    def test_estimator_at_time_cap_raises(self, monkeypatch):
+        def capped(w0, x, g, alpha, tol):
+            return EstimatorRun(np.asarray(w0), 20.0, 10 * tol, 0.0, 100, 3)
+
+        monkeypatch.setattr(ex, "integrate_nonsmooth", capped)
+        with pytest.raises(SolverError, match="estimator did not reach estimator_tol"):
+            ex.run_adaptive(ex.adaptive_scenario("symmetric"))
 
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError, match="unknown adaptive case"):

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from netdecide.experiments import graph_from_config
 from netdecide.graphs import (
     Graph,
     PopulationSpec,
     complete_graph,
     directed_ring,
-    graph_from_json,
     is_strongly_connected,
     lambda2,
     path_graph,
@@ -156,14 +156,15 @@ def test_simple_zero_eigenvalue_when_strongly_connected(weighted_3cycle):
 
 def test_json_round_trip(weighted_3cycle):
     g = weighted_3cycle
-    doc = json.dumps({"n": g.n, "weights": [float(x) for x in g.weights.ravel()]})
-    g2 = graph_from_json(doc)
+    doc = json.dumps({"kind": "weights", "n": g.n,
+                      "weights": [float(x) for x in g.weights.ravel()]})
+    g2 = graph_from_config(json.loads(doc))
     assert np.array_equal(g2.weights, weighted_3cycle.weights)
 
 
 def test_json_population_shorthand():
-    doc = json.dumps({"n1": 2, "n2": 2, "n3": 3})
-    g = graph_from_json(doc)
+    doc = json.dumps({"kind": "population", "n1": 2, "n2": 2, "n3": 3})
+    g = graph_from_config(json.loads(doc))
     assert g.n == 7
     assert g.groups is not None
 
@@ -171,9 +172,9 @@ def test_json_population_shorthand():
 @pytest.mark.parametrize("n", [2.5, "2", True])
 def test_json_rejects_non_integer_size(n):
     with pytest.raises(ValueError, match="integer"):
-        graph_from_json({"n": n, "weights": [[0, 1], [1, 0]]})
+        graph_from_config({"kind": "weights", "n": n, "weights": [[0, 1], [1, 0]]})
 
 
 def test_json_accepts_integral_float_size():
-    g = graph_from_json({"n": 2.0, "weights": [[0, 1], [1, 0]]})
+    g = graph_from_config({"kind": "weights", "n": 2.0, "weights": [[0, 1], [1, 0]]})
     assert g.n == 2
