@@ -5,8 +5,11 @@ approximations for the structured network models.
 Every Newton solve on the extended unknown z = (x, p) goes through one
 bordered matrix [[J, f_p], [row]] (``_bordered``): the tangent of a branch,
 the arclength corrector, fold refinement, and the amplitude-constrained
-solve of branch switching.  A singular bordered matrix or a failed branch
-switch raises BifurcationError; nothing falls back to another method.
+solve of branch switching.  Arclength is measured in the RMS norm
+||x||^2/n + p^2 (``_arclength_weights``), so a step costs the same on a
+consensus branch x = y 1 at any network size n.  A singular bordered matrix
+or a failed branch switch raises BifurcationError; nothing falls back to
+another method.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .graphs import Graph, PopulationSpec
 
 NEWTON_TOL = 1e-12
 REFINE_TOL = 1e-8
-# Continuation step control: first and smallest arclength step, point budget.
+# Continuation step control: first and smallest RMS-arclength step, point budget.
 H0 = 0.01
 H_MIN = 1e-5
 MAX_POINTS = 20_000
@@ -68,14 +71,6 @@ class Equilibrium:
     tangent: np.ndarray | None = None
 
 
-def _make_equilibrium(x, param, jac):
-    n_unstable = int(np.sum(np.linalg.eigvals(jac).real > STABILITY_MARGIN))
-    sign, logdet = np.linalg.slogdet(jac)
-    return Equilibrium(x=np.asarray(x, dtype=float), param=float(param),
-                       n_unstable=n_unstable, det_sign=float(sign),
-                       log_abs_det=float(logdet))
-
-
 def newton_solve(f: Callable, jac: Callable, x0: np.ndarray,
                  tol: float = NEWTON_TOL, max_iter: int = 50) -> np.ndarray:
     """Damped Newton iteration to ||f||_inf <= tol."""
@@ -114,11 +109,14 @@ class ContinuationProblem:
     """Parameterized equilibrium problem f(x, p) = 0 with analytic Jacobians.
 
     jac_p defaults to a central finite difference when not supplied.
+    jac_sym, when supplied, returns a symmetric matrix similar to jac_x; the
+    stability of each branch point is then tagged by ``eigvalsh`` on it.
     """
 
     f: Callable[[np.ndarray, float], np.ndarray]
     jac_x: Callable[[np.ndarray, float], np.ndarray]
     jac_p: Callable[[np.ndarray, float], np.ndarray] | None = None
+    jac_sym: Callable[[np.ndarray, float], np.ndarray] | None = None
 
     def fp(self, x, p, h=1e-7):
         if self.jac_p is not None:
@@ -127,11 +125,22 @@ class ContinuationProblem:
 
 
 def normalized_problem(g: Graph, beta=None) -> ContinuationProblem:
-    """Continuation of the normalized network field over u."""
+    """Continuation of the normalized network field over u.
+
+    On an undirected graph, J = -D + u A diag(s) with s = sech^2(x) is similar
+    to the symmetric -D + u (r r^T o A), r = sqrt(s), by diag(r).
+    """
+    jac_sym = None
+    if g.is_undirected:
+        def jac_sym(x, u):
+            r = np.sqrt(sech2(x))
+            return -np.diag(g.degrees) + (u * r[:, None]) * g.weights * r
+
     return ContinuationProblem(
         f=lambda x, u: normalized_field(x, g, u, beta),
         jac_x=lambda x, u: jacobian(x, g, u),
         jac_p=lambda x, u: g.weights @ np.tanh(x),
+        jac_sym=jac_sym,
     )
 
 
@@ -172,6 +181,36 @@ class Branch:
     terminated: str = "range"
 
 
+def _equilibrium(problem, x, p) -> Equilibrium:
+    """Branch point (x, p) tagged with the number of unstable eigenvalues of
+    J and the sign and log-magnitude of det J.
+
+    With ``problem.jac_sym`` one ``eigvalsh`` gives all three; otherwise
+    ``eigvals`` gives the count of unstable eigenvalues and ``slogdet`` the
+    determinant.
+    """
+    if problem.jac_sym is None:
+        jac = np.atleast_2d(problem.jac_x(x, p))
+        n_unstable = int(np.sum(np.linalg.eigvals(jac).real > STABILITY_MARGIN))
+        sign, logdet = np.linalg.slogdet(jac)
+    else:
+        ev = np.linalg.eigvalsh(problem.jac_sym(x, p))
+        n_unstable = int(np.sum(ev > STABILITY_MARGIN))
+        sign = np.prod(np.sign(ev))
+        with np.errstate(divide="ignore"):
+            logdet = np.sum(np.log(np.abs(ev)))
+    return Equilibrium(x=np.asarray(x, dtype=float), param=float(p),
+                       n_unstable=n_unstable, det_sign=float(sign),
+                       log_abs_det=float(logdet))
+
+
+def _arclength_weights(n):
+    """Weights w of the RMS arclength norm z.(w z) = ||x||^2/n + p^2 on z = (x, p)."""
+    w = np.full(n + 1, 1.0 / n)
+    w[n] = 1.0
+    return w
+
+
 def _bordered(problem, x, p, row):
     """The bordered matrix [[J, f_p], [row]] of the extended system at (x, p)."""
     n = len(x)
@@ -183,7 +222,8 @@ def _bordered(problem, x, p, row):
 
 
 def _tangent(problem, x, p, reference):
-    """Unit tangent of the solution curve, oriented along `reference`.
+    """Tangent of the solution curve, of unit RMS arclength norm, oriented
+    along `reference`.
 
     The last row of the bordered system sets reference.tan = 1, which fixes
     the orientation; a singular bordered matrix raises BifurcationError.
@@ -196,7 +236,7 @@ def _tangent(problem, x, p, reference):
         tan = np.linalg.solve(bordered, rhs)
     except np.linalg.LinAlgError as exc:
         raise BifurcationError(f"singular bordered matrix at p = {p}") from exc
-    return tan / np.linalg.norm(tan)
+    return tan / np.sqrt(tan @ (_arclength_weights(n) * tan))
 
 
 def _correct(problem, z_pred, row):
@@ -244,18 +284,21 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
                     initial_reference: np.ndarray | None = None) -> Branch:
     """Pseudo-arclength predictor-corrector with singularity detection.
 
-    Steps grow from H0 up to h_max and halve down to H_MIN on corrector
-    failure.  Records stability flips, refines sign changes of det(J) and of
-    the parameter component of the tangent to REFINE_TOL in the parameter,
-    and classifies each refined point.  The first tangent is oriented along
-    `initial_reference` when given (e.g. away from a singular point after
-    branch switching), otherwise towards increasing parameter.
+    Arclength is RMS arclength, ||dx||^2/n + dp^2, so the point count on a
+    consensus branch does not grow with n.  Steps grow from H0 up to h_max
+    and halve down to H_MIN on corrector failure.  Records stability flips,
+    refines sign changes of det(J) and of the parameter component of the
+    tangent to REFINE_TOL in the parameter, and classifies each refined
+    point.  The first tangent is oriented along `initial_reference` when
+    given (e.g. away from a singular point after branch switching),
+    otherwise towards increasing parameter.
     """
     p_lo, p_hi = min(p_range), max(p_range)
     x = _solve_at_param(problem, np.asarray(x_start, dtype=float), p_start)
     branch = Branch()
-    eq = _make_equilibrium(x, p_start, np.atleast_2d(problem.jac_x(x, p_start)))
+    eq = _equilibrium(problem, x, p_start)
     n = len(x)
+    w = _arclength_weights(n)
     if initial_reference is not None:
         ref = np.asarray(initial_reference, dtype=float)
         ref = ref / np.linalg.norm(ref)
@@ -272,7 +315,7 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
         z_new = None
         while h >= H_MIN:
             z_pred = z + h * tan
-            z_new = _correct(problem, z_pred, tan)
+            z_new = _correct(problem, z_pred, w * tan)
             if z_new is not None:
                 break
             h *= 0.5
@@ -288,7 +331,7 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
             except BifurcationError:
                 branch.terminated = "range"
                 break
-            eq_end = _make_equilibrium(x_end, p_end, np.atleast_2d(problem.jac_x(x_end, p_end)))
+            eq_end = _equilibrium(problem, x_end, p_end)
             eq_end.tangent = _tangent(problem, x_end, p_end, tan)
             _detect_events(problem, branch, branch.points[-1], eq_end, symmetric_trunk)
             branch.points.append(eq_end)
@@ -296,8 +339,7 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
             break
 
         tan_new = _tangent(problem, z_new[:n], p_new, tan)
-        eq_new = _make_equilibrium(z_new[:n], p_new,
-                                   np.atleast_2d(problem.jac_x(z_new[:n], p_new)))
+        eq_new = _equilibrium(problem, z_new[:n], p_new)
         eq_new.tangent = tan_new
         _detect_events(problem, branch, branch.points[-1], eq_new, symmetric_trunk)
         branch.points.append(eq_new)
@@ -360,6 +402,7 @@ def _refine_fold(problem, eq_lo: Equilibrium, eq_hi: Equilibrium):
     parameter and 1e-7 in the state, not when the corrector failed first.
     """
     n = len(eq_lo.x)
+    w = _arclength_weights(n)
     z_lo = np.concatenate([eq_lo.x, [eq_lo.param]])
     z_hi = np.concatenate([eq_hi.x, [eq_hi.param]])
     tan_lo = eq_lo.tangent
@@ -372,7 +415,7 @@ def _refine_fold(problem, eq_lo: Equilibrium, eq_hi: Equilibrium):
         if closed():
             break
         z_mid_pred = 0.5 * (z_lo + z_hi)
-        z_mid = _correct(problem, z_mid_pred, tan_lo)
+        z_mid = _correct(problem, z_mid_pred, w * tan_lo)
         if z_mid is None:
             break
         tan_mid = _tangent(problem, z_mid[:n], z_mid[n], tan_lo)
@@ -441,8 +484,7 @@ def branch_switch(problem: ContinuationProblem, sp: SingularPoint,
     if z is None:
         raise BifurcationError(f"branch switch failed at amplitude {SWITCH_OFFSET:g} "
                                "(misclassified singular point?)")
-    x, p = z[:-1], z[-1]
-    return _make_equilibrium(x, p, np.atleast_2d(problem.jac_x(x, p)))
+    return _equilibrium(problem, z[:-1], z[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +497,8 @@ def y_s(u: float, tol: float = 1e-12) -> float:
     The polish stops when its step meets `tol` or when the residual is at the
     round-off level of its two terms; just above u = 1 the root is
     ill-conditioned and the step stalls above `tol`.  Raises BifurcationError
-    if neither happens within 50 Newton steps.
+    if the derivative rounds to 0 away from a root, or if neither happens
+    within 50 Newton steps.
     """
     if not np.isfinite(u):
         raise ValueError(f"effort u must be finite (got {u})")
@@ -465,6 +508,10 @@ def y_s(u: float, tol: float = 1e-12) -> float:
 
     def f(y):
         return y - u * float(np.tanh(y))
+
+    def at_roundoff(y):
+        term = u * float(np.tanh(y))
+        return abs(y - term) <= 2 * EPS * (abs(y) + abs(term))
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -478,12 +525,13 @@ def y_s(u: float, tol: float = 1e-12) -> float:
     for _ in range(50):
         df = 1.0 - u * float(sech2(y))
         if df == 0:
-            break
+            if at_roundoff(y):
+                return float(y)
+            raise BifurcationError(f"branch root: the Newton derivative rounds to 0 "
+                                   f"at y = {y} (u = {u})")
         step = f(y) / df
         y -= step
-        term = u * float(np.tanh(y))
-        if (abs(step) <= tol * max(1.0, abs(y))
-                or abs(y - term) <= 2 * EPS * (abs(y) + abs(term))):
+        if abs(step) <= tol * max(1.0, abs(y)) or at_roundoff(y):
             return float(y)
     raise BifurcationError(f"branch root did not converge in 50 Newton steps (u = {u})")
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import experiments as ex
 from .bifurcation import BifurcationError
 from .graphs import is_strongly_connected, lambda2
-from .solver import SolverError
+from .solver import DISCONNECTED_GRAPH, LAMBDA2_MIN, SolverError
 
 
 class ConfigError(ValueError):
@@ -134,7 +134,9 @@ def _adaptive_scenario(doc: dict, args):
         scenario = ex.adaptive_scenario(case, **doc)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-    lambda2(ex.graph_from_config(scenario.graph))   # the estimator's graph requirements
+    # the estimator's graph requirements: undirected, two agents, connected
+    if lambda2(ex.graph_from_config(scenario.graph)) <= LAMBDA2_MIN:
+        raise ConfigError(DISCONNECTED_GRAPH)
     return scenario, f"adaptive_{case}"
 
 

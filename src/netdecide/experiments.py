@@ -166,7 +166,7 @@ class PitchforkScenario:
     graph: dict = field(default_factory=lambda: {"kind": "complete", "n": 10})
     u_range: tuple[float, float] = (0.5, 1.5)
     u_branch_end: float = 2.2
-    h_max: float = 0.1
+    h_max: float = 0.1          # largest step, in RMS arclength ||dx||^2/n + du^2
 
     def __post_init__(self):
         # Each check is written so that NaN fails it.
@@ -343,7 +343,7 @@ class QuinticScenario:
     a13: float = 1.0
     beta_grid: tuple[float, ...] = (1.0, 3.0)
     u_range: tuple[float, float] = (0.4, 3.0)
-    h_max: float = 0.02
+    h_max: float = 0.02         # largest step, in RMS arclength ||dy||^2/3 + du^2
 
     def __post_init__(self):
         if not 0 <= self.u_range[0] < self.u_range[1]:
@@ -538,7 +538,7 @@ class ValueSensitivityScenario:
     n3: int = 80
     nu_grid: tuple[float, ...] = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
     u_scan: tuple[float, float] = (0.9, 1.1)
-    h_max: float = 0.02
+    h_max: float = 0.02         # largest step, in RMS arclength ||dy||^2/3 + du^2
 
     def __post_init__(self):
         if not all(nu > 0 for nu in self.nu_grid):

@@ -21,6 +21,10 @@ FMT = "%.17g"
 # Bisection width of an event time, unless four float spacings of t are wider.
 EVENT_TIME_TOL = 1e-9
 
+# The consensus estimator needs lambda2 above this: a connected undirected graph.
+LAMBDA2_MIN = 1e-12
+DISCONNECTED_GRAPH = "estimator requires a connected undirected graph (lambda2 > 0)"
+
 
 def write_csv(path: str | Path, header: list[str], columns) -> None:
     """One row per index of the equal-length columns; 17 significant digits."""
@@ -296,8 +300,8 @@ def integrate_nonsmooth(w0: np.ndarray, x: np.ndarray, g: Graph, alpha: float,
     if alpha <= 0:
         raise ValueError("estimator gain alpha must be positive")
     lam2 = lambda2(g)
-    if lam2 <= 1e-12:
-        raise SolverError("estimator requires a connected undirected graph (lambda2 > 0)")
+    if lam2 <= LAMBDA2_MIN:
+        raise SolverError(DISCONNECTED_GRAPH)
     lap = g.laplacian
     x = np.asarray(x, dtype=float)
     w = np.asarray(w0, dtype=float).copy()

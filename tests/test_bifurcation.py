@@ -27,7 +27,13 @@ from netdecide.bifurcation import (
     ystar_series,
 )
 from netdecide.dynamics import beta_vector, normalized_field, reduced3_field
-from netdecide.graphs import PopulationSpec, complete_graph, directed_ring, three_population_graph
+from netdecide.graphs import (
+    PopulationSpec,
+    complete_graph,
+    directed_ring,
+    path_graph,
+    three_population_graph,
+)
 from netdecide.solver import IntegratorConfig, integrate
 
 Y_S_2 = 1.9150080481545375    # bisection oracle, y = 2 tanh(y)
@@ -175,6 +181,25 @@ class TestScalarRoots:
         eps = np.finfo(float).eps
         assert abs(y - ref) <= 4 * eps * ref / (2 * (u - 1))
 
+    def test_y_s_within_2000_ulps_of_onset(self):
+        # Within a few float spacings above u = 1 the derivative 1 - u sech^2(y)
+        # can round to 0 at the bisection root; that root is accepted when its
+        # residual is at the round-off level of its two terms.
+        eps = np.finfo(float).eps
+        for k in range(1, 2001):
+            u = 1.0 + k * eps
+            y = y_s(u)
+            term = u * np.tanh(y)
+            assert abs(y - term) <= 2 * eps * (abs(y) + abs(term)), k
+
+    def test_y_s_vanishing_derivative_off_root_raises(self, monkeypatch):
+        # sech^2 = 1/u makes the derivative exactly 0, and with EPS < 0 no
+        # residual passes the round-off test.
+        monkeypatch.setattr(bif, "sech2", lambda y: 0.5)
+        monkeypatch.setattr(bif, "EPS", -1.0)
+        with pytest.raises(BifurcationError, match="derivative rounds to 0"):
+            y_s(2.0)
+
     def test_ystar_root_reports_nonconvergence(self):
         # A zero step tolerance cannot be met here: Newton alternates between
         # neighbouring floats around the root.
@@ -312,6 +337,27 @@ class TestContinuation:
                                  symmetric_trunk=True)
         assert len(branch.singular_points) == 1
         assert branch.singular_points[0].param == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("graph", [
+        {"kind": "complete", "n": 10},
+        {"kind": "complete", "n": 200},
+        {"kind": "weights", "weights": path_graph(8).weights.tolist()},
+    ], ids=["complete10", "complete200", "path8"])
+    def test_symmetric_tagging_matches_eigvals(self, graph):
+        # On an undirected graph each point is tagged by eigvalsh of jac_sym;
+        # the tags must equal those of eigvals/slogdet of jac_x itself.
+        problem = normalized_problem(ex.graph_from_config(graph))
+        assert problem.jac_sym is not None
+        res = ex.run_pitchfork_diagram(ex.PitchforkScenario(graph=graph))
+        points = [pt for br in (res.trunk, res.upper, res.lower) for pt in br.points]
+        for pt in points:
+            jac = problem.jac_x(pt.x, pt.param)
+            sign, _ = np.linalg.slogdet(jac)
+            assert pt.n_unstable == int(np.sum(real_parts(jac) > STABILITY_MARGIN))
+            assert pt.det_sign == sign
+
+    def test_directed_graph_has_no_symmetric_jacobian(self):
+        assert normalized_problem(directed_ring(6)).jac_sym is None
 
     def test_stability_flip_recorded(self, k10):
         problem = normalized_problem(k10)

@@ -231,6 +231,18 @@ class TestValidate:
         assert main(["validate", "--command", "adaptive", "--config", cfg]) == 2
         assert message in capsys.readouterr().err
 
+    def test_disconnected_adaptive_graph_exits_2(self, tmp_path, capsys):
+        # lambda2 = 0: the estimator cannot converge, so both commands reject
+        # the config at load instead of failing at run time.
+        cfg = write_cfg(tmp_path, "cfg.json",
+                        {"graph": {"kind": "weights", "n": 4, "weights": TWO_DYADS}})
+        assert main(["validate", "--command", "adaptive", "--config", cfg]) == 2
+        assert "connected undirected graph" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["adaptive", "--config", cfg, "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_adaptive_bad_type_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "cfg.json", {"epsilon": "abc"})
         assert main(["validate", "--command", "adaptive", "--config", cfg]) == 2

@@ -25,6 +25,16 @@ class TestPitchforkDiagram:
         doc = json.loads((tmp_path / "singular_points.json").read_text())
         assert [sp["refined"] for sp in doc["singular_points"]] == [True]
 
+    def test_point_count_independent_of_n(self):
+        # Steps are in RMS arclength, so the consensus branches x = y 1 take
+        # the same steps at any n.
+        counts = []
+        for n in (10, 200):
+            res = ex.run_pitchfork_diagram(
+                ex.PitchforkScenario(graph={"kind": "complete", "n": n}))
+            counts.append([len(br.points) for br in (res.trunk, res.upper, res.lower)])
+        assert counts[0] == counts[1]
+
     def test_three_population_equals_complete(self):
         scenario = ex.PitchforkScenario(
             graph={"kind": "population", "n1": 4, "n2": 4, "n3": 4})
