@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: simulate, continue, sweep, adaptive, validate.  Configs are JSON
-documents validated strictly (unknown keys rejected, numeric preconditions
-checked at load time); every run echoes its fully resolved configuration to
-config.json in the output directory so it can be reproduced exactly.
+documents validated strictly (unknown keys rejected); each scenario's
+constructor checks its runner's preconditions, so a config that loads is one
+its command can run, and validate is exactly that load step.  Every run echoes
+its fully resolved configuration to config.json in the output directory so it
+can be reproduced exactly.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure.
 The default output root is $NETDECIDE_OUT or ./netdecide_out.
@@ -22,24 +24,41 @@ import numpy as np
 
 from . import experiments as ex
 from .bifurcation import BifurcationError
-from .graphs import is_strongly_connected, lambda2
-from .solver import DISCONNECTED_GRAPH, LAMBDA2_MIN, SolverError
+from .solver import SolverError
 
 
 class ConfigError(ValueError):
     pass
 
 
-SWEEP_SCENARIOS = {
-    "value_sensitivity": (ex.ValueSensitivityScenario, ex.run_value_sensitivity),
-    "uninformed_influence": (ex.UninformedInfluenceScenario, ex.run_uninformed_influence),
-    "hysteresis": (ex.HysteresisScenario, ex.run_hysteresis),
-    "quintic_transition": (ex.QuinticScenario, ex.run_quintic_transition),
-    "reduction_demo": (ex.ReductionScenario, ex.run_reduction_demo),
-    "pitchfork_diagram": (ex.PitchforkScenario, ex.run_pitchfork_diagram),
+# Runners are named, not bound: they are looked up on `experiments` when a
+# command runs, so a runner rebound there (by a test or a tracer) is the one
+# that runs.
+COMMANDS = {
+    "simulate": (ex.SimulateScenario, "run_simulate"),
+    "continue": (ex.PitchforkScenario, "run_pitchfork_diagram"),
+    "adaptive": (ex.AdaptiveScenario, "run_adaptive"),
 }
 
-ADAPTIVE_CASES = ("symmetric", "case1", "case2")
+SWEEP_SCENARIOS = {
+    "value_sensitivity": (ex.ValueSensitivityScenario, "run_value_sensitivity"),
+    "uninformed_influence": (ex.UninformedInfluenceScenario, "run_uninformed_influence"),
+    "hysteresis": (ex.HysteresisScenario, "run_hysteresis"),
+    "quintic_transition": (ex.QuinticScenario, "run_quintic_transition"),
+    "reduction_demo": (ex.ReductionScenario, "run_reduction_demo"),
+    "pitchfork_diagram": (ex.PitchforkScenario, "run_pitchfork_diagram"),
+}
+
+# The line a command prints about its result, before "artifacts in ...".
+REPORTS = {
+    "simulate": lambda r: (f"terminal max-norm {r.terminal_norm:.6e}, "
+                           f"field max-norm {r.terminal_field_norm:.6e}, "
+                           f"decision {r.decision.value}"),
+    "continue": lambda r: f"singular points: {r.singular_params}",
+    "adaptive": lambda r: (f"ubar_c {r.diagnostics['ubar_c']}, "
+                           f"terminal |y| {abs(r.diagnostics['terminal_y']):.6f}, "
+                           f"terminal ubar {r.diagnostics['terminal_ubar']:.6f}"),
+}
 
 
 def _reject_constant(name: str):
@@ -60,9 +79,8 @@ def load_config(path: str | None) -> dict:
     return doc
 
 
-def build_scenario(cls, doc: dict, **extra):
+def build_scenario(cls, doc: dict):
     """Construct a scenario dataclass from a document, strictly."""
-    doc = {**doc, **extra}
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = sorted(set(doc) - set(fields))
     if unknown:
@@ -87,105 +105,45 @@ def _out_dir(args, default_name: str) -> Path:
     return Path(root) / default_name
 
 
-def _apply_seed(doc: dict, args) -> dict:
-    if getattr(args, "seed", None) is not None:
-        doc = {**doc, "seed": args.seed}
-    return doc
+def resolve(command: str, doc: dict, args):
+    """Load a command's config: (scenario, runner name, default output name).
+
+    Each scenario's constructor holds its runner's preconditions, so this is
+    the whole load step; validate runs it and nothing else.
+    """
+    doc = dict(doc)
+    if command == "sweep":
+        name = getattr(args, "scenario", None) or doc.get("scenario")
+        doc.pop("scenario", None)
+        if name not in SWEEP_SCENARIOS:
+            raise ConfigError(
+                f"unknown scenario {name!r}; valid scenarios: "
+                + ", ".join(sorted(SWEEP_SCENARIOS)))
+        cls, runner = SWEEP_SCENARIOS[name]
+    elif command == "adaptive":
+        case = getattr(args, "case", None) or doc.pop("case", "symmetric")
+        doc.pop("case", None)
+        if case not in ex.ADAPTIVE_CASES:
+            raise ConfigError(f"unknown adaptive case {case!r}; valid cases: "
+                              + ", ".join(ex.ADAPTIVE_CASES))
+        doc = {**ex.ADAPTIVE_CASES[case], **doc, "case": case}
+        cls, runner = COMMANDS[command]
+        name = f"adaptive_{case}"
+    else:
+        cls, runner = COMMANDS[command]
+        name = command
+    seed = getattr(args, "seed", None)
+    if seed is not None and "seed" in {f.name for f in dataclasses.fields(cls)}:
+        doc["seed"] = seed
+    return build_scenario(cls, doc), runner, name
 
 
-def _simulate_scenario(doc: dict, args):
-    scenario = build_scenario(ex.SimulateScenario, _apply_seed(doc, args))
-    ex.graph_from_config(scenario.graph)
-    return scenario, "simulate"
-
-
-def _continue_scenario(doc: dict, args):
-    scenario = build_scenario(ex.PitchforkScenario, doc)
-    if not is_strongly_connected(ex.graph_from_config(scenario.graph)):
-        raise ConfigError("continuation requires a strongly connected graph")
-    return scenario, "continue"
-
-
-def _sweep_scenario(doc: dict, args):
-    name = getattr(args, "scenario", None) or doc.pop("scenario", None)
-    if name not in SWEEP_SCENARIOS:
-        raise ConfigError(
-            f"unknown scenario {name!r}; valid scenarios: "
-            + ", ".join(sorted(SWEEP_SCENARIOS)))
-    doc.pop("scenario", None)
-    cls = SWEEP_SCENARIOS[name][0]
-    if "seed" in {f.name for f in dataclasses.fields(cls)}:
-        doc = _apply_seed(doc, args)
-    return build_scenario(cls, doc), name
-
-
-def _adaptive_scenario(doc: dict, args):
-    doc = _apply_seed(doc, args)
-    case = getattr(args, "case", None) or doc.pop("case", "symmetric")
-    if case not in ADAPTIVE_CASES:
-        raise ConfigError(f"unknown adaptive case {case!r}; valid cases: "
-                          + ", ".join(ADAPTIVE_CASES))
-    doc.pop("case", None)
-    known = {f.name for f in dataclasses.fields(ex.AdaptiveScenario)} - {"case"}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ConfigError(f"unknown config keys {unknown}; valid keys: {sorted(known)}")
-    try:
-        scenario = ex.adaptive_scenario(case, **doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
-    # the estimator's graph requirements: undirected, two agents, connected
-    if lambda2(ex.graph_from_config(scenario.graph)) <= LAMBDA2_MIN:
-        raise ConfigError(DISCONNECTED_GRAPH)
-    return scenario, f"adaptive_{case}"
-
-
-# (doc, args) -> (scenario, default output name); validate runs these too, so
-# it accepts exactly the configs the commands accept.
-SCENARIO_BUILDERS = {
-    "simulate": _simulate_scenario,
-    "continue": _continue_scenario,
-    "sweep": _sweep_scenario,
-    "adaptive": _adaptive_scenario,
-}
-
-
-def cmd_simulate(args) -> int:
-    scenario, name = _simulate_scenario(load_config(args.config), args)
+def cmd_run(args) -> int:
+    scenario, runner, name = resolve(args.command, load_config(args.config), args)
     out = _out_dir(args, name)
-    result = ex.run_simulate(scenario, out_dir=out)
-    print(f"terminal max-norm {result.terminal_norm:.6e}, "
-          f"field max-norm {result.terminal_field_norm:.6e}, "
-          f"decision {result.decision.value}")
-    print(f"artifacts in {out}")
-    return 0
-
-
-def cmd_continue(args) -> int:
-    scenario, name = _continue_scenario(load_config(args.config), args)
-    out = _out_dir(args, name)
-    result = ex.run_pitchfork_diagram(scenario, out_dir=out)
-    print(f"singular points: {result.singular_params}")
-    print(f"artifacts in {out}")
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    scenario, name = _sweep_scenario(load_config(args.config), args)
-    runner = SWEEP_SCENARIOS[name][1]
-    out = _out_dir(args, name)
-    runner(scenario, out_dir=out)
-    print(f"artifacts in {out}")
-    return 0
-
-
-def cmd_adaptive(args) -> int:
-    scenario, name = _adaptive_scenario(load_config(args.config), args)
-    out = _out_dir(args, name)
-    result = ex.run_adaptive(scenario, out_dir=out)
-    d = result.diagnostics
-    print(f"ubar_c {d['ubar_c']}, terminal |y| {abs(d['terminal_y']):.6f}, "
-          f"terminal ubar {d['terminal_ubar']:.6f}")
+    result = getattr(ex, runner)(scenario, out_dir=out)
+    if args.command in REPORTS:
+        print(REPORTS[args.command](result))
     print(f"artifacts in {out}")
     return 0
 
@@ -194,10 +152,10 @@ def cmd_validate(args) -> int:
     doc = load_config(args.config)
     command = args.command_name or doc.get("command")
     doc.pop("command", None)
-    if command not in SCENARIO_BUILDERS:
+    if command not in (*COMMANDS, "sweep"):
         raise ConfigError(
             f"validate needs a command (--command or a 'command' key); got {command!r}")
-    SCENARIO_BUILDERS[command](doc, args)
+    resolve(command, doc, args)
     print("config ok")
     return 0
 
@@ -218,22 +176,22 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate the model and classify the decision")
     common(p)
-    p.set_defaults(handler=cmd_simulate)
+    p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("continue", help="trace a bifurcation diagram")
     common(p)
-    p.set_defaults(handler=cmd_continue)
+    p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("sweep", help="run a named scenario sweep")
     p.add_argument("--scenario", help="scenario name ("
                    + ", ".join(sorted(SWEEP_SCENARIOS)) + ")")
     common(p)
-    p.set_defaults(handler=cmd_sweep)
+    p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("adaptive", help="run the adaptive closed loop")
-    p.add_argument("--case", choices=ADAPTIVE_CASES, help="qualitative case")
+    p.add_argument("--case", choices=list(ex.ADAPTIVE_CASES), help="qualitative case")
     common(p)
-    p.set_defaults(handler=cmd_adaptive)
+    p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("validate", help="check a config without running")
     p.add_argument("--command", dest="command_name",

@@ -36,9 +36,13 @@ from .graphs import (
     agent_count,
     complete_graph,
     directed_ring,
+    is_strongly_connected,
+    lambda2,
     three_population_graph,
 )
 from .solver import (
+    DISCONNECTED_GRAPH,
+    LAMBDA2_MIN,
     IntegratorConfig,
     SolverError,
     Trajectory,
@@ -89,6 +93,14 @@ def _graph_and_beta(graph_cfg: dict, beta_a: float, beta_b: float):
     if beta_a == 0.0 and beta_b == 0.0:
         return g, None
     raise ValueError("beta_a/beta_b require a population graph")
+
+
+def _check_continuation(name: str, p_range: tuple[float, float], h_max: float) -> None:
+    # Each check is written so that NaN fails it.
+    if not 0 <= p_range[0] < p_range[1]:
+        raise ValueError(f"{name} must be an increasing pair of nonnegative efforts")
+    if not h_max > 0:
+        raise ValueError("h_max must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +181,9 @@ class PitchforkScenario:
     h_max: float = 0.1          # largest step, in RMS arclength ||dx||^2/n + du^2
 
     def __post_init__(self):
-        # Each check is written so that NaN fails it.
-        if not 0 <= self.u_range[0] < self.u_range[1]:
-            raise ValueError("u_range must be an increasing pair of nonnegative efforts")
-        if not self.h_max > 0:
-            raise ValueError("h_max must be positive")
+        _check_continuation("u_range", self.u_range, self.h_max)
+        if not is_strongly_connected(graph_from_config(self.graph)):
+            raise ValueError("continuation requires a strongly connected graph")
 
 
 @dataclass
@@ -346,10 +356,7 @@ class QuinticScenario:
     h_max: float = 0.02         # largest step, in RMS arclength ||dy||^2/3 + du^2
 
     def __post_init__(self):
-        if not 0 <= self.u_range[0] < self.u_range[1]:
-            raise ValueError("u_range must be an increasing pair of nonnegative efforts")
-        if not self.h_max > 0:
-            raise ValueError("h_max must be positive")
+        _check_continuation("u_range", self.u_range, self.h_max)
 
     def population_spec(self) -> PopulationSpec:
         c = np.array([[1.0, self.a12, self.a13],
@@ -368,25 +375,19 @@ class QuinticDiagram:
     outer: list[bif.Branch]
 
 
-def _deadlock_start(spec: PopulationSpec, u0: float, beta: float) -> np.ndarray:
-    d1 = spec.degrees[0]
-    guess = np.array([beta / (d1 + u0), -beta / (d1 + u0), 0.0])
-    return bif.newton_solve(lambda y: reduced3_field(y, spec, u0, beta, beta),
-                            lambda y: bif.reduced3_jacobian(y, spec, u0),
-                            guess)
-
-
 def run_quintic_transition(scenario: QuinticScenario = QuinticScenario(),
                            out_dir=None) -> list[QuinticDiagram]:
     """Classify the bifurcation diagram of the symmetric trunk per beta."""
     spec = scenario.population_spec()
+    u0 = scenario.u_range[0]
+    d1 = spec.degrees[0]
     diagrams = []
     for beta in scenario.beta_grid:
         problem = bif.reduced3_problem(spec, beta, beta)
-        u0 = scenario.u_range[0]
-        trunk = bif.continue_branch(problem, _deadlock_start(spec, u0, beta), u0,
-                                    scenario.u_range, h_max=scenario.h_max,
-                                    symmetric_trunk=True)
+        # continue_branch Newton-solves its start from this deadlock guess
+        start = np.array([beta / (d1 + u0), -beta / (d1 + u0), 0.0])
+        trunk = bif.continue_branch(problem, start, u0, scenario.u_range,
+                                    h_max=scenario.h_max, symmetric_trunk=True)
         pitchforks = [sp for sp in trunk.singular_points if sp.kind == "pitchfork"]
         outer = []
         folds = []
@@ -395,25 +396,18 @@ def run_quintic_transition(scenario: QuinticScenario = QuinticScenario(),
         if pitchforks:
             sp = pitchforks[0]
             u_star = sp.param
-            ok = True
             for direction in (+1, -1):
-                try:
-                    seed = bif.branch_switch(problem, sp, direction)
-                except bif.BifurcationError:
-                    ok = False
-                    break
+                seed = bif.branch_switch(problem, sp, direction)
                 ref = np.concatenate([seed.x - sp.x, [seed.param - sp.param]])
                 br = bif.continue_branch(problem, seed.x, seed.param,
-                                         (scenario.u_range[0] / 2, scenario.u_range[1]),
+                                         (u0 / 2, scenario.u_range[1]),
                                          h_max=scenario.h_max, initial_reference=ref)
                 outer.append(br)
                 folds += [s.param for s in br.singular_points if s.kind == "fold"]
-            if ok:
-                n_folds = len(folds)
-                if n_folds == 0:
-                    classification = "supercritical"
-                elif n_folds == 2:
-                    classification = "subcritical-with-two-folds"
+            if len(folds) == 0:
+                classification = "supercritical"
+            elif len(folds) == 2:
+                classification = "subcritical-with-two-folds"
         diagrams.append(QuinticDiagram(beta=beta, classification=classification,
                                        u_star=u_star, fold_params=sorted(folds),
                                        trunk=trunk, outer=outer))
@@ -543,6 +537,9 @@ class ValueSensitivityScenario:
     def __post_init__(self):
         if not all(nu > 0 for nu in self.nu_grid):
             raise ValueError("alternative values nu must be positive")
+        if self.n1 != self.n2:
+            raise ValueError("value-sensitivity scenario requires n1 = n2")
+        _check_continuation("u_scan", self.u_scan, self.h_max)
 
 
 def _u_star_continuation(n: int, n3: int, beta: float, u_scan: tuple[float, float],
@@ -576,8 +573,6 @@ def run_value_sensitivity(scenario: ValueSensitivityScenario = ValueSensitivityS
     Equal-value alternatives: the inertia is 1/nu, the normalized information
     strength is beta = nu^2, and the raw effort is u_S = u / nu.
     """
-    if scenario.n1 != scenario.n2:
-        raise ValueError("value-sensitivity scenario requires n1 = n2")
     n, n3 = scenario.n1, scenario.n3
     big_n = 2 * n + n3
     nu_grid = np.array(scenario.nu_grid, dtype=float)
@@ -609,6 +604,10 @@ class UninformedInfluenceScenario:
     def __post_init__(self):
         if not all(nu > 0 for nu in self.nu_grid):
             raise ValueError("alternative values nu must be positive")
+        for n3 in self.n3_values:
+            if (self.n_total - n3) % 2 != 0 or self.n_total - n3 < 2:
+                raise ValueError(f"n1 = n2 = (N - n3)/2 must be a positive integer; "
+                                 f"got N = {self.n_total}, n3 = {n3}")
 
 
 @dataclass
@@ -624,9 +623,6 @@ def run_uninformed_influence(scenario: UninformedInfluenceScenario = UninformedI
     nu_grid = np.array(scenario.nu_grid, dtype=float)
     curves = {}
     for n3 in scenario.n3_values:
-        if (scenario.n_total - n3) % 2 != 0 or scenario.n_total - n3 < 2:
-            raise ValueError(f"n1 = n2 = (N - n3)/2 must be a positive integer; "
-                             f"got N = {scenario.n_total}, n3 = {n3}")
         curves[n3] = np.array([bif.us_star_hat(nu, scenario.n_total, n3) for nu in nu_grid])
     ordered = True
     n3s = sorted(scenario.n3_values)
@@ -686,6 +682,12 @@ class AdaptiveScenario:
             raise ValueError("estimator gain and tolerance must be positive")
         if not (self.escape_band > 0 and self.stop_tol > 0):
             raise ValueError("bands and tolerances must be positive")
+        if not self.horizon_factor > 0:
+            raise ValueError("horizon_factor must be positive")
+        # the estimator's graph requirements: undirected, two agents, connected
+        g, _ = _graph_and_beta(self.graph, self.beta_a, self.beta_b)
+        if lambda2(g) <= LAMBDA2_MIN:
+            raise ValueError(DISCONNECTED_GRAPH)
         if self.epsilon > 0.1:
             warnings.warn(
                 f"epsilon = {self.epsilon} is large; the slow/fast timescale "
@@ -694,22 +696,23 @@ class AdaptiveScenario:
             )
 
 
+# Scenario defaults per qualitative case of the adaptive dynamics.
+ADAPTIVE_CASES = {
+    "symmetric": {},
+    "case1": dict(graph={"kind": "population", "n1": 2, "n2": 2, "n3": 6},
+                  beta_a=0.3, beta_b=0.2, ubar0=0.5),
+    "case2": dict(graph={"kind": "population", "n1": 2, "n2": 2, "n3": 2,
+                         "coupling": [[1.0, 0.25, 1.0], [0.25, 1.0, 1.0], [1.0, 1.0, 1.0]]},
+                  beta_a=3.05, beta_b=3.0, ubar0=1.2, y_th=1.0, jump_band=0.45),
+}
+
+
 def adaptive_scenario(case: str, **overrides) -> AdaptiveScenario:
-    """Scenario defaults per qualitative case of the adaptive dynamics."""
-    if case == "symmetric":
-        base = {}
-    elif case == "case1":
-        base = dict(graph={"kind": "population", "n1": 2, "n2": 2, "n3": 6},
-                    beta_a=0.3, beta_b=0.2, ubar0=0.5)
-    elif case == "case2":
-        base = dict(graph={"kind": "population", "n1": 2, "n2": 2, "n3": 2,
-                           "coupling": [[1.0, 0.25, 1.0], [0.25, 1.0, 1.0], [1.0, 1.0, 1.0]]},
-                    beta_a=3.05, beta_b=3.0, ubar0=1.2, y_th=1.0, jump_band=0.45)
-    else:
+    """The scenario of a qualitative case, with its defaults overridden."""
+    if case not in ADAPTIVE_CASES:
         raise ValueError(f"unknown adaptive case {case!r}; "
-                         "expected symmetric, case1, or case2")
-    base.update(overrides)
-    return AdaptiveScenario(case=case, **base)
+                         "expected " + ", ".join(ADAPTIVE_CASES))
+    return AdaptiveScenario(case=case, **{**ADAPTIVE_CASES[case], **overrides})
 
 
 @dataclass
@@ -850,6 +853,7 @@ class SimulateScenario:
             raise ValueError("horizon and tolerances must be positive")
         if not (self.eta > 0 and self.delta_tol >= 0):
             raise ValueError("decision thresholds must be positive")
+        _graph_and_beta(self.graph, self.beta_a, self.beta_b)
 
 
 @dataclass

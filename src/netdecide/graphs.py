@@ -148,16 +148,12 @@ def path_graph(n: int, weight: float = 1.0) -> Graph:
 
 def _reachable(mask: np.ndarray, start: int) -> np.ndarray:
     """Boolean reachability from `start` in the digraph with arcs i->j where mask[i, j]."""
-    n = mask.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        i = stack.pop()
-        for j in np.nonzero(mask[i])[0]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(int(j))
+    seen = np.zeros(mask.shape[0], dtype=bool)
+    frontier = seen.copy()
+    frontier[start] = True
+    while frontier.any():
+        seen |= frontier
+        frontier = mask[frontier].any(axis=0) & ~seen
     return seen
 
 

@@ -428,9 +428,10 @@ class TestContinuation:
         scenario, beta = ex.QuinticScenario(), 3.0
         spec, u0 = scenario.population_spec(), scenario.u_range[0]
         quintic = reduced3_problem(spec, beta, beta)
-        quintic_branch = continue_branch(quintic, ex._deadlock_start(spec, u0, beta), u0,
-                                         scenario.u_range, h_max=scenario.h_max,
-                                         symmetric_trunk=True)
+        d1 = spec.degrees[0]
+        deadlock = np.array([beta / (d1 + u0), -beta / (d1 + u0), 0.0])
+        quintic_branch = continue_branch(quintic, deadlock, u0, scenario.u_range,
+                                         h_max=scenario.h_max, symmetric_trunk=True)
         for problem, branch in ((k10_problem, k10_branch), (quintic, quintic_branch)):
             sp = next(sp for sp in branch.singular_points if sp.kind == "pitchfork")
             for direction in (+1, -1):

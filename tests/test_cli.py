@@ -81,13 +81,20 @@ class TestSimulate:
         assert header.split(",")[-1] == "x_10"
 
     def test_linalg_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # Each command looks its runner up on `experiments` when it runs, so
+        # a runner rebound there is the one that runs.
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(ex, "run_simulate", singular)
         cfg = write_cfg(tmp_path, "cfg.json", {"u": 0.5})
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        for runner, argv in [("run_simulate", ["simulate", "--config", cfg]),
+                             ("run_pitchfork_diagram", ["continue"]),
+                             ("run_adaptive", ["adaptive"]),
+                             ("run_hysteresis", ["sweep", "--scenario", "hysteresis"])]:
+            with monkeypatch.context() as m:
+                m.setattr(ex, runner, singular)
+                assert main(argv + ["--out", str(tmp_path / runner)]) == 3, runner
+            assert "numerical failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("graph", [{"kind": "directed_ring", "n": 0},
                                        {"kind": "weights", "weights": []}])
@@ -241,6 +248,32 @@ class TestValidate:
         out = tmp_path / "out"
         assert main(["adaptive", "--config", cfg, "--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("sweep", {"scenario": "value_sensitivity", "h_max": 0}, "h_max must be positive"),
+        ("sweep", {"scenario": "value_sensitivity", "u_scan": [1.1, 0.9]}, "u_scan"),
+        ("sweep", {"scenario": "value_sensitivity", "n1": 10, "n2": 12}, "n1 = n2"),
+        ("sweep", {"scenario": "uninformed_influence", "n3_values": [2]}, "integer"),
+        ("sweep", {"scenario": "pitchfork_diagram",
+                   "graph": {"kind": "weights", "n": 4, "weights": TWO_DYADS}},
+         "strongly connected"),
+        ("simulate", {"beta_a": 1.0}, "require a population graph"),
+        ("adaptive", {"beta_a": 1.0}, "require a population graph"),
+        ("adaptive", {"horizon_factor": 0}, "horizon_factor must be positive"),
+    ], ids=["value_sensitivity-h_max", "value_sensitivity-u_scan",
+            "value_sensitivity-n1_n2", "uninformed_influence-n3",
+            "pitchfork_diagram-disconnected", "simulate-beta", "adaptive-beta",
+            "adaptive-horizon_factor"])
+    def test_runner_preconditions_checked_at_load(self, tmp_path, capsys,
+                                                  command, doc, message):
+        # validate is the load step of each command, so it rejects every
+        # config its command would reject, and the command writes nothing.
+        cfg = write_cfg(tmp_path, "cfg.json", doc)
+        assert main(["validate", "--command", command, "--config", cfg]) == 2
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count(message) == 2
         assert not out.exists()
 
     def test_adaptive_bad_type_exits_2(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import netdecide.bifurcation as bif
 import netdecide.experiments as ex
 from netdecide.dynamics import Decision, DecisionConfig, classify_decision
 from netdecide.solver import EstimatorRun, SolverError
@@ -92,6 +93,13 @@ class TestQuinticTransition:
         assert by_beta[3.0].classification == "subcritical-with-two-folds"
         assert len(by_beta[3.0].fold_params) == 2
         assert all(f < by_beta[3.0].u_star for f in by_beta[3.0].fold_params)
+
+    def test_failed_branch_switch_raises(self, monkeypatch):
+        # A pitchfork whose branches cannot be seeded is a failure, not an
+        # "ambiguous" diagram.
+        monkeypatch.setattr(bif, "_amplitude_solve", lambda problem, sp, a: None)
+        with pytest.raises(bif.BifurcationError, match="branch switch failed"):
+            ex.run_quintic_transition(ex.QuinticScenario(beta_grid=(1.0,)))
 
 
 class TestReductionDemo:

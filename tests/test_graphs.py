@@ -63,6 +63,15 @@ def test_strong_connectivity_cases():
     assert is_strongly_connected(directed_ring(6))
 
 
+@given(st.integers(1, 8), st.integers(0, 10_000), st.floats(0.05, 0.6))
+def test_strong_connectivity_matches_transitive_closure(n, seed, density):
+    rng = np.random.default_rng(seed)
+    w = (rng.uniform(size=(n, n)) < density) * rng.uniform(0.5, 2.0, (n, n))
+    np.fill_diagonal(w, 0.0)
+    closure = np.linalg.matrix_power(np.eye(n) + (w > 0), n - 1) > 0
+    assert is_strongly_connected(Graph(w)) == bool(closure.all())
+
+
 def test_lambda2_known_spectra():
     assert lambda2(complete_graph(7)) == pytest.approx(7.0, abs=1e-10)
     assert lambda2(path_graph(3)) == pytest.approx(1.0, abs=1e-10)
