@@ -7,9 +7,14 @@ bordered matrix [[J, f_p], [row]] (``_bordered``): the tangent of a branch,
 the arclength corrector, fold refinement, and the amplitude-constrained
 solve of branch switching.  Arclength is measured in the RMS norm
 ||x||^2/n + p^2 (``_arclength_weights``), so a step costs the same on a
-consensus branch x = y 1 at any network size n.  A singular bordered matrix
-or a failed branch switch raises BifurcationError; nothing falls back to
-another method.
+consensus branch x = y 1 at any network size n.  A singular bordered matrix,
+a failed branch switch or a failed solve at the end of the range raises
+BifurcationError; nothing falls back to another method.
+
+A pitchfork diagram is ``trace_trunk`` (the symmetric trunk and its first
+pitchfork), then ``switched_branches`` (the two branches bifurcating there).
+``ubar_star`` and ``ustar_numeric`` share one scan for a det(J) sign change,
+``_first_det_flip``.
 """
 
 from __future__ import annotations
@@ -71,14 +76,13 @@ class Equilibrium:
     tangent: np.ndarray | None = None
 
 
-def newton_solve(f: Callable, jac: Callable, x0: np.ndarray,
-                 tol: float = NEWTON_TOL, max_iter: int = 50) -> np.ndarray:
-    """Damped Newton iteration to ||f||_inf <= tol."""
+def newton_solve(f: Callable, jac: Callable, x0: np.ndarray) -> np.ndarray:
+    """Damped Newton iteration to ||f||_inf <= NEWTON_TOL within 50 steps."""
     x = np.asarray(x0, dtype=float).copy()
     fx = np.atleast_1d(f(x))
     norm = np.abs(fx).max()
-    for _ in range(max_iter):
-        if norm <= tol:
+    for _ in range(50):
+        if norm <= NEWTON_TOL:
             return x
         try:
             step = np.linalg.solve(np.atleast_2d(jac(x)), -fx)
@@ -89,13 +93,13 @@ def newton_solve(f: Callable, jac: Callable, x0: np.ndarray,
             x_new = x + lam * step
             f_new = np.atleast_1d(f(x_new))
             norm_new = np.abs(f_new).max()
-            if norm_new < norm or norm_new <= tol:
+            if norm_new < norm or norm_new <= NEWTON_TOL:
                 break
             lam *= 0.5
         else:
             raise BifurcationError("Newton damping failed to reduce the residual")
         x, fx, norm = x_new, f_new, norm_new
-    if norm <= tol:
+    if norm <= NEWTON_TOL:
         return x
     raise BifurcationError(f"Newton did not converge (residual {norm:.3e})")
 
@@ -108,7 +112,8 @@ def newton_solve(f: Callable, jac: Callable, x0: np.ndarray,
 class ContinuationProblem:
     """Parameterized equilibrium problem f(x, p) = 0 with analytic Jacobians.
 
-    jac_p defaults to a central finite difference when not supplied.
+    jac_p defaults to a central finite difference of step 1e-7 when not
+    supplied.
     jac_sym, when supplied, returns a symmetric matrix similar to jac_x; the
     stability of each branch point is then tagged by ``eigvalsh`` on it.
     """
@@ -118,9 +123,10 @@ class ContinuationProblem:
     jac_p: Callable[[np.ndarray, float], np.ndarray] | None = None
     jac_sym: Callable[[np.ndarray, float], np.ndarray] | None = None
 
-    def fp(self, x, p, h=1e-7):
+    def fp(self, x, p):
         if self.jac_p is not None:
             return self.jac_p(x, p)
+        h = 1e-7
         return (np.atleast_1d(self.f(x, p + h)) - np.atleast_1d(self.f(x, p - h))) / (2 * h)
 
 
@@ -323,27 +329,19 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
             branch.terminated = "corrector failure"
             break
 
-        p_new = z_new[n]
-        if p_new > p_hi or p_new < p_lo:
-            p_end = p_hi if p_new > p_hi else p_lo
-            try:
-                x_end = _solve_at_param(problem, z_new[:n], p_end)
-            except BifurcationError:
-                branch.terminated = "range"
-                break
-            eq_end = _equilibrium(problem, x_end, p_end)
-            eq_end.tangent = _tangent(problem, x_end, p_end, tan)
-            _detect_events(problem, branch, branch.points[-1], eq_end, symmetric_trunk)
-            branch.points.append(eq_end)
-            branch.terminated = "range"
-            break
-
-        tan_new = _tangent(problem, z_new[:n], p_new, tan)
-        eq_new = _equilibrium(problem, z_new[:n], p_new)
-        eq_new.tangent = tan_new
+        x_new, p_new = z_new[:n], z_new[n]
+        past_end = not p_lo <= p_new <= p_hi
+        if past_end:
+            # the last point is solved at the end of the range itself
+            p_new = p_hi if p_new > p_hi else p_lo
+            x_new = _solve_at_param(problem, x_new, p_new)
+        eq_new = _equilibrium(problem, x_new, p_new)
+        eq_new.tangent = _tangent(problem, x_new, p_new, tan)
         _detect_events(problem, branch, branch.points[-1], eq_new, symmetric_trunk)
         branch.points.append(eq_new)
-        z, tan = z_new, tan_new
+        if past_end:
+            break                       # branch.terminated keeps its "range"
+        z, tan = z_new, eq_new.tangent
         h = min(h * 1.3, h_max)
     else:
         branch.terminated = "max points"
@@ -487,6 +485,31 @@ def branch_switch(problem: ContinuationProblem, sp: SingularPoint,
     return _equilibrium(problem, z[:-1], z[-1])
 
 
+def trace_trunk(problem: ContinuationProblem, x_start: np.ndarray,
+                p_range: tuple[float, float], h_max: float
+                ) -> tuple[Branch, SingularPoint | None]:
+    """Continue the symmetric trunk from p_range[0] over p_range; return it
+    with its first pitchfork, or None when it has none."""
+    trunk = continue_branch(problem, x_start, p_range[0], p_range, h_max=h_max,
+                            symmetric_trunk=True)
+    pitchforks = [sp for sp in trunk.singular_points if sp.kind == "pitchfork"]
+    return trunk, (pitchforks[0] if pitchforks else None)
+
+
+def switched_branches(problem: ContinuationProblem, sp: SingularPoint,
+                      p_range: tuple[float, float], h_max: float) -> list[Branch]:
+    """Continue the two branches bifurcating at pitchfork `sp` over p_range,
+    seeded by branch_switch in direction +1, then -1, and each oriented away
+    from `sp`."""
+    branches = []
+    for direction in (+1, -1):
+        seed = branch_switch(problem, sp, direction)
+        ref = np.concatenate([seed.x - sp.x, [seed.param - sp.param]])
+        branches.append(continue_branch(problem, seed.x, seed.param, p_range,
+                                        h_max=h_max, initial_reference=ref))
+    return branches
+
+
 # ---------------------------------------------------------------------------
 # Scalar roots and closed-form approximations
 # ---------------------------------------------------------------------------
@@ -580,46 +603,56 @@ def us_star_hat(nu: float, n_agents: int, n3: int) -> float:
     return 1.0 / nu + _ustar_coefficient(n_agents, n3) * nu ** 3
 
 
+def _first_det_flip(jac_at: Callable, grid: np.ndarray, tol: float) -> float | None:
+    """First parameter on `grid` where det(jac_at(p)) changes sign, or None.
+
+    Scans the grid for the first point whose sign is 0 or differs from the
+    next one, then bisects that bracket until it is at most tol wide and
+    returns its midpoint.
+    """
+    def sign_at(p):
+        return np.linalg.slogdet(jac_at(p))[0]
+
+    signs = [sign_at(p) for p in grid]
+    for lo, hi, s_lo, s_hi in zip(grid[:-1], grid[1:], signs[:-1], signs[1:]):
+        if s_lo == 0.0:
+            return float(lo)
+        if s_lo * s_hi < 0:
+            break
+    else:
+        return None
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        s_mid = sign_at(mid)
+        if s_mid == 0.0:
+            return float(mid)
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return float(0.5 * (lo + hi))
+
+
 def ustar_numeric(n: int, n3: int, beta: float,
-                  u_range: tuple[float, float] = (0.5, 3.0),
-                  tol: float = 1e-10) -> float:
+                  u_range: tuple[float, float] = (0.5, 3.0)) -> float:
     """Singular effort of the swap-symmetric reduced model, solved numerically.
 
     Finds the first zero of u -> det J3(y*(u), u) over the scan range, where
-    y*(u) solves the deadlock root equation; bisection to tol.
+    y*(u) solves the deadlock root equation; bisection to a bracket of 1e-10.
     """
     big_n = 2 * n + n3
     spec = PopulationSpec(n, n, n3)
 
-    def det_at(u):
+    def jac_at(u):
         ys = ystar_root(u, beta, big_n)
-        jac = reduced3_jacobian(np.array([ys, -ys, 0.0]), spec, u)
-        return float(np.linalg.det(jac))
+        return reduced3_jacobian(np.array([ys, -ys, 0.0]), spec, u)
 
-    grid = np.linspace(u_range[0], u_range[1], 61)
-    vals = [det_at(u) for u in grid]
-    bracket = None
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            return float(a)
-        if fa * fb < 0:
-            bracket = (a, b, fa)
-            break
-    if bracket is None:
+    u_star = _first_det_flip(jac_at, np.linspace(u_range[0], u_range[1], 61), 1e-10)
+    if u_star is None:
         raise BifurcationError(
             f"no singular point of the reduced model in u range {u_range}"
         )
-    lo, hi, f_lo = bracket
-    while hi - lo > tol * 0.5:
-        mid = 0.5 * (lo + hi)
-        f_mid = det_at(mid)
-        if f_mid == 0.0:
-            return float(mid)
-        if f_mid * f_lo > 0:
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+    return u_star
 
 
 @dataclass
@@ -628,14 +661,13 @@ class SingularEffort:
     null_right: np.ndarray
 
 
-def ubar_star(g: Graph, utilde: np.ndarray,
-              bracket: tuple[float, float] = (0.5, 1.5),
-              tol: float = 1e-12) -> SingularEffort:
+def ubar_star(g: Graph, utilde: np.ndarray) -> SingularEffort:
     """Mean effort at which the heterogeneous linearization at 0 is singular.
 
-    Scans det(-D + U A) for a sign change near ubar = 1 and bisects; also
-    returns the null right eigenvector normalized to unit mean.  The
-    heterogeneities utilde must sum to zero, so that ubar is the mean effort.
+    Scans det(-D + U A) over ubar in [0.5, 1.5] for a sign change near
+    ubar = 1 and bisects it to 1e-12; also returns the null right
+    eigenvector normalized to unit mean.  The heterogeneities utilde must
+    sum to zero, so that ubar is the mean effort.
     """
     utilde = np.asarray(utilde, dtype=float)
     if abs(utilde.sum()) > 1e-12:
@@ -649,37 +681,11 @@ def ubar_star(g: Graph, utilde: np.ndarray,
     def jac_at(ub):
         return jacobian(np.zeros(g.n), g, ub + utilde)
 
-    def sign_at(ub):
-        sign, _ = np.linalg.slogdet(jac_at(ub))
-        return sign
-
-    grid = np.linspace(bracket[0], bracket[1], 101)
-    signs = [sign_at(ub) for ub in grid]
-    pair = None
-    for a, b, sa, sb in zip(grid[:-1], grid[1:], signs[:-1], signs[1:]):
-        if sa == 0.0:
-            pair = (a, a)
-            break
-        if sa * sb < 0:
-            pair = (a, b)
-            break
-    if pair is None:
-        raise BifurcationError(f"no singular mean effort in bracket {bracket}")
-    lo, hi = pair
-    s_lo = sign_at(lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        s_mid = sign_at(mid)
-        if s_mid == 0.0:
-            lo = hi = mid
-            break
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    ub = 0.5 * (lo + hi)
+    ub = _first_det_flip(jac_at, np.linspace(0.5, 1.5, 101), 1e-12)
+    if ub is None:
+        raise BifurcationError("no singular mean effort in bracket (0.5, 1.5)")
     right, _ = null_vectors(jac_at(ub))
     mean = right.mean()
     if abs(mean) > 1e-12:
         right = right / mean
-    return SingularEffort(ubar=float(ub), null_right=right)
+    return SingularEffort(ubar=ub, null_right=right)

@@ -14,16 +14,19 @@ The default output root is $NETDECIDE_OUT or ./netdecide_out.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import math
 import os
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments as ex
 from .bifurcation import BifurcationError
+from .graphs import agent_count
 from .solver import SolverError
 
 
@@ -79,22 +82,43 @@ def load_config(path: str | None) -> dict:
     return doc
 
 
+def _field_value(key: str, value, annotation):
+    """`value` checked against its field's annotation: a list becomes a
+    tuple, and an int (a count or a seed) is what graphs.agent_count accepts."""
+    if isinstance(annotation, types.UnionType):             # float | None
+        if value is None:
+            return None
+        (annotation,) = [a for a in typing.get_args(annotation) if a is not type(None)]
+    if typing.get_origin(annotation) is tuple:
+        args = typing.get_args(annotation)
+        size = None if args[-1] is Ellipsis else len(args)
+        if not isinstance(value, list) or size not in (None, len(value)):
+            raise ConfigError(f"{key} must be a list" + (f" of {size} entries" if size else ""))
+        return tuple(_field_value(key, v, args[0]) for v in value)
+    if annotation is int:
+        return agent_count(value, key)
+    if annotation is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
+        return value
+    if not isinstance(value, annotation):
+        raise ConfigError(f"{key} must be a {annotation.__name__}, got {value!r}")
+    return value
+
+
 def build_scenario(cls, doc: dict):
-    """Construct a scenario dataclass from a document, strictly."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(doc) - set(fields))
+    """Construct a scenario dataclass from a document, strictly: each value
+    is checked against its field's annotation, then the constructor checks
+    the runner's preconditions."""
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(doc) - set(hints))
     if unknown:
         raise ConfigError(
-            f"unknown config keys {unknown}; valid keys: {sorted(fields)}")
-    coerced = {}
-    for key, value in doc.items():
-        ftype = fields[key].type
-        if isinstance(value, list) and "tuple" in str(ftype):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        coerced[key] = value
+            f"unknown config keys {unknown}; valid keys: {sorted(hints)}")
     try:
-        return cls(**coerced)
-    except (TypeError, ValueError) as exc:
+        return cls(**{key: _field_value(key, value, hints[key]) for key, value in doc.items()})
+    # OverflowError: an integer too large for a float
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
@@ -115,7 +139,7 @@ def resolve(command: str, doc: dict, args):
     if command == "sweep":
         name = getattr(args, "scenario", None) or doc.get("scenario")
         doc.pop("scenario", None)
-        if name not in SWEEP_SCENARIOS:
+        if not isinstance(name, str) or name not in SWEEP_SCENARIOS:
             raise ConfigError(
                 f"unknown scenario {name!r}; valid scenarios: "
                 + ", ".join(sorted(SWEEP_SCENARIOS)))
@@ -123,7 +147,7 @@ def resolve(command: str, doc: dict, args):
     elif command == "adaptive":
         case = getattr(args, "case", None) or doc.pop("case", "symmetric")
         doc.pop("case", None)
-        if case not in ex.ADAPTIVE_CASES:
+        if not isinstance(case, str) or case not in ex.ADAPTIVE_CASES:
             raise ConfigError(f"unknown adaptive case {case!r}; valid cases: "
                               + ", ".join(ex.ADAPTIVE_CASES))
         doc = {**ex.ADAPTIVE_CASES[case], **doc, "case": case}
@@ -133,7 +157,7 @@ def resolve(command: str, doc: dict, args):
         cls, runner = COMMANDS[command]
         name = command
     seed = getattr(args, "seed", None)
-    if seed is not None and "seed" in {f.name for f in dataclasses.fields(cls)}:
+    if seed is not None and "seed" in typing.get_type_hints(cls):
         doc["seed"] = seed
     return build_scenario(cls, doc), runner, name
 

@@ -4,8 +4,20 @@ transition, model-reduction demo, value-sensitivity curves, uninformed-agent
 influence, and the three adaptive-control cases.
 
 Every runner is deterministic given its scenario (seeded RNG, no wall-clock
-state) and can write a self-describing output directory: config.json with all
-defaults materialized, one or more CSV data files, and summary.json.
+state).  Given an out_dir it writes, through ``_write_outputs`` alone:
+config.json, the scenario with every default materialized; its CSV tables;
+and summary.json, whose ``config_sha256`` is the SHA-256 of the compact,
+sorted-key JSON of that same config dict (not of the bytes of config.json,
+which is indented).  The other files each runner writes:
+
+- run_pitchfork_diagram: branch_trunk.csv, and branch_upper.csv and
+  branch_lower.csv for the branches found; singular_points.json;
+- run_hysteresis: loop.csv;
+- run_quintic_transition: trunk_beta_<b>.csv for each b in beta_grid, and
+  outer0_beta_<b>.csv and outer1_beta_<b>.csv when that trunk has a pitchfork;
+- run_reduction_demo: trajectory.csv, reduced_trajectory.csv, spread.csv;
+- run_value_sensitivity, run_uninformed_influence: curves.csv;
+- run_adaptive, run_simulate: trajectory.csv.
 """
 
 from __future__ import annotations
@@ -59,15 +71,19 @@ from .solver import (
 # ---------------------------------------------------------------------------
 
 def graph_from_config(cfg: dict) -> Graph:
-    """Build a graph from a {"kind": ...} document."""
+    """Build a graph from a {"kind": ...} document; a missing size reads as None."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a graph must be a JSON object, got {cfg!r}")
     kind = cfg.get("kind")
     if kind == "complete":
-        return complete_graph(agent_count(cfg["n"], "n"), float(cfg.get("weight", 1.0)))
+        return complete_graph(agent_count(cfg.get("n"), "n"), float(cfg.get("weight", 1.0)))
     if kind == "directed_ring":
-        return directed_ring(agent_count(cfg["n"], "n"), float(cfg.get("weight", 1.0)))
+        return directed_ring(agent_count(cfg.get("n"), "n"), float(cfg.get("weight", 1.0)))
     if kind == "population":
         return three_population_graph(population_spec_from_config(cfg))
     if kind == "weights":
+        if "weights" not in cfg:
+            raise ValueError("a weights graph needs weights")
         w = np.array(cfg["weights"], dtype=float)
         n = agent_count(cfg["n"], "n") if "n" in cfg else int(round(len(np.ravel(w)) ** 0.5))
         return Graph(np.reshape(w, (n, n)))
@@ -77,7 +93,7 @@ def graph_from_config(cfg: dict) -> Graph:
 
 def population_spec_from_config(cfg: dict) -> PopulationSpec:
     coupling = np.array(cfg.get("coupling", np.ones((3, 3))), dtype=float)
-    sizes = [agent_count(cfg[key], key) for key in ("n1", "n2", "n3")]
+    sizes = [agent_count(cfg.get(key), key) for key in ("n1", "n2", "n3")]
     return PopulationSpec(*sizes, coupling=coupling.reshape(3, 3))
 
 
@@ -97,7 +113,7 @@ def _graph_and_beta(graph_cfg: dict, beta_a: float, beta_b: float):
 
 def _check_continuation(name: str, p_range: tuple[float, float], h_max: float) -> None:
     # Each check is written so that NaN fails it.
-    if not 0 <= p_range[0] < p_range[1]:
+    if len(p_range) != 2 or not 0 <= p_range[0] < p_range[1]:
         raise ValueError(f"{name} must be an increasing pair of nonnegative efforts")
     if not h_max > 0:
         raise ValueError("h_max must be positive")
@@ -116,8 +132,6 @@ def _as_jsonable(obj):
         return {k: _as_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_as_jsonable(v) for v in obj]
-    if isinstance(obj, Decision):
-        return obj.value
     return obj
 
 
@@ -125,33 +139,31 @@ def write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(_as_jsonable(doc), sort_keys=True, indent=2) + "\n")
 
 
-def config_hash(doc: dict) -> str:
-    blob = json.dumps(_as_jsonable(doc), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _scenario_dict(scenario) -> dict:
-    return _as_jsonable(dataclasses.asdict(scenario))
-
-
-def _prepare_out(out_dir, scenario) -> Path | None:
-    if out_dir is None:
-        return None
+def _write_outputs(out_dir, scenario, tables: dict, summary: dict,
+                   documents: dict | None = None) -> None:
+    """Write the output directory of a run (the contract in the module
+    docstring): config.json, one CSV per (header, columns) table, the JSON
+    documents, and summary.json led by config_sha256."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "config.json", _scenario_dict(scenario))
-    return out
+    config = _as_jsonable(dataclasses.asdict(scenario))
+    write_json(out / "config.json", config)
+    for name, (header, columns) in tables.items():
+        write_csv(out / name, header, columns)
+    for name, doc in (documents or {}).items():
+        write_json(out / name, doc)
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
+    write_json(out / "summary.json", {"config_sha256": digest, **summary})
 
 
-def _branch_csv(path: Path, branch: bif.Branch, state_names: list[str]) -> None:
+def _branch_table(branch: bif.Branch, state_names: list[str]):
     pts = branch.points
-    cols = [np.array([p.param for p in pts])]
-    header = ["param"] + state_names + ["n_unstable", "det_J"]
     states = np.array([p.x for p in pts])
-    cols += [states[:, i] for i in range(states.shape[1])]
-    cols.append(np.array([float(p.n_unstable) for p in pts]))
-    cols.append(np.array([p.det_sign * np.exp(min(p.log_abs_det, 700.0)) for p in pts]))
-    write_csv(path, header, cols)
+    header = ["param"] + state_names + ["n_unstable", "det_J"]
+    cols = [np.array([p.param for p in pts]), *states.T,
+            np.array([float(p.n_unstable) for p in pts]),
+            np.array([p.det_sign * np.exp(min(p.log_abs_det, 700.0)) for p in pts])]
+    return header, cols
 
 
 def _singular_points_doc(branches: dict[str, bif.Branch]) -> list[dict]:
@@ -199,19 +211,11 @@ def run_pitchfork_diagram(scenario: PitchforkScenario = PitchforkScenario(),
     """Trace the undecided trunk, locate its singularity, switch branches."""
     g = graph_from_config(scenario.graph)
     problem = bif.normalized_problem(g)
-    trunk = bif.continue_branch(problem, np.zeros(g.n), scenario.u_range[0],
-                                scenario.u_range, h_max=scenario.h_max,
-                                symmetric_trunk=True)
-    pitchforks = [sp for sp in trunk.singular_points if sp.kind == "pitchfork"]
+    trunk, sp = bif.trace_trunk(problem, np.zeros(g.n), scenario.u_range, scenario.h_max)
     upper = lower = None
-    if pitchforks:
-        sp = pitchforks[0]
-        for direction in (+1, -1):
-            seed = bif.branch_switch(problem, sp, direction)
-            ref = np.concatenate([seed.x - sp.x, [seed.param - sp.param]])
-            br = bif.continue_branch(problem, seed.x, seed.param,
-                                     (sp.param, scenario.u_branch_end),
-                                     h_max=scenario.h_max, initial_reference=ref)
+    if sp is not None:
+        for br in bif.switched_branches(problem, sp, (sp.param, scenario.u_branch_end),
+                                        scenario.h_max):
             # orient by the sign of the consensus component
             if br.points[-1].x.mean() >= 0:
                 upper = br
@@ -219,24 +223,18 @@ def run_pitchfork_diagram(scenario: PitchforkScenario = PitchforkScenario(),
                 lower = br
     result = PitchforkResult(trunk=trunk, upper=upper, lower=lower,
                              singular_params=[sp.param for sp in trunk.singular_points])
-    out = _prepare_out(out_dir, scenario)
-    if out is not None:
+    if out_dir is not None:
         names = [f"x_{i + 1}" for i in range(g.n)]
-        branches = {"trunk": trunk}
-        _branch_csv(out / "branch_trunk.csv", trunk, names)
-        if upper is not None:
-            _branch_csv(out / "branch_upper.csv", upper, names)
-            branches["upper"] = upper
-        if lower is not None:
-            _branch_csv(out / "branch_lower.csv", lower, names)
-            branches["lower"] = lower
-        write_json(out / "singular_points.json", {"singular_points": _singular_points_doc(branches)})
-        write_json(out / "summary.json", {
-            "config_sha256": config_hash(_scenario_dict(scenario)),
-            "singular_params": result.singular_params,
-            "singular_kinds": [sp.kind for sp in trunk.singular_points],
-            "n_trunk_points": len(trunk.points),
-        })
+        branches = {name: br for name, br in
+                    (("trunk", trunk), ("upper", upper), ("lower", lower)) if br is not None}
+        _write_outputs(out_dir, scenario,
+                       {f"branch_{name}.csv": _branch_table(br, names)
+                        for name, br in branches.items()},
+                       {"singular_params": result.singular_params,
+                        "singular_kinds": [sp.kind for sp in trunk.singular_points],
+                        "n_trunk_points": len(trunk.points)},
+                       {"singular_points.json":
+                        {"singular_points": _singular_points_doc(branches)}})
     return result
 
 
@@ -264,6 +262,7 @@ class HysteresisScenario:
             raise ValueError("information sweep grid must be increasing")
         if not (self.settle_tol > 0 and self.horizon > 0):
             raise ValueError("settle tolerance and horizon must be positive")
+        PopulationSpec(self.n1, self.n2, self.n3)
 
 
 @dataclass
@@ -321,15 +320,11 @@ def run_hysteresis(scenario: HysteresisScenario = HysteresisScenario(),
         width = switch_up - switch_down
 
     result = HysteresisResult(grid, y_up, y_down, switch_up, switch_down, width)
-    out = _prepare_out(out_dir, scenario)
-    if out is not None:
-        write_csv(out / "loop.csv", ["beta_b", "y_up", "y_down"], [grid, y_up, y_down])
-        write_json(out / "summary.json", {
-            "config_sha256": config_hash(_scenario_dict(scenario)),
-            "switch_up": switch_up,
-            "switch_down": switch_down,
-            "loop_width": width,
-        })
+    if out_dir is not None:
+        _write_outputs(out_dir, scenario,
+                       {"loop.csv": (["beta_b", "y_up", "y_down"], [grid, y_up, y_down])},
+                       {"switch_up": switch_up, "switch_down": switch_down,
+                        "loop_width": width})
     return result
 
 
@@ -357,6 +352,7 @@ class QuinticScenario:
 
     def __post_init__(self):
         _check_continuation("u_range", self.u_range, self.h_max)
+        self.population_spec()
 
     def population_spec(self) -> PopulationSpec:
         c = np.array([[1.0, self.a12, self.a13],
@@ -386,42 +382,27 @@ def run_quintic_transition(scenario: QuinticScenario = QuinticScenario(),
         problem = bif.reduced3_problem(spec, beta, beta)
         # continue_branch Newton-solves its start from this deadlock guess
         start = np.array([beta / (d1 + u0), -beta / (d1 + u0), 0.0])
-        trunk = bif.continue_branch(problem, start, u0, scenario.u_range,
-                                    h_max=scenario.h_max, symmetric_trunk=True)
-        pitchforks = [sp for sp in trunk.singular_points if sp.kind == "pitchfork"]
-        outer = []
-        folds = []
+        trunk, sp = bif.trace_trunk(problem, start, scenario.u_range, scenario.h_max)
+        outer = [] if sp is None else bif.switched_branches(
+            problem, sp, (u0 / 2, scenario.u_range[1]), scenario.h_max)
+        folds = sorted(s.param for br in outer for s in br.singular_points if s.kind == "fold")
         classification = "ambiguous"
-        u_star = None
-        if pitchforks:
-            sp = pitchforks[0]
-            u_star = sp.param
-            for direction in (+1, -1):
-                seed = bif.branch_switch(problem, sp, direction)
-                ref = np.concatenate([seed.x - sp.x, [seed.param - sp.param]])
-                br = bif.continue_branch(problem, seed.x, seed.param,
-                                         (u0 / 2, scenario.u_range[1]),
-                                         h_max=scenario.h_max, initial_reference=ref)
-                outer.append(br)
-                folds += [s.param for s in br.singular_points if s.kind == "fold"]
-            if len(folds) == 0:
-                classification = "supercritical"
-            elif len(folds) == 2:
-                classification = "subcritical-with-two-folds"
+        if sp is not None:
+            classification = {0: "supercritical",
+                              2: "subcritical-with-two-folds"}.get(len(folds), "ambiguous")
         diagrams.append(QuinticDiagram(beta=beta, classification=classification,
-                                       u_star=u_star, fold_params=sorted(folds),
-                                       trunk=trunk, outer=outer))
+                                       u_star=None if sp is None else sp.param,
+                                       fold_params=folds, trunk=trunk, outer=outer))
 
-    out = _prepare_out(out_dir, scenario)
-    if out is not None:
+    if out_dir is not None:
         names = ["y1", "y2", "y3"]
+        tables = {}
         for diag in diagrams:
             tag = ("%g" % diag.beta).replace(".", "p")
-            _branch_csv(out / f"trunk_beta_{tag}.csv", diag.trunk, names)
+            tables[f"trunk_beta_{tag}.csv"] = _branch_table(diag.trunk, names)
             for i, br in enumerate(diag.outer):
-                _branch_csv(out / f"outer{i}_beta_{tag}.csv", br, names)
-        write_json(out / "summary.json", {
-            "config_sha256": config_hash(_scenario_dict(scenario)),
+                tables[f"outer{i}_beta_{tag}.csv"] = _branch_table(br, names)
+        _write_outputs(out_dir, scenario, tables, {
             "classifications": {("%g" % d.beta): d.classification for d in diagrams},
             "u_star": {("%g" % d.beta): d.u_star for d in diagrams},
             "folds": {("%g" % d.beta): d.fold_params for d in diagrams},
@@ -449,6 +430,7 @@ class ReductionScenario:
     def __post_init__(self):
         if not (self.u >= 0 and self.t_end > 0 and self.bound_horizon > 0):
             raise ValueError("effort and horizons must be nonnegative/positive")
+        PopulationSpec(self.n1, self.n2, self.n3)
 
 
 @dataclass
@@ -505,14 +487,12 @@ def run_reduction_demo(scenario: ReductionScenario = ReductionScenario(),
         group_means_reduced=gm_red,
         max_group_diff=float(np.abs(gm_full - gm_red).max()),
     )
-    out = _prepare_out(out_dir, scenario)
-    if out is not None:
-        traj.to_csv(out / "trajectory.csv")
-        reduced.to_csv(out / "reduced_trajectory.csv")
-        write_csv(out / "spread.csv", ["t", "V", "bound"],
-                  [sample_times, spread_values, spread_bounds])
-        write_json(out / "summary.json", {
-            "config_sha256": config_hash(_scenario_dict(scenario)),
+    if out_dir is not None:
+        _write_outputs(out_dir, scenario, {
+            "trajectory.csv": traj.table(),
+            "reduced_trajectory.csv": reduced.table(),
+            "spread.csv": (["t", "V", "bound"], [sample_times, spread_values, spread_bounds]),
+        }, {
             "bound_satisfied": bound_ok,
             "group_means_full": gm_full,
             "group_means_reduced": gm_red,
@@ -535,27 +515,24 @@ class ValueSensitivityScenario:
     h_max: float = 0.02         # largest step, in RMS arclength ||dy||^2/3 + du^2
 
     def __post_init__(self):
-        if not all(nu > 0 for nu in self.nu_grid):
-            raise ValueError("alternative values nu must be positive")
+        if not (self.nu_grid and all(nu > 0 for nu in self.nu_grid)):
+            raise ValueError("alternative values nu must be positive, and at least one given")
         if self.n1 != self.n2:
             raise ValueError("value-sensitivity scenario requires n1 = n2")
         _check_continuation("u_scan", self.u_scan, self.h_max)
+        PopulationSpec(self.n1, self.n2, self.n3)
 
 
 def _u_star_continuation(n: int, n3: int, beta: float, u_scan: tuple[float, float],
                          h_max: float) -> float:
     """Singular effort of the deadlock branch located by continuation."""
-    big_n = 2 * n + n3
-    problem = bif.ata_problem(n, n3, beta)
-    ys = bif.ystar_root(u_scan[0], beta, big_n)
-    start = np.array([ys, -ys, 0.0])
-    branch = bif.continue_branch(problem, start, u_scan[0], u_scan, h_max=h_max,
-                                 symmetric_trunk=True)
-    pitchforks = [sp for sp in branch.singular_points if sp.kind == "pitchfork"]
-    if not pitchforks:
+    ys = bif.ystar_root(u_scan[0], beta, 2 * n + n3)
+    _, sp = bif.trace_trunk(bif.ata_problem(n, n3, beta), np.array([ys, -ys, 0.0]),
+                            u_scan, h_max)
+    if sp is None:
         raise bif.BifurcationError(
             f"no singular point on the deadlock branch in u range {u_scan}")
-    return float(pitchforks[0].param)
+    return float(sp.param)
 
 
 @dataclass
@@ -582,12 +559,11 @@ def run_value_sensitivity(scenario: ValueSensitivityScenario = ValueSensitivityS
     us_numeric = np.array(u_stars) / nu_grid
     rel_error = np.abs(us_hat - us_numeric) / us_numeric
     result = ValueSensitivityResult(nu_grid, us_hat, us_numeric, rel_error)
-    out = _prepare_out(out_dir, scenario)
-    if out is not None:
-        write_csv(out / "curves.csv", ["nu", "us_star_hat", "us_star_numeric", "rel_error"],
-                  [nu_grid, us_hat, us_numeric, rel_error])
-        write_json(out / "summary.json", {
-            "config_sha256": config_hash(_scenario_dict(scenario)),
+    if out_dir is not None:
+        _write_outputs(out_dir, scenario, {
+            "curves.csv": (["nu", "us_star_hat", "us_star_numeric", "rel_error"],
+                           [nu_grid, us_hat, us_numeric, rel_error]),
+        }, {
             "max_rel_error": float(rel_error.max()),
             "hat_decreasing": bool(np.all(np.diff(us_hat) < 0)),
             "numeric_decreasing": bool(np.all(np.diff(us_numeric) < 0)),
@@ -630,15 +606,11 @@ def run_uninformed_influence(scenario: UninformedInfluenceScenario = UninformedI
         if not np.all(curves[large] < curves[small]):
             ordered = False
     result = UninformedInfluenceResult(nu_grid, curves, ordered)
-    out = _prepare_out(out_dir, scenario)
-    if out is not None:
+    if out_dir is not None:
         header = ["nu"] + [f"us_hat_n3_{n3}" for n3 in scenario.n3_values]
         cols = [nu_grid] + [curves[n3] for n3 in scenario.n3_values]
-        write_csv(out / "curves.csv", header, cols)
-        write_json(out / "summary.json", {
-            "config_sha256": config_hash(_scenario_dict(scenario)),
-            "ordered_larger_n3_lower": ordered,
-        })
+        _write_outputs(out_dir, scenario, {"curves.csv": (header, cols)},
+                      {"ordered_larger_n3_lower": ordered})
     return result
 
 
@@ -817,13 +789,8 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
         raise SolverError("adaptive run reached its horizon without the group "
                           "opinion approaching the decision threshold")
     result = AdaptiveResult(trajectory=trajectory, diagnostics=diagnostics)
-    out = _prepare_out(out_dir, scenario)
-    if out is not None:
-        trajectory.to_csv(out / "trajectory.csv")
-        write_json(out / "summary.json", {
-            "config_sha256": config_hash(_scenario_dict(scenario)),
-            **diagnostics,
-        })
+    if out_dir is not None:
+        _write_outputs(out_dir, scenario, {"trajectory.csv": trajectory.table()}, diagnostics)
     return result
 
 
@@ -883,11 +850,8 @@ def run_simulate(scenario: SimulateScenario, out_dir=None) -> SimulateResult:
         terminal_field_norm=float(np.abs(f(traj.final_time, x_end)).max()),
         decision=decision,
     )
-    out = _prepare_out(out_dir, scenario)
-    if out is not None:
-        traj.to_csv(out / "trajectory.csv")
-        write_json(out / "summary.json", {
-            "config_sha256": config_hash(_scenario_dict(scenario)),
+    if out_dir is not None:
+        _write_outputs(out_dir, scenario, {"trajectory.csv": traj.table()}, {
             "terminal_norm": result.terminal_norm,
             "terminal_field_norm": result.terminal_field_norm,
             "decision": decision.value,

@@ -84,6 +84,8 @@ class PopulationSpec:
         for name, nk in (("n1", self.n1), ("n2", self.n2), ("n3", self.n3)):
             if int(nk) != nk or nk < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {nk}")
+        if self.n_total < 2:
+            raise ValueError("a population needs at least two agents")
         c = np.array(self.coupling, dtype=float)
         if c.shape != (3, 3):
             raise ValueError(f"coupling must be 3x3, got shape {c.shape}")
@@ -179,8 +181,6 @@ def three_population_graph(spec: PopulationSpec) -> Graph:
     """Block graph from a PopulationSpec; group index sets recorded in order."""
     sizes = spec.sizes
     n = spec.n_total
-    if n < 2:
-        raise ValueError("population graph needs at least two agents")
     bounds = np.cumsum((0,) + sizes)
     groups = tuple(np.arange(bounds[k], bounds[k + 1]) for k in range(3))
     w = np.zeros((n, n))
@@ -192,8 +192,10 @@ def three_population_graph(spec: PopulationSpec) -> Graph:
 
 
 def agent_count(value, key: str) -> int:
-    """An agent count from a JSON document: an integer, or a float equal to one."""
+    """A count from a JSON document: a nonnegative integer, or a float equal to one."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not float(value).is_integer()):
-        raise ValueError(f"graph size {key!r} must be an integer, got {value!r}")
+            or not (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{key!r} must be nonnegative, got {value!r}")
     return int(value)

@@ -87,12 +87,15 @@ class Trajectory:
     def final_time(self) -> float:
         return float(self.times[-1])
 
-    def to_csv(self, path: str | Path) -> None:
-        """Header: t, x_1..x_N, then the channels in insertion order;
-        17 significant digits."""
+    def table(self) -> tuple[list[str], list[np.ndarray]]:
+        """(header, columns): t, x_1..x_N, then the channels in insertion order."""
         n = self.states.shape[1]
         header = ["t"] + [f"x_{i + 1}" for i in range(n)] + list(self.channels)
-        write_csv(path, header, [self.times, *self.states.T, *self.channels.values()])
+        return header, [self.times, *self.states.T, *self.channels.values()]
+
+    def to_csv(self, path: str | Path) -> None:
+        """The table as CSV, 17 significant digits."""
+        write_csv(path, *self.table())
 
 
 @dataclass(frozen=True)

@@ -480,6 +480,21 @@ class TestContinuation:
         monkeypatch.setattr(bif, "_solve_at_param", fail)
         assert not bif._refine_det_flip(problem, lo, hi).refined
 
+    def test_failed_end_solve_raises(self, k10, monkeypatch):
+        # A branch whose solve at the end of its range fails is a failure, not
+        # a branch reported as ending at "range" without its end point.
+        solve = bif._solve_at_param
+
+        def fail_at_end(problem, x_guess, p):
+            if p == 1.5:
+                raise BifurcationError("no convergence at the range end")
+            return solve(problem, x_guess, p)
+
+        monkeypatch.setattr(bif, "_solve_at_param", fail_at_end)
+        with pytest.raises(BifurcationError, match="at the range end"):
+            continue_branch(normalized_problem(k10), np.zeros(10), 0.5, (0.5, 1.5),
+                            symmetric_trunk=True)
+
     def test_determinism(self, k10):
         problem = normalized_problem(k10)
         a = continue_branch(problem, np.zeros(10), 0.5, (0.5, 1.5), symmetric_trunk=True)

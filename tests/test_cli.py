@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import json
+import types
+import typing
 
 import numpy as np
 import pytest
+from conftest import deadline
+from hypothesis import given
+from hypothesis import strategies as st
 
 from netdecide import experiments as ex
-from netdecide.cli import main
+from netdecide.cli import COMMANDS, SWEEP_SCENARIOS, main
 from netdecide.solver import EstimatorRun
 
 TWO_DYADS = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
@@ -261,10 +266,40 @@ class TestValidate:
         ("simulate", {"beta_a": 1.0}, "require a population graph"),
         ("adaptive", {"beta_a": 1.0}, "require a population graph"),
         ("adaptive", {"horizon_factor": 0}, "horizon_factor must be positive"),
+        ("simulate", {"seed": "x"}, "'seed' must be an integer"),
+        ("simulate", {"seed": 1.5}, "'seed' must be an integer"),
+        ("adaptive", {"seed": "x"}, "'seed' must be an integer"),
+        ("adaptive", {"seed": 1.5}, "'seed' must be an integer"),
+        ("sweep", {"scenario": "reduction_demo", "seed": "x"}, "'seed' must be an integer"),
+        ("sweep", {"scenario": "reduction_demo", "seed": 1.5}, "'seed' must be an integer"),
+        ("adaptive", {"jump_band": "x"}, "jump_band must be a finite number"),
+        ("sweep", {"scenario": "quintic_transition", "beta_grid": 5}, "beta_grid must be a list"),
+        ("sweep", {"scenario": "hysteresis", "n1": "a"}, "'n1' must be an integer"),
+        ("sweep", {"scenario": "hysteresis", "n1": 2.5}, "'n1' must be an integer"),
+        ("sweep", {"scenario": "hysteresis", "n1": 0, "n2": 0, "n3": 1},
+         "at least two agents"),
+        ("sweep", {"scenario": "quintic_transition", "n1": -1}, "'n1' must be nonnegative"),
+        ("sweep", {"scenario": "value_sensitivity", "n3": -5}, "'n3' must be nonnegative"),
+        ("sweep", {"scenario": "value_sensitivity", "nu_grid": []}, "and at least one"),
+        ("simulate", {"graph": {"kind": "complete"}}, "'n' must be an integer, got None"),
+        ("simulate", {"graph": {"kind": "weights"}}, "a weights graph needs weights"),
+        ("simulate", {"graph": {"kind": "population", "n1": 2}},
+         "'n2' must be an integer, got None"),
+        ("simulate", {"graph": 5}, "graph must be a dict"),
+        ("continue", {"u_range": [0.5]}, "u_range must be a list of 2 entries"),
+        ("sweep", {"scenario": "value_sensitivity", "u_scan": [0.9]},
+         "u_scan must be a list of 2 entries"),
     ], ids=["value_sensitivity-h_max", "value_sensitivity-u_scan",
             "value_sensitivity-n1_n2", "uninformed_influence-n3",
             "pitchfork_diagram-disconnected", "simulate-beta", "adaptive-beta",
-            "adaptive-horizon_factor"])
+            "adaptive-horizon_factor", "simulate-seed_str", "simulate-seed_float",
+            "adaptive-seed_str", "adaptive-seed_float", "reduction_demo-seed_str",
+            "reduction_demo-seed_float", "adaptive-jump_band", "quintic_transition-beta_grid",
+            "hysteresis-n1_str", "hysteresis-n1_float", "hysteresis-one_agent",
+            "quintic_transition-n1_negative", "value_sensitivity-n3_negative",
+            "value_sensitivity-empty_nu_grid",
+            "complete-no_n", "weights-no_weights", "population-no_n2_n3", "graph-not_object",
+            "continue-short_u_range", "value_sensitivity-short_u_scan"])
     def test_runner_preconditions_checked_at_load(self, tmp_path, capsys,
                                                   command, doc, message):
         # validate is the load step of each command, so it rejects every
@@ -276,7 +311,87 @@ class TestValidate:
         assert capsys.readouterr().err.count(message) == 2
         assert not out.exists()
 
+    def test_integral_float_count_runs(self, tmp_path):
+        # A count field accepts what a graph size accepts: 4.0 is the count 4.
+        cfg = write_cfg(tmp_path, "cfg.json", {"scenario": "reduction_demo", "n1": 4.0,
+                                               "t_end": 1.0, "bound_horizon": 0.5})
+        assert main(["validate", "--command", "sweep", "--config", cfg]) == 0
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text())["n1"] == 4
+
     def test_adaptive_bad_type_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "cfg.json", {"epsilon": "abc"})
         assert main(["validate", "--command", "adaptive", "--config", cfg]) == 2
         assert "invalid configuration" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Property: validate either accepts a config or rejects it with exit 2
+# ---------------------------------------------------------------------------
+
+# Bounds: a JSON integer is in [-3, 6] and a graph's "n" in [-3, 20], so a
+# generated graph has at most 20 agents (a population at most 18); lists and
+# objects have at most 4 entries, and a config at most 4 keys.
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 6)
+               | st.floats(-5.0, 25.0, allow_nan=False) | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=8)
+NUMBERS = st.integers(-3, 20) | st.floats(-1.0, 25.0, allow_nan=False)
+SQUARE = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([0, 1, 0.5, -1]), min_size=n, max_size=n), min_size=n, max_size=n))
+GRAPHS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["complete", "directed_ring", "population", "weights"])
+     | JSON_VALUES},
+    optional={"n": st.integers(-3, 20) | JSON_VALUES,
+              **{key: st.integers(-3, 6) | JSON_VALUES for key in ("n1", "n2", "n3")},
+              "weight": NUMBERS | JSON_VALUES,
+              "weights": SQUARE | JSON_VALUES,
+              "coupling": SQUARE | JSON_VALUES})
+
+
+def _field_values(annotation):
+    """JSON values of every type, and values of the field's own type."""
+    if typing.get_origin(annotation) is tuple:
+        typed = st.lists(NUMBERS, max_size=4)
+    elif isinstance(annotation, types.UnionType):
+        typed = st.none() | NUMBERS
+    else:
+        typed = {int: st.integers(-3, 20), float: NUMBERS, dict: GRAPHS,
+                 str: st.sampled_from(list(ex.ADAPTIVE_CASES))}[annotation]
+    return typed | JSON_VALUES
+
+
+def _config_docs(command: str, scenario: str | None):
+    """Up to 4 keys, each a scenario field or an unknown key."""
+    cls = SWEEP_SCENARIOS[scenario][0] if scenario else COMMANDS[command][0]
+    values = {key: _field_values(tp) for key, tp in typing.get_type_hints(cls).items()}
+    values |= {key: JSON_VALUES for key in ("scenario", "case", "bogus") if key not in values}
+    entry = st.sampled_from(sorted(values)).flatmap(
+        lambda key: st.tuples(st.just(key), values[key]))
+    docs = st.lists(entry, max_size=4).map(dict)
+    if scenario is None:
+        return docs
+    return st.tuples(docs, st.sampled_from([scenario]) | JSON_VALUES).map(
+        lambda pair: {**pair[0], "scenario": pair[1]})
+
+
+TARGETS = [(command, None) for command in COMMANDS] + [("sweep", name) for name in SWEEP_SCENARIOS]
+
+
+@pytest.mark.parametrize("command, scenario", TARGETS,
+                         ids=[scenario or command for command, scenario in TARGETS])
+def test_validate_exits_0_or_2(tmp_path_factory, command, scenario):
+    path = tmp_path_factory.mktemp("property") / "cfg.json"
+
+    @given(_config_docs(command, scenario))
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        with deadline(10.0):
+            code = main(["validate", "--command", command, "--config", str(path)])
+        assert code in (0, 2)
+
+    check()

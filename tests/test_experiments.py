@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import warnings
 
@@ -238,6 +239,38 @@ def test_scenario_rejects_nan(cls, field):
     value = (float("nan"),) if field == "nu_grid" else float("nan")
     with pytest.raises(ValueError):
         cls(**{field: value})
+
+
+# Each runner on a small scenario, with the tables and documents the
+# experiments module docstring says it writes besides config.json and
+# summary.json.
+RUNNER_OUTPUTS = [
+    ("run_pitchfork_diagram", ex.PitchforkScenario(graph={"kind": "complete", "n": 4}),
+     {"branch_trunk.csv", "branch_upper.csv", "branch_lower.csv", "singular_points.json"}),
+    ("run_hysteresis", ex.HysteresisScenario(beta_b_step=2.0), {"loop.csv"}),
+    ("run_quintic_transition", ex.QuinticScenario(beta_grid=(1.0,)),
+     {"trunk_beta_1.csv", "outer0_beta_1.csv", "outer1_beta_1.csv"}),
+    ("run_reduction_demo", ex.ReductionScenario(t_end=2.0, bound_horizon=1.0),
+     {"trajectory.csv", "reduced_trajectory.csv", "spread.csv"}),
+    ("run_value_sensitivity", ex.ValueSensitivityScenario(nu_grid=(1.0,)), {"curves.csv"}),
+    ("run_uninformed_influence", ex.UninformedInfluenceScenario(), {"curves.csv"}),
+    ("run_adaptive", ex.AdaptiveScenario(graph={"kind": "complete", "n": 4}),
+     {"trajectory.csv"}),
+    ("run_simulate", ex.SimulateScenario(t_end=5.0), {"trajectory.csv"}),
+]
+
+
+@pytest.mark.parametrize("runner, scenario, files", RUNNER_OUTPUTS,
+                         ids=[runner for runner, _, _ in RUNNER_OUTPUTS])
+def test_output_directory_contract(tmp_path, runner, scenario, files):
+    # config_sha256 hashes the compact, sorted-key JSON of the config that
+    # config.json holds, not the bytes of config.json.
+    getattr(ex, runner)(scenario, out_dir=tmp_path)
+    assert {p.name for p in tmp_path.iterdir()} == {"config.json", "summary.json"} | files
+    config = json.loads((tmp_path / "config.json").read_text())
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    blob = json.dumps(config, sort_keys=True).encode()
+    assert summary["config_sha256"] == hashlib.sha256(blob).hexdigest()
 
 
 class TestDeterminism:
