@@ -68,8 +68,14 @@ class Decision(enum.Enum):
 # ---------------------------------------------------------------------------
 
 def _field(x, degrees, weights, u, beta):
-    out = -degrees * x + u * (weights @ np.tanh(x))
-    return out if beta is None else out + beta
+    # -degrees * x + u * (weights @ tanh(x)) + beta, in place on the fresh
+    # product: u*s - d*x equals (-d)*x + u*s exactly in IEEE arithmetic.
+    out = np.dot(weights, np.tanh(x))
+    out *= u
+    out -= degrees * x
+    if beta is not None:
+        out += beta
+    return out
 
 
 def normalized_field(x: np.ndarray, g: Graph, u: float | np.ndarray,
@@ -79,12 +85,13 @@ def normalized_field(x: np.ndarray, g: Graph, u: float | np.ndarray,
     if x.shape != (g.n,):
         raise ValueError(f"state has shape {x.shape}, expected ({g.n},)")
     # A scalar effort must not pay for a numpy reduction on every call.
+    # Written as not (u >= 0) so that NaN fails the check too.
     if isinstance(u, np.ndarray):
         if u.shape != (g.n,):
             raise ValueError(f"efforts have shape {u.shape}, expected ({g.n},)")
-        if (u < 0).any():
+        if not (u >= 0).all():
             raise ValueError("social efforts u must be nonnegative")
-    elif u < 0:
+    elif not u >= 0:
         raise ValueError("social effort u must be nonnegative")
     if beta is not None:
         beta = np.asarray(beta, dtype=float)

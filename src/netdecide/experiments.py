@@ -70,22 +70,41 @@ from .solver import (
 # Graph configuration language (shared with the CLI)
 # ---------------------------------------------------------------------------
 
+# Most agents a config may ask for.  The dense n x n float64 weight matrix is
+# then 128 MiB; a Graph holds it and its Laplacian, and the runners' dense
+# linear algebra is cubic in n (a continuation at n = 1000 takes about 30 s).
+MAX_AGENTS = 4096
+
+
+def _graph_size(n: int) -> int:
+    """n, or a ValueError, raised before anything is allocated, above MAX_AGENTS."""
+    if n > MAX_AGENTS:
+        raise ValueError(f"a graph of {n} agents needs a {8 * n * n / 2 ** 30:.3g} GiB "
+                         f"weight matrix; at most {MAX_AGENTS} agents are allowed")
+    return n
+
+
 def graph_from_config(cfg: dict) -> Graph:
     """Build a graph from a {"kind": ...} document; a missing size reads as None."""
     if not isinstance(cfg, dict):
         raise ValueError(f"a graph must be a JSON object, got {cfg!r}")
     kind = cfg.get("kind")
     if kind == "complete":
-        return complete_graph(agent_count(cfg.get("n"), "n"), float(cfg.get("weight", 1.0)))
+        n = _graph_size(agent_count(cfg.get("n"), "n"))
+        return complete_graph(n, float(cfg.get("weight", 1.0)))
     if kind == "directed_ring":
-        return directed_ring(agent_count(cfg.get("n"), "n"), float(cfg.get("weight", 1.0)))
+        n = _graph_size(agent_count(cfg.get("n"), "n"))
+        return directed_ring(n, float(cfg.get("weight", 1.0)))
     if kind == "population":
-        return three_population_graph(population_spec_from_config(cfg))
+        spec = population_spec_from_config(cfg)
+        _graph_size(spec.n_total)
+        return three_population_graph(spec)
     if kind == "weights":
         if "weights" not in cfg:
             raise ValueError("a weights graph needs weights")
         w = np.array(cfg["weights"], dtype=float)
         n = agent_count(cfg["n"], "n") if "n" in cfg else int(round(len(np.ravel(w)) ** 0.5))
+        n = _graph_size(n)
         return Graph(np.reshape(w, (n, n)))
     raise ValueError(f"unknown graph kind {kind!r}; expected complete, "
                      "directed_ring, population, or weights")
@@ -262,7 +281,7 @@ class HysteresisScenario:
             raise ValueError("information sweep grid must be increasing")
         if not (self.settle_tol > 0 and self.horizon > 0):
             raise ValueError("settle tolerance and horizon must be positive")
-        PopulationSpec(self.n1, self.n2, self.n3)
+        _graph_size(PopulationSpec(self.n1, self.n2, self.n3).n_total)
 
 
 @dataclass
@@ -430,7 +449,7 @@ class ReductionScenario:
     def __post_init__(self):
         if not (self.u >= 0 and self.t_end > 0 and self.bound_horizon > 0):
             raise ValueError("effort and horizons must be nonnegative/positive")
-        PopulationSpec(self.n1, self.n2, self.n3)
+        _graph_size(PopulationSpec(self.n1, self.n2, self.n3).n_total)
 
 
 @dataclass
@@ -725,10 +744,15 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
                           f"(error {est_run.error:.2e} > {scenario.estimator_tol:.2e})")
 
     # phase 2: fast opinions coupled to the slow mean-effort update
+    def y_of(z):
+        # z[:n].mean() bit for bit (np.mean is the sum, then one division by
+        # the count) without np.mean's Python wrappers
+        return float(z[:n].sum()) / n
+
     def rhs(t, z):
-        x = z[:n]
-        dx, dubar = adaptive_field(x, z[n], float(x.mean()), g, utilde, beta, eps, y_th)
-        return np.concatenate([dx, [dubar]])
+        dz = np.empty(n + 1)
+        dz[:n], dz[n] = adaptive_field(z[:n], z[n], y_of(z), g, utilde, beta, eps, y_th)
+        return dz
 
     # dz = rhs(t, z) is the step's own last stage, so dz[:n] is the opinion
     # field at the new state; the verdict at the final state is kept.
@@ -736,16 +760,15 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
 
     def stop(t, z, dz):
         nonlocal settled
-        yh = float(z[:n].mean())
-        settled = bool(abs(yh ** 2 - y_th ** 2) < scenario.stop_tol
+        settled = bool(abs(y_of(z) ** 2 - y_th ** 2) < scenario.stop_tol
                        and np.abs(dz[:n]).max() < scenario.stop_tol)
         return settled
 
-    events = [lambda t, z: abs(z[:n].mean()) - scenario.escape_band,
-              lambda t, z: abs(z[:n].mean()) - y_th]
+    events = [lambda t, z: abs(y_of(z)) - scenario.escape_band,
+              lambda t, z: abs(y_of(z)) - y_th]
     band = scenario.jump_band
     if band is not None:
-        events.append(lambda t, z: abs(z[:n].mean()) - band)
+        events.append(lambda t, z: abs(y_of(z)) - band)
 
     z0 = np.concatenate([x0, [scenario.ubar0]])
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-13,

@@ -2,6 +2,17 @@
 each step's continuous extension, a rejection-controlled Euler scheme for
 the discontinuous consensus estimator, and the CSV format of every output
 table.
+
+The Dormand-Prince loop works in place on small arrays, where each numpy
+call costs more than its arithmetic.  It relies on one ownership rule: a
+step owns the stage, error and scale buffers it allocates and may update
+them in place, and it never modifies an array after passing it to the field,
+nor one the field returned, nor the caller's initial state.  Each stage
+input is a fresh array, so the state after an accepted step is the very
+array of the last stage call (FSAL) and is recorded without a copy.  Every
+in-place update performs the same IEEE operations in the same order as the
+expression it replaces, so results are bit for bit those of the
+allocate-per-operation form.
 """
 
 from __future__ import annotations
@@ -27,12 +38,15 @@ DISCONNECTED_GRAPH = "estimator requires a connected undirected graph (lambda2 >
 
 
 def write_csv(path: str | Path, header: list[str], columns) -> None:
-    """One row per index of the equal-length columns; 17 significant digits."""
+    """One row per index of the equal-length columns; 17 significant digits.
+
+    csv.writer writes the header, quoting a name that needs it.  A formatted
+    number never needs quoting, so each data row is one format string.
+    """
+    row_format = ",".join([FMT] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([FMT % v for v in row])
+        csv.writer(fh, lineterminator="\r\n").writerow(header)
+        fh.writelines(row_format % row for row in zip(*columns))
 
 
 class SolverError(RuntimeError):
@@ -119,6 +133,8 @@ _DP_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
 _DP_ERR = _DP_A[6] - _DP_B4
+# (i, row i of _DP_A without its zero padding, node c_i as a Python float)
+_DP_STAGES = tuple((i, _DP_A[i, :i].copy(), float(_DP_C[i])) for i in range(1, 7))
 # Continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6): over
 # a step of length h from x0 with stages k, the state at t0 + theta h is
 # x0 + h [theta, theta^2, theta^3, theta^4] (P^T k).  Rows sum to _DP_A[6].
@@ -142,10 +158,15 @@ def _dp_step(f, t, x, h, k1):
     """
     k = np.empty((7, x.size))
     k[0] = k1
-    for i in range(1, 7):
-        xi = x + h * (_DP_A[i, :i] @ k[:i])
-        k[i] = f(t + _DP_C[i] * h, xi)
-    return xi, h * (_DP_ERR @ k), k
+    for i, row, c in _DP_STAGES:
+        # x + h * (row @ k[:i]), in place on the fresh stage input
+        xi = np.dot(row, k[:i])
+        xi *= h
+        xi += x
+        k[i] = f(t + c * h, xi)
+    err = np.dot(_DP_ERR, k)
+    err *= h
+    return xi, err, k
 
 
 def _dense_state(x0, h, q, theta):
@@ -196,25 +217,34 @@ def _integrate(field, x0, cfg: IntegratorConfig, events: Sequence[Callable] = ()
     the integration ends when it returns true.
     Returns (Trajectory, event hits in time order).
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.array(x0, dtype=float)
     t = 0.0
     t_end = cfg.max_time
+    atol, rtol, n = cfg.atol, cfg.rtol, x.size
     times = [t]
-    states = [x.copy()]
+    states = [x]
     hits: list[EventHit] = []
     g_prev = [ev(t, x) for ev in events]
 
     k1 = field(t, x)
+    abs_x = np.abs(x)
     h = min(0.01, cfg.max_time / 10)
     while t < t_end:
         h = min(h, t_end - t)
         min_step = 1e-14 * max(abs(t), 1.0)
         while True:
             x_new, err, k = _dp_step(field, t, x, h, k1)
-            scale = cfg.atol + cfg.rtol * np.maximum(np.abs(x), np.abs(x_new))
-            # RMS norm; sum()/size is np.mean without its Python wrapper.
-            err_norm = math.sqrt(float(((err / scale) ** 2).sum()) / x.size)
-            if not math.isfinite(err_norm) or not np.isfinite(x_new).all():
+            # scale = atol + rtol * max(|x|, |x_new|), then the RMS norm of
+            # err / scale; sum()/n is np.mean without its Python wrapper.
+            abs_new = np.abs(x_new)
+            scale = np.maximum(abs_x, abs_new)
+            scale *= rtol
+            scale += atol
+            err /= scale
+            err *= err
+            err_norm = math.sqrt(float(err.sum()) / n)
+            # max() of the absolute values is NaN or inf iff an entry is.
+            if not math.isfinite(err_norm) or not math.isfinite(abs_new.max()):
                 h *= 0.25
                 if h < min_step:
                     raise SolverError("non-finite state", time=t)
@@ -232,12 +262,13 @@ def _integrate(field, x0, cfg: IntegratorConfig, events: Sequence[Callable] = ()
             if (ga < 0 < gb) or (gb < 0 < ga) or (gb == 0.0 and ga != 0.0):
                 t_hit, x_hit = _locate_event(events[i], t, x, t_new, k)
                 step_hits.append(EventHit(i, t_hit, x_hit))
-        hits.extend(sorted(step_hits, key=lambda hit: hit.time))
+        if step_hits:
+            hits.extend(sorted(step_hits, key=lambda hit: hit.time))
 
-        t, x, g_prev, k1 = t_new, x_new, g_new, k[6]
+        t, x, abs_x, g_prev, k1 = t_new, x_new, abs_new, g_new, k[6]
         h *= min(5.0, max(0.2, 0.9 * (err_norm + 1e-16) ** -0.2))
         times.append(t)
-        states.append(x.copy())
+        states.append(x)
         if stop_condition is not None and stop_condition(t, x, k1):
             break
 

@@ -228,6 +228,27 @@ class TestValidate:
                          "beta_b_step": 0.5})
         assert main(["validate", "--config", cfg]) == 0
 
+    @pytest.mark.parametrize("command, doc", [
+        ("simulate", {"graph": {"kind": "complete", "n": 200000}}),
+        ("adaptive", {"graph": {"kind": "population", "n1": 100000, "n2": 100000,
+                                "n3": 0}}),
+        ("sweep", {"scenario": "hysteresis", "n3": 200000}),
+        ("sweep", {"scenario": "reduction_demo", "n3": 200000}),
+    ])
+    def test_graph_above_size_ceiling_exits_2_before_building(self, tmp_path, capsys,
+                                                              monkeypatch, command, doc):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph builder was called")
+
+        for name in ("complete_graph", "directed_ring", "three_population_graph"):
+            monkeypatch.setattr(ex, name, refuse)
+        cfg = write_cfg(tmp_path, "cfg.json", doc)
+        assert main(["validate", "--command", command, "--config", cfg]) == 2
+        assert "agents are allowed" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_disconnected_continue_graph_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "cfg.json",
                         {"graph": {"kind": "weights", "n": 4, "weights": TWO_DYADS}})

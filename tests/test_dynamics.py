@@ -62,6 +62,37 @@ class TestFields:
         with pytest.raises(ValueError, match="nonnegative"):
             normalized_field(np.zeros(10), k10, np.array([-0.1] + [1.0] * 9))
 
+    def test_rejects_nan_efforts(self, k10):
+        with pytest.raises(ValueError, match="nonnegative"):
+            normalized_field(np.zeros(10), k10, float("nan"))
+        with pytest.raises(ValueError, match="nonnegative"):
+            normalized_field(np.zeros(10), k10, np.array([float("nan")] + [1.0] * 9))
+
+    @pytest.mark.parametrize("per_agent", [False, True])
+    def test_normalized_field_owns_only_its_result(self, z2_graph, rng, per_agent):
+        x = rng.normal(size=z2_graph.n)
+        u = 1.0 + 0.1 * rng.normal(size=z2_graph.n) if per_agent else 1.3
+        beta = rng.normal(size=z2_graph.n)
+        inputs = [x, beta] + ([u] if per_agent else [])
+        before = [a.copy() for a in inputs]
+        out = normalized_field(x, z2_graph, u, beta)
+        again = normalized_field(x, z2_graph, u, beta)
+        for a, b in zip(inputs, before):
+            assert np.array_equal(a, b)
+            assert not np.shares_memory(out, a)
+        assert not np.shares_memory(out, z2_graph.weights)
+        assert not np.shares_memory(out, z2_graph.degrees)
+        assert out is not again and np.array_equal(out, again)
+
+    def test_reduced3_field_owns_only_its_result(self, spec_223, rng):
+        y = rng.normal(size=3)
+        before = y.copy()
+        out = reduced3_field(y, spec_223, 1.3, 0.5, 0.7)
+        assert np.array_equal(y, before)
+        for a in (y, spec_223.quotient, spec_223.degrees):
+            assert not np.shares_memory(out, a)
+        assert out is not reduced3_field(y, spec_223, 1.3, 0.5, 0.7)
+
     @given(st.integers(0, 1000))
     def test_timescale_consistency(self, seed):
         """Raw time: -u_I D x + u_S A S(x) + nu = u_I f(x; u_S / u_I, nu / u_I)."""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from netdecide import experiments as ex
 from netdecide.experiments import graph_from_config
 from netdecide.graphs import (
     Graph,
@@ -187,3 +188,33 @@ def test_json_rejects_non_integer_size(n):
 def test_json_accepts_integral_float_size():
     g = graph_from_config({"kind": "weights", "n": 2.0, "weights": [[0, 1], [1, 0]]})
     assert g.n == 2
+
+
+def _refuse_to_build(*args, **kwargs):
+    raise AssertionError("a graph builder was called")
+
+
+BUILDERS = ("complete_graph", "directed_ring", "three_population_graph", "Graph")
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "complete", "n": 200000},
+    {"kind": "directed_ring", "n": 200000},
+    {"kind": "population", "n1": 5, "n2": 5, "n3": 200000},
+])
+def test_json_rejects_graph_above_size_ceiling_before_building(monkeypatch, doc):
+    for name in BUILDERS:
+        monkeypatch.setattr(ex, name, _refuse_to_build)
+    with pytest.raises(ValueError, match=f"at most {ex.MAX_AGENTS} agents"):
+        graph_from_config(doc)
+
+
+def test_size_ceiling_admits_every_scenario_size(monkeypatch):
+    # n = 1000 is the largest graph any benchmark or planned scenario uses
+    assert ex.MAX_AGENTS >= 1000
+    built = []
+    monkeypatch.setattr(ex, "complete_graph", lambda n, weight: built.append(n))
+    graph_from_config({"kind": "complete", "n": ex.MAX_AGENTS})
+    assert built == [ex.MAX_AGENTS]
+    with pytest.raises(ValueError, match="agents"):
+        graph_from_config({"kind": "complete", "n": ex.MAX_AGENTS + 1})

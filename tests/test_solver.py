@@ -114,6 +114,72 @@ class TestDormandPrinceStep:
         assert np.array_equal(k[6], f(t + h, x5))
 
 
+class TestOwnership:
+    """The in-place arithmetic of a step updates only the buffers it allocated."""
+
+    def test_step_leaves_state_and_first_stage(self, k10, rng):
+        f = lambda t, x: normalized_field(x, k10, 1.5)
+        x = rng.normal(size=10)
+        k1 = f(0.0, x)
+        x_before, k1_before = x.copy(), k1.copy()
+        x5, err, k = _dp_step(f, 0.0, x, 0.05, k1)
+        assert np.array_equal(x, x_before)
+        assert np.array_equal(k1, k1_before)
+        for out in (x5, err, k):
+            assert not np.shares_memory(out, x) and not np.shares_memory(out, k1)
+
+    def test_integrate_mutates_no_input_or_field_output(self, k10, rng):
+        passed, returned = [], []
+
+        def f(t, x):
+            dx = normalized_field(x, k10, 1.5)
+            passed.append((x, x.copy()))
+            returned.append((dx, dx.copy()))
+            return dx
+
+        x0 = rng.normal(size=10)
+        x0_before = x0.copy()
+        traj, _ = _integrate(f, x0, IntegratorConfig(rtol=1e-6, atol=1e-9, max_time=5.0))
+        assert np.array_equal(x0, x0_before)
+        assert len(returned) > 100
+        assert all(np.array_equal(a, kept) for a, kept in passed + returned)
+        states = traj.states
+        assert not np.shares_memory(states, x0)
+        assert not any(np.shares_memory(states, dx) for dx, _ in returned)
+        # every recorded row is its own: changing one leaves the others
+        rows = states.copy()
+        states[1] += 1.0
+        assert np.array_equal(states[0], rows[0]) and np.array_equal(states[2:], rows[2:])
+
+
+class TestFsalCallCount:
+    def test_six_field_calls_per_attempt_plus_one(self, monkeypatch, rng):
+        attempts, calls, accepted = [0], [0], []
+        real_step, real_integrate = solver._dp_step, solver._integrate
+
+        def counting_step(*args):
+            attempts[0] += 1
+            return real_step(*args)
+
+        def recording_integrate(*args, **kwargs):
+            traj, hits = real_integrate(*args, **kwargs)
+            accepted.append(len(traj.times) - 1)
+            return traj, hits
+
+        def field(t, x):
+            calls[0] += 1
+            return consensus_u2(t, x)
+
+        monkeypatch.setattr(solver, "_dp_step", counting_step)
+        monkeypatch.setattr(solver, "_integrate", recording_integrate)
+        _, settled, _ = integrate_to_equilibrium(field, rng.uniform(-0.1, 0.1, 3),
+                                                 IntegratorConfig(rtol=1e-10, atol=1e-12))
+        assert settled
+        # some attempts were rejected, so the count covers rejected steps too
+        assert attempts[0] > accepted[0] > 10
+        assert calls[0] == 6 * attempts[0] + 1
+
+
 class TestContinuousExtension:
     def test_matches_scipy_dense_output_matrix(self):
         assert np.array_equal(solver._DP_P, RK45.P)
@@ -307,6 +373,26 @@ class TestTrajectoryCsv:
         traj.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "t,x_1,x_2,ubar,y"
+
+    def test_matches_csv_module_reference(self, tmp_path):
+        # the per-value csv.writer form that write_csv must reproduce byte for byte
+        header = ["t", "a,b", 'q"uote', "n"]
+        columns = [np.array([0.0, 0.1, 1 / 3, 2.0 ** -1074, 1e300]),
+                   np.array([np.nan, np.inf, -np.inf, -0.0, 0.0]),
+                   np.array([np.pi, -np.e, 123456789.12345678, 1e-17, -5e-324]),
+                   np.arange(-2, 3)]
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\r\n")
+            writer.writerow(header)
+            for row in zip(*columns):
+                writer.writerow([solver.FMT % v for v in row])
+        path = tmp_path / "t.csv"
+        solver.write_csv(path, header, columns)
+        data = path.read_bytes()
+        assert data == ref.read_bytes()
+        assert data.startswith(b't,"a,b","q""uote",n\r\n')
+        assert b"nan,3.1415926535897931,-2\r\n" in data
 
     def test_rejects_nonincreasing_times(self):
         with pytest.raises(ValueError, match="increasing"):
