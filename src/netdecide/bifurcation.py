@@ -12,7 +12,8 @@ a failed branch switch or a failed solve at the end of the range raises
 BifurcationError; nothing falls back to another method.
 
 A pitchfork diagram is ``trace_trunk`` (the symmetric trunk and its first
-pitchfork), then ``switched_branches`` (the two branches bifurcating there).
+pitchfork), then one ``switched_branch`` per bifurcating branch; on an odd
+field, f(-x, p) = -f(x, p), the second branch is the ``reflected`` first.
 ``ubar_star`` and ``ustar_numeric`` share one scan for a det(J) sign change,
 ``_first_det_flip``.
 """
@@ -20,7 +21,7 @@ pitchfork), then ``switched_branches`` (the two branches bifurcating there).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -47,9 +48,17 @@ class BifurcationError(RuntimeError):
 # Jacobians
 # ---------------------------------------------------------------------------
 
+def _minus_degrees(coupled, degrees):
+    """-D + coupled, in place on the fresh matrix `coupled`, equal bit for bit
+    to ``-np.diag(degrees) + coupled``: off the diagonal -0.0 + v is v, and
+    on it v - d is -d + v."""
+    coupled.flat[::len(degrees) + 1] -= degrees
+    return coupled
+
+
 def _jacobian(x, degrees, weights, u):
     # np.reshape gives a scalar effort shape (1, 1) and per-agent efforts (n, 1).
-    return -np.diag(degrees) + (np.reshape(u, (-1, 1)) * weights) * sech2(x)
+    return _minus_degrees((np.reshape(u, (-1, 1)) * weights) * sech2(x), degrees)
 
 
 def jacobian(x: np.ndarray, g: Graph, u: float | np.ndarray) -> np.ndarray:
@@ -140,7 +149,7 @@ def normalized_problem(g: Graph, beta=None) -> ContinuationProblem:
     if g.is_undirected:
         def jac_sym(x, u):
             r = np.sqrt(sech2(x))
-            return -np.diag(g.degrees) + (u * r[:, None]) * g.weights * r
+            return _minus_degrees((u * r[:, None]) * g.weights * r, g.degrees)
 
     return ContinuationProblem(
         f=lambda x, u: normalized_field(x, g, u, beta),
@@ -496,18 +505,33 @@ def trace_trunk(problem: ContinuationProblem, x_start: np.ndarray,
     return trunk, (pitchforks[0] if pitchforks else None)
 
 
-def switched_branches(problem: ContinuationProblem, sp: SingularPoint,
-                      p_range: tuple[float, float], h_max: float) -> list[Branch]:
-    """Continue the two branches bifurcating at pitchfork `sp` over p_range,
-    seeded by branch_switch in direction +1, then -1, and each oriented away
-    from `sp`."""
-    branches = []
-    for direction in (+1, -1):
-        seed = branch_switch(problem, sp, direction)
-        ref = np.concatenate([seed.x - sp.x, [seed.param - sp.param]])
-        branches.append(continue_branch(problem, seed.x, seed.param, p_range,
-                                        h_max=h_max, initial_reference=ref))
-    return branches
+def switched_branch(problem: ContinuationProblem, sp: SingularPoint, direction: int,
+                    p_range: tuple[float, float], h_max: float) -> Branch:
+    """Continue over p_range the branch bifurcating at pitchfork `sp` on the
+    side `direction` (+1 or -1) of its null vector, seeded by branch_switch
+    and oriented away from `sp`."""
+    seed = branch_switch(problem, sp, direction)
+    ref = np.concatenate([seed.x - sp.x, [seed.param - sp.param]])
+    return continue_branch(problem, seed.x, seed.param, p_range,
+                           h_max=h_max, initial_reference=ref)
+
+
+def reflected(branch: Branch) -> Branch:
+    """The image of `branch` under x -> -x, for a field with f(-x, p) = -f(x, p).
+
+    Every state, the state part of every tangent and every singular state
+    change sign.  J(-x) = J(x) for such a field, so the stability tags,
+    determinants and null vectors are kept, as is every parameter.
+    """
+    def point(eq):
+        tangent = None if eq.tangent is None else np.append(-eq.tangent[:-1], eq.tangent[-1])
+        return replace(eq, x=-eq.x, tangent=tangent)
+
+    return Branch(points=[point(eq) for eq in branch.points],
+                  singular_points=[replace(sp, x=-sp.x, null_right=sp.null_right.copy(),
+                                           null_left=sp.null_left.copy())
+                                   for sp in branch.singular_points],
+                  terminated=branch.terminated)
 
 
 # ---------------------------------------------------------------------------

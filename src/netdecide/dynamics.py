@@ -35,10 +35,18 @@ def sech2(z):
 
 
 def beta_vector(spec: PopulationSpec, beta_a: float, beta_b: float) -> np.ndarray:
-    """Information vector (+beta_A informed-A, -beta_B informed-B, 0 uninformed)."""
+    """Information vector (+beta_A informed-A, -beta_B informed-B, 0 uninformed).
+
+    The fields check the length of beta but not its values, so a NaN or
+    infinite beta_A/beta_B is rejected here, once, and not per field call.
+    """
+    beta_a, beta_b = float(beta_a), float(beta_b)
+    if not (np.isfinite(beta_a) and np.isfinite(beta_b)):
+        raise ValueError(f"information beta_a and beta_b must be finite "
+                         f"(got {beta_a}, {beta_b})")
     return np.concatenate([
-        np.full(spec.n1, float(beta_a)),
-        np.full(spec.n2, -float(beta_b)),
+        np.full(spec.n1, beta_a),
+        np.full(spec.n2, -beta_b),
         np.zeros(spec.n3),
     ])
 
@@ -109,8 +117,13 @@ def reduced3_field(y: np.ndarray, spec: PopulationSpec, u: float,
     the per-agent information convention of the full model, so the reduced
     field is exactly the full field restricted to the group-consensus manifold.
     """
+    y = np.asarray(y, dtype=float)
+    if y.shape != (3,):
+        raise ValueError(f"state has shape {y.shape}, expected (3,)")
+    if not u >= 0:
+        raise ValueError("social effort u must be nonnegative")
     beta = np.array([beta_a, -beta_b, 0.0], dtype=float)
-    return _field(np.asarray(y, dtype=float), spec.degrees, spec.quotient, u, beta)
+    return _field(y, spec.degrees, spec.quotient, u, beta)
 
 
 def adaptive_field(x: np.ndarray, ubar: float, y_hat: float, g: Graph,

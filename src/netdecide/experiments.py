@@ -227,14 +227,26 @@ class PitchforkResult:
 
 def run_pitchfork_diagram(scenario: PitchforkScenario = PitchforkScenario(),
                           out_dir=None) -> PitchforkResult:
-    """Trace the undecided trunk, locate its singularity, switch branches."""
+    """Trace the undecided trunk, locate its singularity, switch branches.
+
+    With no information vector the field is odd, f(-x, u) = -f(x, u), so the
+    branch on the -1 side of the pitchfork is the mirror image of the one on
+    the +1 side: only that one is continued, and the other is its
+    ``bif.reflected`` image.  The mirror is exact, not approximate: every
+    step of the continuation commutes with x -> -x (the bordered matrix of
+    the mirrored point is S B S with S = diag(-1, ..., -1, +1), partial
+    pivoting picks the same pivots, rounding is sign-symmetric, tanh is odd
+    and sech^2 even, and J(-x) = J(x)), so the continued -1 branch would
+    equal it bit for bit.
+    """
     g = graph_from_config(scenario.graph)
     problem = bif.normalized_problem(g)
     trunk, sp = bif.trace_trunk(problem, np.zeros(g.n), scenario.u_range, scenario.h_max)
     upper = lower = None
     if sp is not None:
-        for br in bif.switched_branches(problem, sp, (sp.param, scenario.u_branch_end),
-                                        scenario.h_max):
+        branch = bif.switched_branch(problem, sp, +1, (sp.param, scenario.u_branch_end),
+                                     scenario.h_max)
+        for br in (branch, bif.reflected(branch)):
             # orient by the sign of the consensus component
             if br.points[-1].x.mean() >= 0:
                 upper = br
@@ -402,8 +414,10 @@ def run_quintic_transition(scenario: QuinticScenario = QuinticScenario(),
         # continue_branch Newton-solves its start from this deadlock guess
         start = np.array([beta / (d1 + u0), -beta / (d1 + u0), 0.0])
         trunk, sp = bif.trace_trunk(problem, start, scenario.u_range, scenario.h_max)
-        outer = [] if sp is None else bif.switched_branches(
-            problem, sp, (u0 / 2, scenario.u_range[1]), scenario.h_max)
+        outer = [] if sp is None else [
+            bif.switched_branch(problem, sp, direction, (u0 / 2, scenario.u_range[1]),
+                                scenario.h_max)
+            for direction in (+1, -1)]
         folds = sorted(s.param for br in outer for s in br.singular_points if s.kind == "fold")
         classification = "ambiguous"
         if sp is not None:

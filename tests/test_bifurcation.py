@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,9 @@ from netdecide.bifurcation import (
     ystar_root,
     ystar_series,
 )
-from netdecide.dynamics import beta_vector, normalized_field, reduced3_field
+from netdecide.dynamics import beta_vector, normalized_field, reduced3_field, sech2
 from netdecide.graphs import (
+    Graph,
     PopulationSpec,
     complete_graph,
     directed_ring,
@@ -42,6 +45,38 @@ Y_S_10 = 9.999999958776924    # bisection oracle, y = 10 tanh(y)
 
 def real_parts(jac):
     return np.linalg.eigvals(jac).real
+
+
+def assert_bitwise(a, b):
+    """a and b are equal bit for bit, signed zeros included; a NaN matches any
+    NaN (its payload is not compared)."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def assert_same_fields(a, b):
+    """Two dataclass instances whose every field is equal, arrays and floats
+    bit for bit."""
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        va, vb = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(va, (np.ndarray, float)) or isinstance(vb, (np.ndarray, float)):
+            assert_bitwise(va, vb)
+        else:
+            assert va == vb, f.name
+
+
+def assert_same_branch(a, b):
+    assert a.terminated == b.terminated
+    assert len(a.points) == len(b.points)
+    for pa, pb in zip(a.points, b.points):
+        assert_same_fields(pa, pb)
+    assert len(a.singular_points) == len(b.singular_points)
+    for sa, sb in zip(a.singular_points, b.singular_points):
+        assert_same_fields(sa, sb)
 
 
 class TestJacobian:
@@ -86,6 +121,74 @@ class TestJacobian:
         jac = jacobian(np.zeros(10), k10, 1.0 + ut)
         expected = -np.diag(k10.degrees) + ((1.0 + ut)[:, None] * k10.weights)
         assert jac == pytest.approx(expected, abs=1e-14)
+
+
+class TestJacobianBuilders:
+    """_jacobian and jac_sym subtract the degrees in place from the diagonal of
+    their product; the result equals the -np.diag(d) + ... expression bit for
+    bit, and the read-only graph arrays stay untouched."""
+
+    @staticmethod
+    def states(n, rng):
+        x = rng.normal(size=n)
+        x[0] = 0.0
+        x[-1] = -0.0
+        signed_zeros = np.where(np.arange(n) % 2 == 0, 0.0, -0.0)
+        with_nan = rng.normal(size=n)
+        with_nan[n // 2] = np.nan
+        return x, signed_zeros, with_nan
+
+    @staticmethod
+    def graph(n, rng):
+        w = rng.uniform(0.0, 2.0, size=(n, n))
+        w[rng.random((n, n)) < 0.3] = 0.0
+        w = np.triu(w, 1)
+        return Graph(w + w.T)
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 200])
+    @pytest.mark.parametrize("per_agent", [False, True])
+    def test_jacobian(self, n, per_agent, rng):
+        # a nonzero diagonal, as a quotient matrix has
+        weights = rng.uniform(0.0, 2.0, size=(n, n))
+        degrees = weights.sum(axis=1) + 0.5
+        weights.flags.writeable = False
+        degrees.flags.writeable = False
+        u = rng.uniform(0.5, 1.5, size=n) if per_agent else 1.3
+        for x in self.states(n, rng):
+            expected = -np.diag(degrees) + (np.reshape(u, (-1, 1)) * weights) * sech2(x)
+            assert_bitwise(bif._jacobian(x, degrees, weights, u), expected)
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 200])
+    @pytest.mark.parametrize("per_agent", [False, True])
+    def test_jacobian_on_graph(self, n, per_agent, rng):
+        g = self.graph(n, rng)
+        weights, degrees = g.weights.copy(), g.degrees.copy()
+        u = rng.uniform(0.5, 1.5, size=n) if per_agent else 1.3
+        for x in self.states(n, rng):
+            jac = jacobian(x, g, u)
+            expected = -np.diag(degrees) + (np.reshape(u, (-1, 1)) * weights) * sech2(x)
+            assert_bitwise(jac, expected)
+            assert jac.flags.writeable
+            assert not np.shares_memory(jac, g.weights)
+            assert not np.shares_memory(jac, g.degrees)
+        assert_bitwise(g.weights, weights)
+        assert_bitwise(g.degrees, degrees)
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 200])
+    def test_jac_sym(self, n, rng):
+        g = self.graph(n, rng)
+        weights, degrees = g.weights.copy(), g.degrees.copy()
+        jac_sym = normalized_problem(g).jac_sym
+        u = 1.3
+        for x in self.states(n, rng):
+            r = np.sqrt(sech2(x))
+            out = jac_sym(x, u)
+            assert_bitwise(out, -np.diag(degrees) + (u * r[:, None]) * weights * r)
+            assert out.flags.writeable
+            assert not np.shares_memory(out, g.weights)
+            assert out is not jac_sym(x, u)
+        assert_bitwise(g.weights, weights)
+        assert_bitwise(g.degrees, degrees)
 
 
 class TestFindEquilibrium:
@@ -503,6 +606,72 @@ class TestContinuation:
         for pa, pb in zip(a.points, b.points):
             assert pa.param == pb.param
             assert np.array_equal(pa.x, pb.x)
+
+
+# Graphs whose switched branches are compared with their mirror images.
+REFLECTION_GRAPHS = {
+    "complete10": {"kind": "complete", "n": 10},
+    "complete200": {"kind": "complete", "n": 200},
+    "population334": {"kind": "population", "n1": 3, "n2": 3, "n3": 4},
+    "coupled235": {"kind": "population", "n1": 2, "n2": 3, "n3": 5,
+                   "coupling": [[1.0, 0.5, 0.8], [0.4, 1.0, 1.2], [0.7, 0.9, 1.0]]},
+    "ring8": {"kind": "directed_ring", "n": 8},
+}
+
+
+class TestReflection:
+    """With no information the field is odd, and every step of continuation
+    commutes with x -> -x, so the -1 branch is the reflected +1 branch bit for
+    bit."""
+
+    @pytest.mark.parametrize("graph", REFLECTION_GRAPHS.values(), ids=REFLECTION_GRAPHS.keys())
+    def test_reflected_branch_is_the_continued_mirror(self, graph):
+        scenario = ex.PitchforkScenario(graph=graph)
+        g = ex.graph_from_config(graph)
+        problem = normalized_problem(g)
+        _, sp = bif.trace_trunk(problem, np.zeros(g.n), scenario.u_range, scenario.h_max)
+        p_range = (sp.param, scenario.u_branch_end)
+        up = bif.switched_branch(problem, sp, +1, p_range, scenario.h_max)
+        down = bif.switched_branch(problem, sp, -1, p_range, scenario.h_max)
+        assert_same_branch(bif.reflected(up), down)
+        # the sign of the null vector, and so of each side, is arbitrary
+        assert up.points[-1].x.mean() * down.points[-1].x.mean() < 0
+        # No singular point on these branches: test_reflects_singular_points
+        # covers their reflection.
+        assert up.singular_points == []
+
+    def test_pitchfork_diagram_lower_is_reflected_upper(self):
+        res = ex.run_pitchfork_diagram(ex.PitchforkScenario())
+        assert res.upper.points[-1].x.mean() > 0
+        assert_same_branch(res.lower, bif.reflected(res.upper))
+
+    def test_reflects_singular_points(self):
+        x = np.array([0.5, -0.0, 2.0])
+        sp = bif.SingularPoint(kind="fold", param=1.25, x=x,
+                               null_right=np.array([0.6, 0.8, 0.0]),
+                               null_left=np.array([0.0, -0.6, 0.8]),
+                               tangent_param=-3e-4, refined=False)
+        points = [bif.Equilibrium(x=x, param=1.0, n_unstable=1, det_sign=-1.0,
+                                  log_abs_det=0.5, tangent=np.array([0.1, -0.2, 0.0, 0.9])),
+                  bif.Equilibrium(x=-x, param=1.5, n_unstable=0)]
+        branch = bif.Branch(points=points, singular_points=[sp], terminated="max points")
+        before = [dataclasses.replace(p) for p in points + [sp]]
+        out = bif.reflected(branch)
+
+        assert out.terminated == "max points"
+        assert_same_fields(out.points[0], bif.Equilibrium(
+            x=np.array([-0.5, 0.0, -2.0]), param=1.0, n_unstable=1, det_sign=-1.0,
+            log_abs_det=0.5, tangent=np.array([-0.1, 0.2, -0.0, 0.9])))
+        assert_same_fields(out.points[1], bif.Equilibrium(x=x, param=1.5, n_unstable=0))
+        assert_same_fields(out.singular_points[0], bif.SingularPoint(
+            kind="fold", param=1.25, x=np.array([-0.5, 0.0, -2.0]),
+            null_right=sp.null_right, null_left=sp.null_left,
+            tangent_param=-3e-4, refined=False))
+        # the input is left as it was, and reflecting twice gives it back
+        for p, q in zip(points + [sp], before):
+            assert_same_fields(p, q)
+        assert_same_branch(bif.reflected(out), branch)
+        assert not np.shares_memory(out.singular_points[0].null_right, sp.null_right)
 
 
 class TestUnfoldingSensitivity:

@@ -68,6 +68,23 @@ class TestFields:
         with pytest.raises(ValueError, match="nonnegative"):
             normalized_field(np.zeros(10), k10, np.array([float("nan")] + [1.0] * 9))
 
+    @pytest.mark.parametrize("y", [np.zeros(2), np.zeros(4), np.zeros((3, 1)), np.zeros(())])
+    def test_reduced3_field_rejects_wrong_shape(self, spec_223, y):
+        with pytest.raises(ValueError, match=r"expected \(3,\)"):
+            reduced3_field(y, spec_223, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("u", [-1.0, -1e-300, float("nan")])
+    def test_reduced3_field_rejects_bad_effort(self, u):
+        with pytest.raises(ValueError, match="nonnegative"):
+            reduced3_field(np.zeros(3), PopulationSpec(2, 2, 2), u, 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_beta_vector_rejects_nonfinite(self, bad):
+        spec = PopulationSpec(2, 2, 2)
+        for beta_a, beta_b in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                beta_vector(spec, beta_a, beta_b)
+
     @pytest.mark.parametrize("per_agent", [False, True])
     def test_normalized_field_owns_only_its_result(self, z2_graph, rng, per_agent):
         x = rng.normal(size=z2_graph.n)

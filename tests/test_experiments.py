@@ -13,7 +13,25 @@ from netdecide.dynamics import Decision, DecisionConfig, classify_decision
 from netdecide.solver import EstimatorRun, SolverError
 
 
+def count_calls(monkeypatch, names):
+    """Count the calls of each named bifurcation function during the test."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(bif, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(bif, name, counted)
+    return counts
+
+
 class TestPitchforkDiagram:
+    def test_continues_one_switched_branch(self, monkeypatch):
+        # The trunk and the +1 branch; the -1 branch is its mirror image.
+        counts = count_calls(monkeypatch, ("branch_switch", "continue_branch"))
+        res = ex.run_pitchfork_diagram(ex.PitchforkScenario())
+        assert counts == {"branch_switch": 1, "continue_branch": 2}
+        assert res.upper is not None and res.lower is not None
+
     def test_complete_graph_defaults(self, tmp_path):
         res = ex.run_pitchfork_diagram(ex.PitchforkScenario(), out_dir=tmp_path)
         assert len(res.singular_params) == 1
@@ -94,6 +112,15 @@ class TestQuinticTransition:
         assert by_beta[3.0].classification == "subcritical-with-two-folds"
         assert len(by_beta[3.0].fold_params) == 2
         assert all(f < by_beta[3.0].u_star for f in by_beta[3.0].fold_params)
+
+    def test_continues_both_switched_branches(self, monkeypatch):
+        # Informed groups break the odd symmetry: both branches are continued.
+        counts = count_calls(monkeypatch, ("branch_switch", "continue_branch"))
+        res = ex.run_quintic_transition(ex.QuinticScenario())
+        pitchforks = sum(d.u_star is not None for d in res)
+        assert pitchforks == len(res) == 2
+        assert counts == {"branch_switch": 2 * pitchforks,
+                          "continue_branch": len(res) + 2 * pitchforks}
 
     def test_failed_branch_switch_raises(self, monkeypatch):
         # A pitchfork whose branches cannot be seeded is a failure, not an
