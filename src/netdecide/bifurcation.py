@@ -12,8 +12,11 @@ a failed branch switch or a failed solve at the end of the range raises
 BifurcationError; nothing falls back to another method.
 
 A pitchfork diagram is ``trace_trunk`` (the symmetric trunk and its first
-pitchfork), then one ``switched_branch`` per bifurcating branch; on an odd
-field, f(-x, p) = -f(x, p), the second branch is the ``reflected`` first.
+pitchfork), then one ``switched_branch`` per bifurcating branch.  When the
+field is equivariant under a signed permutation P x = -x[perm] whose fixed
+space holds the trunk, f(P x, p) = P f(x, p), the second branch is the
+``reflected`` first: under x -> -x on an odd field, and under the group swap
+-(y2, y1, y3) on the three-group field with n1 = n2 and beta_A = beta_B.
 ``ubar_star`` and ``ustar_numeric`` share one scan for a det(J) sign change,
 ``_first_det_flip``.
 """
@@ -516,20 +519,28 @@ def switched_branch(problem: ContinuationProblem, sp: SingularPoint, direction: 
                            h_max=h_max, initial_reference=ref)
 
 
-def reflected(branch: Branch) -> Branch:
-    """The image of `branch` under x -> -x, for a field with f(-x, p) = -f(x, p).
+def reflected(branch: Branch, perm: tuple[int, ...] | None = None) -> Branch:
+    """The image of `branch` under the signed permutation x -> -x[perm]
+    (x -> -x when perm is None), for a field equivariant under it:
+    f(-x[perm], p) = -f(x, p)[perm].
 
     Every state, the state part of every tangent and every singular state
-    change sign.  J(-x) = J(x) for such a field, so the stability tags,
-    determinants and null vectors are kept, as is every parameter.
+    are mapped.  With Pi the permutation, J(-x[perm]) = Pi J(x) Pi^T (the
+    signs cancel), so the eigenvalues, and with them the stability tags and
+    determinants, are kept, and each null vector phi becomes phi[perm] (a
+    copy); every parameter is kept.  An involution perm, such as a swap,
+    maps the image back to `branch`.
     """
+    idx = slice(None) if perm is None else list(perm)
+
     def point(eq):
-        tangent = None if eq.tangent is None else np.append(-eq.tangent[:-1], eq.tangent[-1])
-        return replace(eq, x=-eq.x, tangent=tangent)
+        tangent = None if eq.tangent is None else np.append(-eq.tangent[:-1][idx],
+                                                            eq.tangent[-1])
+        return replace(eq, x=-eq.x[idx], tangent=tangent)
 
     return Branch(points=[point(eq) for eq in branch.points],
-                  singular_points=[replace(sp, x=-sp.x, null_right=sp.null_right.copy(),
-                                           null_left=sp.null_left.copy())
+                  singular_points=[replace(sp, x=-sp.x[idx], null_right=sp.null_right[idx].copy(),
+                                           null_left=sp.null_left[idx].copy())
                                    for sp in branch.singular_points],
                   terminated=branch.terminated)
 

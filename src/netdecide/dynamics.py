@@ -21,6 +21,7 @@ the full field restricted to the group-consensus manifold.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,16 +35,21 @@ def sech2(z):
     return 4.0 * e / (1.0 + e) ** 2
 
 
+def _check_information(beta_a, beta_b) -> None:
+    # Scalar math.isfinite: reduced3_field pays for this on every call.
+    if not (math.isfinite(beta_a) and math.isfinite(beta_b)):
+        raise ValueError(f"information beta_a and beta_b must be finite "
+                         f"(got {beta_a}, {beta_b})")
+
+
 def beta_vector(spec: PopulationSpec, beta_a: float, beta_b: float) -> np.ndarray:
     """Information vector (+beta_A informed-A, -beta_B informed-B, 0 uninformed).
 
-    The fields check the length of beta but not its values, so a NaN or
-    infinite beta_A/beta_B is rejected here, once, and not per field call.
+    normalized_field checks the length of beta but not its values, so a NaN
+    or infinite beta_A/beta_B is rejected here, once, and not per field call.
     """
     beta_a, beta_b = float(beta_a), float(beta_b)
-    if not (np.isfinite(beta_a) and np.isfinite(beta_b)):
-        raise ValueError(f"information beta_a and beta_b must be finite "
-                         f"(got {beta_a}, {beta_b})")
+    _check_information(beta_a, beta_b)
     return np.concatenate([
         np.full(spec.n1, beta_a),
         np.full(spec.n2, -beta_b),
@@ -122,6 +128,7 @@ def reduced3_field(y: np.ndarray, spec: PopulationSpec, u: float,
         raise ValueError(f"state has shape {y.shape}, expected (3,)")
     if not u >= 0:
         raise ValueError("social effort u must be nonnegative")
+    _check_information(beta_a, beta_b)
     beta = np.array([beta_a, -beta_b, 0.0], dtype=float)
     return _field(y, spec.degrees, spec.quotient, u, beta)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -363,13 +364,22 @@ def run_hysteresis(scenario: HysteresisScenario = HysteresisScenario(),
 # Supercritical -> subcritical transition
 # ---------------------------------------------------------------------------
 
+# The group swap y -> -(y2, y1, y3) of the three-group model, as a bif.reflected perm.
+GROUP_SWAP = (1, 0, 2)
+
+
 @dataclass(frozen=True)
 class QuinticScenario:
     """Swap-symmetric informed network whose pitchfork changes criticality.
 
     The default weakly couples the two informed groups (a12 < 1) so that the
     transition falls between beta = 1 and beta = 3; strongly coupled
-    populations stay supercritical far beyond that.
+    populations stay supercritical far beyond that.  The informed groups
+    must be equal, n1 = n2: that and beta_A = beta_B = beta make the model
+    swap-symmetric, which gives the trunk its pitchfork (at n1/n2 = 2/3 or
+    3/2 the diagram has none and is "ambiguous") and lets
+    ``run_quintic_transition`` mirror one outer branch into the other.
+    Every beta must be finite.
     """
 
     n1: int = 2
@@ -383,7 +393,11 @@ class QuinticScenario:
 
     def __post_init__(self):
         _check_continuation("u_range", self.u_range, self.h_max)
+        if not all(math.isfinite(beta) for beta in self.beta_grid):
+            raise ValueError("information strengths beta_grid must be finite")
         self.population_spec()
+        if self.n1 != self.n2:
+            raise ValueError("quintic scenario requires n1 = n2 (swap symmetry)")
 
     def population_spec(self) -> PopulationSpec:
         c = np.array([[1.0, self.a12, self.a13],
@@ -404,7 +418,22 @@ class QuinticDiagram:
 
 def run_quintic_transition(scenario: QuinticScenario = QuinticScenario(),
                            out_dir=None) -> list[QuinticDiagram]:
-    """Classify the bifurcation diagram of the symmetric trunk per beta."""
+    """Classify the bifurcation diagram of the symmetric trunk per beta.
+
+    With n1 = n2 and beta_A = beta_B = beta the reduced field is equivariant
+    under the group swap P y = -(y2, y1, y3): Q and the degrees are invariant
+    under exchanging groups 1 and 2, the coupling is swap-symmetric by
+    construction, and b = (beta, -beta, 0), so f(P y, u) = P f(y, u).  The trunk lies in
+    Fix(P) = {y2 = -y1, y3 = 0}, where a zero eigenvalue is a fold of the
+    trunk, so the null vector phi of a trunk pitchfork has P phi = -phi
+    (phi1 = phi2) and the -1 outer branch is the P-image of the +1 one.
+    Only the +1 branch is continued; outer[1] is its ``bif.reflected``
+    image under perm (1, 0, 2).  The mirror is exact in exact arithmetic
+    but not bit for bit, as ``run_pitchfork_diagram``'s is: the permuted
+    dot products sum in another order and partial pivoting on a permuted
+    matrix picks other pivots, so the continued -1 branch would differ in
+    the last bits (states about 1e-11 apart at the defaults).
+    """
     spec = scenario.population_spec()
     u0 = scenario.u_range[0]
     d1 = spec.degrees[0]
@@ -414,10 +443,11 @@ def run_quintic_transition(scenario: QuinticScenario = QuinticScenario(),
         # continue_branch Newton-solves its start from this deadlock guess
         start = np.array([beta / (d1 + u0), -beta / (d1 + u0), 0.0])
         trunk, sp = bif.trace_trunk(problem, start, scenario.u_range, scenario.h_max)
-        outer = [] if sp is None else [
-            bif.switched_branch(problem, sp, direction, (u0 / 2, scenario.u_range[1]),
-                                scenario.h_max)
-            for direction in (+1, -1)]
+        outer = []
+        if sp is not None:
+            up = bif.switched_branch(problem, sp, +1, (u0 / 2, scenario.u_range[1]),
+                                     scenario.h_max)
+            outer = [up, bif.reflected(up, perm=GROUP_SWAP)]
         folds = sorted(s.param for br in outer for s in br.singular_points if s.kind == "fold")
         classification = "ambiguous"
         if sp is not None:
@@ -548,8 +578,9 @@ class ValueSensitivityScenario:
     h_max: float = 0.02         # largest step, in RMS arclength ||dy||^2/3 + du^2
 
     def __post_init__(self):
-        if not (self.nu_grid and all(nu > 0 for nu in self.nu_grid)):
-            raise ValueError("alternative values nu must be positive, and at least one given")
+        if not (self.nu_grid and all(0 < nu < math.inf for nu in self.nu_grid)):
+            raise ValueError("alternative values nu must be positive and finite, "
+                             "and at least one given")
         if self.n1 != self.n2:
             raise ValueError("value-sensitivity scenario requires n1 = n2")
         _check_continuation("u_scan", self.u_scan, self.h_max)
@@ -611,8 +642,8 @@ class UninformedInfluenceScenario:
     nu_grid: tuple[float, ...] = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
 
     def __post_init__(self):
-        if not all(nu > 0 for nu in self.nu_grid):
-            raise ValueError("alternative values nu must be positive")
+        if not all(0 < nu < math.inf for nu in self.nu_grid):
+            raise ValueError("alternative values nu must be positive and finite")
         for n3 in self.n3_values:
             if (self.n_total - n3) % 2 != 0 or self.n_total - n3 < 2:
                 raise ValueError(f"n1 = n2 = (N - n3)/2 must be a positive integer; "

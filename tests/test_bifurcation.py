@@ -9,6 +9,7 @@ import netdecide.bifurcation as bif
 import netdecide.experiments as ex
 from netdecide.bifurcation import (
     NEWTON_TOL,
+    REFINE_TOL,
     STABILITY_MARGIN,
     SWITCH_OFFSET,
     BifurcationError,
@@ -672,6 +673,83 @@ class TestReflection:
             assert_same_fields(p, q)
         assert_same_branch(bif.reflected(out), branch)
         assert not np.shares_memory(out.singular_points[0].null_right, sp.null_right)
+
+    def test_reflects_under_a_permutation(self):
+        # x -> -x[perm]: states and the state part of tangents permuted and
+        # negated, null vectors permuted only.
+        sp = bif.SingularPoint(kind="fold", param=1.25, x=np.array([0.5, -0.0, 2.0]),
+                               null_right=np.array([0.6, 0.0, 0.8]),
+                               null_left=np.array([0.0, -0.6, 0.8]),
+                               tangent_param=-3e-4, refined=True)
+        points = [bif.Equilibrium(x=np.array([0.25, -1.0, 0.0]), param=1.0, n_unstable=1,
+                                  det_sign=-1.0, log_abs_det=0.5,
+                                  tangent=np.array([0.1, -0.2, 0.3, 0.9])),
+                  bif.Equilibrium(x=np.array([1.0, 2.0, -3.0]), param=1.5, n_unstable=0)]
+        branch = bif.Branch(points=points, singular_points=[sp], terminated="range")
+        before = [dataclasses.replace(p) for p in points + [sp]]
+        out = bif.reflected(branch, perm=(1, 0, 2))
+
+        assert out.terminated == "range"
+        assert_same_fields(out.points[0], bif.Equilibrium(
+            x=np.array([1.0, -0.25, -0.0]), param=1.0, n_unstable=1, det_sign=-1.0,
+            log_abs_det=0.5, tangent=np.array([0.2, -0.1, -0.3, 0.9])))
+        assert_same_fields(out.points[1], bif.Equilibrium(
+            x=np.array([-2.0, -1.0, 3.0]), param=1.5, n_unstable=0))
+        assert_same_fields(out.singular_points[0], bif.SingularPoint(
+            kind="fold", param=1.25, x=np.array([0.0, -0.5, -2.0]),
+            null_right=np.array([0.0, 0.6, 0.8]), null_left=np.array([-0.6, 0.0, 0.8]),
+            tangent_param=-3e-4, refined=True))
+        for p, q in zip(points + [sp], before):
+            assert_same_fields(p, q)
+        assert_same_branch(bif.reflected(out, perm=(1, 0, 2)), branch)
+
+
+def quintic_pitchfork(beta):
+    """The reduced problem of the default quintic scenario at beta, its trunk
+    pitchfork, and the range and step of its outer branches."""
+    scenario = ex.QuinticScenario()
+    spec = scenario.population_spec()
+    u0 = scenario.u_range[0]
+    d1 = spec.degrees[0]
+    problem = reduced3_problem(spec, beta, beta)
+    start = np.array([beta / (d1 + u0), -beta / (d1 + u0), 0.0])
+    _, sp = bif.trace_trunk(problem, start, scenario.u_range, scenario.h_max)
+    assert sp is not None
+    return problem, sp, (u0 / 2, scenario.u_range[1]), scenario.h_max
+
+
+class TestQuinticMirror:
+    """With n1 = n2 and beta_A = beta_B the reduced field is equivariant under
+    the group swap y -> -(y2, y1, y3), so the -1 outer branch is the swapped
+    +1 branch, up to rounding (the permuted sums and pivots differ)."""
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 3.0])
+    def test_pitchfork_null_vector_is_swap_antisymmetric(self, beta):
+        _, sp, _, _ = quintic_pitchfork(beta)
+        assert abs(sp.null_right[0] - sp.null_right[1]) <= 1e-10
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 3.0])
+    def test_reflected_outer_branch_is_the_continued_mirror(self, beta):
+        problem, sp, p_range, h_max = quintic_pitchfork(beta)
+        up = bif.switched_branch(problem, sp, +1, p_range, h_max)
+        down = bif.switched_branch(problem, sp, -1, p_range, h_max)
+        mirror = bif.reflected(up, perm=ex.GROUP_SWAP)
+
+        assert mirror.terminated == down.terminated
+        assert len(mirror.points) == len(down.points)
+        for a, b in zip(mirror.points, down.points):
+            assert (a.n_unstable, a.det_sign) == (b.n_unstable, b.det_sign)
+            assert np.abs(a.x - b.x).max() <= 1e-10
+            assert abs(a.param - b.param) <= 1e-10
+        assert [s.kind for s in mirror.singular_points] == \
+            [s.kind for s in down.singular_points]
+        for a, b in zip(mirror.singular_points, down.singular_points):
+            assert abs(a.param - b.param) <= REFINE_TOL
+            # a null vector is defined up to its sign
+            assert abs(a.null_right @ b.null_right) >= 1 - 1e-9
+            assert abs(a.null_left @ b.null_left) >= 1 - 1e-9
+        if beta == 3.0:
+            assert [s.kind for s in down.singular_points] == ["fold"]
 
 
 class TestUnfoldingSensitivity:

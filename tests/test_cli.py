@@ -300,6 +300,8 @@ class TestValidate:
         ("sweep", {"scenario": "hysteresis", "n1": 0, "n2": 0, "n3": 1},
          "at least two agents"),
         ("sweep", {"scenario": "quintic_transition", "n1": -1}, "'n1' must be nonnegative"),
+        ("sweep", {"scenario": "quintic_transition", "n1": 2, "n2": 3},
+         "quintic scenario requires n1 = n2 (swap symmetry)"),
         ("sweep", {"scenario": "value_sensitivity", "n3": -5}, "'n3' must be nonnegative"),
         ("sweep", {"scenario": "value_sensitivity", "nu_grid": []}, "and at least one"),
         ("simulate", {"graph": {"kind": "complete"}}, "'n' must be an integer, got None"),
@@ -317,7 +319,7 @@ class TestValidate:
             "adaptive-seed_str", "adaptive-seed_float", "reduction_demo-seed_str",
             "reduction_demo-seed_float", "adaptive-jump_band", "quintic_transition-beta_grid",
             "hysteresis-n1_str", "hysteresis-n1_float", "hysteresis-one_agent",
-            "quintic_transition-n1_negative", "value_sensitivity-n3_negative",
+            "quintic_transition-n1_negative", "quintic_transition-n1_n2", "value_sensitivity-n3_negative",
             "value_sensitivity-empty_nu_grid",
             "complete-no_n", "weights-no_weights", "population-no_n2_n3", "graph-not_object",
             "continue-short_u_range", "value_sensitivity-short_u_scan"])

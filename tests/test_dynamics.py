@@ -79,6 +79,12 @@ class TestFields:
             reduced3_field(np.zeros(3), PopulationSpec(2, 2, 2), u, 1.0, 1.0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_reduced3_field_rejects_nonfinite_information(self, bad):
+        for beta_a, beta_b in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="beta_a and beta_b must be finite"):
+                reduced3_field(np.zeros(3), PopulationSpec(2, 2, 2), 1.0, beta_a, beta_b)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_beta_vector_rejects_nonfinite(self, bad):
         spec = PopulationSpec(2, 2, 2)
         for beta_a, beta_b in ((bad, 1.0), (1.0, bad)):
@@ -222,6 +228,41 @@ class TestReducedModels:
             f_swapped = reduced3_field(swapped, spec, u, beta, beta)
             expected = np.array([-f[1], -f[0], -f[2]])
             assert f_swapped == pytest.approx(expected, abs=1e-12)
+
+
+def _swap(y):
+    """The group swap y -> -(y2, y1, y3) of the three-group model."""
+    return -y[[1, 0, 2]]
+
+
+def _swap_residual(spec, y, u, beta):
+    """|f(P y) - P f(y)| over the rounding scale of f: the largest sum of
+    term magnitudes in one entry."""
+    lhs = reduced3_field(_swap(y), spec, u, beta, beta)
+    rhs = _swap(reduced3_field(y, spec, u, beta, beta))
+    scale = (spec.degrees * np.abs(y) + u * spec.quotient @ np.abs(np.tanh(y))
+             + abs(beta)).max()
+    return np.abs(lhs - rhs).max(), scale
+
+
+class TestSwapEquivariance:
+    """With n1 = n2 and beta_A = beta_B the reduced field commutes with the
+    group swap, which run_quintic_transition uses to mirror its outer branch."""
+
+    @given(st.integers(1, 5), st.integers(0, 5), st.floats(0.0, 2.0), st.floats(0.0, 2.0),
+           st.lists(st.floats(-1e2, 1e2), min_size=3, max_size=3),
+           st.floats(0.0, 1e2), st.floats(-1e3, 1e3))
+    def test_swap_commutes_with_reduced_field(self, n, n3, a12, a13, y, u, beta):
+        spec = PopulationSpec(n, n, n3, coupling=np.array([[1.0, a12, a13],
+                                                           [a12, 1.0, a13],
+                                                           [a13, a13, 1.0]]))
+        residual, scale = _swap_residual(spec, np.array(y), u, beta)
+        assert residual <= 1e-14 * scale
+
+    def test_unequal_groups_break_the_swap(self):
+        residual, scale = _swap_residual(PopulationSpec(2, 3, 2), np.array([0.3, -0.7, 0.2]),
+                                         1.5, 1.0)
+        assert residual > 1e-3 * scale
 
 
 class TestZ2Equivariance:

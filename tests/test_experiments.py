@@ -113,14 +113,26 @@ class TestQuinticTransition:
         assert len(by_beta[3.0].fold_params) == 2
         assert all(f < by_beta[3.0].u_star for f in by_beta[3.0].fold_params)
 
-    def test_continues_both_switched_branches(self, monkeypatch):
-        # Informed groups break the odd symmetry: both branches are continued.
+    def test_continues_one_switched_branch(self, monkeypatch):
+        # Each trunk and its +1 outer branch; the -1 branch is its image
+        # under the group swap.
         counts = count_calls(monkeypatch, ("branch_switch", "continue_branch"))
         res = ex.run_quintic_transition(ex.QuinticScenario())
         pitchforks = sum(d.u_star is not None for d in res)
         assert pitchforks == len(res) == 2
-        assert counts == {"branch_switch": 2 * pitchforks,
-                          "continue_branch": len(res) + 2 * pitchforks}
+        assert counts == {"branch_switch": pitchforks,
+                          "continue_branch": len(res) + pitchforks}
+        for diag in res:
+            up, down = diag.outer
+            assert len(up.points) == len(down.points)
+            for a, b in zip(up.points, down.points):
+                assert np.array_equal(b.x, -a.x[[1, 0, 2]])
+                assert (b.param, b.n_unstable, b.det_sign) == (a.param, a.n_unstable, a.det_sign)
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_nonfinite_beta(self, beta):
+        with pytest.raises(ValueError, match="beta_grid must be finite"):
+            ex.QuinticScenario(beta_grid=(1.0, beta))
 
     def test_failed_branch_switch_raises(self, monkeypatch):
         # A pitchfork whose branches cannot be seeded is a failure, not an
@@ -166,6 +178,11 @@ class TestValueSensitivity:
         header = (tmp_path / "curves.csv").read_text().splitlines()[0]
         assert header == "nu,us_star_hat,us_star_numeric,rel_error"
 
+    @pytest.mark.parametrize("nu_grid", [(float("inf"),), (1.0, float("inf"))])
+    def test_rejects_infinite_nu(self, nu_grid):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ex.ValueSensitivityScenario(nu_grid=nu_grid)
+
     def test_small_nu_dominated_by_inverse(self):
         res = ex.run_value_sensitivity(ex.ValueSensitivityScenario(nu_grid=(0.1,)))
         assert res.us_hat[0] == pytest.approx(10.0, rel=1e-4)
@@ -183,6 +200,11 @@ class TestUninformedInfluence:
         res = ex.run_uninformed_influence(
             ex.UninformedInfluenceScenario(n_total=7, n3_values=(5,)))
         assert 5 in res.curves
+
+    @pytest.mark.parametrize("nu_grid", [(float("inf"),), (1.0, float("inf"))])
+    def test_rejects_infinite_nu(self, nu_grid):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ex.UninformedInfluenceScenario(nu_grid=nu_grid)
 
     def test_rejects_non_integral_split(self):
         with pytest.raises(ValueError, match="integer"):
