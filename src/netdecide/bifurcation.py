@@ -177,7 +177,12 @@ _reduced3_problem = reduced3_problem
 
 def ata_problem(n: int, n3: int, beta: float) -> ContinuationProblem:
     """Continuation over u of the all-to-all swap-symmetric reduced field:
-    the three-group problem with n1 = n2 = n, unit coupling, beta_A = beta_B = beta."""
+    the three-group problem with n1 = n2 = n, unit coupling, beta_A = beta_B = beta.
+
+    No runner calls it: value sensitivity reads u* off the closed-form trunk
+    with ``ustar_numeric``.  It stays as the continuation reference for that
+    scan and as one of the problem factories the benchmark tracer wraps.
+    """
     return _reduced3_problem(PopulationSpec(n, n, n3), beta, beta)
 
 
@@ -673,7 +678,9 @@ def ustar_numeric(n: int, n3: int, beta: float,
     """Singular effort of the swap-symmetric reduced model, solved numerically.
 
     Finds the first zero of u -> det J3(y*(u), u) over the scan range, where
-    y*(u) solves the deadlock root equation; bisection to a bracket of 1e-10.
+    y*(u) solves the deadlock root equation, so the trunk y = (y*, -y*, 0) is
+    known in closed form; bisection to a bracket of 1e-10.  This is how
+    ``experiments.run_value_sensitivity`` gets each u*.
     """
     big_n = 2 * n + n3
     spec = PopulationSpec(n, n, n3)

@@ -131,10 +131,14 @@ def _graph_and_beta(graph_cfg: dict, beta_a: float, beta_b: float):
     raise ValueError("beta_a/beta_b require a population graph")
 
 
-def _check_continuation(name: str, p_range: tuple[float, float], h_max: float) -> None:
+def _check_range(name: str, p_range: tuple[float, float]) -> None:
     # Each check is written so that NaN fails it.
     if len(p_range) != 2 or not 0 <= p_range[0] < p_range[1]:
         raise ValueError(f"{name} must be an increasing pair of nonnegative efforts")
+
+
+def _check_continuation(name: str, p_range: tuple[float, float], h_max: float) -> None:
+    _check_range(name, p_range)
     if not h_max > 0:
         raise ValueError("h_max must be positive")
 
@@ -214,7 +218,11 @@ class PitchforkScenario:
 
     def __post_init__(self):
         _check_continuation("u_range", self.u_range, self.h_max)
-        if not is_strongly_connected(graph_from_config(self.graph)):
+        g = graph_from_config(self.graph)
+        if g.n < 2:
+            # one agent has d = 0, so J = 0 and the bordered matrix is singular
+            raise ValueError("continuation requires at least two agents")
+        if not is_strongly_connected(g):
             raise ValueError("continuation requires a strongly connected graph")
 
 
@@ -568,6 +576,25 @@ def run_reduction_demo(scenario: ReductionScenario = ReductionScenario(),
 # Value sensitivity and uninformed influence
 # ---------------------------------------------------------------------------
 
+def _check_nu_grid(nu_grid: tuple[float, ...], u_max: float | None = None) -> None:
+    """Reject a nu at which a number the runner forms is not finite.
+
+    ``us_star_hat`` forms 1/nu and nu^3.  ``run_value_sensitivity`` (u_max =
+    u_scan[1]) also forms us_numeric = u*/nu <= u_max/nu and rel_error, which
+    nu^4 bounds: u* >= 1 (below u = 1, -D + u Q S is nonsingular, as D^-1 Q
+    has unit row sums and 0 <= S <= I) and the series coefficient is below 1,
+    so rel_error <= nu us_hat / u* <= 1 + nu^4.
+    """
+    nu = np.array(nu_grid, dtype=float)
+    with np.errstate(all="ignore"):
+        formed = [1.0 / nu, nu ** 3] + ([u_max / nu, nu ** 4] if u_max is not None else [])
+        ok = bool(np.all(nu > 0)) and all(np.isfinite(q).all() for q in formed)
+    if not ok:
+        names = "1/nu and nu^3" if u_max is None else "1/nu, nu^3, nu^4 and u_scan[1]/nu"
+        raise ValueError(f"alternative values nu must be positive and finite, with "
+                         f"{names} finite; got nu_grid = {list(nu_grid)}")
+
+
 @dataclass(frozen=True)
 class ValueSensitivityScenario:
     n1: int = 10
@@ -575,28 +602,16 @@ class ValueSensitivityScenario:
     n3: int = 80
     nu_grid: tuple[float, ...] = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
     u_scan: tuple[float, float] = (0.9, 1.1)
-    h_max: float = 0.02         # largest step, in RMS arclength ||dy||^2/3 + du^2
 
     def __post_init__(self):
-        if not (self.nu_grid and all(0 < nu < math.inf for nu in self.nu_grid)):
+        if not self.nu_grid:
             raise ValueError("alternative values nu must be positive and finite, "
                              "and at least one given")
         if self.n1 != self.n2:
             raise ValueError("value-sensitivity scenario requires n1 = n2")
-        _check_continuation("u_scan", self.u_scan, self.h_max)
+        _check_range("u_scan", self.u_scan)
+        _check_nu_grid(self.nu_grid, u_max=self.u_scan[1])
         PopulationSpec(self.n1, self.n2, self.n3)
-
-
-def _u_star_continuation(n: int, n3: int, beta: float, u_scan: tuple[float, float],
-                         h_max: float) -> float:
-    """Singular effort of the deadlock branch located by continuation."""
-    ys = bif.ystar_root(u_scan[0], beta, 2 * n + n3)
-    _, sp = bif.trace_trunk(bif.ata_problem(n, n3, beta), np.array([ys, -ys, 0.0]),
-                            u_scan, h_max)
-    if sp is None:
-        raise bif.BifurcationError(
-            f"no singular point on the deadlock branch in u range {u_scan}")
-    return float(sp.param)
 
 
 @dataclass
@@ -609,17 +624,20 @@ class ValueSensitivityResult:
 
 def run_value_sensitivity(scenario: ValueSensitivityScenario = ValueSensitivityScenario(),
                           out_dir=None) -> ValueSensitivityResult:
-    """Series vs continuation estimate of the raw-effort bifurcation point.
+    """Series vs numerical estimate of the raw-effort bifurcation point.
 
     Equal-value alternatives: the inertia is 1/nu, the normalized information
-    strength is beta = nu^2, and the raw effort is u_S = u / nu.
+    strength is beta = nu^2, and the raw effort is u_S = u / nu.  The
+    numerical u* is ``bif.ustar_numeric``: the first sign change of det J3
+    over u_scan on the closed-form deadlock trunk y = (y*, -y*, 0), bisected
+    to 1e-10.  On that trunk only the swap-antisymmetric consensus mode
+    crosses zero, so det J3 changes sign once and no continuation is needed.
     """
     n, n3 = scenario.n1, scenario.n3
     big_n = 2 * n + n3
     nu_grid = np.array(scenario.nu_grid, dtype=float)
     us_hat = np.array([bif.us_star_hat(nu, big_n, n3) for nu in nu_grid])
-    u_stars = [_u_star_continuation(n, n3, nu ** 2, scenario.u_scan, scenario.h_max)
-               for nu in nu_grid]
+    u_stars = [bif.ustar_numeric(n, n3, nu ** 2, scenario.u_scan) for nu in nu_grid]
     us_numeric = np.array(u_stars) / nu_grid
     rel_error = np.abs(us_hat - us_numeric) / us_numeric
     result = ValueSensitivityResult(nu_grid, us_hat, us_numeric, rel_error)
@@ -642,8 +660,7 @@ class UninformedInfluenceScenario:
     nu_grid: tuple[float, ...] = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
 
     def __post_init__(self):
-        if not all(0 < nu < math.inf for nu in self.nu_grid):
-            raise ValueError("alternative values nu must be positive and finite")
+        _check_nu_grid(self.nu_grid)
         for n3 in self.n3_values:
             if (self.n_total - n3) % 2 != 0 or self.n_total - n3 < 2:
                 raise ValueError(f"n1 = n2 = (N - n3)/2 must be a positive integer; "
@@ -782,8 +799,7 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
     x0 = scenario.x0_amplitude * rng.uniform(-1, 1, n)
 
     # phase 1: opinions and efforts frozen while the estimator converges
-    est_run = integrate_nonsmooth(np.zeros(n), x0, g, scenario.alpha,
-                                  tol=scenario.estimator_tol)
+    est_run = integrate_nonsmooth(x0, g, scenario.alpha, tol=scenario.estimator_tol)
     if est_run.error > scenario.estimator_tol:
         raise SolverError(f"estimator did not reach estimator_tol within its time cap "
                           f"(error {est_run.error:.2e} > {scenario.estimator_tol:.2e})")

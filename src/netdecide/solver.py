@@ -320,9 +320,9 @@ class EstimatorRun:
     n_rejected: int
 
 
-def integrate_nonsmooth(w0: np.ndarray, x: np.ndarray, g: Graph, alpha: float,
-                        tol: float) -> EstimatorRun:
-    """Drive the consensus estimator dw/ds = -alpha sgn(L(Lw + x)) to tolerance.
+def integrate_nonsmooth(x: np.ndarray, g: Graph, alpha: float, tol: float) -> EstimatorRun:
+    """Drive the consensus estimator dw/ds = -alpha sgn(L(Lw + x)) from w = 0
+    to tolerance.
 
     Explicit Euler with rejection control: a step that fails to decrease the
     estimation error ||Lw + x - mean(x) 1|| is rolled back and retried at half
@@ -330,6 +330,8 @@ def integrate_nonsmooth(w0: np.ndarray, x: np.ndarray, g: Graph, alpha: float,
     inherits the finite-time bound ||err(0)|| / (alpha lambda2).  The initial
     step is 1e-4 / alpha.  The run stops at twice that bound; then the
     returned error is above tol, and the caller decides what that means.
+    The residual r = Lw + x and the step direction sgn(L r) are formed once
+    for each accepted w, and a retry reuses them.
     """
     if alpha <= 0:
         raise ValueError("estimator gain alpha must be positive")
@@ -338,13 +340,10 @@ def integrate_nonsmooth(w0: np.ndarray, x: np.ndarray, g: Graph, alpha: float,
         raise SolverError(DISCONNECTED_GRAPH)
     lap = g.laplacian
     x = np.asarray(x, dtype=float)
-    w = np.asarray(w0, dtype=float).copy()
+    w = np.zeros(len(x))
+    r = lap @ w + x
     target = float(x.mean())
-
-    def error_of(wv):
-        return float(np.linalg.norm(lap @ wv + x - target))
-
-    err = error_of(w)
+    err = float(np.linalg.norm(r - target))
     if err <= tol:
         return EstimatorRun(w, 0.0, err, 0.0, 0, 0)
 
@@ -356,21 +355,22 @@ def integrate_nonsmooth(w0: np.ndarray, x: np.ndarray, g: Graph, alpha: float,
     n_steps = n_rejected = 0
     h_min = 1e-16 * h0
 
+    direction = np.sign(lap @ r)
     while err > tol and s <= cap:
-        yhat = lap @ w + x
-        w_new = w - alpha * h * np.sign(lap @ yhat)
-        err_new = error_of(w_new)
+        w_new = w - alpha * h * direction
+        r_new = lap @ w_new + x
+        err_new = float(np.linalg.norm(r_new - target))
         if err_new >= err:
             h *= 0.5
             n_rejected += 1
             if h < h_min:
                 raise SolverError("estimator step underflow", time=s)
             continue
-        w = w_new
+        w, r, err = w_new, r_new, err_new
+        direction = np.sign(lap @ r)
         s += h
-        err = err_new
         n_steps += 1
-        mean_drift = max(mean_drift, abs(float((lap @ w + x).mean()) - target))
+        mean_drift = max(mean_drift, abs(float(r.mean()) - target))
         h = min(h * 1.3, h0)
 
     return EstimatorRun(w, s, err, mean_drift, n_steps, n_rejected)

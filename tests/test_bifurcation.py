@@ -375,8 +375,10 @@ class TestUstarNumeric:
         ser = ustar_series(0.3, 100, 80)
         assert abs(num - ser) < 1e-4
 
-    def test_agrees_with_continuation(self):
-        beta = 0.3
+    # The run_value_sensitivity scan at each beta = nu^2 of criterion 5,
+    # cross-checked against continuation of the same trunk.
+    @pytest.mark.parametrize("beta", [nu ** 2 for nu in ex.ValueSensitivityScenario().nu_grid])
+    def test_agrees_with_continuation(self, beta):
         problem = ata_problem(10, 80, beta)
         ys = ystar_root(0.9, beta, 100)
         branch = continue_branch(problem, np.array([ys, -ys, 0.0]), 0.9,
@@ -384,7 +386,8 @@ class TestUstarNumeric:
                                  symmetric_trunk=True)
         assert branch.singular_points
         sp = branch.singular_points[0]
-        assert sp.param == pytest.approx(ustar_numeric(10, 80, beta), abs=1e-6)
+        assert sp.param == pytest.approx(ustar_numeric(10, 80, beta, (0.9, 1.1)),
+                                         abs=REFINE_TOL)
 
     def test_reports_empty_range(self):
         with pytest.raises(BifurcationError, match="no singular point"):

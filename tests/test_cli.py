@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import json
+import shutil
 import types
 import typing
+import warnings
 
 import numpy as np
 import pytest
 from conftest import deadline
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from netdecide import experiments as ex
-from netdecide.cli import COMMANDS, SWEEP_SCENARIOS, main
+from netdecide.cli import COMMANDS, SWEEP_SCENARIOS, load_config, main
 from netdecide.solver import EstimatorRun
 
 TWO_DYADS = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
@@ -199,8 +201,8 @@ class TestAdaptive:
         assert message in capsys.readouterr().err
 
     def test_estimator_at_time_cap_exits_3(self, tmp_path, capsys, monkeypatch):
-        def capped(w0, x, g, alpha, tol):
-            return EstimatorRun(np.asarray(w0), 20.0, 10 * tol, 0.0, 100, 3)
+        def capped(x, g, alpha, tol):
+            return EstimatorRun(np.zeros(len(x)), 20.0, 10 * tol, 0.0, 100, 3)
 
         monkeypatch.setattr(ex, "integrate_nonsmooth", capped)
         assert main(["adaptive", "--case", "symmetric", "--out", str(tmp_path / "out")]) == 3
@@ -277,7 +279,7 @@ class TestValidate:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, doc, message", [
-        ("sweep", {"scenario": "value_sensitivity", "h_max": 0}, "h_max must be positive"),
+        ("sweep", {"scenario": "value_sensitivity", "h_max": 0}, "unknown config keys"),
         ("sweep", {"scenario": "value_sensitivity", "u_scan": [1.1, 0.9]}, "u_scan"),
         ("sweep", {"scenario": "value_sensitivity", "n1": 10, "n2": 12}, "n1 = n2"),
         ("sweep", {"scenario": "uninformed_influence", "n3_values": [2]}, "integer"),
@@ -312,6 +314,8 @@ class TestValidate:
         ("continue", {"u_range": [0.5]}, "u_range must be a list of 2 entries"),
         ("sweep", {"scenario": "value_sensitivity", "u_scan": [0.9]},
          "u_scan must be a list of 2 entries"),
+        ("continue", {"graph": {"kind": "complete", "n": 1}}, "at least two agents"),
+        ("continue", {"graph": {"kind": "weights", "weights": [[0]]}}, "at least two agents"),
     ], ids=["value_sensitivity-h_max", "value_sensitivity-u_scan",
             "value_sensitivity-n1_n2", "uninformed_influence-n3",
             "pitchfork_diagram-disconnected", "simulate-beta", "adaptive-beta",
@@ -322,7 +326,8 @@ class TestValidate:
             "quintic_transition-n1_negative", "quintic_transition-n1_n2", "value_sensitivity-n3_negative",
             "value_sensitivity-empty_nu_grid",
             "complete-no_n", "weights-no_weights", "population-no_n2_n3", "graph-not_object",
-            "continue-short_u_range", "value_sensitivity-short_u_scan"])
+            "continue-short_u_range", "value_sensitivity-short_u_scan",
+            "continue-one_agent_complete", "continue-one_agent_weights"])
     def test_runner_preconditions_checked_at_load(self, tmp_path, capsys,
                                                   command, doc, message):
         # validate is the load step of each command, so it rejects every
@@ -333,6 +338,13 @@ class TestValidate:
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.count(message) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["value_sensitivity", "uninformed_influence"])
+    @pytest.mark.parametrize("nu_grid", [[1e-320], [1e200, 1.0]], ids=["inverse", "cube"])
+    def test_nu_outside_float_range_exits_2(self, tmp_path, capsys, scenario, nu_grid):
+        cfg = write_cfg(tmp_path, "cfg.json", {"scenario": scenario, "nu_grid": nu_grid})
+        assert main(["validate", "--command", "sweep", "--config", cfg]) == 2
+        assert "positive and finite" in capsys.readouterr().err
 
     def test_integral_float_count_runs(self, tmp_path):
         # A count field accepts what a graph size accepts: 4.0 is the count 4.
@@ -416,5 +428,46 @@ def test_validate_exits_0_or_2(tmp_path_factory, command, scenario):
         with deadline(10.0):
             code = main(["validate", "--command", command, "--config", str(path)])
         assert code in (0, 2)
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# Property: a nu sweep that validate accepts runs to a finite result
+# ---------------------------------------------------------------------------
+
+# Bounds: 1 to 3 values of nu, each any positive float (subnormals included);
+# for value sensitivity n1 = n2 in [1, 20] and n3 in [0, 100].
+NU_GRIDS = st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                    min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("scenario", ["value_sensitivity", "uninformed_influence"])
+def test_nu_sweep_that_validates_runs(tmp_path_factory, scenario):
+    root = tmp_path_factory.mktemp("nu_sweep")
+    path, out = root / "cfg.json", root / "out"
+
+    @given(NU_GRIDS, st.integers(1, 20), st.integers(0, 100))
+    @example([1e-320], 10, 80)
+    @example([1e200], 10, 80)
+    @example([50.0], 10, 80)
+    @example([1e90], 1, 100)
+    def check(nu_grid, n, n3):
+        doc = {"scenario": scenario, "nu_grid": nu_grid}
+        if scenario == "value_sensitivity":
+            doc |= {"n1": n, "n2": n, "n3": n3}
+        path.write_text(json.dumps(doc))
+        shutil.rmtree(out, ignore_errors=True)
+        # an overflow that the load check lets through warns, and fails here
+        with deadline(10.0), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if main(["validate", "--command", "sweep", "--config", str(path)]) != 0:
+                return
+            code = main(["sweep", "--config", str(path), "--out", str(out)])
+        assert code in (0, 3)
+        if code == 0:
+            rows = (out / "curves.csv").read_text().splitlines()[1:]
+            assert np.all(np.isfinite([[float(v) for v in row.split(",")] for row in rows]))
+            load_config(str(out / "summary.json"))
 
     check()

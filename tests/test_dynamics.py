@@ -299,7 +299,7 @@ class TestEstimator:
         g = path_graph(2)
         x = np.array([1.0, 0.0])
         tol = 1e-9
-        run = integrate_nonsmooth(np.zeros(2), x, g, alpha=3.0, tol=tol)
+        run = integrate_nonsmooth(x, g, alpha=3.0, tol=tol)
         assert g.laplacian @ run.w + x == pytest.approx(np.full(2, x.mean()), abs=tol)
         assert run.w == pytest.approx([-0.25, 0.25], abs=tol)
         assert run.s_elapsed == pytest.approx(1 / 12, abs=1e-4)

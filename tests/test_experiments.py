@@ -183,6 +183,23 @@ class TestValueSensitivity:
         with pytest.raises(ValueError, match="positive and finite"):
             ex.ValueSensitivityScenario(nu_grid=nu_grid)
 
+    # 1/nu overflows at 1e-320, nu^3 at 1e200, nu^4 (the bound on rel_error)
+    # at 1e90, and u_scan[1]/nu = 2e308 at 1e-308 with u_scan = (0.9, 2.0).
+    @pytest.mark.parametrize("nu_grid, u_scan", [
+        ((1e-320,), (0.9, 1.1)), ((1.0, 1e200), (0.9, 1.1)), ((1e90,), (0.9, 1.1)),
+        ((1e-308,), (0.9, 2.0)),
+    ], ids=["inverse", "cube", "fourth_power", "u_scan_over_nu"])
+    def test_rejects_nu_outside_float_range(self, nu_grid, u_scan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive and finite"):
+                ex.ValueSensitivityScenario(nu_grid=nu_grid, u_scan=u_scan)
+
+    def test_accepts_nu_at_the_float_range_ends(self):
+        res = ex.run_value_sensitivity(ex.ValueSensitivityScenario(
+            n1=1, n2=1, n3=100, nu_grid=(1e-300, 1e70)))
+        assert np.all(np.isfinite(res.rel_error))
+
     def test_small_nu_dominated_by_inverse(self):
         res = ex.run_value_sensitivity(ex.ValueSensitivityScenario(nu_grid=(0.1,)))
         assert res.us_hat[0] == pytest.approx(10.0, rel=1e-4)
@@ -205,6 +222,13 @@ class TestUninformedInfluence:
     def test_rejects_infinite_nu(self, nu_grid):
         with pytest.raises(ValueError, match="positive and finite"):
             ex.UninformedInfluenceScenario(nu_grid=nu_grid)
+
+    @pytest.mark.parametrize("nu_grid", [(1e-320,), (1.0, 1e200)], ids=["inverse", "cube"])
+    def test_rejects_nu_outside_float_range(self, nu_grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive and finite"):
+                ex.UninformedInfluenceScenario(nu_grid=nu_grid)
 
     def test_rejects_non_integral_split(self):
         with pytest.raises(ValueError, match="integer"):
@@ -262,8 +286,8 @@ class TestAdaptive:
         assert res.diagnostics["estimator_error"] <= 1e-9
 
     def test_estimator_at_time_cap_raises(self, monkeypatch):
-        def capped(w0, x, g, alpha, tol):
-            return EstimatorRun(np.asarray(w0), 20.0, 10 * tol, 0.0, 100, 3)
+        def capped(x, g, alpha, tol):
+            return EstimatorRun(np.zeros(len(x)), 20.0, 10 * tol, 0.0, 100, 3)
 
         monkeypatch.setattr(ex, "integrate_nonsmooth", capped)
         with pytest.raises(SolverError, match="estimator did not reach estimator_tol"):

@@ -309,7 +309,7 @@ class TestSettle:
 class TestEstimatorIntegration:
     def test_immediate_return_at_consensus(self, k10):
         x = np.full(10, 1.5)
-        run = integrate_nonsmooth(np.zeros(10), x, k10, alpha=1.0, tol=1e-9)
+        run = integrate_nonsmooth(x, k10, alpha=1.0, tol=1e-9)
         assert run.s_elapsed == 0.0
         assert run.n_steps == 0
 
@@ -320,7 +320,7 @@ class TestEstimatorIntegration:
             for _ in range(runs):
                 x = rng.uniform(-1, 1, 10)
                 err0 = np.linalg.norm(x - x.mean())
-                run = integrate_nonsmooth(np.zeros(10), x, k10, alpha=alpha, tol=1e-6)
+                run = integrate_nonsmooth(x, k10, alpha=alpha, tol=1e-6)
                 assert run.error <= 1e-6
                 assert run.s_elapsed <= err0 / (alpha * lam2)
 
@@ -328,24 +328,24 @@ class TestEstimatorIntegration:
         x = rng.uniform(-1, 1, 10)
         times = []
         for alpha in (1.0, 2.0, 4.0):
-            run = integrate_nonsmooth(np.zeros(10), x, k10, alpha=alpha, tol=1e-6)
+            run = integrate_nonsmooth(x, k10, alpha=alpha, tol=1e-6)
             times.append(run.s_elapsed)
         assert times[1] <= times[0] and times[2] <= times[1]
 
     def test_mean_preserved(self, k10, rng):
         x = rng.uniform(-1, 1, 10)
-        run = integrate_nonsmooth(np.zeros(10), x, k10, alpha=1.0, tol=1e-9)
+        run = integrate_nonsmooth(x, k10, alpha=1.0, tol=1e-9)
         assert run.mean_drift < 1e-10
 
     def test_rejects_disconnected(self):
         disconnected = Graph(np.zeros((3, 3)))
         with pytest.raises(SolverError, match="connected"):
-            integrate_nonsmooth(np.zeros(3), np.array([1.0, 0.0, -1.0]),
+            integrate_nonsmooth(np.array([1.0, 0.0, -1.0]),
                                 disconnected, alpha=1.0, tol=1e-6)
 
     def test_deep_tolerance_reachable(self, k10, rng):
         x = rng.uniform(-1, 1, 10)
-        run = integrate_nonsmooth(np.zeros(10), x, k10, alpha=1.0, tol=1e-9)
+        run = integrate_nonsmooth(x, k10, alpha=1.0, tol=1e-9)
         assert run.error <= 1e-9
 
 
