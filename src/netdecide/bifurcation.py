@@ -19,6 +19,12 @@ space holds the trunk, f(P x, p) = P f(x, p), the second branch is the
 -(y2, y1, y3) on the three-group field with n1 = n2 and beta_A = beta_B.
 ``ubar_star`` and ``ustar_numeric`` share one scan for a det(J) sign change,
 ``_first_det_flip``.
+
+Each branch point is tagged with its count of unstable eigenvalues and the
+sign and log-magnitude of det J (``_equilibrium``).  On an undirected graph J
+is similar to a symmetric J_sym, and a stable point, where -J_sym is
+positive definite, is tagged by one Cholesky factorization; only a point
+with an eigenvalue >= 0 needs the spectrum.
 """
 
 from __future__ import annotations
@@ -127,7 +133,10 @@ class ContinuationProblem:
     jac_p defaults to a central finite difference of step 1e-7 when not
     supplied.
     jac_sym, when supplied, returns a symmetric matrix similar to jac_x; the
-    stability of each branch point is then tagged by ``eigvalsh`` on it.
+    stability of each branch point is then tagged on it, by one Cholesky
+    factorization of -jac_sym at a stable point and by ``eigvalsh`` at any
+    other (``_equilibrium``).  Only the tag reads jac_sym: tangents,
+    correctors, null vectors and branch switching use jac_x.
     """
 
     f: Callable[[np.ndarray, float], np.ndarray]
@@ -208,20 +217,32 @@ def _equilibrium(problem, x, p) -> Equilibrium:
     """Branch point (x, p) tagged with the number of unstable eigenvalues of
     J and the sign and log-magnitude of det J.
 
-    With ``problem.jac_sym`` one ``eigvalsh`` gives all three; otherwise
-    ``eigvals`` gives the count of unstable eigenvalues and ``slogdet`` the
-    determinant.
+    With ``problem.jac_sym`` (symmetric, similar to J) a point is stable
+    exactly when -J_sym is positive definite, which one Cholesky
+    factorization -J_sym = L L^T decides (Golub & Van Loan, *Matrix
+    Computations*, 4.2): then every eigenvalue is negative, so n_unstable = 0,
+    det J has the sign (-1)^n and log|det J| = 2 sum log L_ii.  Only when the
+    factorization fails does ``eigvalsh`` count the eigenvalues.  Without
+    ``jac_sym``, ``eigvals`` gives the count and ``slogdet`` the determinant.
     """
     if problem.jac_sym is None:
         jac = np.atleast_2d(problem.jac_x(x, p))
         n_unstable = int(np.sum(np.linalg.eigvals(jac).real > STABILITY_MARGIN))
         sign, logdet = np.linalg.slogdet(jac)
     else:
-        ev = np.linalg.eigvalsh(problem.jac_sym(x, p))
-        n_unstable = int(np.sum(ev > STABILITY_MARGIN))
-        sign = np.prod(np.sign(ev))
-        with np.errstate(divide="ignore"):
-            logdet = np.sum(np.log(np.abs(ev)))
+        jac = problem.jac_sym(x, p)
+        try:
+            chol = np.linalg.cholesky(-jac)
+        except np.linalg.LinAlgError:
+            ev = np.linalg.eigvalsh(jac)
+            n_unstable = int(np.sum(ev > STABILITY_MARGIN))
+            sign = np.prod(np.sign(ev))
+            with np.errstate(divide="ignore"):
+                logdet = np.sum(np.log(np.abs(ev)))
+        else:
+            n_unstable = 0
+            sign = (-1.0) ** len(jac)
+            logdet = 2.0 * np.sum(np.log(np.diagonal(chol)))
     return Equilibrium(x=np.asarray(x, dtype=float), param=float(p),
                        n_unstable=n_unstable, det_sign=float(sign),
                        log_abs_det=float(logdet))

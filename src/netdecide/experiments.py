@@ -218,6 +218,9 @@ class PitchforkScenario:
 
     def __post_init__(self):
         _check_continuation("u_range", self.u_range, self.h_max)
+        if not self.u_range[1] < self.u_branch_end < np.inf:
+            # every trunk pitchfork lies in u_range; a branch must run past it
+            raise ValueError("u_branch_end must be finite and above u_range[1]")
         g = graph_from_config(self.graph)
         if g.n < 2:
             # one agent has d = 0, so J = 0 and the bordered matrix is singular
@@ -577,7 +580,8 @@ def run_reduction_demo(scenario: ReductionScenario = ReductionScenario(),
 # ---------------------------------------------------------------------------
 
 def _check_nu_grid(nu_grid: tuple[float, ...], u_max: float | None = None) -> None:
-    """Reject a nu at which a number the runner forms is not finite.
+    """Reject an empty grid, and a nu at which a number the runner forms is
+    not finite.
 
     ``us_star_hat`` forms 1/nu and nu^3.  ``run_value_sensitivity`` (u_max =
     u_scan[1]) also forms us_numeric = u*/nu <= u_max/nu and rel_error, which
@@ -585,6 +589,9 @@ def _check_nu_grid(nu_grid: tuple[float, ...], u_max: float | None = None) -> No
     has unit row sums and 0 <= S <= I) and the series coefficient is below 1,
     so rel_error <= nu us_hat / u* <= 1 + nu^4.
     """
+    if not nu_grid:
+        raise ValueError("alternative values nu must be positive and finite, "
+                         "and at least one given")
     nu = np.array(nu_grid, dtype=float)
     with np.errstate(all="ignore"):
         formed = [1.0 / nu, nu ** 3] + ([u_max / nu, nu ** 4] if u_max is not None else [])
@@ -604,9 +611,6 @@ class ValueSensitivityScenario:
     u_scan: tuple[float, float] = (0.9, 1.1)
 
     def __post_init__(self):
-        if not self.nu_grid:
-            raise ValueError("alternative values nu must be positive and finite, "
-                             "and at least one given")
         if self.n1 != self.n2:
             raise ValueError("value-sensitivity scenario requires n1 = n2")
         _check_range("u_scan", self.u_scan)
@@ -661,7 +665,12 @@ class UninformedInfluenceScenario:
 
     def __post_init__(self):
         _check_nu_grid(self.nu_grid)
+        if not self.n3_values or len(set(self.n3_values)) != len(self.n3_values):
+            raise ValueError(f"n3_values must be a nonempty list of distinct uninformed "
+                             f"counts; got {list(self.n3_values)}")
         for n3 in self.n3_values:
+            if n3 < 0:
+                raise ValueError(f"uninformed counts n3 must be nonnegative; got n3 = {n3}")
             if (self.n_total - n3) % 2 != 0 or self.n_total - n3 < 2:
                 raise ValueError(f"n1 = n2 = (N - n3)/2 must be a positive integer; "
                                  f"got N = {self.n_total}, n3 = {n3}")

@@ -451,17 +451,64 @@ class TestContinuation:
         {"kind": "weights", "weights": path_graph(8).weights.tolist()},
     ], ids=["complete10", "complete200", "path8"])
     def test_symmetric_tagging_matches_eigvals(self, graph):
-        # On an undirected graph each point is tagged by eigvalsh of jac_sym;
-        # the tags must equal those of eigvals/slogdet of jac_x itself.
+        # On an undirected graph each point is tagged from jac_sym (Cholesky,
+        # or eigvalsh when -J_sym is not positive definite); the tags must
+        # equal those of eigvals/slogdet of jac_x itself.  log|det J| agrees
+        # within n eps (kappa_2(J) + |log|det J||): the first-order effect of
+        # an O(n eps) relative perturbation of J, plus n roundings of a sum
+        # of logarithms.  path8 has points with 2 unstable eigenvalues.
         problem = normalized_problem(ex.graph_from_config(graph))
         assert problem.jac_sym is not None
         res = ex.run_pitchfork_diagram(ex.PitchforkScenario(graph=graph))
         points = [pt for br in (res.trunk, res.upper, res.lower) for pt in br.points]
         for pt in points:
             jac = problem.jac_x(pt.x, pt.param)
-            sign, _ = np.linalg.slogdet(jac)
+            sign, logdet = np.linalg.slogdet(jac)
             assert pt.n_unstable == int(np.sum(real_parts(jac) > STABILITY_MARGIN))
             assert pt.det_sign == sign
+            bound = len(jac) * bif.EPS * (np.linalg.cond(jac) + abs(logdet))
+            assert abs(pt.log_abs_det - logdet) <= bound
+
+    def test_stable_tag_log_det_matches_40_digit_determinant(self):
+        # The first three upper-branch points of the default diagram are
+        # stable and nearly singular (kappa_2(J) from 1.7e7 down to 3.1e3).
+        # Against det J evaluated in 40 digits from the same (x, u), the
+        # Cholesky log|det J| errs by at most eps kappa_2(J): the first-order
+        # effect of rounding J once when the eigenvalue nearest 0 dominates.
+        mpmath = pytest.importorskip("mpmath")
+        g = complete_graph(10)
+        problem = normalized_problem(g)
+        res = ex.run_pitchfork_diagram(ex.PitchforkScenario())
+        for pt in res.upper.points[:3]:
+            assert pt.n_unstable == 0
+            with mpmath.workdps(40):
+                u, s = mpmath.mpf(pt.param), [mpmath.sech(mpmath.mpf(xi)) ** 2 for xi in pt.x]
+                jac = mpmath.matrix(g.n, g.n)
+                for i in range(g.n):
+                    for j in range(g.n):
+                        jac[i, j] = u * g.weights[i, j] * s[j]
+                    jac[i, i] -= g.degrees[i]
+                exact = float(mpmath.log(abs(mpmath.det(jac))))
+            cond = np.linalg.cond(problem.jac_x(pt.x, pt.param))
+            assert abs(pt.log_abs_det - exact) <= bif.EPS * cond
+
+    def test_eigvalsh_only_at_unstable_points(self, monkeypatch):
+        # A stable point is tagged by one Cholesky of -J_sym; only a point
+        # with an eigenvalue >= 0 needs the spectrum.  On the 200-agent
+        # diagram that is 6 of the 49 continued points (the lower branch is
+        # the reflected upper one).
+        calls = [0]
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(a):
+            calls[0] += 1
+            return real_eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        res = ex.run_pitchfork_diagram(ex.PitchforkScenario(graph={"kind": "complete", "n": 200}))
+        points = res.trunk.points + res.upper.points
+        assert len(points) == 49
+        assert calls[0] == sum(pt.n_unstable > 0 for pt in points) == 6
 
     def test_directed_graph_has_no_symmetric_jacobian(self):
         assert normalized_problem(directed_ring(6)).jac_sym is None

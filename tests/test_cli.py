@@ -12,6 +12,7 @@ from conftest import deadline
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from netdecide import bifurcation as bif
 from netdecide import experiments as ex
 from netdecide.cli import COMMANDS, SWEEP_SCENARIOS, load_config, main
 from netdecide.solver import EstimatorRun
@@ -316,6 +317,11 @@ class TestValidate:
          "u_scan must be a list of 2 entries"),
         ("continue", {"graph": {"kind": "complete", "n": 1}}, "at least two agents"),
         ("continue", {"graph": {"kind": "weights", "weights": [[0]]}}, "at least two agents"),
+        ("continue", {"u_branch_end": 0.8}, "above u_range[1]"),
+        ("continue", {"u_branch_end": 1.0}, "above u_range[1]"),
+        ("sweep", {"scenario": "uninformed_influence", "nu_grid": []}, "and at least one"),
+        ("sweep", {"scenario": "uninformed_influence", "n3_values": []}, "distinct"),
+        ("sweep", {"scenario": "uninformed_influence", "n3_values": [3, 3]}, "distinct"),
     ], ids=["value_sensitivity-h_max", "value_sensitivity-u_scan",
             "value_sensitivity-n1_n2", "uninformed_influence-n3",
             "pitchfork_diagram-disconnected", "simulate-beta", "adaptive-beta",
@@ -327,7 +333,10 @@ class TestValidate:
             "value_sensitivity-empty_nu_grid",
             "complete-no_n", "weights-no_weights", "population-no_n2_n3", "graph-not_object",
             "continue-short_u_range", "value_sensitivity-short_u_scan",
-            "continue-one_agent_complete", "continue-one_agent_weights"])
+            "continue-one_agent_complete", "continue-one_agent_weights",
+            "continue-branch_end_below_pitchfork", "continue-branch_end_at_pitchfork",
+            "uninformed_influence-empty_nu_grid", "uninformed_influence-no_n3",
+            "uninformed_influence-duplicate_n3"])
     def test_runner_preconditions_checked_at_load(self, tmp_path, capsys,
                                                   command, doc, message):
         # validate is the load step of each command, so it rejects every
@@ -469,5 +478,85 @@ def test_nu_sweep_that_validates_runs(tmp_path_factory, scenario):
             rows = (out / "curves.csv").read_text().splitlines()[1:]
             assert np.all(np.isfinite([[float(v) for v in row.split(",")] for row in rows]))
             load_config(str(out / "summary.json"))
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# Property: a continue config that validate accepts runs, and tags each point
+# as eigvals/slogdet of the Jacobian do
+# ---------------------------------------------------------------------------
+
+# Bounds: every graph has at most 12 agents (a weights graph 1 to 12, with
+# off-diagonal weights in {0, 0.5, 1, 2}, symmetrized or not; a population
+# graph 0 to 4 agents per group, with an optional coupling of the same values
+# off its unit diagonal); u_range entries and u_branch_end are floats in
+# (0, 3].
+WEIGHT = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+
+
+def _square(n):
+    return st.lists(st.lists(WEIGHT, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _weights_graph(matrix, symmetric):
+    w = np.array(matrix)
+    np.fill_diagonal(w, 0.0)
+    return {"kind": "weights", "weights": (w + w.T if symmetric else w).tolist()}
+
+
+def _population_graph(sizes, coupling):
+    doc = {"kind": "population", **dict(zip(("n1", "n2", "n3"), sizes))}
+    if coupling is not None:
+        c = np.array(coupling)
+        np.fill_diagonal(c, 1.0)
+        doc["coupling"] = c.tolist()
+    return doc
+
+
+CONTINUE_GRAPHS = (
+    st.builds(lambda n: {"kind": "complete", "n": n}, st.integers(1, 12))
+    | st.builds(lambda n: {"kind": "directed_ring", "n": n}, st.integers(1, 12))
+    | st.builds(_population_graph, st.tuples(*[st.integers(0, 4)] * 3), st.none() | _square(3))
+    | st.builds(_weights_graph, st.integers(1, 12).flatmap(_square), st.booleans()))
+EFFORTS = st.floats(min_value=0.0, max_value=3.0, exclude_min=True)
+# (u_range[0], u_range[1], u_branch_end): distinct, in increasing order or
+# in any order
+EFFORT_TRIPLES = st.lists(EFFORTS, min_size=3, max_size=3, unique=True).flatmap(
+    lambda e: st.sampled_from([sorted(e), e]))
+
+
+def test_continue_that_validates_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("continue")
+    path, out = root / "cfg.json", root / "out"
+
+    @given(CONTINUE_GRAPHS, EFFORT_TRIPLES)
+    @example({"kind": "complete", "n": 10}, (0.5, 1.5, 0.8))
+    @example({"kind": "complete", "n": 10}, (0.5, 1.5, 1.0))
+    def check(graph, efforts):
+        *u_range, u_branch_end = efforts
+        path.write_text(json.dumps({"graph": graph, "u_range": u_range,
+                                    "u_branch_end": u_branch_end}))
+        shutil.rmtree(out, ignore_errors=True)
+        with deadline(10.0):
+            if main(["validate", "--command", "continue", "--config", str(path)]) != 0:
+                return
+            code = main(["continue", "--config", str(path), "--out", str(out)])
+        assert code in (0, 3)
+        if code != 0:
+            return
+        g = ex.graph_from_config(graph)
+        for csv in out.glob("branch_*.csv"):
+            rows = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+            for param, *x, n_unstable, det_j in rows:
+                jac = bif.jacobian(np.array(x), g, param)
+                assert n_unstable == np.sum(np.linalg.eigvals(jac).real > bif.STABILITY_MARGIN)
+                # past kappa_2 = 1/(n eps), det J is 0 within round-off and
+                # has no sign (a range that ends on a singular point)
+                if np.linalg.cond(jac) < 1 / (len(jac) * bif.EPS):
+                    assert np.sign(det_j) == np.linalg.slogdet(jac)[0]
+            if csv.name != "branch_trunk.csv":
+                # a switched branch runs from its pitchfork to u_branch_end
+                assert rows[-1, 0] == u_branch_end
 
     check()

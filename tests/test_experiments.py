@@ -45,6 +45,13 @@ class TestPitchforkDiagram:
         doc = json.loads((tmp_path / "singular_points.json").read_text())
         assert [sp["refined"] for sp in doc["singular_points"]] == [True]
 
+    @pytest.mark.parametrize("u_branch_end", [0.8, 1.0, 1.5, float("nan"), float("inf")])
+    def test_rejects_branch_end_not_past_u_range(self, u_branch_end):
+        # The trunk pitchfork lies in u_range, so a switched branch that ends
+        # at or below u_range[1] could run from its seed back to the pitchfork.
+        with pytest.raises(ValueError, match="u_branch_end"):
+            ex.PitchforkScenario(u_branch_end=u_branch_end)
+
     def test_point_count_independent_of_n(self):
         # Steps are in RMS arclength, so the consensus branches x = y 1 take
         # the same steps at any n.
@@ -234,6 +241,19 @@ class TestUninformedInfluence:
         with pytest.raises(ValueError, match="integer"):
             ex.run_uninformed_influence(
                 ex.UninformedInfluenceScenario(n_total=7, n3_values=(2,)))
+
+    def test_rejects_empty_nu_grid(self):
+        with pytest.raises(ValueError, match="at least one given"):
+            ex.UninformedInfluenceScenario(nu_grid=())
+
+    # no curve, a duplicated column, and n1 = n2 = 4 with n3 = -1 uninformed
+    @pytest.mark.parametrize("n3_values, message", [
+        ((), "nonempty list of distinct"), ((3, 3), "nonempty list of distinct"),
+        ((-1,), "nonnegative"), ((1, -1), "nonnegative"),
+    ], ids=["empty", "duplicate", "negative", "one_negative"])
+    def test_rejects_bad_n3_values(self, n3_values, message):
+        with pytest.raises(ValueError, match=message):
+            ex.UninformedInfluenceScenario(n3_values=n3_values)
 
 
 class TestAdaptive:
