@@ -2,14 +2,14 @@
 singularity detection/classification, and closed-form bifurcation-point
 approximations for the structured network models.
 
-Every Newton solve on the extended unknown z = (x, p) goes through one
-bordered matrix [[J, f_p], [row]] (``_bordered``): the tangent of a branch,
-the arclength corrector, fold refinement, and the amplitude-constrained
-solve of branch switching.  Arclength is measured in the RMS norm
-||x||^2/n + p^2 (``_arclength_weights``), so a step costs the same on a
-consensus branch x = y 1 at any network size n.  A singular bordered matrix,
-a failed branch switch or a failed solve at the end of the range raises
-BifurcationError; nothing falls back to another method.
+Every Newton iteration is ``newton_solve``.  The arclength corrector
+(``_correct``) runs it on the extended unknown z = (x, p), with the bordered
+matrix [[J, f_p], [row]] (``_bordered``) as Jacobian, for continuation steps,
+fold refinement and branch switching; the same matrix gives each tangent.
+Arclength is measured in the RMS norm ||x||^2/n + p^2 (``_arclength_weights``),
+so a step costs the same on a consensus branch x = y 1 at any network size n.
+A branch reaches the end of its range or raises BifurcationError, as do a
+singular bordered matrix and a failed branch switch; nothing falls back.
 
 A pitchfork diagram is ``trace_trunk`` (the symmetric trunk and its first
 pitchfork), then one ``switched_branch`` per bifurcating branch.  When the
@@ -40,10 +40,12 @@ from .graphs import Graph, PopulationSpec
 
 NEWTON_TOL = 1e-12
 REFINE_TOL = 1e-8
-# Continuation step control: first and smallest RMS-arclength step, point budget.
+# Continuation step control: first and smallest RMS-arclength step, point
+# budget, and the smallest RMS cosine between the tangents of an accepted step.
 H0 = 0.01
 H_MIN = 1e-5
 MAX_POINTS = 20_000
+TANGENT_COS_MIN = 0.99
 SWITCH_OFFSET = 1e-3
 STABILITY_MARGIN = 1e-8
 EPS = float(np.finfo(float).eps)
@@ -95,28 +97,31 @@ class Equilibrium:
 
 
 def newton_solve(f: Callable, jac: Callable, x0: np.ndarray) -> np.ndarray:
-    """Damped Newton iteration to ||f||_inf <= NEWTON_TOL within 50 steps."""
-    x = np.asarray(x0, dtype=float).copy()
-    fx = np.atleast_1d(f(x))
+    """Damped Newton iteration to ||f||_inf <= NEWTON_TOL within 50 steps,
+    each step halved from 1 until the residual falls (Deuflhard), else
+    BifurcationError with the reason.  Fixed-parameter solves and the
+    arclength corrector both run it; f may refill and return one buffer."""
+    x = np.array(x0, dtype=float)
+    fx = f(x)
     norm = np.abs(fx).max()
     for _ in range(50):
         if norm <= NEWTON_TOL:
             return x
         try:
-            step = np.linalg.solve(np.atleast_2d(jac(x)), -fx)
+            step = np.linalg.solve(jac(x), -fx)
         except np.linalg.LinAlgError as exc:
             raise BifurcationError(f"singular Newton matrix: {exc}") from exc
         lam = 1.0
         while lam > 1e-6:
-            x_new = x + lam * step
-            f_new = np.atleast_1d(f(x_new))
-            norm_new = np.abs(f_new).max()
+            x_new = x + step if lam == 1.0 else x + lam * step
+            fx = f(x_new)
+            norm_new = np.abs(fx).max()
             if norm_new < norm or norm_new <= NEWTON_TOL:
                 break
             lam *= 0.5
         else:
             raise BifurcationError("Newton damping failed to reduce the residual")
-        x, fx, norm = x_new, f_new, norm_new
+        x, norm = x_new, norm_new
     if norm <= NEWTON_TOL:
         return x
     raise BifurcationError(f"Newton did not converge (residual {norm:.3e})")
@@ -130,8 +135,8 @@ def newton_solve(f: Callable, jac: Callable, x0: np.ndarray) -> np.ndarray:
 class ContinuationProblem:
     """Parameterized equilibrium problem f(x, p) = 0 with analytic Jacobians.
 
-    jac_p defaults to a central finite difference of step 1e-7 when not
-    supplied.
+    jac_p defaults to a central finite difference of step h = 1e-7, centred
+    at max(p, h): a problem without jac_p is continued in an effort u >= 0.
     jac_sym, when supplied, returns a symmetric matrix similar to jac_x; the
     stability of each branch point is then tagged on it, by one Cholesky
     factorization of -jac_sym at a stable point and by ``eigvalsh`` at any
@@ -148,7 +153,8 @@ class ContinuationProblem:
         if self.jac_p is not None:
             return self.jac_p(x, p)
         h = 1e-7
-        return (np.atleast_1d(self.f(x, p + h)) - np.atleast_1d(self.f(x, p - h))) / (2 * h)
+        p = max(p, h)
+        return (self.f(x, p + h) - self.f(x, p - h)) / (2 * h)
 
 
 def normalized_problem(g: Graph, beta=None) -> ContinuationProblem:
@@ -210,7 +216,6 @@ class SingularPoint:
 class Branch:
     points: list[Equilibrium] = field(default_factory=list)
     singular_points: list[SingularPoint] = field(default_factory=list)
-    terminated: str = "range"
 
 
 def _equilibrium(problem, x, p) -> Equilibrium:
@@ -226,7 +231,7 @@ def _equilibrium(problem, x, p) -> Equilibrium:
     ``jac_sym``, ``eigvals`` gives the count and ``slogdet`` the determinant.
     """
     if problem.jac_sym is None:
-        jac = np.atleast_2d(problem.jac_x(x, p))
+        jac = problem.jac_x(x, p)
         n_unstable = int(np.sum(np.linalg.eigvals(jac).real > STABILITY_MARGIN))
         sign, logdet = np.linalg.slogdet(jac)
     else:
@@ -284,24 +289,17 @@ def _tangent(problem, x, p, reference):
 
 
 def _correct(problem, z_pred, row):
-    """Newton on the bordered system {f(x, p) = 0, row.(z - z_pred) = 0}.
-
-    Returns z with ||f||_inf <= NEWTON_TOL within 25 iterations, else None.
-    """
+    """The arclength corrector: ``newton_solve`` from z_pred on
+    F(z) = (f(x, p), row.(z - z_pred)) = 0, with Jacobian ``_bordered``."""
     n = len(z_pred) - 1
-    z = z_pred.copy()
-    rhs = np.empty(n + 1)
-    for _ in range(25):
-        fx = problem.f(z[:n], z[n])
-        if np.abs(fx).max() <= NEWTON_TOL:
-            return z
-        rhs[:n] = -fx
-        rhs[n] = -(row @ (z - z_pred))
-        try:
-            z = z + np.linalg.solve(_bordered(problem, z[:n], z[n], row), rhs)
-        except np.linalg.LinAlgError:
-            return None
-    return z if np.abs(problem.f(z[:n], z[n])).max() <= NEWTON_TOL else None
+    res = np.empty(n + 1)
+
+    def residual(z):
+        res[:n] = problem.f(z[:n], z[n])
+        res[n] = row @ (z - z_pred)
+        return res
+
+    return newton_solve(residual, lambda z: _bordered(problem, z[:n], z[n], row), z_pred)
 
 
 def _solve_at_param(problem, x_guess, p):
@@ -330,16 +328,17 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
 
     Arclength is RMS arclength, ||dx||^2/n + dp^2, so the point count on a
     consensus branch does not grow with n.  Steps grow from H0 up to h_max
-    and halve down to H_MIN on corrector failure.  Records stability flips,
-    refines sign changes of det(J) and of the parameter component of the
-    tangent to REFINE_TOL in the parameter, and classifies each refined
-    point.  The first tangent is oriented along `initial_reference` when
-    given (e.g. away from a singular point after branch switching),
-    otherwise towards increasing parameter.
+    and halve down to H_MIN on corrector failure, or when the tangent turns
+    by an RMS cosine below TANGENT_COS_MIN (the step may have jumped a fold
+    pair).  Records stability flips, refines sign changes of det(J) and of
+    the tangent's parameter component to REFINE_TOL in the parameter, and
+    classifies each refined point.  The first tangent is oriented along
+    `initial_reference` when given, otherwise towards increasing parameter.
+    The last point is solved at an end of p_range; a branch that cannot get
+    there raises BifurcationError with the parameter reached and the reason.
     """
     p_lo, p_hi = min(p_range), max(p_range)
     x = _solve_at_param(problem, np.asarray(x_start, dtype=float), p_start)
-    branch = Branch()
     eq = _equilibrium(problem, x, p_start)
     n = len(x)
     w = _arclength_weights(n)
@@ -351,21 +350,27 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
         ref[n] = 1.0
     tan = _tangent(problem, x, p_start, ref)
     eq.tangent = tan
-    branch.points.append(eq)
+    branch = Branch(points=[eq])
 
     h = H0
     z = np.concatenate([x, [p_start]])
-    while len(branch.points) < MAX_POINTS:
-        z_new = None
-        while h >= H_MIN:
-            z_pred = z + h * tan
-            z_new = _correct(problem, z_pred, w * tan)
-            if z_new is not None:
-                break
+    for _ in range(MAX_POINTS - 1):
+        row = w * tan
+        while True:
+            try:
+                z_new = _correct(problem, z + h * tan, row)
+            except BifurcationError as exc:
+                if h * 0.5 < H_MIN:
+                    raise BifurcationError(
+                        f"continuation stopped at p = {z[n]}: the corrector failed at "
+                        f"every step down to H_MIN = {H_MIN:g} ({exc})") from exc
+            else:
+                if not p_lo <= z_new[n] <= p_hi:
+                    break
+                tan_new = _tangent(problem, z_new[:n], z_new[n], tan)
+                if row @ tan_new >= TANGENT_COS_MIN or h * 0.5 < H_MIN:
+                    break
             h *= 0.5
-        if z_new is None:
-            branch.terminated = "corrector failure"
-            break
 
         x_new, p_new = z_new[:n], z_new[n]
         past_end = not p_lo <= p_new <= p_hi
@@ -373,17 +378,17 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
             # the last point is solved at the end of the range itself
             p_new = p_hi if p_new > p_hi else p_lo
             x_new = _solve_at_param(problem, x_new, p_new)
+            tan_new = _tangent(problem, x_new, p_new, tan)
         eq_new = _equilibrium(problem, x_new, p_new)
-        eq_new.tangent = _tangent(problem, x_new, p_new, tan)
+        eq_new.tangent = tan_new
         _detect_events(problem, branch, branch.points[-1], eq_new, symmetric_trunk)
         branch.points.append(eq_new)
         if past_end:
-            break                       # branch.terminated keeps its "range"
-        z, tan = z_new, eq_new.tangent
+            return branch
+        z, tan = z_new, tan_new
         h = min(h * 1.3, h_max)
-    else:
-        branch.terminated = "max points"
-    return branch
+    raise BifurcationError(f"continuation stopped at p = {z[n]}: MAX_POINTS = {MAX_POINTS} "
+                           f"points did not reach the end of the range [{p_lo}, {p_hi}]")
 
 
 def _detect_events(problem, branch, prev: Equilibrium, new: Equilibrium, symmetric_trunk):
@@ -418,7 +423,7 @@ def _refine_det_flip(problem, eq_lo: Equilibrium, eq_hi: Equilibrium):
             x_mid = _solve_at_param(problem, x_lo + 0.5 * (x_hi - x_lo), p_mid)
         except BifurcationError:
             break
-        s_mid, _ = np.linalg.slogdet(np.atleast_2d(problem.jac_x(x_mid, p_mid)))
+        s_mid, _ = np.linalg.slogdet(problem.jac_x(x_mid, p_mid))
         if s_mid == s_lo or s_mid == 0.0:
             p_lo, x_lo, s_lo = p_mid, x_mid, s_mid
         else:
@@ -450,9 +455,9 @@ def _refine_fold(problem, eq_lo: Equilibrium, eq_hi: Equilibrium):
     for _ in range(80):
         if closed():
             break
-        z_mid_pred = 0.5 * (z_lo + z_hi)
-        z_mid = _correct(problem, z_mid_pred, w * tan_lo)
-        if z_mid is None:
+        try:
+            z_mid = _correct(problem, 0.5 * (z_lo + z_hi), w * tan_lo)
+        except BifurcationError:
             break
         tan_mid = _tangent(problem, z_mid[:n], z_mid[n], tan_lo)
         if tan_mid[-1] * val_lo > 0:
@@ -465,7 +470,7 @@ def _refine_fold(problem, eq_lo: Equilibrium, eq_hi: Equilibrium):
 
 
 def _singular_point_at(problem, x_sp, p_sp, tan_ref, refined: bool):
-    right, left = null_vectors(np.atleast_2d(problem.jac_x(x_sp, p_sp)))
+    right, left = null_vectors(problem.jac_x(x_sp, p_sp))
     tangent_param = float(_tangent(problem, x_sp, p_sp, tan_ref)[-1])
     return SingularPoint(kind="unclassified", param=float(p_sp), x=np.asarray(x_sp),
                          null_right=right, null_left=left,
@@ -486,9 +491,9 @@ def classify_singularity(sp: SingularPoint, problem: ContinuationProblem,
     if abs(sp.tangent_param) < 1e-3:
         # second derivative of the field along the null direction
         eps = 1e-4 * max(1.0, np.linalg.norm(sp.x))
-        f0 = np.atleast_1d(problem.f(sp.x, sp.param))
-        fp_ = np.atleast_1d(problem.f(sp.x + eps * phi, sp.param))
-        fm_ = np.atleast_1d(problem.f(sp.x - eps * phi, sp.param))
+        f0 = problem.f(sp.x, sp.param)
+        fp_ = problem.f(sp.x + eps * phi, sp.param)
+        fm_ = problem.f(sp.x - eps * phi, sp.param)
         quad = sp.null_left @ (fp_ + fm_ - 2.0 * f0) / eps ** 2
         if abs(quad) > 1e-4:
             return "fold"
@@ -496,31 +501,24 @@ def classify_singularity(sp: SingularPoint, problem: ContinuationProblem,
     return "pitchfork" if symmetric_trunk else "ambiguous"
 
 
-def _amplitude_solve(problem, sp: SingularPoint, a: float):
-    """Solve {f(x,p)=0, phi.(x - x*) = a} for z = (x, p), or return None.
+def branch_switch(problem: ContinuationProblem, sp: SingularPoint,
+                  direction: int) -> tuple[np.ndarray, float]:
+    """The seed (x, p), untagged, of a branch just past a pitchfork.
 
-    The corrector from z_pred = (x* + a phi, p*) with row (phi, 0): phi has
-    unit norm, so its constraint is the amplitude.  Along the null
-    eigenvector the bordered matrix stays nonsingular arbitrarily close to
-    the singular point, which a plain fixed-parameter solve does not.
+    The corrector from (x* + a phi, p*), a = direction*SWITCH_OFFSET, with row
+    (phi, 0) solves {f = 0, phi.(x - x*) = a}: phi has unit norm, and along it
+    the bordered matrix stays nonsingular arbitrarily close to the singular
+    point, unlike a fixed-parameter solve.  A failure raises BifurcationError
+    with the Newton reason: it suggests a misclassified point.
     """
     phi = sp.null_right
-    return _correct(problem, np.append(sp.x + a * phi, sp.param), np.append(phi, 0.0))
-
-
-def branch_switch(problem: ContinuationProblem, sp: SingularPoint,
-                  direction: int) -> Equilibrium:
-    """Seed a bifurcating branch just past a pitchfork.
-
-    Solves the amplitude-constrained system phi.(x - x*) = direction*SWITCH_OFFSET,
-    letting the parameter move past the singularity.  A failed solve raises
-    BifurcationError: it suggests a misclassified point.
-    """
-    z = _amplitude_solve(problem, sp, direction * SWITCH_OFFSET)
-    if z is None:
+    a = direction * SWITCH_OFFSET
+    try:
+        z = _correct(problem, np.append(sp.x + a * phi, sp.param), np.append(phi, 0.0))
+    except BifurcationError as exc:
         raise BifurcationError(f"branch switch failed at amplitude {SWITCH_OFFSET:g} "
-                               "(misclassified singular point?)")
-    return _equilibrium(problem, z[:-1], z[-1])
+                               f"(misclassified singular point?): {exc}") from exc
+    return z[:-1], z[-1]
 
 
 def trace_trunk(problem: ContinuationProblem, x_start: np.ndarray,
@@ -539,10 +537,9 @@ def switched_branch(problem: ContinuationProblem, sp: SingularPoint, direction: 
     """Continue over p_range the branch bifurcating at pitchfork `sp` on the
     side `direction` (+1 or -1) of its null vector, seeded by branch_switch
     and oriented away from `sp`."""
-    seed = branch_switch(problem, sp, direction)
-    ref = np.concatenate([seed.x - sp.x, [seed.param - sp.param]])
-    return continue_branch(problem, seed.x, seed.param, p_range,
-                           h_max=h_max, initial_reference=ref)
+    x, p = branch_switch(problem, sp, direction)
+    ref = np.concatenate([x - sp.x, [p - sp.param]])
+    return continue_branch(problem, x, p, p_range, h_max=h_max, initial_reference=ref)
 
 
 def reflected(branch: Branch, perm: tuple[int, ...] | None = None) -> Branch:
@@ -567,8 +564,7 @@ def reflected(branch: Branch, perm: tuple[int, ...] | None = None) -> Branch:
     return Branch(points=[point(eq) for eq in branch.points],
                   singular_points=[replace(sp, x=-sp.x[idx], null_right=sp.null_right[idx].copy(),
                                            null_left=sp.null_left[idx].copy())
-                                   for sp in branch.singular_points],
-                  terminated=branch.terminated)
+                                   for sp in branch.singular_points])
 
 
 # ---------------------------------------------------------------------------

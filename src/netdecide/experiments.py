@@ -227,6 +227,10 @@ class PitchforkScenario:
             raise ValueError("continuation requires at least two agents")
         if not is_strongly_connected(g):
             raise ValueError("continuation requires a strongly connected graph")
+        for u in self.u_range:
+            # f_p = 0 on the trunk x = 0, so its bordered matrix is singular with J
+            if np.linalg.slogdet(bif.jacobian(np.zeros(g.n), g, u))[0] == 0:
+                raise ValueError(f"u_range end {u} is a singular point of the trunk x = 0")
 
 
 @dataclass

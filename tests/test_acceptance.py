@@ -59,10 +59,9 @@ def test_criterion_2_branch_formula():
     ok = True
     ends = []
     for direction in (+1, -1):
-        seed = branch_switch(problem, sp, direction)
-        ref = np.concatenate([seed.x - sp.x, [seed.param - sp.param]])
-        br = continue_branch(problem, seed.x, seed.param, (sp.param, 2.0),
-                             initial_reference=ref)
+        x, p = branch_switch(problem, sp, direction)
+        ref = np.concatenate([x - sp.x, [p - sp.param]])
+        br = continue_branch(problem, x, p, (sp.param, 2.0), initial_reference=ref)
         end = br.points[-1]
         ok &= end.param == pytest.approx(2.0, abs=1e-10)
         sign = np.sign(end.x.mean())

@@ -71,7 +71,6 @@ def assert_same_fields(a, b):
 
 
 def assert_same_branch(a, b):
-    assert a.terminated == b.terminated
     assert len(a.points) == len(b.points)
     for pa, pb in zip(a.points, b.points):
         assert_same_fields(pa, pb)
@@ -510,6 +509,21 @@ class TestContinuation:
         assert len(points) == 49
         assert calls[0] == sum(pt.n_unstable > 0 for pt in points) == 6
 
+    def test_each_point_is_tagged_once(self, monkeypatch):
+        # Each tag starts with one Cholesky of -J_sym, so one call per
+        # recorded point: the branch-switch seed is tagged only as the
+        # switched branch's first point.
+        calls = [0]
+        real_cholesky = np.linalg.cholesky
+
+        def counting_cholesky(a):
+            calls[0] += 1
+            return real_cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        res = ex.run_pitchfork_diagram(ex.PitchforkScenario(graph={"kind": "complete", "n": 200}))
+        assert calls[0] == len(res.trunk.points) + len(res.upper.points) == 49
+
     def test_directed_graph_has_no_symmetric_jacobian(self):
         assert normalized_problem(directed_ring(6)).jac_sym is None
 
@@ -528,19 +542,18 @@ class TestContinuation:
         sp = branch.singular_points[0]
         assert sp.null_right * np.sign(sp.null_right[0]) == pytest.approx(
             np.full(10, 1 / np.sqrt(10)), abs=1e-8)
-        up = branch_switch(problem, sp, +1)
-        down = branch_switch(problem, sp, -1)
-        assert up.x == pytest.approx(-down.x, abs=1e-9)
+        x_up, _ = branch_switch(problem, sp, +1)
+        x_down, _ = branch_switch(problem, sp, -1)
+        assert x_up == pytest.approx(-x_down, abs=1e-9)
 
     def test_switched_branch_reaches_formula(self, k10):
         problem = normalized_problem(k10)
         trunk = continue_branch(problem, np.zeros(10), 0.5, (0.5, 1.5),
                                 symmetric_trunk=True)
         sp = trunk.singular_points[0]
-        seed = branch_switch(problem, sp, +1)
-        ref = np.concatenate([seed.x - sp.x, [seed.param - sp.param]])
-        upper = continue_branch(problem, seed.x, seed.param, (sp.param, 2.0),
-                                initial_reference=ref)
+        x, p = branch_switch(problem, sp, +1)
+        ref = np.concatenate([x - sp.x, [p - sp.param]])
+        upper = continue_branch(problem, x, p, (sp.param, 2.0), initial_reference=ref)
         end = upper.points[-1]
         assert end.param == pytest.approx(2.0, abs=1e-12)
         sign = np.sign(end.x[0])
@@ -564,9 +577,9 @@ class TestContinuation:
                                 symmetric_trunk=True)
         pf = [sp for sp in trunk.singular_points if sp.kind == "pitchfork"]
         assert len(pf) == 1
-        seed = branch_switch(problem, pf[0], +1)
-        ref = np.concatenate([seed.x - pf[0].x, [seed.param - pf[0].param]])
-        outer = continue_branch(problem, seed.x, seed.param, (0.2, 3.0), h_max=0.02,
+        x, p = branch_switch(problem, pf[0], +1)
+        ref = np.concatenate([x - pf[0].x, [p - pf[0].param]])
+        outer = continue_branch(problem, x, p, (0.2, 3.0), h_max=0.02,
                                 initial_reference=ref)
         folds = [sp for sp in outer.singular_points if sp.kind == "fold"]
         assert len(folds) == 1
@@ -589,10 +602,10 @@ class TestContinuation:
         for problem, branch in ((k10_problem, k10_branch), (quintic, quintic_branch)):
             sp = next(sp for sp in branch.singular_points if sp.kind == "pitchfork")
             for direction in (+1, -1):
-                seed = branch_switch(problem, sp, direction)
-                amplitude = sp.null_right @ (seed.x - sp.x)
+                x, p = branch_switch(problem, sp, direction)
+                amplitude = sp.null_right @ (x - sp.x)
                 assert abs(amplitude - direction * SWITCH_OFFSET) <= 1e-12
-                assert np.abs(problem.f(seed.x, seed.param)).max() <= NEWTON_TOL
+                assert np.abs(problem.f(x, p)).max() <= NEWTON_TOL
 
     def test_tangent_raises_on_singular_bordered_matrix(self):
         # f = x^2 + p^2 at (0, 0): J = f_p = 0, so [[J, f_p], [row]] is singular.
@@ -611,14 +624,14 @@ class TestContinuation:
                                tangent_param=1.0, refined=True)
         amplitudes = []
 
-        def fail(problem, sp, a):
-            amplitudes.append(a)
-            return None
+        def fail(problem, z_pred, row):
+            amplitudes.append(row[:-1] @ (z_pred[:-1] - sp.x))
+            raise BifurcationError("Newton damping failed to reduce the residual")
 
-        monkeypatch.setattr(bif, "_amplitude_solve", fail)
-        with pytest.raises(BifurcationError, match="branch switch failed"):
+        monkeypatch.setattr(bif, "_correct", fail)
+        with pytest.raises(BifurcationError, match="branch switch failed.*Newton damping"):
             branch_switch(problem, sp, -1)
-        assert amplitudes == [-SWITCH_OFFSET]
+        assert amplitudes == [pytest.approx(-SWITCH_OFFSET, abs=1e-15)]
 
     def test_refinement_reports_convergence(self, k10, monkeypatch):
         problem = normalized_problem(k10)
@@ -648,6 +661,51 @@ class TestContinuation:
         with pytest.raises(BifurcationError, match="at the range end"):
             continue_branch(normalized_problem(k10), np.zeros(10), 0.5, (0.5, 1.5),
                             symmetric_trunk=True)
+
+    def test_corrector_failure_down_to_h_min_raises(self):
+        # f = x - p with a Jacobian of the wrong sign: every corrector step
+        # raises the residual, so each halved step fails until H_MIN.
+        problem = bif.ContinuationProblem(
+            f=lambda x, p: x - p,
+            jac_x=lambda x, p: np.array([[-1.0]]),
+            jac_p=lambda x, p: np.array([-1.0]))
+        with pytest.raises(BifurcationError,
+                           match=r"stopped at p = 0\.0: .*H_MIN.*Newton damping failed"):
+            continue_branch(problem, np.zeros(1), 0.0, (0.0, 1.0))
+
+    def test_exhausted_point_budget_raises(self, k10, monkeypatch):
+        monkeypatch.setattr(bif, "MAX_POINTS", 3)
+        with pytest.raises(BifurcationError, match=r"stopped at p = 0\.5\d*: MAX_POINTS = 3"):
+            continue_branch(normalized_problem(k10), np.zeros(10), 0.5, (0.5, 1.5),
+                            symmetric_trunk=True)
+
+    def test_corrector_damps_an_overshooting_step(self):
+        # Newton on arctan(x) = p from x = 3 overshoots: the full step lands
+        # at x = -9.5, where the residual is larger.  Damping converges.
+        problem = bif.ContinuationProblem(
+            f=lambda x, p: np.arctan(x) - p,
+            jac_x=lambda x, p: np.diag(1.0 / (1.0 + x ** 2)),
+            jac_p=lambda x, p: np.array([-1.0]))
+        z = bif._correct(problem, np.array([3.0, 0.0]), np.array([0.0, 1.0]))
+        assert np.abs(z).max() <= NEWTON_TOL
+
+    def test_step_does_not_jump_a_fold_pair(self):
+        # The 5/5/10 quotient at u = 1.06, continued in beta_B from the
+        # decided beta_B = 0 state: the equilibrium curve folds at
+        # beta_B = 5.2369891 and back at 4.7224977, and a step of h_max = 0.1
+        # can cross both, flipping neither det(J) nor the tangent's
+        # parameter component.  The tangent-turn test halves that step.
+        spec, u, beta_a = PopulationSpec(5, 5, 10), 1.06, 5.0
+        problem = bif.ContinuationProblem(
+            f=lambda y, beta_b: reduced3_field(y, spec, u, beta_a, beta_b),
+            jac_x=lambda y, beta_b: reduced3_jacobian(y, spec, u),
+            jac_p=lambda y, beta_b: np.array([0.0, -1.0, 0.0]))
+        branch = continue_branch(problem, np.full(3, 3.0), 0.0, (0.0, 12.0), h_max=0.1)
+        assert branch.points[0].n_unstable == 0
+        assert [sp.kind for sp in branch.singular_points] == ["fold", "fold"]
+        assert [sp.param for sp in branch.singular_points] == pytest.approx(
+            [5.2369891, 4.7224977], abs=1e-7)
+        assert branch.points[-1].param == 12.0
 
     def test_determinism(self, k10):
         problem = normalized_problem(k10)
@@ -705,11 +763,10 @@ class TestReflection:
         points = [bif.Equilibrium(x=x, param=1.0, n_unstable=1, det_sign=-1.0,
                                   log_abs_det=0.5, tangent=np.array([0.1, -0.2, 0.0, 0.9])),
                   bif.Equilibrium(x=-x, param=1.5, n_unstable=0)]
-        branch = bif.Branch(points=points, singular_points=[sp], terminated="max points")
+        branch = bif.Branch(points=points, singular_points=[sp])
         before = [dataclasses.replace(p) for p in points + [sp]]
         out = bif.reflected(branch)
 
-        assert out.terminated == "max points"
         assert_same_fields(out.points[0], bif.Equilibrium(
             x=np.array([-0.5, 0.0, -2.0]), param=1.0, n_unstable=1, det_sign=-1.0,
             log_abs_det=0.5, tangent=np.array([-0.1, 0.2, -0.0, 0.9])))
@@ -735,11 +792,10 @@ class TestReflection:
                                   det_sign=-1.0, log_abs_det=0.5,
                                   tangent=np.array([0.1, -0.2, 0.3, 0.9])),
                   bif.Equilibrium(x=np.array([1.0, 2.0, -3.0]), param=1.5, n_unstable=0)]
-        branch = bif.Branch(points=points, singular_points=[sp], terminated="range")
+        branch = bif.Branch(points=points, singular_points=[sp])
         before = [dataclasses.replace(p) for p in points + [sp]]
         out = bif.reflected(branch, perm=(1, 0, 2))
 
-        assert out.terminated == "range"
         assert_same_fields(out.points[0], bif.Equilibrium(
             x=np.array([1.0, -0.25, -0.0]), param=1.0, n_unstable=1, det_sign=-1.0,
             log_abs_det=0.5, tangent=np.array([0.2, -0.1, -0.3, 0.9])))
@@ -785,7 +841,6 @@ class TestQuinticMirror:
         down = bif.switched_branch(problem, sp, -1, p_range, h_max)
         mirror = bif.reflected(up, perm=ex.GROUP_SWAP)
 
-        assert mirror.terminated == down.terminated
         assert len(mirror.points) == len(down.points)
         for a, b in zip(mirror.points, down.points):
             assert (a.n_unstable, a.det_sign) == (b.n_unstable, b.det_sign)

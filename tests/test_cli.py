@@ -319,6 +319,10 @@ class TestValidate:
         ("continue", {"graph": {"kind": "weights", "weights": [[0]]}}, "at least two agents"),
         ("continue", {"u_branch_end": 0.8}, "above u_range[1]"),
         ("continue", {"u_branch_end": 1.0}, "above u_range[1]"),
+        ("continue", {"u_range": [0.5, 1.0]}, "u_range end 1.0 is a singular point"),
+        ("continue", {"u_range": [1.0, 1.5]}, "u_range end 1.0 is a singular point"),
+        ("continue", {"graph": {"kind": "directed_ring", "n": 6}, "u_range": [0.5, 1.0]},
+         "u_range end 1.0 is a singular point"),
         ("sweep", {"scenario": "uninformed_influence", "nu_grid": []}, "and at least one"),
         ("sweep", {"scenario": "uninformed_influence", "n3_values": []}, "distinct"),
         ("sweep", {"scenario": "uninformed_influence", "n3_values": [3, 3]}, "distinct"),
@@ -335,6 +339,8 @@ class TestValidate:
             "continue-short_u_range", "value_sensitivity-short_u_scan",
             "continue-one_agent_complete", "continue-one_agent_weights",
             "continue-branch_end_below_pitchfork", "continue-branch_end_at_pitchfork",
+            "continue-range_ends_at_pitchfork", "continue-range_starts_at_pitchfork",
+            "continue-ring_range_ends_at_pitchfork",
             "uninformed_influence-empty_nu_grid", "uninformed_influence-no_n3",
             "uninformed_influence-duplicate_n3"])
     def test_runner_preconditions_checked_at_load(self, tmp_path, capsys,
@@ -533,6 +539,9 @@ def test_continue_that_validates_runs(tmp_path_factory):
     @given(CONTINUE_GRAPHS, EFFORT_TRIPLES)
     @example({"kind": "complete", "n": 10}, (0.5, 1.5, 0.8))
     @example({"kind": "complete", "n": 10}, (0.5, 1.5, 1.0))
+    @example({"kind": "complete", "n": 10}, (0.5, 1.0, 2.2))
+    @example({"kind": "complete", "n": 10}, (1.0, 1.5, 2.2))
+    @example({"kind": "directed_ring", "n": 6}, (0.5, 1.0, 2.2))
     def check(graph, efforts):
         *u_range, u_branch_end = efforts
         path.write_text(json.dumps({"graph": graph, "u_range": u_range,
@@ -558,5 +567,49 @@ def test_continue_that_validates_runs(tmp_path_factory):
             if csv.name != "branch_trunk.csv":
                 # a switched branch runs from its pitchfork to u_branch_end
                 assert rows[-1, 0] == u_branch_end
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# Property: a quintic transition sweep that validate accepts runs, and each
+# continued branch ends at an end of its range
+# ---------------------------------------------------------------------------
+
+# Bounds: n1 = n2 in [1, 3] and n3 in [0, 3]; a12 and a13 in
+# {0, 0.25, 0.5, 1, 2}; 1 or 2 values of beta in [0, 4]; u_range an
+# increasing pair of distinct floats in (0, 3]; h_max in [0.01, 0.1].
+COUPLINGS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
+
+
+def test_quintic_sweep_that_validates_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("quintic")
+    path, out = root / "cfg.json", root / "out"
+
+    @given(st.integers(1, 3), st.integers(0, 3), COUPLINGS, COUPLINGS,
+           st.lists(st.floats(0.0, 4.0), min_size=1, max_size=2),
+           st.lists(EFFORTS, min_size=2, max_size=2, unique=True).map(sorted),
+           st.floats(0.01, 0.1))
+    # the default scenario from an effort below the finite-difference step of f_p
+    @example(2, 2, 0.25, 1.0, [1.0, 3.0], [1e-9, 3.0], 0.02)
+    def check(n, n3, a12, a13, beta_grid, u_range, h_max):
+        path.write_text(json.dumps({"scenario": "quintic_transition", "n1": n, "n2": n,
+                                    "n3": n3, "a12": a12, "a13": a13,
+                                    "beta_grid": beta_grid, "u_range": u_range,
+                                    "h_max": h_max}))
+        shutil.rmtree(out, ignore_errors=True)
+        with deadline(10.0):
+            if main(["validate", "--command", "sweep", "--config", str(path)]) != 0:
+                return
+            code = main(["sweep", "--config", str(path), "--out", str(out)])
+        assert code in (0, 3)
+        if code != 0:
+            return
+        u0, u1 = u_range
+        for csv in out.glob("*_beta_*.csv"):
+            rows = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+            # the trunk runs over u_range, an outer branch over (u0 / 2, u1)
+            ends = (u0, u1) if csv.name.startswith("trunk") else (u0 / 2, u1)
+            assert rows[-1, 0] in ends
 
     check()

@@ -144,7 +144,15 @@ class TestQuinticTransition:
     def test_failed_branch_switch_raises(self, monkeypatch):
         # A pitchfork whose branches cannot be seeded is a failure, not an
         # "ambiguous" diagram.
-        monkeypatch.setattr(bif, "_amplitude_solve", lambda problem, sp, a: None)
+        correct = bif._correct
+
+        def fail_amplitude_solve(problem, z_pred, row):
+            # only the amplitude constraint phi.(x - x*) = a has no p component
+            if row[-1] == 0.0:
+                raise bif.BifurcationError("Newton damping failed to reduce the residual")
+            return correct(problem, z_pred, row)
+
+        monkeypatch.setattr(bif, "_correct", fail_amplitude_solve)
         with pytest.raises(bif.BifurcationError, match="branch switch failed"):
             ex.run_quintic_transition(ex.QuinticScenario(beta_grid=(1.0,)))
 
