@@ -24,7 +24,6 @@ from .bifurcation import (
 from .dynamics import (
     Decision,
     DecisionConfig,
-    adaptive_field,
     beta_vector,
     classify_decision,
     group_opinion,

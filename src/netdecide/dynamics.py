@@ -92,6 +92,10 @@ def _field(x, degrees, weights, u, beta):
     return out
 
 
+NEGATIVE_EFFORT = "social effort u must be nonnegative"
+NEGATIVE_EFFORTS = "social efforts u must be nonnegative"
+
+
 def normalized_field(x: np.ndarray, g: Graph, u: float | np.ndarray,
                      beta: np.ndarray | None = None) -> np.ndarray:
     """Normalized-time dynamics -D x + U A S(x) + beta; u is one effort or one per agent."""
@@ -104,9 +108,9 @@ def normalized_field(x: np.ndarray, g: Graph, u: float | np.ndarray,
         if u.shape != (g.n,):
             raise ValueError(f"efforts have shape {u.shape}, expected ({g.n},)")
         if not (u >= 0).all():
-            raise ValueError("social efforts u must be nonnegative")
+            raise ValueError(NEGATIVE_EFFORTS)
     elif not u >= 0:
-        raise ValueError("social effort u must be nonnegative")
+        raise ValueError(NEGATIVE_EFFORT)
     if beta is not None:
         beta = np.asarray(beta, dtype=float)
         if beta.shape != (g.n,):
@@ -131,18 +135,6 @@ def reduced3_field(y: np.ndarray, spec: PopulationSpec, u: float,
     _check_information(beta_a, beta_b)
     beta = np.array([beta_a, -beta_b, 0.0], dtype=float)
     return _field(y, spec.degrees, spec.quotient, u, beta)
-
-
-def adaptive_field(x: np.ndarray, ubar: float, y_hat: float, g: Graph,
-                   utilde: float | np.ndarray, beta: np.ndarray | None,
-                   epsilon: float, y_th: float) -> tuple[np.ndarray, float]:
-    """Fast opinion field and slow mean-effort rate of the adaptive loop.
-
-    The efforts are ubar + utilde, and the mean effort follows
-    d(ubar)/dt = epsilon (y_th^2 - y_hat^2), where y_hat is an agent's
-    estimate of the average opinion.
-    """
-    return normalized_field(x, g, ubar + utilde, beta), epsilon * (y_th ** 2 - y_hat ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,12 @@ from pathlib import Path
 import numpy as np
 
 from . import bifurcation as bif
+from . import dynamics
 from .dynamics import (
+    NEGATIVE_EFFORT,
+    NEGATIVE_EFFORTS,
     Decision,
     DecisionConfig,
-    adaptive_field,
     beta_vector,
     classify_decision,
     group_opinion,
@@ -137,10 +139,19 @@ def _check_range(name: str, p_range: tuple[float, float]) -> None:
         raise ValueError(f"{name} must be an increasing pair of nonnegative efforts")
 
 
+def _check_reachable(name: str, width: float, h_max: float) -> None:
+    # A step moves p by at most its RMS arclength, and no step after the first
+    # is longer than h_max, so MAX_POINTS points cover at most this width.
+    if width > h_max * (bif.MAX_POINTS - 1):
+        raise ValueError(f"{name} is {width:g} wide, more than MAX_POINTS = "
+                         f"{bif.MAX_POINTS} points of h_max = {h_max:g} can cover")
+
+
 def _check_continuation(name: str, p_range: tuple[float, float], h_max: float) -> None:
     _check_range(name, p_range)
-    if not h_max > 0:
-        raise ValueError("h_max must be positive")
+    if not h_max >= bif.H_MIN:
+        raise ValueError(f"h_max must be at least H_MIN = {bif.H_MIN:g}")
+    _check_reachable(name, p_range[1] - p_range[0], h_max)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +232,9 @@ class PitchforkScenario:
         if not self.u_range[1] < self.u_branch_end < np.inf:
             # every trunk pitchfork lies in u_range; a branch must run past it
             raise ValueError("u_branch_end must be finite and above u_range[1]")
+        # a switched branch runs from its pitchfork, at most u_range[1]
+        _check_reachable("(u_range[1], u_branch_end)", self.u_branch_end - self.u_range[1],
+                         self.h_max)
         g = graph_from_config(self.graph)
         if g.n < 2:
             # one agent has d = 0, so J = 0 and the bordered matrix is singular
@@ -410,9 +424,12 @@ class QuinticScenario:
         _check_continuation("u_range", self.u_range, self.h_max)
         if not all(math.isfinite(beta) for beta in self.beta_grid):
             raise ValueError("information strengths beta_grid must be finite")
-        self.population_spec()
+        spec = self.population_spec()
         if self.n1 != self.n2:
             raise ValueError("quintic scenario requires n1 = n2 (swap symmetry)")
+        if min(spec.degrees) == 0:
+            # with nonnegative coupling that group's row of J3 is 0 everywhere
+            raise ValueError("every group of the quintic scenario needs a positive degree")
 
     def population_spec(self) -> PopulationSpec:
         c = np.array([[1.0, self.a12, self.a13],
@@ -803,6 +820,17 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
     After the finite-time estimator has converged it tracks the running
     average exactly (sliding mode), so phase 2 uses the true average opinion.
     Phase 1 ending at its time cap above estimator_tol raises SolverError.
+
+    Phase 2's right-hand side is normalized_field with efforts ubar + utilde,
+    plus d(ubar)/dt = epsilon (y_th^2 - y^2).  What normalized_field checks
+    and cannot change during the run (the state length, the shape of the
+    efforts, the length of beta) is checked once, before the loop; the sign
+    of the efforts, which moves with ubar, is checked on every call, so a
+    negative or NaN effort raises the same ValueError.  The events and the
+    stop test reuse the mean opinion of the right-hand side's last call when
+    they get that very array, which an accepted state is (FSAL, see the
+    solver module); the dense states of event location compute their own.
+    The trajectory carries the solver's SolverStats.
     """
     g, beta = _graph_and_beta(scenario.graph, scenario.beta_a, scenario.beta_b)
     n = g.n
@@ -818,15 +846,37 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
                           f"(error {est_run.error:.2e} > {scenario.estimator_tol:.2e})")
 
     # phase 2: fast opinions coupled to the slow mean-effort update
-    def y_of(z):
-        # z[:n].mean() bit for bit (np.mean is the sum, then one division by
-        # the count) without np.mean's Python wrappers
-        return float(z[:n].sum()) / n
+    z0 = np.concatenate([x0, [scenario.ubar0]])
+    # The shape checks of normalized_field, once: no call can change them.
+    per_agent = isinstance(utilde, np.ndarray)
+    if (z0.shape != (n + 1,) or (per_agent and utilde.shape != (n,))
+            or (beta is not None and beta.shape != (n,))):
+        raise ValueError(f"state, efforts or beta do not match the {n} agents")
+    negative = NEGATIVE_EFFORTS if per_agent else NEGATIVE_EFFORT
+    field_of, degrees, weights = dynamics._field, g.degrees, g.weights
+    y_th2 = y_th ** 2
+    last_z, last_y = None, 0.0      # the array of the last rhs call and its mean
 
     def rhs(t, z):
+        nonlocal last_z, last_y
+        x = z[:n]
+        # z[:n].mean() bit for bit (np.mean is the sum, then one division by
+        # the count) without np.mean's Python wrappers
+        y = float(np.add.reduce(x)) / n
+        u = z[n] + utilde
+        # Written as not (u >= 0) so that NaN fails the check too.
+        if not ((u >= 0).all() if per_agent else u >= 0):
+            raise ValueError(negative)
         dz = np.empty(n + 1)
-        dz[:n], dz[n] = adaptive_field(z[:n], z[n], y_of(z), g, utilde, beta, eps, y_th)
+        dz[:n] = field_of(x, degrees, weights, u, beta)
+        dz[n] = eps * (y_th2 - y ** 2)
+        last_z, last_y = z, y
         return dz
+
+    def y_of(z):
+        if z is last_z:
+            return last_y
+        return float(np.add.reduce(z[:n])) / n
 
     # dz = rhs(t, z) is the step's own last stage, so dz[:n] is the opinion
     # field at the new state; the verdict at the final state is kept.
@@ -834,8 +884,8 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
 
     def stop(t, z, dz):
         nonlocal settled
-        settled = bool(abs(y_of(z) ** 2 - y_th ** 2) < scenario.stop_tol
-                       and np.abs(dz[:n]).max() < scenario.stop_tol)
+        settled = bool(abs(y_of(z) ** 2 - y_th2) < scenario.stop_tol
+                       and np.maximum.reduce(np.abs(dz[:n])) < scenario.stop_tol)
         return settled
 
     events = [lambda t, z: abs(y_of(z)) - scenario.escape_band,
@@ -844,7 +894,6 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
     if band is not None:
         events.append(lambda t, z: abs(y_of(z)) - band)
 
-    z0 = np.concatenate([x0, [scenario.ubar0]])
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-13,
                            max_time=scenario.horizon_factor / scenario.epsilon)
     traj, hits = _integrate(rhs, z0, cfg, events=events, stop_condition=stop)
@@ -853,7 +902,7 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
     ubars = traj.states[:, n]
     ys = states.mean(axis=1)
     channels = {"ubar": ubars, "y": ys}
-    trajectory = Trajectory(traj.times, states, channels)
+    trajectory = Trajectory(traj.times, states, channels, stats=traj.stats)
 
     escape_hits = [h for h in hits if h.index == 0]
     th_hits = [h for h in hits if h.index == 1]

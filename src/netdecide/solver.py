@@ -12,7 +12,14 @@ input is a fresh array, so the state after an accepted step is the very
 array of the last stage call (FSAL) and is recorded without a copy.  Every
 in-place update performs the same IEEE operations in the same order as the
 expression it replaces, so results are bit for bit those of the
-allocate-per-operation form.
+allocate-per-operation form.  The error norm's sum, the finiteness check's
+max and the settle test's max are ufunc reductions (np.add.reduce,
+np.maximum.reduce): the IEEE operations of ndarray.sum and ndarray.max,
+without their Python wrappers.
+
+Every run counts what its numerics did (``SolverStats``): field calls,
+accepted and rejected steps, the extreme accepted step sizes and the event
+bisection halvings, as plain Python numbers on ``Trajectory.stats``.
 """
 
 from __future__ import annotations
@@ -28,6 +35,8 @@ import numpy as np
 from .graphs import Graph, lambda2
 
 FMT = "%.17g"
+# write_csv converts this many rows at a time to Python floats.
+CSV_BLOCK_ROWS = 256
 
 # Bisection width of an event time, unless four float spacings of t are wider.
 EVENT_TIME_TOL = 1e-9
@@ -41,12 +50,19 @@ def write_csv(path: str | Path, header: list[str], columns) -> None:
     """One row per index of the equal-length columns; 17 significant digits.
 
     csv.writer writes the header, quoting a name that needs it.  A formatted
-    number never needs quoting, so each data row is one format string.
+    number never needs quoting, so each data row is one format string.  The
+    rows are zipped from Python floats (tolist), to which FMT gives the bytes
+    it gives numpy scalars, faster; converting CSV_BLOCK_ROWS rows at a time
+    keeps those floats, four times the size of the array data, few.
     """
     row_format = ",".join([FMT] * len(columns)) + "\r\n"
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    n_rows = min((len(column) for column in columns), default=0)
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\r\n").writerow(header)
-        fh.writelines(row_format % row for row in zip(*columns))
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = [column[start:start + CSV_BLOCK_ROWS].tolist() for column in columns]
+            fh.writelines(row_format % row for row in zip(*block))
 
 
 class SolverError(RuntimeError):
@@ -73,14 +89,35 @@ class IntegratorConfig:
             raise ValueError("tolerances and max_time must be positive")
 
 
+@dataclass(frozen=True)
+class SolverStats:
+    """What one Dormand-Prince run did.
+
+    nfev counts field calls: one at the initial state, then six per attempted
+    step (FSAL), so nfev == 6 (n_accepted + n_rejected) + 1.  A step retried
+    for a non-finite state counts as rejected.  h_min and h_max bound the
+    accepted step sizes; n_event_bisections counts the halvings of every
+    located event's bracket.
+    """
+
+    nfev: int
+    n_accepted: int
+    n_rejected: int
+    h_min: float
+    h_max: float
+    n_event_bisections: int
+
+
 @dataclass
 class Trajectory:
     """Time-indexed record of a simulated field, plus scalar channels
-    (such as "ubar" and "y") with one value per time."""
+    (such as "ubar" and "y") with one value per time, and the solver's
+    counts when a Dormand-Prince run made it."""
 
     times: np.ndarray
     states: np.ndarray
     channels: dict[str, np.ndarray] = field(default_factory=dict)
+    stats: SolverStats | None = None
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -150,6 +187,10 @@ _DP_P = np.array([
 ])
 
 
+# Field calls of one Dormand-Prince step; the first stage is the previous FSAL.
+_DP_NFEV = len(_DP_STAGES)
+
+
 def _dp_step(f, t, x, h, k1):
     """One Dormand-Prince step; returns (x5, err_vector, k).
 
@@ -180,30 +221,30 @@ def _locate_event(event, t0, x0, t1, k):
     Candidate states come from the step's continuous extension built from
     its stages k, so locating an event calls no field.  The bracket closes
     to EVENT_TIME_TOL, or to four float spacings of t where those are wider,
-    within at most 200 halvings.
+    within at most 200 halvings.  Returns (time, state, halvings made).
     """
     g0 = event(t0, x0)
     if g0 == 0.0:
-        return t0, x0
+        return t0, x0, 0
     h = t1 - t0
     q = _DP_P.T @ k
     lo, hi = t0, t1
     # Far from t = 0 the float spacing exceeds EVENT_TIME_TOL, and the midpoint
     # of two neighbouring floats is one of them: stop a few spacings apart.
     width = max(EVENT_TIME_TOL, 4.0 * float(np.spacing(max(abs(t0), abs(t1)))))
-    for _ in range(200):
-        if hi - lo <= width:
-            break
+    halvings = 0
+    while halvings < 200 and hi - lo > width:
+        halvings += 1
         mid = 0.5 * (lo + hi)
         xm = _dense_state(x0, h, q, (mid - t0) / h)
         gm = event(mid, xm)
         if gm == 0.0:
-            return mid, xm
+            return mid, xm, halvings
         if np.sign(gm) == np.sign(g0):
             lo = mid
         else:
             hi = mid
-    return hi, _dense_state(x0, h, q, (hi - t0) / h)
+    return hi, _dense_state(x0, h, q, (hi - t0) / h), halvings
 
 
 def _integrate(field, x0, cfg: IntegratorConfig, events: Sequence[Callable] = (),
@@ -215,7 +256,7 @@ def _integrate(field, x0, cfg: IntegratorConfig, events: Sequence[Callable] = ()
     `stop_condition(t, x, dxdt)` (if given) is called with the new time, the
     new state and dxdt = field(t, x), the FSAL stage the step already holds;
     the integration ends when it returns true.
-    Returns (Trajectory, event hits in time order).
+    Returns (Trajectory with its SolverStats, event hits in time order).
     """
     x = np.array(x0, dtype=float)
     t = 0.0
@@ -227,6 +268,8 @@ def _integrate(field, x0, cfg: IntegratorConfig, events: Sequence[Callable] = ()
     g_prev = [ev(t, x) for ev in events]
 
     k1 = field(t, x)
+    nfev, n_rejected, n_bisections = 1, 0, 0
+    h_min, h_max = math.inf, 0.0
     abs_x = np.abs(x)
     h = min(0.01, cfg.max_time / 10)
     while t < t_end:
@@ -234,33 +277,41 @@ def _integrate(field, x0, cfg: IntegratorConfig, events: Sequence[Callable] = ()
         min_step = 1e-14 * max(abs(t), 1.0)
         while True:
             x_new, err, k = _dp_step(field, t, x, h, k1)
+            nfev += _DP_NFEV
             # scale = atol + rtol * max(|x|, |x_new|), then the RMS norm of
-            # err / scale; sum()/n is np.mean without its Python wrapper.
+            # err / scale; the reduced sum / n is np.mean without its wrappers.
             abs_new = np.abs(x_new)
             scale = np.maximum(abs_x, abs_new)
             scale *= rtol
             scale += atol
             err /= scale
             err *= err
-            err_norm = math.sqrt(float(err.sum()) / n)
+            err_norm = math.sqrt(float(np.add.reduce(err)) / n)
             # max() of the absolute values is NaN or inf iff an entry is.
-            if not math.isfinite(err_norm) or not math.isfinite(abs_new.max()):
+            if not math.isfinite(err_norm) or not math.isfinite(np.maximum.reduce(abs_new)):
+                n_rejected += 1
                 h *= 0.25
                 if h < min_step:
                     raise SolverError("non-finite state", time=t)
                 continue
             if err_norm <= 1.0:
                 break
+            n_rejected += 1
             h *= max(0.2, 0.9 * err_norm ** -0.2)
             if h < min_step:
                 raise SolverError("step-size underflow", time=t)
+        if h < h_min:
+            h_min = h
+        if h > h_max:
+            h_max = h
         t_new = t + h
 
         g_new = [ev(t_new, x_new) for ev in events]
         step_hits = []
         for i, (ga, gb) in enumerate(zip(g_prev, g_new)):
             if (ga < 0 < gb) or (gb < 0 < ga) or (gb == 0.0 and ga != 0.0):
-                t_hit, x_hit = _locate_event(events[i], t, x, t_new, k)
+                t_hit, x_hit, halvings = _locate_event(events[i], t, x, t_new, k)
+                n_bisections += halvings
                 step_hits.append(EventHit(i, t_hit, x_hit))
         if step_hits:
             hits.extend(sorted(step_hits, key=lambda hit: hit.time))
@@ -272,7 +323,8 @@ def _integrate(field, x0, cfg: IntegratorConfig, events: Sequence[Callable] = ()
         if stop_condition is not None and stop_condition(t, x, k1):
             break
 
-    return Trajectory(np.array(times), np.array(states)), hits
+    stats = SolverStats(nfev, len(times) - 1, n_rejected, h_min, h_max, n_bisections)
+    return Trajectory(np.array(times), np.array(states), stats=stats), hits
 
 
 def integrate(field, x0, cfg: IntegratorConfig) -> Trajectory:
@@ -297,7 +349,7 @@ def integrate_to_equilibrium(field, x0, cfg: IntegratorConfig | None = None,
 
     def settled(t, x, dxdt):
         nonlocal residual
-        residual = float(np.abs(dxdt).max())
+        residual = float(np.maximum.reduce(np.abs(dxdt)))
         return residual < tol
 
     traj, _ = _integrate(field, x0, cfg, stop_condition=settled)

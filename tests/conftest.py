@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import netdecide.experiments as ex
 from netdecide.graphs import Graph, PopulationSpec, complete_graph, three_population_graph
 
 settings.register_profile(
@@ -37,6 +38,24 @@ def deadline(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+class _Captured(Exception):
+    pass
+
+
+def adaptive_rhs(monkeypatch, scenario):
+    """run_adaptive's right-hand side, as it is handed to the solver."""
+    captured = []
+
+    def integrate(rhs, z0, cfg, **kwargs):
+        captured.append(rhs)
+        raise _Captured
+
+    monkeypatch.setattr(ex, "_integrate", integrate)
+    with pytest.raises(_Captured):
+        ex.run_adaptive(scenario)
+    return captured[0]
 
 
 @pytest.fixture

@@ -326,6 +326,10 @@ class TestValidate:
         ("sweep", {"scenario": "uninformed_influence", "nu_grid": []}, "and at least one"),
         ("sweep", {"scenario": "uninformed_influence", "n3_values": []}, "distinct"),
         ("sweep", {"scenario": "uninformed_influence", "n3_values": [3, 3]}, "distinct"),
+        ("sweep", {"scenario": "quintic_transition", "n3": 0, "a13": 0.0}, "positive degree"),
+        ("continue", {"h_max": 1e-7}, "at least H_MIN"),
+        ("continue", {"h_max": 1e-5}, "more than MAX_POINTS"),
+        ("sweep", {"scenario": "quintic_transition", "h_max": 1e-4}, "more than MAX_POINTS"),
     ], ids=["value_sensitivity-h_max", "value_sensitivity-u_scan",
             "value_sensitivity-n1_n2", "uninformed_influence-n3",
             "pitchfork_diagram-disconnected", "simulate-beta", "adaptive-beta",
@@ -342,7 +346,9 @@ class TestValidate:
             "continue-range_ends_at_pitchfork", "continue-range_starts_at_pitchfork",
             "continue-ring_range_ends_at_pitchfork",
             "uninformed_influence-empty_nu_grid", "uninformed_influence-no_n3",
-            "uninformed_influence-duplicate_n3"])
+            "uninformed_influence-duplicate_n3", "quintic_transition-zero_degree_group",
+            "continue-h_max_below_h_min", "continue-h_max_cannot_finish",
+            "quintic_transition-h_max_cannot_finish"])
     def test_runner_preconditions_checked_at_load(self, tmp_path, capsys,
                                                   command, doc, message):
         # validate is the load step of each command, so it rejects every

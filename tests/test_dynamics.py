@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import lift_to_manifold
+from conftest import adaptive_rhs, lift_to_manifold
 from netdecide.bifurcation import jacobian, reduced3_jacobian, ubar_star
 from netdecide.dynamics import (
     Decision,
     DecisionConfig,
-    adaptive_field,
     beta_vector,
     classify_decision,
     disagreement,
@@ -19,7 +18,7 @@ from netdecide.dynamics import (
     reduced3_field,
     sech2,
 )
-from netdecide.experiments import AdaptiveScenario
+from netdecide.experiments import AdaptiveScenario, adaptive_scenario
 from netdecide.graphs import PopulationSpec, complete_graph, path_graph, three_population_graph
 from netdecide.solver import integrate_nonsmooth
 
@@ -306,21 +305,17 @@ class TestEstimator:
 
 
 class TestAdaptiveField:
-    def test_rest_point(self, k10):
-        # consensus state at the threshold, with matching equilibrium effort
-        y = 0.5
-        ubar = y / np.tanh(y)
-        dx, dub = adaptive_field(np.full(10, y), ubar, y, k10, np.zeros(10), None, 0.01, 0.5)
-        assert np.abs(dx).max() < 1e-12
-        assert abs(dub) < 1e-12
+    # run_adaptive's right-hand side on K10 with epsilon = 0.01, y_th = 0.5;
+    # test_experiments.TestAdaptiveRhs checks it against normalized_field.
+    def test_effort_grows_in_deadlock(self, monkeypatch):
+        rhs = adaptive_rhs(monkeypatch, adaptive_scenario("symmetric"))
+        dz = rhs(0.0, np.append(np.zeros(10), 0.9))
+        assert dz[10] == pytest.approx(0.01 * 0.25)
 
-    def test_effort_grows_in_deadlock(self, k10):
-        _, dub = adaptive_field(np.zeros(10), 0.9, 0.0, k10, 0.0, None, 0.01, 0.5)
-        assert dub == pytest.approx(0.01 * 0.25)
-
-    def test_effort_shrinks_past_threshold(self, k10):
-        _, dub = adaptive_field(np.full(10, 0.8), 1.2, 0.8, k10, 0.0, None, 0.01, 0.5)
-        assert dub < 0
+    def test_effort_shrinks_past_threshold(self, monkeypatch):
+        rhs = adaptive_rhs(monkeypatch, adaptive_scenario("symmetric"))
+        dz = rhs(0.0, np.append(np.full(10, 0.8), 1.2))
+        assert dz[10] < 0
 
     def test_large_epsilon_warns(self):
         with pytest.warns(UserWarning, match="timescale"):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 import netdecide.bifurcation as bif
 import netdecide.experiments as ex
-from netdecide.dynamics import Decision, DecisionConfig, classify_decision
+from conftest import adaptive_rhs
+from netdecide.dynamics import Decision, DecisionConfig, classify_decision, normalized_field
 from netdecide.solver import EstimatorRun, SolverError
 
 
@@ -51,6 +53,22 @@ class TestPitchforkDiagram:
         # at or below u_range[1] could run from its seed back to the pitchfork.
         with pytest.raises(ValueError, match="u_branch_end"):
             ex.PitchforkScenario(u_branch_end=u_branch_end)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"h_max": 1e-7}, "h_max must be at least H_MIN"),
+        ({"h_max": 0.0}, "h_max must be at least H_MIN"),
+        ({"h_max": 1e-5}, "u_range is 1 wide, more than MAX_POINTS"),
+        ({"u_branch_end": 3000.0}, r"\(u_range\[1\], u_branch_end\) is 2998.5 wide"),
+    ], ids=["below_h_min", "zero", "u_range_too_wide", "branch_too_wide"])
+    def test_rejects_h_max_no_branch_can_finish(self, overrides, message):
+        # A step moves u by at most h_max, so MAX_POINTS points cannot cross
+        # a range wider than h_max (MAX_POINTS - 1): such a branch ran out of
+        # points after 20 000 of them instead of failing at load.
+        with pytest.raises(ValueError, match=message):
+            ex.PitchforkScenario(**overrides)
+
+    def test_accepts_smallest_h_max_on_a_narrow_range(self):
+        ex.PitchforkScenario(h_max=bif.H_MIN, u_range=(0.5, 0.6), u_branch_end=0.7)
 
     def test_point_count_independent_of_n(self):
         # Steps are in RMS arclength, so the consensus branches x = y 1 take
@@ -135,6 +153,15 @@ class TestQuinticTransition:
             for a, b in zip(up.points, down.points):
                 assert np.array_equal(b.x, -a.x[[1, 0, 2]])
                 assert (b.param, b.n_unstable, b.det_sign) == (a.param, a.n_unstable, a.det_sign)
+
+    @pytest.mark.parametrize("overrides", [
+        {"n3": 1, "a13": 0.0}, {"n3": 0, "a13": 0.0}, {"n1": 1, "n2": 1, "n3": 0, "a12": 0.0},
+    ], ids=["n3_uncoupled", "n3_empty", "pair_uncoupled"])
+    def test_rejects_zero_degree_group(self, overrides):
+        # That group's row of the quotient is 0, so its row of J3 is 0 at
+        # every point and every Newton solve failed as a singular matrix.
+        with pytest.raises(ValueError, match="positive degree"):
+            ex.QuinticScenario(**overrides)
 
     @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_nonfinite_beta(self, beta):
@@ -324,6 +351,80 @@ class TestAdaptive:
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError, match="unknown adaptive case"):
             ex.adaptive_scenario("case3")
+
+
+class TestAdaptiveRhs:
+    @pytest.mark.parametrize("case, amplitude", [
+        ("symmetric", 0.0), ("symmetric", 0.05), ("case1", 0.0), ("case1", 0.05),
+    ], ids=["scalar-no_beta", "per_agent-no_beta", "scalar-beta", "per_agent-beta"])
+    def test_matches_field_and_effort_rate(self, monkeypatch, rng, case, amplitude):
+        scenario = ex.adaptive_scenario(case, utilde_amplitude=amplitude)
+        rhs = adaptive_rhs(monkeypatch, scenario)
+        g, beta = ex._graph_and_beta(scenario.graph, scenario.beta_a, scenario.beta_b)
+        n = g.n
+        utilde = ex._utilde_pattern(n, amplitude)
+        assert isinstance(utilde, np.ndarray) == (amplitude > 0)
+        assert (beta is None) == (case == "symmetric")
+        eps, y_th = scenario.epsilon, scenario.y_th
+        deadlock = np.append(np.zeros(n), 0.9)
+        decided = np.append(np.full(n, 1.6 * y_th), 1.2)
+        zs = [np.append(rng.uniform(-2, 2, n), rng.uniform(0.1, 3)) for _ in range(20)]
+        for z in zs + [deadlock, decided]:
+            x = z[:n]
+            want = np.append(normalized_field(x, g, z[n] + utilde, beta),
+                             eps * (y_th ** 2 - np.mean(x) ** 2))
+            assert rhs(0.0, z).tobytes() == want.tobytes()
+        # the mean effort grows in deadlock and shrinks past the threshold
+        assert rhs(0.0, deadlock)[n] == eps * y_th ** 2
+        assert rhs(0.0, decided)[n] < 0
+        for ubar in (-5.0, float("nan")):
+            z = np.append(np.zeros(n), ubar)
+            with pytest.raises(ValueError) as want_error:
+                normalized_field(z[:n], g, z[n] + utilde, beta)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(want_error.value))}$"):
+                rhs(0.0, z)
+
+    def test_events_and_stop_test_read_the_mean_of_their_state(self, monkeypatch):
+        # They reuse the mean of the last rhs call only for that very array;
+        # a state from event location or the initial state gets its own.
+        scenario = ex.adaptive_scenario("case2")
+        n = ex.graph_from_config(scenario.graph).n
+        bands = [scenario.escape_band, scenario.y_th, scenario.jump_band]
+        checked = [0, 0]
+        real_integrate = ex._integrate
+
+        def integrate(rhs, z0, cfg, events, stop_condition):
+            def checked_event(i):
+                def event(t, z):
+                    value = events[i](t, z)
+                    assert value == abs(np.mean(z[:n])) - bands[i]
+                    checked[0] += 1
+                    return value
+                return event
+
+            def stop(t, z, dz):
+                verdict = stop_condition(t, z, dz)
+                assert verdict == (abs(np.mean(z[:n]) ** 2 - scenario.y_th ** 2)
+                                   < scenario.stop_tol
+                                   and np.abs(dz[:n]).max() < scenario.stop_tol)
+                checked[1] += 1
+                return verdict
+
+            return real_integrate(rhs, z0, cfg, events=[checked_event(i) for i in range(3)],
+                                  stop_condition=stop)
+
+        monkeypatch.setattr(ex, "_integrate", integrate)
+        res = ex.run_adaptive(scenario)
+        assert res.diagnostics["jump_time"] is not None
+        assert checked[0] > 3 * checked[1] > 3 * 100
+
+    def test_rest_point(self, monkeypatch):
+        # consensus at the threshold y_th = 0.5 of K10, with the effort that
+        # makes it an equilibrium: 9 y = 9 ubar tanh(y)
+        rhs = adaptive_rhs(monkeypatch, ex.adaptive_scenario("symmetric"))
+        y = 0.5
+        dz = rhs(0.0, np.append(np.full(10, y), y / np.tanh(y)))
+        assert np.abs(dz).max() < 1e-12
 
 
 @pytest.mark.parametrize("cls, field", [

@@ -201,7 +201,8 @@ class TestContinuousExtension:
         x = np.array([1.0])
         x5, _, k = _dp_step(exp_decay, t, x, h, exp_decay(t, x))
         event = lambda t, x: x[0] - 0.8
-        t_hit, x_hit = solver._locate_event(event, t, x, t + h, k)
+        t_hit, x_hit, halvings = solver._locate_event(event, t, x, t + h, k)
+        assert 0 < halvings <= 200
         assert t_hit == pytest.approx(np.log(1 / 0.8), abs=1e-6)
         assert x_hit[0] == pytest.approx(0.8, abs=1e-8)
 
@@ -225,11 +226,11 @@ class TestSettleTestUsesStage:
         # or stop-test call it runs in: the autonomous field may meet the same
         # state again at a later time, which is not a repeated evaluation.
         seen, now = [], {"t": None}
-        real_field, real_integrate = dyn.normalized_field, ex._integrate
+        real_field, real_integrate = dyn._field, ex._integrate
 
-        def field(x, g, u, beta=None):
+        def field(x, degrees, weights, u, beta):
             seen.append((now["t"], x.tobytes(), np.asarray(u, dtype=float).tobytes()))
-            return real_field(x, g, u, beta)
+            return real_field(x, degrees, weights, u, beta)
 
         def timed(fn):
             def call(t, *args):
@@ -241,14 +242,69 @@ class TestSettleTestUsesStage:
             return real_integrate(timed(rhs), z0, cfg, stop_condition=timed(stop_condition),
                                   **kwargs)
 
-        # adaptive_field looks the field up in dynamics, run_adaptive in experiments
-        monkeypatch.setattr(dyn, "normalized_field", field)
-        monkeypatch.setattr(ex, "normalized_field", field)
+        # run_adaptive's right-hand side calls the model kernel directly
+        monkeypatch.setattr(dyn, "_field", field)
         monkeypatch.setattr(ex, "_integrate", integrate)
         res = ex.run_adaptive(ex.adaptive_scenario("symmetric"))
         assert res.diagnostics["settled"]
         assert len(seen) > 100
         assert len(set(seen)) == len(seen)
+
+
+class TestSolverStats:
+    def test_settle_counts_obey_fsal_identity(self, k10, rng, monkeypatch):
+        calls, runs = [], []
+        real_integrate = solver._integrate
+
+        def f(t, x):
+            calls.append(t)
+            return normalized_field(x, k10, 0.5)
+
+        def integrate(*args, **kwargs):
+            traj, hits = real_integrate(*args, **kwargs)
+            runs.append(traj)
+            return traj, hits
+
+        monkeypatch.setattr(solver, "_integrate", integrate)
+        _, ok, _ = integrate_to_equilibrium(f, rng.uniform(-0.5, 0.5, 10), tol=1e-8,
+                                            horizon=100.0)
+        assert ok
+        stats = runs[0].stats
+        assert stats.nfev == 6 * (stats.n_accepted + stats.n_rejected) + 1 == len(calls)
+        assert stats.n_accepted == len(runs[0].times) - 1
+        steps = np.diff(runs[0].times)
+        assert stats.h_min == pytest.approx(steps.min(), rel=1e-9)
+        assert stats.h_max == pytest.approx(steps.max(), rel=1e-9)
+        assert stats.n_event_bisections == 0
+
+    def test_rejected_steps_counted(self):
+        # an initial step of 0.01 is far too long for a rate of 1e4
+        cfg = IntegratorConfig(rtol=1e-8, atol=1e-10, max_time=1e-3)
+        traj, _ = _integrate(lambda t, x: -1e4 * x, np.ones(1), cfg)
+        stats = traj.stats
+        assert stats.n_rejected > 0
+        assert stats.nfev == 6 * (stats.n_accepted + stats.n_rejected) + 1
+
+    def test_adaptive_counts_match_rhs_calls(self, monkeypatch):
+        # The tracer cannot see the adaptive loop's field calls, which bypass
+        # normalized_field; the run's own count must equal its rhs calls.
+        calls = []
+        real_integrate = ex._integrate
+
+        def integrate(rhs, z0, cfg, **kwargs):
+            def counted(t, z):
+                calls.append(t)
+                return rhs(t, z)
+            return real_integrate(counted, z0, cfg, **kwargs)
+
+        monkeypatch.setattr(ex, "_integrate", integrate)
+        res = ex.run_adaptive(ex.adaptive_scenario("case2"))
+        stats = res.trajectory.stats
+        assert stats.nfev == 6 * (stats.n_accepted + stats.n_rejected) + 1 == len(calls)
+        assert stats.n_accepted == len(res.trajectory.times) - 1
+        # escape band, threshold and jump band are each crossed and bisected
+        assert stats.n_event_bisections >= 3
+        assert 0 < stats.h_min <= stats.h_max
 
 
 class TestEvents:
@@ -381,6 +437,10 @@ class TestTrajectoryCsv:
                    np.array([np.nan, np.inf, -np.inf, -0.0, 0.0]),
                    np.array([np.pi, -np.e, 123456789.12345678, 1e-17, -5e-324]),
                    np.arange(-2, 3)]
+        # more rows than two blocks of write_csv's float conversion, and a
+        # column given as a list of ints
+        columns = [np.tile(column, 2 * solver.CSV_BLOCK_ROWS // 5 + 1) for column in columns]
+        columns[3] = columns[3].tolist()
         ref = tmp_path / "ref.csv"
         with open(ref, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\r\n")
