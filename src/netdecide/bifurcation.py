@@ -17,8 +17,10 @@ field is equivariant under a signed permutation P x = -x[perm] whose fixed
 space holds the trunk, f(P x, p) = P f(x, p), the second branch is the
 ``reflected`` first: under x -> -x on an odd field, and under the group swap
 -(y2, y1, y3) on the three-group field with n1 = n2 and beta_A = beta_B.
-``ubar_star`` and ``ustar_numeric`` share one scan for a det(J) sign change,
-``_first_det_flip``.
+``ubar_star`` and ``ustar_numeric`` share one scan for the first det(J) sign
+change, ``_first_det_flip``; one bisection, ``_bisect``, closes its bracket and
+finds the branch root ``y_s``.  Null vectors come from one SVD, with phi
+oriented to a nonnegative sum (``null_vectors``).
 
 Each branch point is tagged with its count of unstable eigenvalues and the
 sign and log-magnitude of det J (``_equilibrium``).  On an undirected graph J
@@ -185,11 +187,6 @@ def reduced3_problem(spec: PopulationSpec, beta_a: float, beta_b: float) -> Cont
     )
 
 
-# ata_problem builds through this alias: a tracer that rebinds the public name
-# to wrap each problem's callbacks must not wrap ata_problem's twice.
-_reduced3_problem = reduced3_problem
-
-
 def ata_problem(n: int, n3: int, beta: float) -> ContinuationProblem:
     """Continuation over u of the all-to-all swap-symmetric reduced field:
     the three-group problem with n1 = n2 = n, unit coupling, beta_A = beta_B = beta.
@@ -198,7 +195,7 @@ def ata_problem(n: int, n3: int, beta: float) -> ContinuationProblem:
     with ``ustar_numeric``.  It stays as the continuation reference for that
     scan and as one of the problem factories the benchmark tracer wraps.
     """
-    return _reduced3_problem(PopulationSpec(n, n, n3), beta, beta)
+    return reduced3_problem(PopulationSpec(n, n, n3), beta, beta)
 
 
 @dataclass
@@ -307,16 +304,12 @@ def _solve_at_param(problem, x_guess, p):
 
 
 def null_vectors(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right and left eigenvectors for the eigenvalue nearest zero."""
-    evals, evecs = np.linalg.eig(jac)
-    idx = int(np.argmin(np.abs(evals)))
-    right = np.real(evecs[:, idx])
-    evals_l, evecs_l = np.linalg.eig(jac.T)
-    idx_l = int(np.argmin(np.abs(evals_l)))
-    left = np.real(evecs_l[:, idx_l])
-    right = right / np.linalg.norm(right)
-    left = left / np.linalg.norm(left)
-    return right, left
+    """Unit null vectors (phi, psi) of J and J^T: the right and left singular
+    vectors of the smallest singular value of a singular `jac`, with phi
+    oriented to a nonnegative sum, the side of positive mean opinion."""
+    u, _, vh = np.linalg.svd(jac)
+    right = vh[-1]
+    return (-right if right.sum() < 0 else right), u[:, -1]
 
 
 def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
@@ -503,7 +496,8 @@ def classify_singularity(sp: SingularPoint, problem: ContinuationProblem,
 
 def branch_switch(problem: ContinuationProblem, sp: SingularPoint,
                   direction: int) -> tuple[np.ndarray, float]:
-    """The seed (x, p), untagged, of a branch just past a pitchfork.
+    """The seed (x, p), untagged, of a branch just past a pitchfork, on the
+    side `direction` of its null vector: +1 towards positive mean opinion.
 
     The corrector from (x* + a phi, p*), a = direction*SWITCH_OFFSET, with row
     (phi, 0) solves {f = 0, phi.(x - x*) = a}: phi has unit norm, and along it
@@ -571,49 +565,34 @@ def reflected(branch: Branch, perm: tuple[int, ...] | None = None) -> Branch:
 # Scalar roots and closed-form approximations
 # ---------------------------------------------------------------------------
 
-def y_s(u: float, tol: float = 1e-12) -> float:
-    """Positive root of y - u tanh(y) = 0 (bracketing bisection + Newton polish).
+def _bisect(sign_at: Callable, lo: float, hi: float, s_lo: float, tol: float) -> float:
+    """Root of `sign_at`, of sign s_lo at lo and changing sign across [lo, hi]:
+    a midpoint of sign 0, else the final midpoint lo + (hi - lo) / 2 (no
+    overflow) once the bracket is at most tol wide or holds no float inside
+    (tol = 0: adjacent floats, at most about 1100 halvings)."""
+    while hi - lo > tol:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            break
+        s_mid = sign_at(mid)
+        if s_mid == 0.0:
+            return float(mid)
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return float(lo + 0.5 * (hi - lo))
 
-    The polish stops when its step meets `tol` or when the residual is at the
-    round-off level of its two terms; just above u = 1 the root is
-    ill-conditioned and the step stalls above `tol`.  Raises BifurcationError
-    if the derivative rounds to 0 away from a root, or if neither happens
-    within 50 Newton steps.
-    """
+
+def y_s(u: float) -> float:
+    """Positive root of y - u tanh(y) = 0, the consensus branches +-y_s(u) 1,
+    bisected over [1e-12, u + 1] to adjacent floats.  Raises ValueError for a
+    non-finite u or u <= 1, where no positive root exists."""
     if not np.isfinite(u):
         raise ValueError(f"effort u must be finite (got {u})")
     if u <= 1.0:
         raise ValueError("the branch equation has a positive root only for u > 1")
-    lo, hi = 1e-12, float(u) + 1.0
-
-    def f(y):
-        return y - u * float(np.tanh(y))
-
-    def at_roundoff(y):
-        term = u * float(np.tanh(y))
-        return abs(y - term) <= 2 * EPS * (abs(y) + abs(term))
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * max(1.0, hi):
-            break
-    y = 0.5 * (lo + hi)
-    for _ in range(50):
-        df = 1.0 - u * float(sech2(y))
-        if df == 0:
-            if at_roundoff(y):
-                return float(y)
-            raise BifurcationError(f"branch root: the Newton derivative rounds to 0 "
-                                   f"at y = {y} (u = {u})")
-        step = f(y) / df
-        y -= step
-        if abs(step) <= tol * max(1.0, abs(y)) or at_roundoff(y):
-            return float(y)
-    raise BifurcationError(f"branch root did not converge in 50 Newton steps (u = {u})")
+    return _bisect(lambda y: np.sign(y - u * float(np.tanh(y))), 1e-12, u + 1.0, -1.0, 0.0)
 
 
 def ystar_root(u: float, beta: float, n_agents: int, tol: float = NEWTON_TOL) -> float:
@@ -663,31 +642,21 @@ def us_star_hat(nu: float, n_agents: int, n3: int) -> float:
 def _first_det_flip(jac_at: Callable, grid: np.ndarray, tol: float) -> float | None:
     """First parameter on `grid` where det(jac_at(p)) changes sign, or None.
 
-    Scans the grid for the first point whose sign is 0 or differs from the
-    next one, then bisects that bracket until it is at most tol wide and
-    returns its midpoint.
+    Signs are evaluated point by point up to the first of sign 0, returned,
+    or the first flip, whose bracket ``_bisect`` closes to at most tol wide.
     """
     def sign_at(p):
         return np.linalg.slogdet(jac_at(p))[0]
 
-    signs = [sign_at(p) for p in grid]
-    for lo, hi, s_lo, s_hi in zip(grid[:-1], grid[1:], signs[:-1], signs[1:]):
-        if s_lo == 0.0:
-            return float(lo)
-        if s_lo * s_hi < 0:
-            break
-    else:
-        return None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        s_mid = sign_at(mid)
-        if s_mid == 0.0:
-            return float(mid)
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return float(0.5 * (lo + hi))
+    lo, s_lo = None, None
+    for hi in grid:
+        s_hi = sign_at(hi)
+        if s_hi == 0.0:
+            return float(hi)
+        if s_lo is not None and s_lo != s_hi:
+            return _bisect(sign_at, float(lo), float(hi), s_lo, tol)
+        lo, s_lo = hi, s_hi
+    return None
 
 
 def ustar_numeric(n: int, n3: int, beta: float,

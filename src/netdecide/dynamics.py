@@ -131,7 +131,7 @@ def reduced3_field(y: np.ndarray, spec: PopulationSpec, u: float,
     if y.shape != (3,):
         raise ValueError(f"state has shape {y.shape}, expected (3,)")
     if not u >= 0:
-        raise ValueError("social effort u must be nonnegative")
+        raise ValueError(NEGATIVE_EFFORT)
     _check_information(beta_a, beta_b)
     beta = np.array([beta_a, -beta_b, 0.0], dtype=float)
     return _field(y, spec.degrees, spec.quotient, u, beta)
@@ -161,6 +161,8 @@ def classify_decision(x_ss: np.ndarray, cfg: DecisionConfig) -> Decision:
         return Decision.A
     if abs(delta) <= cfg.delta_tol and mean < -cfg.eta:
         return Decision.B
+    # Not implied by the next test in floating point: at x = (tol, -tol, ...)
+    # mean(|x|) can round to tol + 1 ulp, and with it |delta|.
     if np.abs(x_ss).max() <= cfg.delta_tol:
         return Decision.DEADLOCK_NO_DECISION
     if abs(delta) > cfg.delta_tol:

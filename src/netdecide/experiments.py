@@ -318,7 +318,7 @@ class HysteresisScenario:
 
     def __post_init__(self):
         if not self.u >= 0:
-            raise ValueError("social effort u must be nonnegative")
+            raise ValueError(NEGATIVE_EFFORT)
         if not (self.beta_b_step > 0 and self.beta_b_max > self.beta_b_min):
             raise ValueError("information sweep grid must be increasing")
         if not (self.settle_tol > 0 and self.horizon > 0):
@@ -459,11 +459,12 @@ def run_quintic_transition(scenario: QuinticScenario = QuinticScenario(),
     Fix(P) = {y2 = -y1, y3 = 0}, where a zero eigenvalue is a fold of the
     trunk, so the null vector phi of a trunk pitchfork has P phi = -phi
     (phi1 = phi2) and the -1 outer branch is the P-image of the +1 one.
-    Only the +1 branch is continued; outer[1] is its ``bif.reflected``
-    image under perm (1, 0, 2).  The mirror is exact in exact arithmetic
-    but not bit for bit, as ``run_pitchfork_diagram``'s is: the permuted
-    dot products sum in another order and partial pivoting on a permuted
-    matrix picks other pivots, so the continued -1 branch would differ in
+    Only the +1 branch is continued: outer[0], the branch towards A, as phi
+    is oriented to a nonnegative sum.  outer[1], towards B, is its
+    ``bif.reflected`` image under perm (1, 0, 2).  The mirror is exact in
+    exact arithmetic but not bit for bit, as ``run_pitchfork_diagram``'s is:
+    the permuted dot products sum in another order and partial pivoting on a
+    permuted matrix picks other pivots, so the continued -1 branch would differ in
     the last bits (states about 1e-11 apart at the defaults).
     """
     spec = scenario.population_spec()
@@ -961,12 +962,15 @@ class SimulateScenario:
 
     def __post_init__(self):
         if not self.u >= 0:
-            raise ValueError("social effort u must be nonnegative")
+            raise ValueError(NEGATIVE_EFFORT)
         if not (self.t_end > 0 and self.rtol > 0 and self.atol > 0):
             raise ValueError("horizon and tolerances must be positive")
         if not (self.eta > 0 and self.delta_tol >= 0):
             raise ValueError("decision thresholds must be positive")
-        _graph_and_beta(self.graph, self.beta_a, self.beta_b)
+        g, _ = _graph_and_beta(self.graph, self.beta_a, self.beta_b)
+        if not np.all(self.u + _utilde_pattern(g.n, self.utilde_amplitude) >= 0):
+            raise ValueError("efforts u + utilde must be nonnegative: "
+                             "|utilde_amplitude| exceeds u")
 
 
 @dataclass

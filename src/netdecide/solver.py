@@ -271,7 +271,9 @@ def _integrate(field, x0, cfg: IntegratorConfig, events: Sequence[Callable] = ()
     nfev, n_rejected, n_bisections = 1, 0, 0
     h_min, h_max = math.inf, 0.0
     abs_x = np.abs(x)
-    h = min(0.01, cfg.max_time / 10)
+    # max_time / 10 underflows to 0 below about 2.5e-323, and a zero step
+    # would never advance t: such a horizon is one step.
+    h = min(0.01, cfg.max_time / 10) or cfg.max_time
     while t < t_end:
         h = min(h, t_end - t)
         min_step = 1e-14 * max(abs(t), 1.0)

@@ -243,6 +243,10 @@ class TestScalarRoots:
     def test_y_s_values(self):
         assert y_s(2.0) == pytest.approx(Y_S_2, abs=1e-12)
         assert y_s(10.0) == pytest.approx(Y_S_10, abs=1e-10)
+        # At the largest float u + 1 rounds to u and tanh(y) to 1: the root
+        # is u itself, and the bracket midpoints never overflow.
+        big = np.finfo(float).max
+        assert np.nextafter(big, 0.0) <= y_s(big) <= big
 
     def test_y_s_near_onset(self):
         val = y_s(1.001)
@@ -263,18 +267,12 @@ class TestScalarRoots:
         with pytest.raises(ValueError, match="finite"):
             ystar_root(u, beta, 10)
 
-    def test_y_s_reports_nonconvergence(self, monkeypatch):
-        # A NaN derivative makes every Newton step NaN, so neither the step
-        # test nor the residual test is ever met.
-        monkeypatch.setattr(bif, "sech2", lambda y: np.nan)
-        with pytest.raises(BifurcationError, match="did not converge"):
-            y_s(2.0)
-
     @pytest.mark.parametrize("u", [1.00000000015, 1.0000000008, 1.00000002695, 1.0001])
     def test_y_s_ill_conditioned_near_onset(self, u):
-        # Just above u = 1 the Newton step stalls at round-off above tol; the
-        # residual test accepts the iterate.  f'(y) ~ 2(u - 1) there, so a
-        # residual of 4 eps y moves the root by at most 4 eps y / (2(u - 1)).
+        # Just above u = 1 the root is ill-conditioned: f'(y) ~ 2(u - 1), and
+        # the bisection ends on adjacent floats where the residual is at the
+        # round-off of its terms; a residual of 4 eps y moves the root by at
+        # most 4 eps y / (2(u - 1)).
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
             uu = mpmath.mpf(u)
@@ -285,9 +283,10 @@ class TestScalarRoots:
         assert abs(y - ref) <= 4 * eps * ref / (2 * (u - 1))
 
     def test_y_s_within_2000_ulps_of_onset(self):
-        # Within a few float spacings above u = 1 the derivative 1 - u sech^2(y)
-        # can round to 0 at the bisection root; that root is accepted when its
-        # residual is at the round-off level of its two terms.
+        # Within a few float spacings above u = 1 the sign of y - u tanh(y)
+        # near the root is decided by round-off; the bisection still ends on
+        # adjacent floats, where the residual is at the round-off level of
+        # its two terms.
         eps = np.finfo(float).eps
         for k in range(1, 2001):
             u = 1.0 + k * eps
@@ -295,13 +294,13 @@ class TestScalarRoots:
             term = u * np.tanh(y)
             assert abs(y - term) <= 2 * eps * (abs(y) + abs(term)), k
 
-    def test_y_s_vanishing_derivative_off_root_raises(self, monkeypatch):
-        # sech^2 = 1/u makes the derivative exactly 0, and with EPS < 0 no
-        # residual passes the round-off test.
-        monkeypatch.setattr(bif, "sech2", lambda y: 0.5)
-        monkeypatch.setattr(bif, "EPS", -1.0)
-        with pytest.raises(BifurcationError, match="derivative rounds to 0"):
-            y_s(2.0)
+    def test_bisect_to_adjacent_floats(self):
+        root = bif._bisect(lambda x: np.sign(x - 1 / 3), 0.0, 1.0, -1.0, 0.0)
+        lo, hi = np.nextafter(1 / 3, 0.0), np.nextafter(1 / 3, 1.0)
+        assert lo <= root <= hi
+
+    def test_bisect_returns_a_zero_midpoint(self):
+        assert bif._bisect(lambda x: np.sign(x - 0.5), 0.0, 1.0, -1.0, 0.0) == 0.5
 
     def test_ystar_root_reports_nonconvergence(self):
         # A zero step tolerance cannot be met here: Newton alternates between
@@ -391,6 +390,28 @@ class TestUstarNumeric:
     def test_reports_empty_range(self):
         with pytest.raises(BifurcationError, match="no singular point"):
             ustar_numeric(10, 80, 0.0, u_range=(1.5, 3.0))
+
+
+class TestNullVectors:
+    def _rank_deficient(self, n=7):
+        rng = np.random.default_rng(11)
+        u, s, vh = np.linalg.svd(rng.normal(size=(n, n)))
+        s[-1] = 0.0
+        return (u * s) @ vh
+
+    @pytest.mark.parametrize("case", ["directed_ring", "random"])
+    def test_unit_null_vectors_with_nonnegative_sum(self, case):
+        if case == "directed_ring":
+            jac = jacobian(np.zeros(6), directed_ring(6), 1.0)
+        else:
+            jac = self._rank_deficient()
+        phi, psi = bif.null_vectors(jac)
+        scale = 1e-12 * np.linalg.norm(jac, np.inf)
+        assert np.abs(jac @ phi).max() <= scale
+        assert np.abs(jac.T @ psi).max() <= scale
+        assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
+        assert phi.sum() >= 0
 
 
 class TestUbarStar:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from netdecide import bifurcation as bif
 from netdecide import experiments as ex
 from netdecide.cli import COMMANDS, SWEEP_SCENARIOS, load_config, main
+from netdecide.dynamics import Decision
 from netdecide.solver import EstimatorRun
 
 TWO_DYADS = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
@@ -288,6 +289,7 @@ class TestValidate:
                    "graph": {"kind": "weights", "n": 4, "weights": TWO_DYADS}},
          "strongly connected"),
         ("simulate", {"beta_a": 1.0}, "require a population graph"),
+        ("simulate", {"u": 0.1, "utilde_amplitude": 0.2}, "|utilde_amplitude| exceeds u"),
         ("adaptive", {"beta_a": 1.0}, "require a population graph"),
         ("adaptive", {"horizon_factor": 0}, "horizon_factor must be positive"),
         ("simulate", {"seed": "x"}, "'seed' must be an integer"),
@@ -332,7 +334,8 @@ class TestValidate:
         ("sweep", {"scenario": "quintic_transition", "h_max": 1e-4}, "more than MAX_POINTS"),
     ], ids=["value_sensitivity-h_max", "value_sensitivity-u_scan",
             "value_sensitivity-n1_n2", "uninformed_influence-n3",
-            "pitchfork_diagram-disconnected", "simulate-beta", "adaptive-beta",
+            "pitchfork_diagram-disconnected", "simulate-beta",
+            "simulate-negative_effort", "adaptive-beta",
             "adaptive-horizon_factor", "simulate-seed_str", "simulate-seed_float",
             "adaptive-seed_str", "adaptive-seed_float", "reduction_demo-seed_str",
             "reduction_demo-seed_float", "adaptive-jump_band", "quintic_transition-beta_grid",
@@ -573,6 +576,50 @@ def test_continue_that_validates_runs(tmp_path_factory):
             if csv.name != "branch_trunk.csv":
                 # a switched branch runs from its pitchfork to u_branch_end
                 assert rows[-1, 0] == u_branch_end
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# Property: a simulation that validate accepts runs, and ends at its horizon
+# with a decision
+# ---------------------------------------------------------------------------
+
+# Bounds: a complete graph or directed ring of 2 to 12 agents, or a
+# population of 1 to 4 agents per group; u in [0, 3]; beta_a and beta_b in
+# [-3, 3], on populations only; utilde_amplitude in [0, 0.5]; t_end in
+# (0, 50]; rtol and atol in [1e-10, 1e-4].
+TOLERANCES = st.floats(1e-10, 1e-4)
+SIMULATE_GRAPHS = (
+    st.builds(lambda kind, n: {"graph": {"kind": kind, "n": n}},
+              st.sampled_from(["complete", "directed_ring"]), st.integers(2, 12))
+    | st.builds(lambda sizes, beta_a, beta_b: {
+        "graph": {"kind": "population", **dict(zip(("n1", "n2", "n3"), sizes))},
+        "beta_a": beta_a, "beta_b": beta_b},
+        st.tuples(*[st.integers(1, 4)] * 3), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+
+
+def test_simulate_that_validates_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("simulate")
+    path, out = root / "cfg.json", root / "out"
+
+    @given(SIMULATE_GRAPHS, st.floats(0.0, 3.0), st.floats(0.0, 0.5),
+           st.floats(0.0, 50.0, exclude_min=True), TOLERANCES, TOLERANCES)
+    def check(graph, u, utilde_amplitude, t_end, rtol, atol):
+        path.write_text(json.dumps({**graph, "u": u, "utilde_amplitude": utilde_amplitude,
+                                    "t_end": t_end, "rtol": rtol, "atol": atol}))
+        shutil.rmtree(out, ignore_errors=True)
+        with deadline(10.0):
+            if main(["validate", "--command", "simulate", "--config", str(path)]) != 0:
+                return
+            code = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert code in (0, 3)
+        if code != 0:
+            return
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert rows[-1, 0] == t_end
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["decision"] in {d.value for d in Decision}
 
     check()
 

@@ -350,6 +350,11 @@ class TestDecisionMetrics:
         assert classify_decision(mixed, DecisionConfig(eta=0.1)) is Decision.DEADLOCK_DISAGREEMENT
         small = np.full(3, 0.2)
         assert classify_decision(small, cfg) is Decision.DEADLOCK_NO_DECISION
+        # Every |x| <= delta_tol, yet mean(|x|) rounds to delta_tol + 1 ulp,
+        # so |delta| > delta_tol: only the max-norm test calls this no decision.
+        within_tol = np.tile([1e-6, -1e-6], 5)
+        assert abs(disagreement(within_tol)) > cfg.delta_tol
+        assert classify_decision(within_tol, cfg) is Decision.DEADLOCK_NO_DECISION
         for bad in ({"eta": np.nan}, {"eta": 0.5, "delta_tol": np.nan}):
             with pytest.raises(ValueError):
                 DecisionConfig(**bad)

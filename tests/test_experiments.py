@@ -154,6 +154,18 @@ class TestQuinticTransition:
                 assert np.array_equal(b.x, -a.x[[1, 0, 2]])
                 assert (b.param, b.n_unstable, b.det_sign) == (a.param, a.n_unstable, a.det_sign)
 
+    def test_outer_branches_end_towards_a_then_b(self):
+        # The +1 side of the pitchfork's null vector is positive mean opinion.
+        scenario = ex.QuinticScenario()
+        spec = scenario.population_spec()
+        sizes = np.array([spec.n1, spec.n2, spec.n3]) / spec.n_total
+        res = ex.run_quintic_transition(scenario)
+        assert all(d.u_star is not None for d in res)
+        for diag in res:
+            towards_a, towards_b = diag.outer
+            assert sizes @ towards_a.points[-1].x > 0
+            assert sizes @ towards_b.points[-1].x < 0
+
     @pytest.mark.parametrize("overrides", [
         {"n3": 1, "a13": 0.0}, {"n3": 0, "a13": 0.0}, {"n1": 1, "n2": 1, "n3": 0, "a12": 0.0},
     ], ids=["n3_uncoupled", "n3_empty", "pair_uncoupled"])

@@ -64,6 +64,15 @@ class TestIntegrate:
         traj = integrate(lambda t, x: normalized_field(x, k10, 0.5), x0, cfg)
         assert np.abs(traj.final_state).max() < 1e-6
 
+    @pytest.mark.parametrize("max_time", [5e-324, 1e-323, 1e-310])
+    def test_subnormal_horizon_ends(self, max_time):
+        # max_time / 10 underflows to 0 for the two smallest horizons.
+        cfg = IntegratorConfig(max_time=max_time)
+        with deadline(5.0):
+            traj = integrate(exp_decay, np.array([1.0]), cfg)
+        assert traj.final_time == max_time
+        assert traj.final_state[0] == 1.0
+
     def test_nonfinite_state_reported(self):
         cfg = IntegratorConfig(max_time=10.0)
         with np.errstate(all="ignore"), pytest.raises(SolverError, match="non-finite"):
