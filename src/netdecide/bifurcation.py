@@ -2,14 +2,17 @@
 singularity detection/classification, and closed-form bifurcation-point
 approximations for the structured network models.
 
-Every Newton iteration is ``newton_solve``.  The arclength corrector
-(``_correct``) runs it on the extended unknown z = (x, p), with the bordered
-matrix [[J, f_p], [row]] (``_bordered``) as Jacobian, for continuation steps,
-fold refinement and branch switching; the same matrix gives each tangent.
-Arclength is measured in the RMS norm ||x||^2/n + p^2 (``_arclength_weights``),
-so a step costs the same on a consensus branch x = y 1 at any network size n.
-A branch reaches the end of its range or raises BifurcationError, as do a
-singular bordered matrix and a failed branch switch; nothing falls back.
+Every Newton iteration of continuation is ``newton_solve``.  The arclength
+corrector (``_correct``) runs it on the extended unknown z = (x, p), with the
+bordered matrix [[J, f_p], [row]] (``_bordered``) as Jacobian, for
+continuation steps, refinement and branch switching; the same matrix gives
+each tangent.  Arclength is measured in the RMS norm ||x||^2/n + p^2
+(``_arclength_weights``), so a step costs the same on a consensus branch
+x = y 1 at any network size n.  A branch reaches the end of its range or
+raises BifurcationError, as do a singular bordered matrix and a failed branch
+switch; nothing falls back.  A fold is a sign change of the tangent's
+parameter component between two branch points, any other singular point one
+of det J; one bisection along the branch, ``_refine``, closes either bracket.
 
 A pitchfork diagram is ``trace_trunk`` (the symmetric trunk and its first
 pitchfork), then one ``switched_branch`` per bifurcating branch.  When the
@@ -323,10 +326,10 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
     consensus branch does not grow with n.  Steps grow from H0 up to h_max
     and halve down to H_MIN on corrector failure, or when the tangent turns
     by an RMS cosine below TANGENT_COS_MIN (the step may have jumped a fold
-    pair).  Records stability flips, refines sign changes of det(J) and of
-    the tangent's parameter component to REFINE_TOL in the parameter, and
-    classifies each refined point.  The first tangent is oriented along
-    `initial_reference` when given, otherwise towards increasing parameter.
+    pair).  A sign change between consecutive points, of the tangent's
+    parameter component (a fold) or else of det(J), is closed by ``_refine``
+    and classified.  The first tangent is oriented along `initial_reference`
+    when given, otherwise towards increasing parameter.
     The last point is solved at an end of p_range; a branch that cannot get
     there raises BifurcationError with the parameter reached and the reason.
     """
@@ -386,61 +389,33 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
 
 def _detect_events(problem, branch, prev: Equilibrium, new: Equilibrium, symmetric_trunk):
     if prev.tangent[-1] * new.tangent[-1] < 0:
-        # a fold also flips det(J); the tangent refinement owns the interval
-        sp = _refine_fold(problem, prev, new)
+        # a fold also flips det(J); the tangent test owns the interval
+        sp = _refine(problem, prev, new, np.sign(prev.tangent[-1]),
+                     lambda x, p: np.sign(_tangent(problem, x, p, prev.tangent)[-1]))
     elif prev.det_sign * new.det_sign < 0:
-        sp = _refine_det_flip(problem, prev, new)
+        sp = _refine(problem, prev, new, prev.det_sign,
+                     lambda x, p: np.linalg.slogdet(problem.jac_x(x, p))[0])
     else:
         return
     sp.kind = classify_singularity(sp, problem, symmetric_trunk=symmetric_trunk)
     branch.singular_points.append(sp)
 
 
-def _refine_det_flip(problem, eq_lo: Equilibrium, eq_hi: Equilibrium):
-    """Parameter bisection of a det(J) sign change between two branch points.
-
-    Fixed-parameter Newton from the interpolated state is well conditioned
-    everywhere except at the singular parameter itself, unlike the arclength
-    corrector, whose bordered matrix is singular at a branch point on a
-    symmetric trunk.  The point is `refined` when the parameter bracket
-    closed to REFINE_TOL, not when the Newton solve at a midpoint failed.
-    """
-    p_lo, p_hi = eq_lo.param, eq_hi.param
-    x_lo, x_hi = eq_lo.x, eq_hi.x
-    s_lo = eq_lo.det_sign
-    for _ in range(80):
-        if abs(p_hi - p_lo) <= REFINE_TOL:
-            break
-        p_mid = p_lo + 0.5 * (p_hi - p_lo)
-        try:
-            x_mid = _solve_at_param(problem, x_lo + 0.5 * (x_hi - x_lo), p_mid)
-        except BifurcationError:
-            break
-        s_mid, _ = np.linalg.slogdet(problem.jac_x(x_mid, p_mid))
-        if s_mid == s_lo or s_mid == 0.0:
-            p_lo, x_lo, s_lo = p_mid, x_mid, s_mid
-        else:
-            p_hi, x_hi = p_mid, x_mid
-    x_sp = 0.5 * (x_lo + x_hi)
-    p_sp = 0.5 * (p_lo + p_hi)
-    return _singular_point_at(problem, x_sp, p_sp, eq_lo.tangent,
-                              refined=abs(p_hi - p_lo) <= REFINE_TOL)
-
-
-def _refine_fold(problem, eq_lo: Equilibrium, eq_hi: Equilibrium):
-    """Arclength bisection of a tangent-parameter sign change (fold bracket).
-
-    The bordered corrector is nonsingular at a fold, so arclength bisection is
-    safe here; the parameter gap collapses quadratically with arclength.
-    The point is `refined` when the bracket closed to REFINE_TOL in the
-    parameter and 1e-7 in the state, not when the corrector failed first.
+def _refine(problem, eq_lo: Equilibrium, eq_hi: Equilibrium, sign_lo: float,
+            test: Callable[[np.ndarray, float], float]) -> SingularPoint:
+    """Bisect along the branch the sign change of `test` (a fold's tangent
+    parameter component, or the sign of det J) between eq_lo, where it is
+    sign_lo, and eq_hi (Kuznetsov, *Elements of Applied Bifurcation Theory*,
+    10.2).  Each chord midpoint is corrected by ``_correct`` with the row of
+    eq_lo's tangent (e_p on a trunk where f_p = 0: the fixed-parameter solve)
+    and replaces the end whose sign it shares.  The point is `refined` when
+    the bracket closed to REFINE_TOL in the parameter and 1e-7 in the state
+    within 80 halvings, not when the corrector failed first.
     """
     n = len(eq_lo.x)
-    w = _arclength_weights(n)
-    z_lo = np.concatenate([eq_lo.x, [eq_lo.param]])
-    z_hi = np.concatenate([eq_hi.x, [eq_hi.param]])
-    tan_lo = eq_lo.tangent
-    val_lo = tan_lo[-1]
+    row = _arclength_weights(n) * eq_lo.tangent
+    z_lo = np.append(eq_lo.x, eq_lo.param)
+    z_hi = np.append(eq_hi.x, eq_hi.param)
 
     def closed():
         return abs(z_hi[n] - z_lo[n]) <= REFINE_TOL and np.linalg.norm(z_hi - z_lo) <= 1e-7
@@ -449,25 +424,20 @@ def _refine_fold(problem, eq_lo: Equilibrium, eq_hi: Equilibrium):
         if closed():
             break
         try:
-            z_mid = _correct(problem, 0.5 * (z_lo + z_hi), w * tan_lo)
+            z_mid = _correct(problem, 0.5 * (z_lo + z_hi), row)
         except BifurcationError:
             break
-        tan_mid = _tangent(problem, z_mid[:n], z_mid[n], tan_lo)
-        if tan_mid[-1] * val_lo > 0:
-            z_lo, tan_lo, val_lo = z_mid, tan_mid, tan_mid[-1]
+        if test(z_mid[:n], z_mid[n]) == sign_lo:
+            z_lo = z_mid
         else:
             z_hi = z_mid
     x_sp = 0.5 * (z_lo[:n] + z_hi[:n])
     p_sp = 0.5 * (z_lo[n] + z_hi[n])
-    return _singular_point_at(problem, x_sp, p_sp, tan_lo, refined=closed())
-
-
-def _singular_point_at(problem, x_sp, p_sp, tan_ref, refined: bool):
     right, left = null_vectors(problem.jac_x(x_sp, p_sp))
-    tangent_param = float(_tangent(problem, x_sp, p_sp, tan_ref)[-1])
-    return SingularPoint(kind="unclassified", param=float(p_sp), x=np.asarray(x_sp),
+    return SingularPoint(kind="unclassified", param=float(p_sp), x=x_sp,
                          null_right=right, null_left=left,
-                         tangent_param=tangent_param, refined=bool(refined))
+                         tangent_param=float(_tangent(problem, x_sp, p_sp, eq_lo.tangent)[-1]),
+                         refined=bool(closed()))
 
 
 def classify_singularity(sp: SingularPoint, problem: ContinuationProblem,

@@ -526,6 +526,9 @@ class ReductionScenario:
     def __post_init__(self):
         if not (self.u >= 0 and self.t_end > 0 and self.bound_horizon > 0):
             raise ValueError("effort and horizons must be nonnegative/positive")
+        if min(self.n1, self.n2, self.n3) < 1:
+            # an empty group has no mean opinion to start the reduced model from
+            raise ValueError("every group of the reduction demo needs at least one agent")
         _graph_size(PopulationSpec(self.n1, self.n2, self.n3).n_total)
 
 
@@ -772,6 +775,7 @@ class AdaptiveScenario:
         g, _ = _graph_and_beta(self.graph, self.beta_a, self.beta_b)
         if lambda2(g) <= LAMBDA2_MIN:
             raise ValueError(DISCONNECTED_GRAPH)
+        _check_efforts("ubar0", self.ubar0, g.n, self.utilde_amplitude)
         if self.epsilon > 0.1:
             warnings.warn(
                 f"epsilon = {self.epsilon} is large; the slow/fast timescale "
@@ -803,6 +807,13 @@ def adaptive_scenario(case: str, **overrides) -> AdaptiveScenario:
 class AdaptiveResult:
     trajectory: Trajectory
     diagnostics: dict
+
+
+def _check_efforts(name: str, u: float, n: int, amplitude: float) -> None:
+    """Reject a mean effort `name` = u whose heterogeneities make an effort negative."""
+    if not np.all(u + _utilde_pattern(n, amplitude) >= 0):
+        raise ValueError(f"efforts {name} + utilde must be nonnegative: "
+                         f"|utilde_amplitude| exceeds {name}")
 
 
 def _utilde_pattern(n: int, amplitude: float) -> float | np.ndarray:
@@ -968,9 +979,7 @@ class SimulateScenario:
         if not (self.eta > 0 and self.delta_tol >= 0):
             raise ValueError("decision thresholds must be positive")
         g, _ = _graph_and_beta(self.graph, self.beta_a, self.beta_b)
-        if not np.all(self.u + _utilde_pattern(g.n, self.utilde_amplitude) >= 0):
-            raise ValueError("efforts u + utilde must be nonnegative: "
-                             "|utilde_amplitude| exceeds u")
+        _check_efforts("u", self.u, g.n, self.utilde_amplitude)
 
 
 @dataclass

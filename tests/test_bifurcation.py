@@ -655,18 +655,33 @@ class TestContinuation:
         assert amplitudes == [pytest.approx(-SWITCH_OFFSET, abs=1e-15)]
 
     def test_refinement_reports_convergence(self, k10, monkeypatch):
-        problem = normalized_problem(k10)
-        branch = continue_branch(problem, np.zeros(10), 0.5, (0.5, 1.5),
-                                 symmetric_trunk=True)
-        assert branch.singular_points[0].refined
-        i = next(i for i, pt in enumerate(branch.points) if pt.param > 1.0)
-        lo, hi = branch.points[i - 1], branch.points[i]
+        # A det(J) flip (the k10 pitchfork) and a fold (on the quintic beta = 3
+        # outer branch) close their brackets; when the corrector fails inside
+        # the bisection, the point is reported unrefined.
+        k10_problem = normalized_problem(k10)
+        trunk = continue_branch(k10_problem, np.zeros(10), 0.5, (0.5, 1.5),
+                                symmetric_trunk=True)
+        scenario = ex.QuinticScenario(beta_grid=(3.0,))
+        quintic = reduced3_problem(scenario.population_spec(), 3.0, 3.0)
+        outer = ex.run_quintic_transition(scenario)[0].outer[0]
+        cases = [(k10_problem, trunk, "pitchfork", lambda a, b: a.det_sign * b.det_sign < 0),
+                 (quintic, outer, "fold", lambda a, b: a.tangent[-1] * b.tangent[-1] < 0)]
+        calls = []
 
-        def fail(*args):
+        def fail(problem, z_pred, row):
+            calls.append(z_pred)
             raise BifurcationError("no convergence")
 
-        monkeypatch.setattr(bif, "_solve_at_param", fail)
-        assert not bif._refine_det_flip(problem, lo, hi).refined
+        for problem, branch, kind, flips in cases:
+            assert next(sp for sp in branch.singular_points if sp.kind == kind).refined
+            lo, hi = next((a, b) for a, b in zip(branch.points, branch.points[1:]) if flips(a, b))
+            with monkeypatch.context() as m:
+                m.setattr(bif, "_correct", fail)
+                found = bif.Branch()
+                bif._detect_events(problem, found, lo, hi, symmetric_trunk=kind == "pitchfork")
+            assert len(calls) == 1
+            assert not found.singular_points[0].refined
+            calls.clear()
 
     def test_failed_end_solve_raises(self, k10, monkeypatch):
         # A branch whose solve at the end of its range fails is a failure, not

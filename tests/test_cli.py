@@ -332,6 +332,10 @@ class TestValidate:
         ("continue", {"h_max": 1e-7}, "at least H_MIN"),
         ("continue", {"h_max": 1e-5}, "more than MAX_POINTS"),
         ("sweep", {"scenario": "quintic_transition", "h_max": 1e-4}, "more than MAX_POINTS"),
+        ("adaptive", {"ubar0": 0.1, "utilde_amplitude": 0.2}, "|utilde_amplitude| exceeds ubar0"),
+        ("sweep", {"scenario": "reduction_demo", "n1": 0, "n2": 2, "n3": 2},
+         "needs at least one agent"),
+        ("sweep", {"scenario": "reduction_demo", "n3": 0}, "needs at least one agent"),
     ], ids=["value_sensitivity-h_max", "value_sensitivity-u_scan",
             "value_sensitivity-n1_n2", "uninformed_influence-n3",
             "pitchfork_diagram-disconnected", "simulate-beta",
@@ -351,7 +355,8 @@ class TestValidate:
             "uninformed_influence-empty_nu_grid", "uninformed_influence-no_n3",
             "uninformed_influence-duplicate_n3", "quintic_transition-zero_degree_group",
             "continue-h_max_below_h_min", "continue-h_max_cannot_finish",
-            "quintic_transition-h_max_cannot_finish"])
+            "quintic_transition-h_max_cannot_finish", "adaptive-negative_effort",
+            "reduction_demo-empty_informed_group", "reduction_demo-empty_uninformed_group"])
     def test_runner_preconditions_checked_at_load(self, tmp_path, capsys,
                                                   command, doc, message):
         # validate is the load step of each command, so it rejects every
@@ -664,5 +669,46 @@ def test_quintic_sweep_that_validates_runs(tmp_path_factory):
             # the trunk runs over u_range, an outer branch over (u0 / 2, u1)
             ends = (u0, u1) if csv.name.startswith("trunk") else (u0 / 2, u1)
             assert rows[-1, 0] in ends
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# Property: a reduction demo that validate accepts runs, and both of its
+# trajectories end at t_end
+# ---------------------------------------------------------------------------
+
+# Bounds: 0 to 4 agents per group; u in [0, 3]; beta_a and beta_b in [-3, 3];
+# x0_amplitude in [0, 2]; t_end in (0, 50]; bound_horizon in (0, 10].
+def test_reduction_demo_that_validates_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("reduction")
+    path, out = root / "cfg.json", root / "out"
+
+    @given(st.tuples(*[st.integers(0, 4)] * 3), st.floats(0.0, 3.0), st.floats(-3.0, 3.0),
+           st.floats(-3.0, 3.0), st.floats(0.0, 2.0), st.floats(0.0, 50.0, exclude_min=True),
+           st.floats(0.0, 10.0, exclude_min=True))
+    # an empty group has no mean opinion: the reduced start would be NaN
+    @example((0, 2, 2), 2.0, 1.0, 1.0, 1.0, 20.0, 4.0)
+    @example((4, 4, 0), 2.0, 1.0, 1.0, 1.0, 20.0, 4.0)
+    def check(sizes, u, beta_a, beta_b, x0_amplitude, t_end, bound_horizon):
+        path.write_text(json.dumps({"scenario": "reduction_demo",
+                                    **dict(zip(("n1", "n2", "n3"), sizes)),
+                                    "u": u, "beta_a": beta_a, "beta_b": beta_b,
+                                    "x0_amplitude": x0_amplitude, "t_end": t_end,
+                                    "bound_horizon": bound_horizon}))
+        shutil.rmtree(out, ignore_errors=True)
+        # a NaN the load check lets through warns, and fails here
+        with deadline(10.0), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if main(["validate", "--command", "sweep", "--config", str(path)]) != 0:
+                return
+            code = main(["sweep", "--config", str(path), "--out", str(out)])
+        assert code in (0, 3)
+        if code != 0:
+            return
+        for name in ("trajectory.csv", "reduced_trajectory.csv"):
+            rows = np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
+            assert rows[-1, 0] == t_end
+        assert np.isfinite(json.loads((out / "summary.json").read_text())["max_group_diff"])
 
     check()

@@ -138,6 +138,36 @@ class TestQuinticTransition:
         assert len(by_beta[3.0].fold_params) == 2
         assert all(f < by_beta[3.0].u_star for f in by_beta[3.0].fold_params)
 
+    def test_pitchfork_matches_40_digit_root(self):
+        # On the trunk y = (a, -a, 0) the field is 0 when
+        # -d1 a + u (Q11 - Q12) tanh(a) + beta = 0; u* is where det J3 also
+        # vanishes there, solved for (a, u) in 40 digits.
+        mpmath = pytest.importorskip("mpmath")
+        scenario = ex.QuinticScenario()
+        spec = scenario.population_spec()
+        expected = {1.0: 1.06561504916949243, 3.0: 1.63896746136318757}
+        res = ex.run_quintic_transition(scenario)
+        assert [d.beta for d in res] == list(expected)
+        with mpmath.workdps(40):
+            d = [mpmath.mpf(v) for v in spec.degrees]
+            q = mpmath.matrix(spec.quotient.tolist())
+
+            def trunk_and_det(a, u, beta):
+                s = [mpmath.sech(a) ** 2, mpmath.sech(a) ** 2, 1]
+                jac = mpmath.matrix(3, 3)
+                for i in range(3):
+                    for j in range(3):
+                        jac[i, j] = u * q[i, j] * s[j] - (d[i] if i == j else 0)
+                return [-d[0] * a + u * (q[0, 0] - q[0, 1]) * mpmath.tanh(a) + beta,
+                        mpmath.det(jac)]
+
+            for diag in res:
+                a0 = diag.trunk.singular_points[0].x[0]
+                _, root = mpmath.findroot(lambda a, u: trunk_and_det(a, u, mpmath.mpf(diag.beta)),
+                                          (a0, diag.u_star))
+                assert float(root) == pytest.approx(expected[diag.beta], abs=1e-16)
+                assert abs(diag.u_star - float(root)) <= bif.REFINE_TOL
+
     def test_continues_one_switched_branch(self, monkeypatch):
         # Each trunk and its +1 outer branch; the -1 branch is its image
         # under the group swap.
