@@ -15,7 +15,11 @@ beta = nu / u_I.
 ``normalized_field`` evaluates it on a graph.  ``reduced3_field`` evaluates
 the same expression on the equitable-partition quotient of a three-group
 network (``PopulationSpec.degrees``, ``PopulationSpec.quotient``), which is
-the full field restricted to the group-consensus manifold.
+the full field restricted to the group-consensus manifold.  The information
+rule, +beta_A on informed-A, -beta_B on informed-B and 0 on uninformed agents,
+is stated once, per group (``_group_information``): ``reduced3_field`` uses
+it on the quotient, and ``beta_vector`` lays it out on the block graph's
+agents through ``PopulationSpec.sizes``.
 """
 
 from __future__ import annotations
@@ -35,26 +39,24 @@ def sech2(z):
     return 4.0 * e / (1.0 + e) ** 2
 
 
-def _check_information(beta_a, beta_b) -> None:
+def _group_information(beta_a, beta_b) -> np.ndarray:
+    """The information rule, per group: [beta_A, -beta_B, 0] for informed-A,
+    informed-B and uninformed, of finite beta_A and beta_B."""
     # Scalar math.isfinite: reduced3_field pays for this on every call.
     if not (math.isfinite(beta_a) and math.isfinite(beta_b)):
         raise ValueError(f"information beta_a and beta_b must be finite "
                          f"(got {beta_a}, {beta_b})")
+    return np.array([beta_a, -beta_b, 0.0], dtype=float)
 
 
 def beta_vector(spec: PopulationSpec, beta_a: float, beta_b: float) -> np.ndarray:
-    """Information vector (+beta_A informed-A, -beta_B informed-B, 0 uninformed).
+    """Information vector of the block graph: each agent gets its group's
+    information.
 
     normalized_field checks the length of beta but not its values, so a NaN
     or infinite beta_A/beta_B is rejected here, once, and not per field call.
     """
-    beta_a, beta_b = float(beta_a), float(beta_b)
-    _check_information(beta_a, beta_b)
-    return np.concatenate([
-        np.full(spec.n1, beta_a),
-        np.full(spec.n2, -beta_b),
-        np.zeros(spec.n3),
-    ])
+    return np.repeat(_group_information(float(beta_a), float(beta_b)), spec.sizes)
 
 
 @dataclass(frozen=True)
@@ -122,19 +124,17 @@ def reduced3_field(y: np.ndarray, spec: PopulationSpec, u: float,
                    beta_a: float, beta_b: float) -> np.ndarray:
     """Three-group reduction of the structured network dynamics.
 
-    The model equation on the quotient (spec.degrees, spec.quotient).  Group 1
-    (informed about A) carries +beta_A and group 2 carries -beta_B, matching
-    the per-agent information convention of the full model, so the reduced
-    field is exactly the full field restricted to the group-consensus manifold.
+    The model equation on the quotient (spec.degrees, spec.quotient), with
+    the per-group information that ``beta_vector`` lays out on the agents, so
+    the reduced field is exactly the full field restricted to the
+    group-consensus manifold.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (3,):
         raise ValueError(f"state has shape {y.shape}, expected (3,)")
     if not u >= 0:
         raise ValueError(NEGATIVE_EFFORT)
-    _check_information(beta_a, beta_b)
-    beta = np.array([beta_a, -beta_b, 0.0], dtype=float)
-    return _field(y, spec.degrees, spec.quotient, u, beta)
+    return _field(y, spec.degrees, spec.quotient, u, _group_information(beta_a, beta_b))
 
 
 # ---------------------------------------------------------------------------

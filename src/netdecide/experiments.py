@@ -158,20 +158,13 @@ def _check_continuation(name: str, p_range: tuple[float, float], h_max: float) -
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _as_jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {k: _as_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_as_jsonable(v) for v in obj]
-    return obj
+def _tolist(obj):
+    # json's fallback: a numpy array or scalar (float64 is a float already)
+    return obj.tolist()
 
 
 def write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(_as_jsonable(doc), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2, default=_tolist) + "\n")
 
 
 def _write_outputs(out_dir, scenario, tables: dict, summary: dict,
@@ -181,14 +174,14 @@ def _write_outputs(out_dir, scenario, tables: dict, summary: dict,
     documents, and summary.json led by config_sha256."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config = _as_jsonable(dataclasses.asdict(scenario))
+    config = dataclasses.asdict(scenario)
     write_json(out / "config.json", config)
     for name, (header, columns) in tables.items():
         write_csv(out / name, header, columns)
     for name, doc in (documents or {}).items():
         write_json(out / name, doc)
-    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
-    write_json(out / "summary.json", {"config_sha256": digest, **summary})
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True, default=_tolist).encode())
+    write_json(out / "summary.json", {"config_sha256": digest.hexdigest(), **summary})
 
 
 def _branch_table(branch: bif.Branch, state_names: list[str]):
@@ -303,6 +296,13 @@ def run_pitchfork_diagram(scenario: PitchforkScenario = PitchforkScenario(),
 # Hysteresis loop
 # ---------------------------------------------------------------------------
 
+# Most beta_B grid points a hysteresis sweep may ask for.  Each point costs two
+# settles of the network (about 6 ms each at the defaults, 1.4 s for the 121
+# points of the default sweep), so the largest sweep runs about 20 minutes;
+# a grid of 1.2e10 points would also need 96 GB before the first settle.
+MAX_SWEEP_POINTS = 100_000
+
+
 @dataclass(frozen=True)
 class HysteresisScenario:
     n1: int = 5
@@ -321,6 +321,11 @@ class HysteresisScenario:
             raise ValueError(NEGATIVE_EFFORT)
         if not (self.beta_b_step > 0 and self.beta_b_max > self.beta_b_min):
             raise ValueError("information sweep grid must be increasing")
+        # run_hysteresis's np.arange has ceil(points) points
+        points = (self.beta_b_max + 0.5 * self.beta_b_step - self.beta_b_min) / self.beta_b_step
+        if not points <= MAX_SWEEP_POINTS:
+            raise ValueError(f"the beta_B grid has {points:.3g} points; at most "
+                             f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS} are allowed")
         if not (self.settle_tol > 0 and self.horizon > 0):
             raise ValueError("settle tolerance and horizon must be positive")
         _graph_size(PopulationSpec(self.n1, self.n2, self.n3).n_total)
@@ -566,18 +571,18 @@ def run_reduction_demo(scenario: ReductionScenario = ReductionScenario(),
     traj = integrate(lambda t, x: normalized_field(x, g, scenario.u, beta), x0, cfg)
 
     d_min = spec.degrees.min()
-    v0 = group_spread(x0, g.groups)
+    v0 = group_spread(x0, spec.groups)
     mask = traj.times <= scenario.bound_horizon
     sample_times = traj.times[mask]
-    spread_values = np.array([group_spread(x, g.groups) for x in traj.states[mask]])
+    spread_values = np.array([group_spread(x, spec.groups) for x in traj.states[mask]])
     spread_bounds = v0 * np.exp(-d_min * sample_times) * (1 + 1e-6)
     bound_ok = bool(np.all(spread_values <= spread_bounds))
 
-    y0 = np.array([x0[grp].mean() for grp in g.groups])
+    y0 = np.array([x0[grp].mean() for grp in spec.groups])
     reduced = integrate(
         lambda t, y: reduced3_field(y, spec, scenario.u, scenario.beta_a, scenario.beta_b),
         y0, cfg)
-    gm_full = np.array([traj.final_state[grp].mean() for grp in g.groups])
+    gm_full = np.array([traj.final_state[grp].mean() for grp in spec.groups])
     gm_red = reduced.final_state
     result = ReductionResult(
         trajectory=traj, reduced_trajectory=reduced, sample_times=sample_times,
@@ -627,6 +632,17 @@ def _check_nu_grid(nu_grid: tuple[float, ...], u_max: float | None = None) -> No
                          f"{names} finite; got nu_grid = {list(nu_grid)}")
 
 
+def _check_series_size(n_agents: int) -> None:
+    """Reject a population of N agents at which ``bif.us_star_hat``'s series
+    coefficient, which divides by 9 N^9 in floats, overflows (N above about
+    1.8e34), as ``_check_nu_grid`` rejects a nu."""
+    try:
+        bif.us_star_hat(1.0, n_agents, 0)
+    except OverflowError:
+        raise ValueError(f"a population of N = {n_agents} agents is too large for the "
+                         f"series approximation: N^9 overflows a float") from None
+
+
 @dataclass(frozen=True)
 class ValueSensitivityScenario:
     n1: int = 10
@@ -641,6 +657,7 @@ class ValueSensitivityScenario:
         _check_range("u_scan", self.u_scan)
         _check_nu_grid(self.nu_grid, u_max=self.u_scan[1])
         PopulationSpec(self.n1, self.n2, self.n3)
+        _check_series_size(2 * self.n1 + self.n3)
 
 
 @dataclass
@@ -690,6 +707,7 @@ class UninformedInfluenceScenario:
 
     def __post_init__(self):
         _check_nu_grid(self.nu_grid)
+        _check_series_size(self.n_total)
         if not self.n3_values or len(set(self.n3_values)) != len(self.n3_values):
             raise ValueError(f"n3_values must be a nonempty list of distinct uninformed "
                              f"counts; got {list(self.n3_values)}")
@@ -836,9 +854,11 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
     Phase 2's right-hand side is normalized_field with efforts ubar + utilde,
     plus d(ubar)/dt = epsilon (y_th^2 - y^2).  What normalized_field checks
     and cannot change during the run (the state length, the shape of the
-    efforts, the length of beta) is checked once, before the loop; the sign
-    of the efforts, which moves with ubar, is checked on every call, so a
-    negative or NaN effort raises the same ValueError.  The events and the
+    efforts, the length of beta) holds by construction, as the state, the
+    efforts and beta are all built for the graph's n agents; the sign of the
+    efforts, which moves with ubar, is checked on every call.  A valid config
+    can drive ubar down until an effort is negative, so that stops the run
+    with SolverError and normalized_field's reason.  The events and the
     stop test reuse the mean opinion of the right-hand side's last call when
     they get that very array, which an accepted state is (FSAL, see the
     solver module); the dense states of event location compute their own.
@@ -859,11 +879,7 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
 
     # phase 2: fast opinions coupled to the slow mean-effort update
     z0 = np.concatenate([x0, [scenario.ubar0]])
-    # The shape checks of normalized_field, once: no call can change them.
     per_agent = isinstance(utilde, np.ndarray)
-    if (z0.shape != (n + 1,) or (per_agent and utilde.shape != (n,))
-            or (beta is not None and beta.shape != (n,))):
-        raise ValueError(f"state, efforts or beta do not match the {n} agents")
     negative = NEGATIVE_EFFORTS if per_agent else NEGATIVE_EFFORT
     field_of, degrees, weights = dynamics._field, g.degrees, g.weights
     y_th2 = y_th ** 2
@@ -878,7 +894,7 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
         u = z[n] + utilde
         # Written as not (u >= 0) so that NaN fails the check too.
         if not ((u >= 0).all() if per_agent else u >= 0):
-            raise ValueError(negative)
+            raise SolverError(f"{negative}: the mean effort ubar fell to {z[n]:.6g}", time=t)
         dz = np.empty(n + 1)
         dz[:n] = field_of(x, degrees, weights, u, beta)
         dz[n] = eps * (y_th2 - y ** 2)

@@ -4,7 +4,9 @@ Convention: ``weights[i, j]`` is the weight agent i places on its measurement
 of agent j (an in-neighbor weight), so the in-degree is the row sum
 ``d_i = sum_j a_ij``.  Strong connectivity is evaluated on the digraph with an
 arc j -> i whenever ``a_ij > 0``; since strong connectivity is invariant under
-arc reversal this coincides with the transpose convention.
+arc reversal this coincides with the transpose convention.  A ``Graph`` is
+its weights alone: the block layout of a three-group network, which agents
+form which group, is its ``PopulationSpec``'s.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ class Graph:
     """Immutable weighted interaction graph with cached degree/Laplacian data."""
 
     weights: np.ndarray
-    groups: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
@@ -40,11 +41,6 @@ class Graph:
         lap = np.diag(deg) - w
         lap.flags.writeable = False
         object.__setattr__(self, "_laplacian", lap)
-        if self.groups is not None:
-            groups = tuple(np.asarray(g, dtype=int) for g in self.groups)
-            for g in groups:
-                g.flags.writeable = False
-            object.__setattr__(self, "groups", groups)
 
     @property
     def n(self) -> int:
@@ -70,9 +66,12 @@ class PopulationSpec:
     """Three-group structured network: informed-A, informed-B, uninformed.
 
     ``coupling[k, m]`` is the uniform weight an agent of group k places on an
-    agent of group m; within-group weights must equal 1.  The groups are an
-    equitable partition of the block graph; ``degrees`` and ``quotient`` give
-    its quotient, on which the model has the same field and Jacobian.
+    agent of group m; within-group weights must equal 1.  The spec owns the
+    block layout: the block graph (``three_population_graph``) numbers the
+    agents group by group, ``groups`` slices them out, and a per-group value
+    is laid out on the agents by ``np.repeat(values, sizes)``.  The groups are
+    an equitable partition of the block graph; ``degrees`` and ``quotient``
+    give its quotient, on which the model has the same field and Jacobian.
     """
 
     n1: int
@@ -111,6 +110,12 @@ class PopulationSpec:
     @property
     def n_total(self) -> int:
         return self.n1 + self.n2 + self.n3
+
+    @property
+    def groups(self) -> tuple[slice, slice, slice]:
+        """Index slices of the three groups in the agent order of the block graph."""
+        a, b = self.n1, self.n1 + self.n2
+        return slice(0, a), slice(a, b), slice(b, self.n_total)
 
     @property
     def quotient(self) -> np.ndarray:
@@ -178,17 +183,11 @@ def lambda2(g: Graph) -> float:
 
 
 def three_population_graph(spec: PopulationSpec) -> Graph:
-    """Block graph from a PopulationSpec; group index sets recorded in order."""
-    sizes = spec.sizes
-    n = spec.n_total
-    bounds = np.cumsum((0,) + sizes)
-    groups = tuple(np.arange(bounds[k], bounds[k + 1]) for k in range(3))
-    w = np.zeros((n, n))
-    for k in range(3):
-        for m in range(3):
-            w[np.ix_(groups[k], groups[m])] = spec.coupling[k, m]
+    """Block graph from a PopulationSpec: coupling[k, m] on every agent pair of
+    groups k and m, the agents numbered group by group (``spec.groups``)."""
+    w = np.repeat(np.repeat(spec.coupling, spec.sizes, 0), spec.sizes, 1)
     np.fill_diagonal(w, 0.0)
-    return Graph(w, groups=groups)
+    return Graph(w)
 
 
 def agent_count(value, key: str) -> int:

@@ -1,7 +1,7 @@
 """Time integration: adaptive Dormand-Prince 5(4) with events located on
-each step's continuous extension, a rejection-controlled Euler scheme for
-the discontinuous consensus estimator, and the CSV format of every output
-table.
+each step's continuous extension by the package's one bisection
+(``bifurcation._bisect``), a rejection-controlled Euler scheme for the
+discontinuous consensus estimator, and the CSV format of every output table.
 
 The Dormand-Prince loop works in place on small arrays, where each numpy
 call costs more than its arithmetic.  It relies on one ownership rule: a
@@ -32,13 +32,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .bifurcation import _bisect
 from .graphs import Graph, lambda2
 
 FMT = "%.17g"
 # write_csv converts this many rows at a time to Python floats.
 CSV_BLOCK_ROWS = 256
 
-# Bisection width of an event time, unless four float spacings of t are wider.
+# Bisection width of an event time, unless no float lies inside a wider bracket.
 EVENT_TIME_TOL = 1e-9
 
 # The consensus estimator needs lambda2 above this: a connected undirected graph.
@@ -216,35 +217,24 @@ def _dense_state(x0, h, q, theta):
 
 
 def _locate_event(event, t0, x0, t1, k):
-    """Bisect a bracketed sign change of `event` over the step [t0, t1].
+    """Close a bracketed sign change of `event` over the step [t0, t1] with
+    ``_bisect`` to EVENT_TIME_TOL.
 
     Candidate states come from the step's continuous extension built from
-    its stages k, so locating an event calls no field.  The bracket closes
-    to EVENT_TIME_TOL, or to four float spacings of t where those are wider,
-    within at most 200 halvings.  Returns (time, state, halvings made).
+    its stages k, so locating an event calls no field.  Returns (time, state,
+    number of event calls of the bisection).
     """
-    g0 = event(t0, x0)
-    if g0 == 0.0:
-        return t0, x0, 0
     h = t1 - t0
     q = _DP_P.T @ k
-    lo, hi = t0, t1
-    # Far from t = 0 the float spacing exceeds EVENT_TIME_TOL, and the midpoint
-    # of two neighbouring floats is one of them: stop a few spacings apart.
-    width = max(EVENT_TIME_TOL, 4.0 * float(np.spacing(max(abs(t0), abs(t1)))))
-    halvings = 0
-    while halvings < 200 and hi - lo > width:
-        halvings += 1
-        mid = 0.5 * (lo + hi)
-        xm = _dense_state(x0, h, q, (mid - t0) / h)
-        gm = event(mid, xm)
-        if gm == 0.0:
-            return mid, xm, halvings
-        if np.sign(gm) == np.sign(g0):
-            lo = mid
-        else:
-            hi = mid
-    return hi, _dense_state(x0, h, q, (hi - t0) / h), halvings
+    calls = 0
+
+    def sign_at(t):
+        nonlocal calls
+        calls += 1
+        return np.sign(event(t, _dense_state(x0, h, q, (t - t0) / h)))
+
+    t_hit = _bisect(sign_at, t0, t1, np.sign(event(t0, x0)), EVENT_TIME_TOL)
+    return t_hit, _dense_state(x0, h, q, (t_hit - t0) / h), calls
 
 
 def _integrate(field, x0, cfg: IntegratorConfig, events: Sequence[Callable] = (),

@@ -238,6 +238,15 @@ class TestFindEquilibrium:
         assert mags[1] == pytest.approx(ys, abs=1e-9)
         assert mags[2] == pytest.approx(ys, abs=1e-9)
 
+    def test_singular_newton_matrix_raises(self):
+        with pytest.raises(BifurcationError, match="singular Newton matrix"):
+            newton_solve(lambda x: x - 1.0, lambda x: np.zeros((1, 1)), np.zeros(1))
+
+    def test_fifty_steps_without_convergence_raise(self):
+        # a Jacobian 1000 times too steep shrinks the residual 0.1 % per step
+        with pytest.raises(BifurcationError, match=r"Newton did not converge \(residual 9\.5"):
+            newton_solve(lambda x: x, lambda x: np.array([[1e3]]), np.ones(1))
+
 
 class TestScalarRoots:
     def test_y_s_values(self):

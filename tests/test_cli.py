@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import deadline
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netdecide import bifurcation as bif
@@ -211,6 +211,42 @@ class TestAdaptive:
         assert "estimator did not reach estimator_tol" in capsys.readouterr().err
 
 
+class TestNumericalFailure:
+    """A config that validates and then fails numerically exits 3 with the reason."""
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("simulate", {"graph": {"kind": "weights", "weights": [[0, 1e16], [1e16, 0]]}},
+         "step-size underflow (at t = 0)"),
+        ("adaptive", {"estimator_tol": 1e-300}, "estimator step underflow"),
+        ("adaptive", {"horizon_factor": 0.001}, "adaptive run reached its horizon"),
+        ("sweep", {"scenario": "hysteresis", "horizon": 1e-3},
+         "quasi-static settle failed at beta_B = 0.0"),
+        # information alone holds |y| above y_th, so ubar falls below zero
+        ("adaptive", {"graph": {"kind": "population", "n1": 1, "n2": 1, "n3": 1},
+                      "beta_b": 3.0, "ubar0": 1.0, "epsilon": 0.0625, "y_th": 0.25,
+                      "x0_amplitude": 0.0, "horizon_factor": 3.0},
+         "social effort u must be nonnegative: the mean effort ubar fell to"),
+    ], ids=["simulate-step_underflow", "adaptive-estimator_underflow", "adaptive-horizon",
+            "hysteresis-settle", "adaptive-negative_effort"])
+    def test_config_exits_3(self, tmp_path, capsys, command, doc, message):
+        cfg = write_cfg(tmp_path, "cfg.json", doc)
+        assert main(["validate", "--command", command, "--config", cfg]) == 0
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert f"numerical failure: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale, message", [
+        (0.0, "singular Newton matrix"), (1e3, "Newton did not converge"),
+    ], ids=["singular", "not_converged"])
+    def test_newton_failure_exits_3(self, tmp_path, capsys, monkeypatch, scale, message):
+        # No config is known to reach these raises; a scaled Jacobian makes
+        # the quintic sweep's start solve reach them.
+        real = bif.reduced3_jacobian
+        monkeypatch.setattr(bif, "reduced3_jacobian", lambda y, spec, u: scale * real(y, spec, u))
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", "quintic_transition", "--out", str(out)]) == 3
+        assert f"numerical failure: {message}" in capsys.readouterr().err
+
+
 class TestValidate:
     def test_accepts_good_config(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "cfg.json", {"u": 0.5})
@@ -336,6 +372,12 @@ class TestValidate:
         ("sweep", {"scenario": "reduction_demo", "n1": 0, "n2": 2, "n3": 2},
          "needs at least one agent"),
         ("sweep", {"scenario": "reduction_demo", "n3": 0}, "needs at least one agent"),
+        ("sweep", {"scenario": "value_sensitivity", "n1": 10**40, "n2": 10**40},
+         "N^9 overflows a float"),
+        ("sweep", {"scenario": "uninformed_influence", "n_total": 10**40 + 1},
+         "N^9 overflows a float"),
+        ("sweep", {"scenario": "hysteresis", "beta_b_max": 1e300, "beta_b_step": 1.0},
+         "at most MAX_SWEEP_POINTS"),
     ], ids=["value_sensitivity-h_max", "value_sensitivity-u_scan",
             "value_sensitivity-n1_n2", "uninformed_influence-n3",
             "pitchfork_diagram-disconnected", "simulate-beta",
@@ -356,7 +398,9 @@ class TestValidate:
             "uninformed_influence-duplicate_n3", "quintic_transition-zero_degree_group",
             "continue-h_max_below_h_min", "continue-h_max_cannot_finish",
             "quintic_transition-h_max_cannot_finish", "adaptive-negative_effort",
-            "reduction_demo-empty_informed_group", "reduction_demo-empty_uninformed_group"])
+            "reduction_demo-empty_informed_group", "reduction_demo-empty_uninformed_group",
+            "value_sensitivity-series_overflow", "uninformed_influence-series_overflow",
+            "hysteresis-grid_too_large"])
     def test_runner_preconditions_checked_at_load(self, tmp_path, capsys,
                                                   command, doc, message):
         # validate is the load step of each command, so it rejects every
@@ -367,6 +411,12 @@ class TestValidate:
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.count(message) == 2
         assert not out.exists()
+
+    def test_hysteresis_grid_counted_without_building(self, tmp_path, capsys):
+        # 1.2e10 points: only validate runs, for np.arange would ask for 96 GB
+        cfg = write_cfg(tmp_path, "cfg.json", {"scenario": "hysteresis", "beta_b_step": 1e-9})
+        assert main(["validate", "--command", "sweep", "--config", cfg]) == 2
+        assert "the beta_B grid has 1.2e+10 points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scenario", ["value_sensitivity", "uninformed_influence"])
     @pytest.mark.parametrize("nu_grid", [[1e-320], [1e200, 1.0]], ids=["inverse", "cube"])
@@ -466,9 +516,11 @@ def test_validate_exits_0_or_2(tmp_path_factory, command, scenario):
 # ---------------------------------------------------------------------------
 
 # Bounds: 1 to 3 values of nu, each any positive float (subnormals included);
-# for value sensitivity n1 = n2 in [1, 20] and n3 in [0, 100].
+# for value sensitivity n1 = n2 in [1, 20] or [1, 1e40] and n3 in [0, 100]
+# or [0, 1e40]; for uninformed influence n_total in [2, 40] or [2, 1e40].
 NU_GRIDS = st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
                     min_size=1, max_size=3)
+DEFAULT_NU_GRID = list(ex.ValueSensitivityScenario().nu_grid)
 
 
 @pytest.mark.parametrize("scenario", ["value_sensitivity", "uninformed_influence"])
@@ -476,15 +528,22 @@ def test_nu_sweep_that_validates_runs(tmp_path_factory, scenario):
     root = tmp_path_factory.mktemp("nu_sweep")
     path, out = root / "cfg.json", root / "out"
 
-    @given(NU_GRIDS, st.integers(1, 20), st.integers(0, 100))
-    @example([1e-320], 10, 80)
-    @example([1e200], 10, 80)
-    @example([50.0], 10, 80)
-    @example([1e90], 1, 100)
-    def check(nu_grid, n, n3):
+    @given(NU_GRIDS, st.integers(1, 20) | st.integers(1, 10**40),
+           st.integers(0, 100) | st.integers(0, 10**40),
+           st.integers(2, 40) | st.integers(2, 10**40))
+    @example([1e-320], 10, 80, 7)
+    @example([1e200], 10, 80, 7)
+    @example([50.0], 10, 80, 7)
+    @example([1e90], 1, 100, 7)
+    # populations whose series coefficient overflows (N^9 > 1.8e308)
+    @example(DEFAULT_NU_GRID, 10**40, 80, 7)
+    @example(DEFAULT_NU_GRID, 10, 80, 10**40 + 1)
+    def check(nu_grid, n, n3, n_total):
         doc = {"scenario": scenario, "nu_grid": nu_grid}
         if scenario == "value_sensitivity":
             doc |= {"n1": n, "n2": n, "n3": n3}
+        else:
+            doc |= {"n_total": n_total}
         path.write_text(json.dumps(doc))
         shutil.rmtree(out, ignore_errors=True)
         # an overflow that the load check lets through warns, and fails here
@@ -710,5 +769,102 @@ def test_reduction_demo_that_validates_runs(tmp_path_factory):
             rows = np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
             assert rows[-1, 0] == t_end
         assert np.isfinite(json.loads((out / "summary.json").read_text())["max_group_diff"])
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# Property: a hysteresis sweep that validate accepts runs, and its loop is
+# finite from beta_b_min on
+# ---------------------------------------------------------------------------
+
+# Bounds: 0 to 3 agents per group; u in [0, 3]; beta_a and beta_b_min in
+# [-6, 6], beta_b_max - beta_b_min in [0, 12] and beta_b_step in [1, 6], so a
+# grid has at most 13 points; settle_tol in [1e-10, 1e-4]; horizon in
+# (0, 200]; 25 examples.  `sweep --scenario pitchfork_diagram` runs the
+# scenario and runner of `continue`, whose property is
+# test_continue_that_validates_runs.
+def test_hysteresis_sweep_that_validates_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("hysteresis")
+    path, out = root / "cfg.json", root / "out"
+
+    @settings(max_examples=25)
+    @given(st.tuples(*[st.integers(0, 3)] * 3), st.floats(0.0, 3.0), st.floats(-6.0, 6.0),
+           st.floats(-6.0, 6.0), st.floats(0.0, 12.0), st.floats(1.0, 6.0), TOLERANCES,
+           st.floats(0.0, 200.0, exclude_min=True))
+    # grids of 1e300 points (np.arange refuses them) and of 1.2e10 points (96 GB)
+    @example((5, 5, 10), 1.2, 5.0, 0.0, 1e300, 1.0, 1e-8, 200.0)
+    @example((5, 5, 10), 1.2, 5.0, 0.0, 12.0, 1e-9, 1e-8, 200.0)
+    def check(sizes, u, beta_a, beta_b_min, width, beta_b_step, settle_tol, horizon):
+        path.write_text(json.dumps({"scenario": "hysteresis",
+                                    **dict(zip(("n1", "n2", "n3"), sizes)), "u": u,
+                                    "beta_a": beta_a, "beta_b_min": beta_b_min,
+                                    "beta_b_max": beta_b_min + width,
+                                    "beta_b_step": beta_b_step, "settle_tol": settle_tol,
+                                    "horizon": horizon}))
+        shutil.rmtree(out, ignore_errors=True)
+        with deadline(10.0):
+            if main(["validate", "--command", "sweep", "--config", str(path)]) != 0:
+                return
+            code = main(["sweep", "--config", str(path), "--out", str(out)])
+        assert code in (0, 3)
+        if code != 0:
+            return
+        rows = np.loadtxt(out / "loop.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert rows[0, 0] == beta_b_min
+        assert np.isfinite(rows).all()
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# Property: an adaptive run that validate accepts runs, and its trajectory
+# ends with a finite state
+# ---------------------------------------------------------------------------
+
+# Bounds: a complete graph of 2 to 6 agents, or a population of 1 to 3 agents
+# per group with beta_a and beta_b in [-3, 3]; ubar0 in (0, 2]; epsilon in
+# [0.02, 0.1]; y_th in [0.1, 1.5]; utilde_amplitude in [0, 0.3]; x0_amplitude
+# in [0, 0.1]; jump_band None or in (0, 1]; horizon_factor in (0, 100], so the
+# horizon is at most 5000; 25 examples.
+ADAPTIVE_GRAPHS = (
+    st.builds(lambda n: {"graph": {"kind": "complete", "n": n}, "beta_a": 0.0, "beta_b": 0.0},
+              st.integers(2, 6))
+    | st.builds(lambda sizes, beta_a, beta_b: {
+        "graph": {"kind": "population", **dict(zip(("n1", "n2", "n3"), sizes))},
+        "beta_a": beta_a, "beta_b": beta_b},
+        st.tuples(*[st.integers(1, 3)] * 3), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+
+
+def test_adaptive_that_validates_runs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("adaptive")
+    path, out = root / "cfg.json", root / "out"
+
+    @settings(max_examples=25)
+    @given(st.sampled_from(list(ex.ADAPTIVE_CASES)), ADAPTIVE_GRAPHS,
+           st.floats(0.0, 2.0, exclude_min=True), st.floats(0.02, 0.1), st.floats(0.1, 1.5),
+           st.floats(0.0, 0.3), st.floats(0.0, 0.1),
+           st.none() | st.floats(0.0, 1.0, exclude_min=True),
+           st.floats(0.0, 100.0, exclude_min=True))
+    # information alone holds |y| above y_th: ubar falls below zero at run time
+    @example("symmetric", {"graph": {"kind": "population", "n1": 1, "n2": 1, "n3": 1},
+                           "beta_a": 0.0, "beta_b": 3.0}, 1.0, 0.0625, 0.25, 0.0, 0.0, None, 3.0)
+    def check(case, graph, ubar0, epsilon, y_th, utilde_amplitude, x0_amplitude, jump_band,
+              horizon_factor):
+        path.write_text(json.dumps({**graph, "case": case, "ubar0": ubar0,
+                                    "epsilon": epsilon, "y_th": y_th,
+                                    "utilde_amplitude": utilde_amplitude,
+                                    "x0_amplitude": x0_amplitude, "jump_band": jump_band,
+                                    "horizon_factor": horizon_factor}))
+        shutil.rmtree(out, ignore_errors=True)
+        with deadline(10.0):
+            if main(["validate", "--command", "adaptive", "--config", str(path)]) != 0:
+                return
+            code = main(["adaptive", "--config", str(path), "--out", str(out)])
+        assert code in (0, 3)
+        if code != 0:
+            return
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.isfinite(rows[-1]).all()
 
     check()

@@ -106,6 +106,25 @@ def test_three_population_all_ones_is_complete():
     assert np.array_equal(g.weights, complete_graph(100).weights)
 
 
+@given(st.tuples(*[st.integers(0, 4)] * 3), st.integers(0, 10_000))
+def test_three_population_layout(sizes, seed):
+    # groups slice the agents in order, and each block holds its coupling
+    if sum(sizes) < 2:
+        return
+    c = np.random.default_rng(seed).uniform(0, 2, (3, 3))
+    np.fill_diagonal(c, 1.0)
+    spec = PopulationSpec(*sizes, coupling=c)
+    g = three_population_graph(spec)
+    agents = np.arange(g.n)
+    assert np.array_equal(np.concatenate([agents[grp] for grp in spec.groups]), agents)
+    for k, rows in enumerate(spec.groups):
+        for m, cols in enumerate(spec.groups):
+            block = g.weights[rows, cols]
+            off = ~np.eye(sizes[k], dtype=bool) if k == m else np.ones(block.shape, bool)
+            assert np.all(block[off] == c[k, m])
+    assert np.all(np.diag(g.weights) == 0.0)
+
+
 def test_three_population_blocks():
     spec = PopulationSpec(1, 1, 1, coupling=np.array([
         [1.0, 0.0, 1.0],
@@ -120,7 +139,7 @@ def test_three_population_blocks():
 def test_three_population_group_degrees(spec_223):
     g = three_population_graph(spec_223)
     expected = spec_223.degrees
-    for k, grp in enumerate(g.groups):
+    for k, grp in enumerate(spec_223.groups):
         assert g.degrees[grp] == pytest.approx(expected[k], abs=1e-12)
     assert len(set(np.round(expected, 12))) == 3
 
@@ -176,7 +195,7 @@ def test_json_population_shorthand():
     doc = json.dumps({"kind": "population", "n1": 2, "n2": 2, "n3": 3})
     g = graph_from_config(json.loads(doc))
     assert g.n == 7
-    assert g.groups is not None
+    assert np.array_equal(g.weights, three_population_graph(PopulationSpec(2, 2, 3)).weights)
 
 
 @pytest.mark.parametrize("n", [2.5, "2", True])

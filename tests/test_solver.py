@@ -211,7 +211,8 @@ class TestContinuousExtension:
         x5, _, k = _dp_step(exp_decay, t, x, h, exp_decay(t, x))
         event = lambda t, x: x[0] - 0.8
         t_hit, x_hit, halvings = solver._locate_event(event, t, x, t + h, k)
-        assert 0 < halvings <= 200
+        # the bracket of 0.25 halves 28 times to EVENT_TIME_TOL = 1e-9
+        assert halvings == 28
         assert t_hit == pytest.approx(np.log(1 / 0.8), abs=1e-6)
         assert x_hit[0] == pytest.approx(0.8, abs=1e-8)
 
@@ -370,6 +371,11 @@ class TestSettle:
                                                   horizon=0.5)
         assert not ok
 
+    def test_step_size_underflow_raises(self):
+        # stable explicit steps are about 3e-20 long, below the 1e-14 floor
+        with pytest.raises(SolverError, match=r"step-size underflow \(at t = 0\)"):
+            _integrate(lambda t, x: -1e20 * x, np.ones(1), IntegratorConfig(max_time=1.0))
+
 
 class TestEstimatorIntegration:
     def test_immediate_return_at_consensus(self, k10):
@@ -407,6 +413,11 @@ class TestEstimatorIntegration:
         with pytest.raises(SolverError, match="connected"):
             integrate_nonsmooth(np.array([1.0, 0.0, -1.0]),
                                 disconnected, alpha=1.0, tol=1e-6)
+
+    def test_tolerance_below_round_off_underflows(self, k10, rng):
+        # below round-off every step fails to decrease the error
+        with pytest.raises(SolverError, match="estimator step underflow"):
+            integrate_nonsmooth(rng.uniform(-1, 1, 10), k10, alpha=1.0, tol=1e-300)
 
     def test_deep_tolerance_reachable(self, k10, rng):
         x = rng.uniform(-1, 1, 10)
