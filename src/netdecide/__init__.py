@@ -5,12 +5,14 @@ from .bifurcation import (
     Branch,
     ContinuationProblem,
     Equilibrium,
+    Lift,
     SingularPoint,
     ata_problem,
     branch_switch,
     continue_branch,
     jacobian,
     normalized_problem,
+    quotient_problem,
     reduced3_jacobian,
     reduced3_problem,
     ubar_star,
@@ -35,6 +37,7 @@ from .graphs import (
     PopulationSpec,
     complete_graph,
     directed_ring,
+    equitable_partition,
     is_strongly_connected,
     lambda2,
     path_graph,

@@ -30,6 +30,13 @@ sign and log-magnitude of det J (``_equilibrium``).  On an undirected graph J
 is similar to a symmetric J_sym, and a stable point, where -J_sym is
 positive definite, is tagged by one Cholesky factorization; only a point
 with an eigenvalue >= 0 needs the spectrum.
+
+A network diagram is continued on the quotient of the graph's coarsest
+equitable partition (``quotient_problem``), one unknown per cell, and each
+point is lifted to the agents (``Lift``).  Tags, det flips and their
+refinement, null vectors and classification use the network's J at the
+lifted state, so a flip that breaks symmetry inside a cell is still found.
+With singleton cells the quotient is the network, bit for bit.
 """
 
 from __future__ import annotations
@@ -40,8 +47,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import normalized_field, reduced3_field, sech2
-from .graphs import Graph, PopulationSpec
+from .dynamics import NEGATIVE_EFFORT, _field, normalized_field, reduced3_field, sech2
+from .graphs import Graph, PopulationSpec, cell_weights, equitable_partition
 
 NEWTON_TOL = 1e-12
 REFINE_TOL = 1e-8
@@ -182,6 +189,78 @@ def normalized_problem(g: Graph, beta=None) -> ContinuationProblem:
     )
 
 
+@dataclass(frozen=True)
+class Lift:
+    """The map from a quotient problem back to the network: a quotient state
+    y lifts to the cell-constant state y[cells], where cells[i] is the cell
+    of agent i, numbered by first agent.
+
+    ``network`` is the network's problem, on which every lifted point is
+    tagged and every singular point located and classified.  ``sizes``
+    counts the agents of each cell, ``first`` is each cell's first agent,
+    and ``weights`` are the RMS arclength weights (n_k / n per cell, 1 on the
+    parameter): ||y[cells]||^2 / n = sum_k n_k y_k^2 / n.
+    """
+
+    network: ContinuationProblem
+    cells: np.ndarray
+
+    def __post_init__(self):
+        sizes = np.bincount(self.cells).astype(float)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "first", np.unique(self.cells, return_index=True)[1])
+        object.__setattr__(self, "weights", _arclength_weights(sizes))
+
+    def state(self, y: np.ndarray) -> np.ndarray:
+        return y[self.cells]
+
+    def restrict(self, eq: Equilibrium) -> tuple[np.ndarray, np.ndarray]:
+        """The quotient (y, p) and tangent of a lifted point, exactly."""
+        return (np.append(eq.x[self.first], eq.param),
+                np.append(eq.tangent[:-1][self.first], eq.tangent[-1]))
+
+    def point(self, z: np.ndarray, tan: np.ndarray) -> Equilibrium:
+        """The lifted branch point z = (y, p) with its lifted tangent, tagged on the network."""
+        eq = _equilibrium(self.network, self.state(z[:-1]), z[-1])
+        eq.tangent = np.append(self.state(tan[:-1]), tan[-1])
+        return eq
+
+    def constant_on_cells(self, phi: np.ndarray) -> bool:
+        """Whether phi is constant on every cell, to REFINE_TOL."""
+        return bool(np.abs(phi - self.state(phi[self.first])).max() <= REFINE_TOL)
+
+
+def _identity(problem: ContinuationProblem, n: int) -> Lift:
+    """The lift of a problem continued on its own state space: n singleton cells."""
+    return Lift(problem, np.arange(n))
+
+
+def quotient_problem(g: Graph) -> tuple[ContinuationProblem, Lift]:
+    """The normalized network field on the quotient of g's coarsest equitable
+    partition (``equitable_partition``), over u, and its lift to g.
+
+    The quotient is the model equation on the first agent of each cell: its
+    degrees, and B[k, m], its weight sum into cell m, with jac_p = B tanh(y).
+    The cell-constant states are invariant under the field, which there
+    equals the quotient field, lifted.  A partition into singletons gives
+    B = A and the network's arithmetic bit for bit.
+    """
+    lift = Lift(normalized_problem(g), equitable_partition(g))
+    degrees = g.degrees[lift.first]
+    b = cell_weights(g.weights[lift.first], lift.cells)
+
+    def f(y, u):
+        if not u >= 0:
+            raise ValueError(NEGATIVE_EFFORT)
+        return _field(y, degrees, b, u, None)
+
+    return ContinuationProblem(
+        f=f,
+        jac_x=lambda y, u: _jacobian(y, degrees, b, u),
+        jac_p=lambda y, u: b @ np.tanh(y),
+    ), lift
+
+
 def reduced3_problem(spec: PopulationSpec, beta_a: float, beta_b: float) -> ContinuationProblem:
     """Continuation of the three-group reduced field over u."""
     return ContinuationProblem(
@@ -253,11 +332,10 @@ def _equilibrium(problem, x, p) -> Equilibrium:
                        log_abs_det=float(logdet))
 
 
-def _arclength_weights(n):
-    """Weights w of the RMS arclength norm z.(w z) = ||x||^2/n + p^2 on z = (x, p)."""
-    w = np.full(n + 1, 1.0 / n)
-    w[n] = 1.0
-    return w
+def _arclength_weights(sizes):
+    """Weights w of the RMS arclength norm z.(w z) = ||x||^2/n + p^2 of the
+    lifted z = (x, p), on a quotient z = (y, p) of cells of `sizes`."""
+    return np.append(sizes / sizes.sum(), 1.0)
 
 
 def _bordered(problem, x, p, row):
@@ -270,9 +348,9 @@ def _bordered(problem, x, p, row):
     return bordered
 
 
-def _tangent(problem, x, p, reference):
-    """Tangent of the solution curve, of unit RMS arclength norm, oriented
-    along `reference`.
+def _tangent(problem, x, p, reference, weights):
+    """Tangent of the solution curve, of unit RMS arclength norm t.(weights t)
+    (``_arclength_weights``), oriented along `reference`.
 
     The last row of the bordered system sets reference.tan = 1, which fixes
     the orientation; a singular bordered matrix raises BifurcationError.
@@ -285,7 +363,7 @@ def _tangent(problem, x, p, reference):
         tan = np.linalg.solve(bordered, rhs)
     except np.linalg.LinAlgError as exc:
         raise BifurcationError(f"singular bordered matrix at p = {p}") from exc
-    return tan / np.sqrt(tan @ (_arclength_weights(n) * tan))
+    return tan / np.sqrt(tan @ (weights * tan))
 
 
 def _correct(problem, z_pred, row):
@@ -319,7 +397,8 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
                     p_start: float, p_range: tuple[float, float],
                     h_max: float = 0.1,
                     symmetric_trunk: bool = False,
-                    initial_reference: np.ndarray | None = None) -> Branch:
+                    initial_reference: np.ndarray | None = None,
+                    lift: Lift | None = None) -> Branch:
     """Pseudo-arclength predictor-corrector with singularity detection.
 
     Arclength is RMS arclength, ||dx||^2/n + dp^2, so the point count on a
@@ -328,28 +407,32 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
     by an RMS cosine below TANGENT_COS_MIN (the step may have jumped a fold
     pair).  A sign change between consecutive points, of the tangent's
     parameter component (a fold) or else of det(J), is closed by ``_refine``
-    and classified.  The first tangent is oriented along `initial_reference`
-    when given, otherwise towards increasing parameter.
+    and classified.  The first tangent t is oriented to initial_reference.t
+    > 0 when given, otherwise towards increasing parameter.
     The last point is solved at an end of p_range; a branch that cannot get
     there raises BifurcationError with the parameter reached and the reason.
+
+    With a `lift`, `problem` and x_start are a quotient's: steps, correctors
+    and tangents run on it, in the RMS arclength of the lifted states, and
+    each point and tangent is stored lifted and tagged on ``lift.network``,
+    whose det(J) also decides and refines each det flip.
     """
     p_lo, p_hi = min(p_range), max(p_range)
     x = _solve_at_param(problem, np.asarray(x_start, dtype=float), p_start)
-    eq = _equilibrium(problem, x, p_start)
     n = len(x)
-    w = _arclength_weights(n)
+    lift = lift or _identity(problem, n)
+    w = lift.weights
     if initial_reference is not None:
         ref = np.asarray(initial_reference, dtype=float)
         ref = ref / np.linalg.norm(ref)
     else:
         ref = np.zeros(n + 1)
         ref[n] = 1.0
-    tan = _tangent(problem, x, p_start, ref)
-    eq.tangent = tan
-    branch = Branch(points=[eq])
+    tan = _tangent(problem, x, p_start, ref, w)
+    z = np.append(x, p_start)
+    branch = Branch(points=[lift.point(z, tan)])
 
     h = H0
-    z = np.concatenate([x, [p_start]])
     for _ in range(MAX_POINTS - 1):
         row = w * tan
         while True:
@@ -363,21 +446,20 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
             else:
                 if not p_lo <= z_new[n] <= p_hi:
                     break
-                tan_new = _tangent(problem, z_new[:n], z_new[n], tan)
+                tan_new = _tangent(problem, z_new[:n], z_new[n], tan, w)
                 if row @ tan_new >= TANGENT_COS_MIN or h * 0.5 < H_MIN:
                     break
             h *= 0.5
 
-        x_new, p_new = z_new[:n], z_new[n]
-        past_end = not p_lo <= p_new <= p_hi
+        past_end = not p_lo <= z_new[n] <= p_hi
         if past_end:
             # the last point is solved at the end of the range itself
-            p_new = p_hi if p_new > p_hi else p_lo
-            x_new = _solve_at_param(problem, x_new, p_new)
-            tan_new = _tangent(problem, x_new, p_new, tan)
-        eq_new = _equilibrium(problem, x_new, p_new)
-        eq_new.tangent = tan_new
-        _detect_events(problem, branch, branch.points[-1], eq_new, symmetric_trunk)
+            p_new = p_hi if z_new[n] > p_hi else p_lo
+            x_new = _solve_at_param(problem, z_new[:n], p_new)
+            tan_new = _tangent(problem, x_new, p_new, tan, w)
+            z_new = np.append(x_new, p_new)
+        eq_new = lift.point(z_new, tan_new)
+        _detect_events(problem, branch, branch.points[-1], eq_new, symmetric_trunk, lift)
         branch.points.append(eq_new)
         if past_end:
             return branch
@@ -387,22 +469,26 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
                            f"points did not reach the end of the range [{p_lo}, {p_hi}]")
 
 
-def _detect_events(problem, branch, prev: Equilibrium, new: Equilibrium, symmetric_trunk):
+def _detect_events(problem, branch, prev: Equilibrium, new: Equilibrium, symmetric_trunk,
+                   lift: Lift | None = None):
+    lift = lift or _identity(problem, len(prev.x))
     if prev.tangent[-1] * new.tangent[-1] < 0:
         # a fold also flips det(J); the tangent test owns the interval
+        tan = lift.restrict(prev)[1]
         sp = _refine(problem, prev, new, np.sign(prev.tangent[-1]),
-                     lambda x, p: np.sign(_tangent(problem, x, p, prev.tangent)[-1]))
+                     lambda y, p: np.sign(_tangent(problem, y, p, tan, lift.weights)[-1]), lift)
     elif prev.det_sign * new.det_sign < 0:
         sp = _refine(problem, prev, new, prev.det_sign,
-                     lambda x, p: np.linalg.slogdet(problem.jac_x(x, p))[0])
+                     lambda y, p: np.linalg.slogdet(lift.network.jac_x(lift.state(y), p))[0],
+                     lift)
     else:
         return
-    sp.kind = classify_singularity(sp, problem, symmetric_trunk=symmetric_trunk)
+    sp.kind = classify_singularity(sp, lift.network, symmetric_trunk=symmetric_trunk)
     branch.singular_points.append(sp)
 
 
 def _refine(problem, eq_lo: Equilibrium, eq_hi: Equilibrium, sign_lo: float,
-            test: Callable[[np.ndarray, float], float]) -> SingularPoint:
+            test: Callable[[np.ndarray, float], float], lift: Lift) -> SingularPoint:
     """Bisect along the branch the sign change of `test` (a fold's tangent
     parameter component, or the sign of det J) between eq_lo, where it is
     sign_lo, and eq_hi (Kuznetsov, *Elements of Applied Bifurcation Theory*,
@@ -411,14 +497,20 @@ def _refine(problem, eq_lo: Equilibrium, eq_hi: Equilibrium, sign_lo: float,
     and replaces the end whose sign it shares.  The point is `refined` when
     the bracket closed to REFINE_TOL in the parameter and 1e-7 in the state
     within 80 halvings, not when the corrector failed first.
+
+    The bisection runs on the continued problem, at the points restricted by
+    `lift`, and `test` reads their quotient (y, p); the singular point's
+    state and null vectors are the network's.
     """
-    n = len(eq_lo.x)
-    row = _arclength_weights(n) * eq_lo.tangent
-    z_lo = np.append(eq_lo.x, eq_lo.param)
-    z_hi = np.append(eq_hi.x, eq_hi.param)
+    (z_lo, tan_lo), (z_hi, _) = lift.restrict(eq_lo), lift.restrict(eq_hi)
+    n = len(z_lo) - 1
+    row = lift.weights * tan_lo
+    # squared Euclidean norm of the lifted (x, p): each cell counts n_k times
+    norm_weights = np.append(lift.sizes, 1.0)
 
     def closed():
-        return abs(z_hi[n] - z_lo[n]) <= REFINE_TOL and np.linalg.norm(z_hi - z_lo) <= 1e-7
+        gap = z_hi - z_lo
+        return abs(gap[n]) <= REFINE_TOL and np.sqrt(gap @ (norm_weights * gap)) <= 1e-7
 
     for _ in range(80):
         if closed():
@@ -431,12 +523,14 @@ def _refine(problem, eq_lo: Equilibrium, eq_hi: Equilibrium, sign_lo: float,
             z_lo = z_mid
         else:
             z_hi = z_mid
-    x_sp = 0.5 * (z_lo[:n] + z_hi[:n])
+    y_sp = 0.5 * (z_lo[:n] + z_hi[:n])
     p_sp = 0.5 * (z_lo[n] + z_hi[n])
-    right, left = null_vectors(problem.jac_x(x_sp, p_sp))
+    x_sp = lift.state(y_sp)
+    right, left = null_vectors(lift.network.jac_x(x_sp, p_sp))
     return SingularPoint(kind="unclassified", param=float(p_sp), x=x_sp,
                          null_right=right, null_left=left,
-                         tangent_param=float(_tangent(problem, x_sp, p_sp, eq_lo.tangent)[-1]),
+                         tangent_param=float(_tangent(problem, y_sp, p_sp, tan_lo,
+                                                      lift.weights)[-1]),
                          refined=bool(closed()))
 
 
@@ -465,7 +559,7 @@ def classify_singularity(sp: SingularPoint, problem: ContinuationProblem,
 
 
 def branch_switch(problem: ContinuationProblem, sp: SingularPoint,
-                  direction: int) -> tuple[np.ndarray, float]:
+                  direction: int, lift: Lift | None = None) -> tuple[np.ndarray, float]:
     """The seed (x, p), untagged, of a branch just past a pitchfork, on the
     side `direction` of its null vector: +1 towards positive mean opinion.
 
@@ -474,11 +568,17 @@ def branch_switch(problem: ContinuationProblem, sp: SingularPoint,
     the bordered matrix stays nonsingular arbitrarily close to the singular
     point, unlike a fixed-parameter solve.  A failure raises BifurcationError
     with the Newton reason: it suggests a misclassified point.
+
+    With a `lift`, phi must be constant on its cells
+    (``Lift.constant_on_cells``): the seed is then a quotient state, and
+    phi.(x - x*) sums n_k phi_k (y_k - y*_k).
     """
-    phi = sp.null_right
+    lift = lift or _identity(problem, len(sp.x))
+    phi = sp.null_right[lift.first]
     a = direction * SWITCH_OFFSET
     try:
-        z = _correct(problem, np.append(sp.x + a * phi, sp.param), np.append(phi, 0.0))
+        z = _correct(problem, np.append(sp.x[lift.first] + a * phi, sp.param),
+                     np.append(lift.sizes * phi, 0.0))
     except BifurcationError as exc:
         raise BifurcationError(f"branch switch failed at amplitude {SWITCH_OFFSET:g} "
                                f"(misclassified singular point?): {exc}") from exc
@@ -486,24 +586,39 @@ def branch_switch(problem: ContinuationProblem, sp: SingularPoint,
 
 
 def trace_trunk(problem: ContinuationProblem, x_start: np.ndarray,
-                p_range: tuple[float, float], h_max: float
+                p_range: tuple[float, float], h_max: float, lift: Lift | None = None
                 ) -> tuple[Branch, SingularPoint | None]:
-    """Continue the symmetric trunk from p_range[0] over p_range; return it
-    with its first pitchfork, or None when it has none."""
+    """Continue the symmetric trunk from p_range[0] over p_range, on the
+    quotient when given its `lift` (``continue_branch``); return it with its
+    first pitchfork, or None when it has none."""
     trunk = continue_branch(problem, x_start, p_range[0], p_range, h_max=h_max,
-                            symmetric_trunk=True)
+                            symmetric_trunk=True, lift=lift)
     pitchforks = [sp for sp in trunk.singular_points if sp.kind == "pitchfork"]
     return trunk, (pitchforks[0] if pitchforks else None)
 
 
 def switched_branch(problem: ContinuationProblem, sp: SingularPoint, direction: int,
-                    p_range: tuple[float, float], h_max: float) -> Branch:
+                    p_range: tuple[float, float], h_max: float,
+                    lift: Lift | None = None) -> Branch:
     """Continue over p_range the branch bifurcating at pitchfork `sp` on the
     side `direction` (+1 or -1) of its null vector, seeded by branch_switch
-    and oriented away from `sp`."""
-    x, p = branch_switch(problem, sp, direction)
-    ref = np.concatenate([x - sp.x, [p - sp.param]])
-    return continue_branch(problem, x, p, p_range, h_max=h_max, initial_reference=ref)
+    and oriented away from `sp`.
+
+    With a `lift` the branch stays on the quotient when the null vector is
+    constant on the cells: the bifurcating branch then starts, and by the
+    invariance of the cell-constant states stays, inside them.  The first
+    pitchfork of an uninformed trunk x = 0 on a strongly connected graph,
+    u = 1 where J = -L, is such a point: its null vector is 1.  A null
+    vector that breaks symmetry inside a cell leads off the quotient, and
+    that branch is continued on ``lift.network``.
+    """
+    if lift is not None and not lift.constant_on_cells(sp.null_right):
+        problem, lift = lift.network, None
+    lift = lift or _identity(problem, len(sp.x))
+    x, p = branch_switch(problem, sp, direction, lift)
+    ref = np.append(lift.sizes * (x - sp.x[lift.first]), p - sp.param)
+    return continue_branch(problem, x, p, p_range, h_max=h_max, initial_reference=ref,
+                           lift=lift)
 
 
 def reflected(branch: Branch, perm: tuple[int, ...] | None = None) -> Branch:

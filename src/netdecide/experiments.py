@@ -252,6 +252,15 @@ def run_pitchfork_diagram(scenario: PitchforkScenario = PitchforkScenario(),
                           out_dir=None) -> PitchforkResult:
     """Trace the undecided trunk, locate its singularity, switch branches.
 
+    Both branches are continued on the quotient of the graph's coarsest
+    equitable partition (``bif.quotient_problem``), one unknown per cell,
+    and every point is lifted to the agents and tagged on the network's J;
+    det flips that break symmetry inside a cell are found there too.  The
+    trunk's first pitchfork, at u = 1 on a trunk that starts below it, has
+    the null vector 1 (J = -L there), which is constant on the cells, so its
+    branch is switched and continued on the quotient as well
+    (``bif.switched_branch``).
+
     With no information vector the field is odd, f(-x, u) = -f(x, u), so the
     branch on the -1 side of the pitchfork is the mirror image of the one on
     the +1 side: only that one is continued, and the other is its
@@ -263,12 +272,13 @@ def run_pitchfork_diagram(scenario: PitchforkScenario = PitchforkScenario(),
     equal it bit for bit.
     """
     g = graph_from_config(scenario.graph)
-    problem = bif.normalized_problem(g)
-    trunk, sp = bif.trace_trunk(problem, np.zeros(g.n), scenario.u_range, scenario.h_max)
+    quotient, lift = bif.quotient_problem(g)
+    trunk, sp = bif.trace_trunk(quotient, np.zeros(len(lift.sizes)), scenario.u_range,
+                                scenario.h_max, lift)
     upper = lower = None
     if sp is not None:
-        branch = bif.switched_branch(problem, sp, +1, (sp.param, scenario.u_branch_end),
-                                     scenario.h_max)
+        branch = bif.switched_branch(quotient, sp, +1, (sp.param, scenario.u_branch_end),
+                                     scenario.h_max, lift)
         for br in (branch, bif.reflected(branch)):
             # orient by the sign of the consensus component
             if br.points[-1].x.mean() >= 0:

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import netdecide.bifurcation as bif
 import netdecide.experiments as ex
@@ -35,6 +37,7 @@ from netdecide.graphs import (
     PopulationSpec,
     complete_graph,
     directed_ring,
+    is_strongly_connected,
     path_graph,
     three_population_graph,
 )
@@ -644,7 +647,7 @@ class TestContinuation:
             jac_x=lambda x, p: np.atleast_2d(2 * x),
             jac_p=lambda x, p: np.atleast_1d(2 * p))
         with pytest.raises(BifurcationError, match="singular bordered matrix at p = 0"):
-            bif._tangent(problem, np.zeros(1), 0.0, np.array([0.0, 1.0]))
+            bif._tangent(problem, np.zeros(1), 0.0, np.array([0.0, 1.0]), np.ones(2))
 
     def test_branch_switch_fails_after_one_attempt(self, k10, monkeypatch):
         problem = normalized_problem(k10)
@@ -760,6 +763,146 @@ class TestContinuation:
         for pa, pb in zip(a.points, b.points):
             assert pa.param == pb.param
             assert np.array_equal(pa.x, pb.x)
+
+
+def _two_cell_coupling():
+    # groups 1 and 2 of a 5/5/10 population swap into one cell
+    coupling = np.ones((3, 3))
+    coupling[0, 1] = coupling[1, 0] = 0.25
+    return coupling.tolist()
+
+
+def _quotient_diagram(g, u_range, u_branch_end, h_max=0.1):
+    """Trunk and +1 branch continued on the quotient, with the lift."""
+    quotient, lift = bif.quotient_problem(g)
+    trunk, sp = bif.trace_trunk(quotient, np.zeros(len(lift.sizes)), u_range, h_max, lift)
+    return trunk, bif.switched_branch(quotient, sp, +1, (sp.param, u_branch_end), h_max, lift)
+
+
+def _network_diagram(g, u_range, u_branch_end, h_max=0.1):
+    problem = normalized_problem(g)
+    trunk, sp = bif.trace_trunk(problem, np.zeros(g.n), u_range, h_max)
+    return trunk, bif.switched_branch(problem, sp, +1, (sp.param, u_branch_end), h_max)
+
+
+# (graph, u_range, u_branch_end) continued on the quotient and on the network
+QUOTIENT_CASES = {
+    "complete20": ({"kind": "complete", "n": 20}, (0.5, 1.5), 2.2),
+    "complete200": ({"kind": "complete", "n": 200}, (0.5, 1.5), 2.2),
+    # three cells of 40, 40 and 120 agents
+    "population40_40_120": ({"kind": "population", "n1": 40, "n2": 40, "n3": 120,
+                             "coupling": [[1.0, 0.5, 0.8], [0.5, 1.0, 1.2], [0.8, 1.2, 1.0]]},
+                            (0.5, 1.5), 2.2),
+    # five cells, one of them a single agent, and two more det flips past u = 1
+    "path9": ({"kind": "weights", "weights": path_graph(9).weights.tolist()}, (0.5, 1.5), 2.2),
+    # the groups 1 and 2 antisymmetric mode, transverse to the two cells,
+    # flips det J on the trunk at u = 61/11
+    "two_cells": ({"kind": "population", "n1": 5, "n2": 5, "n3": 10,
+                   "coupling": _two_cell_coupling()}, (0.5, 6.0), 7.0),
+    # that transverse flip is the trunk's first pitchfork: its branch leaves
+    # the quotient and is continued on the network
+    "two_cells_transverse_first": ({"kind": "population", "n1": 5, "n2": 5, "n3": 10,
+                                    "coupling": _two_cell_coupling()}, (2.0, 6.0), 7.0),
+    "ring12": ({"kind": "directed_ring", "n": 12}, (0.5, 1.5), 2.2),
+}
+
+
+class TestQuotientContinuation:
+    """A diagram continued on the quotient of the coarsest equitable
+    partition, tagged on the network, is the network's diagram."""
+
+    @pytest.mark.parametrize("graph, u_range, u_branch_end", QUOTIENT_CASES.values(),
+                             ids=QUOTIENT_CASES.keys())
+    def test_quotient_diagram_is_the_network_diagram(self, graph, u_range, u_branch_end):
+        g = ex.graph_from_config(graph)
+        for got, want in zip(_quotient_diagram(g, u_range, u_branch_end),
+                             _network_diagram(g, u_range, u_branch_end)):
+            assert len(got.points) == len(want.points)
+            for a, b in zip(got.points, want.points):
+                assert abs(a.param - b.param) <= 1e-10
+                assert np.abs(a.x - b.x).max() <= 1e-10
+                assert (a.n_unstable, a.det_sign) == (b.n_unstable, b.det_sign)
+            assert ([(sp.kind, sp.refined) for sp in got.singular_points]
+                    == [(sp.kind, sp.refined) for sp in want.singular_points])
+            for a, b in zip(got.singular_points, want.singular_points):
+                assert abs(a.param - b.param) <= REFINE_TOL
+
+    def test_transverse_flip_is_reported(self):
+        graph, u_range, u_branch_end = QUOTIENT_CASES["two_cells"]
+        trunk, _ = _quotient_diagram(ex.graph_from_config(graph), u_range, u_branch_end)
+        assert [sp.kind for sp in trunk.singular_points] == ["pitchfork", "pitchfork"]
+        assert trunk.singular_points[1].param == pytest.approx(61 / 11, abs=REFINE_TOL)
+        # its null vector is +-1 on groups 1 and 2 and 0 on the uninformed
+        phi = trunk.singular_points[1].null_right
+        assert phi[:5] == pytest.approx(-phi[5:10], abs=1e-8)
+        assert np.abs(phi[10:]).max() <= 1e-8
+
+    def test_quotient_arclength_is_the_lifted_rms_arclength(self, rng):
+        # On a consensus branch every cell moves alike, and any weights that
+        # sum to 1 give the same steps; off it the cells weigh n_k / n.
+        _, lift = bif.quotient_problem(path_graph(9))
+        z = rng.normal(size=6)
+        x = lift.state(z[:-1])
+        assert z @ (lift.weights * z) == pytest.approx(x @ x / 9 + z[-1] ** 2, rel=1e-14)
+
+    def test_singleton_partition_reproduces_network_arithmetic(self):
+        rng = np.random.default_rng(7)
+        w = rng.uniform(0.5, 2.0, (9, 9))
+        np.fill_diagonal(w, 0.0)
+        g = Graph(w)
+        assert np.array_equal(bif.quotient_problem(g)[1].cells, np.arange(9))
+        for got, want in zip(_quotient_diagram(g, (0.5, 1.5), 2.2),
+                             _network_diagram(g, (0.5, 1.5), 2.2)):
+            assert_same_branch(got, want)
+
+    def test_complete_200_diagram_solves_nothing_larger_than_2x2(self, monkeypatch):
+        sizes = []
+        real_solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            sizes.append(len(a))
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        ex.run_pitchfork_diagram(ex.PitchforkScenario(graph={"kind": "complete", "n": 200}))
+        assert sizes and max(sizes) <= 2
+
+
+def assert_switching_holds(g):
+    """At the trunk's first pitchfork the network's null vector is the lifted
+    quotient null vector, so the switched branch starts on the quotient; and
+    the trunk first loses stability through a real eigenvalue."""
+    quotient, lift = bif.quotient_problem(g)
+    trunk, sp = bif.trace_trunk(quotient, np.zeros(len(lift.sizes)), (0.5, 1.5), 0.1, lift)
+    phi, _ = bif.null_vectors(quotient.jac_x(sp.x[lift.first], sp.param))
+    lifted = phi[lift.cells] / np.linalg.norm(phi[lift.cells])
+    assert np.abs(sp.null_right - np.sign(lifted.sum()) * lifted).max() <= 1e-8
+    unstable = next(pt for pt in trunk.points if pt.n_unstable > 0)
+    jac = jacobian(unstable.x, g, unstable.param)
+    ev = np.linalg.eigvals(jac)
+    assert abs(ev[np.argmax(ev.real)].imag) <= 1e-12 * np.linalg.norm(jac, 2)
+
+
+@pytest.mark.parametrize("graph", [
+    {"kind": "complete", "n": 10},
+    {"kind": "directed_ring", "n": 12},
+    {"kind": "weights", "weights": path_graph(9).weights.tolist()},
+    {"kind": "population", "n1": 4, "n2": 4, "n3": 8, "coupling": _two_cell_coupling()},
+    {"kind": "population", "n1": 2, "n2": 3, "n3": 5,
+     "coupling": [[1.0, 0.5, 0.8], [0.4, 1.0, 1.2], [0.7, 0.9, 1.0]]},
+], ids=["complete10", "ring12", "path9", "two_cells", "coupled235"])
+def test_switching_assumption(graph):
+    assert_switching_holds(ex.graph_from_config(graph))
+
+
+@given(st.integers(2, 8), st.booleans(), st.data())
+def test_switching_assumption_on_drawn_graphs(n, symmetric, data):
+    w = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                    min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(w, 0.0)
+    g = Graph(w + w.T if symmetric else w)
+    assume(is_strongly_connected(g))
+    assert_switching_holds(g)
 
 
 # Graphs whose switched branches are compared with their mirror images.
