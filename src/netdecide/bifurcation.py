@@ -4,15 +4,16 @@ approximations for the structured network models.
 
 Every Newton iteration of continuation is ``newton_solve``.  The arclength
 corrector (``_correct``) runs it on the extended unknown z = (x, p), with the
-bordered matrix [[J, f_p], [row]] (``_bordered``) as Jacobian, for
-continuation steps, refinement and branch switching; the same matrix gives
-each tangent.  Arclength is measured in the RMS norm ||x||^2/n + p^2
-(``_arclength_weights``), so a step costs the same on a consensus branch
-x = y 1 at any network size n.  A branch reaches the end of its range or
-raises BifurcationError, as do a singular bordered matrix and a failed branch
-switch; nothing falls back.  A fold is a sign change of the tangent's
-parameter component between two branch points, any other singular point one
-of det J; one bisection along the branch, ``_refine``, closes either bracket.
+bordered matrix [[J, f_p], [row]] (``_bordered``) as Jacobian, for a
+branch's end points (row e_p), continuation steps, refinement and branch
+switching; the same matrix gives each tangent.  Arclength is measured in the
+RMS norm ||x||^2/n + p^2 (``Lift.weights``), so a step costs the same on a
+consensus branch x = y 1 at any network size n.  A branch reaches the end of
+its range or raises BifurcationError, as do a singular bordered matrix and a
+failed branch switch; nothing falls back.  A fold is a sign change of the
+tangent's parameter component between two branch points, any other singular
+point one of det J; one bisection along the branch, ``_refine``, closes
+either bracket.
 
 A pitchfork diagram is ``trace_trunk`` (the symmetric trunk and its first
 pitchfork), then one ``switched_branch`` per bifurcating branch.  When the
@@ -32,11 +33,12 @@ positive definite, is tagged by one Cholesky factorization; only a point
 with an eigenvalue >= 0 needs the spectrum.
 
 A network diagram is continued on the quotient of the graph's coarsest
-equitable partition (``quotient_problem``), one unknown per cell, and each
-point is lifted to the agents (``Lift``).  Tags, det flips and their
-refinement, null vectors and classification use the network's J at the
-lifted state, so a flip that breaks symmetry inside a cell is still found.
-With singleton cells the quotient is the network, bit for bit.
+equitable partition (``quotient_problem``), one unknown per cell, whose
+points and tangents bracket each singular point; each branch point is the
+lifted state (``Lift``).  Tags, det flips and their refinement, null vectors
+and classification use the network's J at the lifted state, so a flip that
+breaks symmetry inside a cell is still found.  With singleton cells the
+quotient is the network, bit for bit.
 """
 
 from __future__ import annotations
@@ -100,19 +102,20 @@ def reduced3_jacobian(y: np.ndarray, spec: PopulationSpec, u: float) -> np.ndarr
 
 @dataclass
 class Equilibrium:
+    """A branch point (x, p) and its tags (``_equilibrium``)."""
+
     x: np.ndarray
     param: float
     n_unstable: int             # eigenvalues of J with real part > STABILITY_MARGIN
     det_sign: float = 0.0
     log_abs_det: float = -np.inf
-    tangent: np.ndarray | None = None
 
 
 def newton_solve(f: Callable, jac: Callable, x0: np.ndarray) -> np.ndarray:
     """Damped Newton iteration to ||f||_inf <= NEWTON_TOL within 50 steps,
     each step halved from 1 until the residual falls (Deuflhard), else
-    BifurcationError with the reason.  Fixed-parameter solves and the
-    arclength corrector both run it; f may refill and return one buffer."""
+    BifurcationError with the reason.  The arclength corrector runs it; f
+    may refill and return one buffer."""
     x = np.array(x0, dtype=float)
     fx = f(x)
     norm = np.abs(fx).max()
@@ -169,7 +172,7 @@ class ContinuationProblem:
         return (self.f(x, p + h) - self.f(x, p - h)) / (2 * h)
 
 
-def normalized_problem(g: Graph, beta=None) -> ContinuationProblem:
+def normalized_problem(g: Graph) -> ContinuationProblem:
     """Continuation of the normalized network field over u.
 
     On an undirected graph, J = -D + u A diag(s) with s = sech^2(x) is similar
@@ -182,7 +185,7 @@ def normalized_problem(g: Graph, beta=None) -> ContinuationProblem:
             return _minus_degrees((u * r[:, None]) * g.weights * r, g.degrees)
 
     return ContinuationProblem(
-        f=lambda x, u: normalized_field(x, g, u, beta),
+        f=lambda x, u: normalized_field(x, g, u),
         jac_x=lambda x, u: jacobian(x, g, u),
         jac_p=lambda x, u: g.weights @ np.tanh(x),
         jac_sym=jac_sym,
@@ -193,7 +196,8 @@ def normalized_problem(g: Graph, beta=None) -> ContinuationProblem:
 class Lift:
     """The map from a quotient problem back to the network: a quotient state
     y lifts to the cell-constant state y[cells], where cells[i] is the cell
-    of agent i, numbered by first agent.
+    of agent i, numbered by first agent.  Only states are lifted: tangents
+    stay on the quotient.
 
     ``network`` is the network's problem, on which every lifted point is
     tagged and every singular point located and classified.  ``sizes``
@@ -209,21 +213,14 @@ class Lift:
         sizes = np.bincount(self.cells).astype(float)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "first", np.unique(self.cells, return_index=True)[1])
-        object.__setattr__(self, "weights", _arclength_weights(sizes))
+        object.__setattr__(self, "weights", np.append(sizes / sizes.sum(), 1.0))
 
     def state(self, y: np.ndarray) -> np.ndarray:
         return y[self.cells]
 
-    def restrict(self, eq: Equilibrium) -> tuple[np.ndarray, np.ndarray]:
-        """The quotient (y, p) and tangent of a lifted point, exactly."""
-        return (np.append(eq.x[self.first], eq.param),
-                np.append(eq.tangent[:-1][self.first], eq.tangent[-1]))
-
-    def point(self, z: np.ndarray, tan: np.ndarray) -> Equilibrium:
-        """The lifted branch point z = (y, p) with its lifted tangent, tagged on the network."""
-        eq = _equilibrium(self.network, self.state(z[:-1]), z[-1])
-        eq.tangent = np.append(self.state(tan[:-1]), tan[-1])
-        return eq
+    def point(self, z: np.ndarray) -> Equilibrium:
+        """The lifted branch point z = (y, p), tagged on the network."""
+        return _equilibrium(self.network, self.state(z[:-1]), z[-1])
 
     def constant_on_cells(self, phi: np.ndarray) -> bool:
         """Whether phi is constant on every cell, to REFINE_TOL."""
@@ -332,12 +329,6 @@ def _equilibrium(problem, x, p) -> Equilibrium:
                        log_abs_det=float(logdet))
 
 
-def _arclength_weights(sizes):
-    """Weights w of the RMS arclength norm z.(w z) = ||x||^2/n + p^2 of the
-    lifted z = (x, p), on a quotient z = (y, p) of cells of `sizes`."""
-    return np.append(sizes / sizes.sum(), 1.0)
-
-
 def _bordered(problem, x, p, row):
     """The bordered matrix [[J, f_p], [row]] of the extended system at (x, p)."""
     n = len(x)
@@ -350,7 +341,7 @@ def _bordered(problem, x, p, row):
 
 def _tangent(problem, x, p, reference, weights):
     """Tangent of the solution curve, of unit RMS arclength norm t.(weights t)
-    (``_arclength_weights``), oriented along `reference`.
+    (``Lift.weights``), oriented along `reference`.
 
     The last row of the bordered system sets reference.tan = 1, which fixes
     the orientation; a singular bordered matrix raises BifurcationError.
@@ -380,10 +371,6 @@ def _correct(problem, z_pred, row):
     return newton_solve(residual, lambda z: _bordered(problem, z[:n], z[n], row), z_pred)
 
 
-def _solve_at_param(problem, x_guess, p):
-    return newton_solve(lambda x: problem.f(x, p), lambda x: problem.jac_x(x, p), x_guess)
-
-
 def null_vectors(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit null vectors (phi, psi) of J and J^T: the right and left singular
     vectors of the smallest singular value of a singular `jac`, with phi
@@ -409,28 +396,29 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
     parameter component (a fold) or else of det(J), is closed by ``_refine``
     and classified.  The first tangent t is oriented to initial_reference.t
     > 0 when given, otherwise towards increasing parameter.
-    The last point is solved at an end of p_range; a branch that cannot get
-    there raises BifurcationError with the parameter reached and the reason.
+    The first point is solved at p_start and the last at an end of p_range,
+    by the corrector with row e_p; a branch that cannot get there raises
+    BifurcationError with the parameter reached and the reason.
 
     With a `lift`, `problem` and x_start are a quotient's: steps, correctors
     and tangents run on it, in the RMS arclength of the lifted states, and
-    each point and tangent is stored lifted and tagged on ``lift.network``,
+    each point is stored as its lifted state, tagged on ``lift.network``,
     whose det(J) also decides and refines each det flip.
     """
     p_lo, p_hi = min(p_range), max(p_range)
-    x = _solve_at_param(problem, np.asarray(x_start, dtype=float), p_start)
-    n = len(x)
+    n = len(x_start)
     lift = lift or _identity(problem, n)
     w = lift.weights
+    e_p = np.zeros(n + 1)
+    e_p[n] = 1.0
+    z = _correct(problem, np.append(x_start, p_start), e_p)
     if initial_reference is not None:
         ref = np.asarray(initial_reference, dtype=float)
         ref = ref / np.linalg.norm(ref)
     else:
-        ref = np.zeros(n + 1)
-        ref[n] = 1.0
-    tan = _tangent(problem, x, p_start, ref, w)
-    z = np.append(x, p_start)
-    branch = Branch(points=[lift.point(z, tan)])
+        ref = e_p
+    tan = _tangent(problem, z[:n], z[n], ref, w)
+    branch = Branch(points=[lift.point(z)])
 
     h = H0
     for _ in range(MAX_POINTS - 1):
@@ -454,13 +442,11 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
         past_end = not p_lo <= z_new[n] <= p_hi
         if past_end:
             # the last point is solved at the end of the range itself
-            p_new = p_hi if z_new[n] > p_hi else p_lo
-            x_new = _solve_at_param(problem, z_new[:n], p_new)
-            tan_new = _tangent(problem, x_new, p_new, tan, w)
-            z_new = np.append(x_new, p_new)
-        eq_new = lift.point(z_new, tan_new)
-        _detect_events(problem, branch, branch.points[-1], eq_new, symmetric_trunk, lift)
-        branch.points.append(eq_new)
+            z_new = _correct(problem, np.append(z_new[:n], p_hi if z_new[n] > p_hi else p_lo),
+                             e_p)
+            tan_new = _tangent(problem, z_new[:n], z_new[n], tan, w)
+        branch.points.append(lift.point(z_new))
+        _detect_events(problem, branch, (z, tan), (z_new, tan_new), symmetric_trunk, lift)
         if past_end:
             return branch
         z, tan = z_new, tan_new
@@ -469,16 +455,18 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
                            f"points did not reach the end of the range [{p_lo}, {p_hi}]")
 
 
-def _detect_events(problem, branch, prev: Equilibrium, new: Equilibrium, symmetric_trunk,
-                   lift: Lift | None = None):
-    lift = lift or _identity(problem, len(prev.x))
-    if prev.tangent[-1] * new.tangent[-1] < 0:
+def _detect_events(problem, branch, lo, hi, symmetric_trunk, lift: Lift):
+    """Refine, classify and append to `branch` the singular point, if any,
+    between its last two points, whose continued (z, tangent) are lo and hi."""
+    tan_lo, tan_hi = lo[1], hi[1]
+    prev, new = branch.points[-2:]
+    if tan_lo[-1] * tan_hi[-1] < 0:
         # a fold also flips det(J); the tangent test owns the interval
-        tan = lift.restrict(prev)[1]
-        sp = _refine(problem, prev, new, np.sign(prev.tangent[-1]),
-                     lambda y, p: np.sign(_tangent(problem, y, p, tan, lift.weights)[-1]), lift)
+        sp = _refine(problem, lo, hi, np.sign(tan_lo[-1]),
+                     lambda y, p: np.sign(_tangent(problem, y, p, tan_lo, lift.weights)[-1]),
+                     lift)
     elif prev.det_sign * new.det_sign < 0:
-        sp = _refine(problem, prev, new, prev.det_sign,
+        sp = _refine(problem, lo, hi, prev.det_sign,
                      lambda y, p: np.linalg.slogdet(lift.network.jac_x(lift.state(y), p))[0],
                      lift)
     else:
@@ -487,22 +475,23 @@ def _detect_events(problem, branch, prev: Equilibrium, new: Equilibrium, symmetr
     branch.singular_points.append(sp)
 
 
-def _refine(problem, eq_lo: Equilibrium, eq_hi: Equilibrium, sign_lo: float,
+def _refine(problem, lo, hi, sign_lo: float,
             test: Callable[[np.ndarray, float], float], lift: Lift) -> SingularPoint:
     """Bisect along the branch the sign change of `test` (a fold's tangent
-    parameter component, or the sign of det J) between eq_lo, where it is
-    sign_lo, and eq_hi (Kuznetsov, *Elements of Applied Bifurcation Theory*,
-    10.2).  Each chord midpoint is corrected by ``_correct`` with the row of
-    eq_lo's tangent (e_p on a trunk where f_p = 0: the fixed-parameter solve)
-    and replaces the end whose sign it shares.  The point is `refined` when
-    the bracket closed to REFINE_TOL in the parameter and 1e-7 in the state
-    within 80 halvings, not when the corrector failed first.
+    parameter component, or the sign of det J) between the continued points
+    lo = (z_lo, tan_lo), where it is sign_lo, and hi = (z_hi, tan_hi)
+    (Kuznetsov, *Elements of Applied Bifurcation Theory*, 10.2).  Each chord
+    midpoint is corrected by ``_correct`` with the row of tan_lo (e_p on a
+    trunk where f_p = 0: the fixed-parameter solve) and replaces the end
+    whose sign it shares.  The point is `refined` when the bracket closed to
+    REFINE_TOL in the parameter and 1e-7 in the state within 80 halvings,
+    not when the corrector failed first.
 
-    The bisection runs on the continued problem, at the points restricted by
-    `lift`, and `test` reads their quotient (y, p); the singular point's
-    state and null vectors are the network's.
+    The bisection runs on the continued problem, whose (y, p) `test` reads;
+    the singular point's state, lifted by `lift`, and its null vectors are
+    the network's.
     """
-    (z_lo, tan_lo), (z_hi, _) = lift.restrict(eq_lo), lift.restrict(eq_hi)
+    (z_lo, tan_lo), (z_hi, _) = lo, hi
     n = len(z_lo) - 1
     row = lift.weights * tan_lo
     # squared Euclidean norm of the lifted (x, p): each cell counts n_k times
@@ -626,21 +615,15 @@ def reflected(branch: Branch, perm: tuple[int, ...] | None = None) -> Branch:
     (x -> -x when perm is None), for a field equivariant under it:
     f(-x[perm], p) = -f(x, p)[perm].
 
-    Every state, the state part of every tangent and every singular state
-    are mapped.  With Pi the permutation, J(-x[perm]) = Pi J(x) Pi^T (the
-    signs cancel), so the eigenvalues, and with them the stability tags and
-    determinants, are kept, and each null vector phi becomes phi[perm] (a
-    copy); every parameter is kept.  An involution perm, such as a swap,
+    Every state and every singular state are mapped.  With Pi the
+    permutation, J(-x[perm]) = Pi J(x) Pi^T (the signs cancel), so the
+    eigenvalues, and with them the stability tags and determinants, are
+    kept, and each null vector phi becomes phi[perm] (a copy); every
+    parameter is kept.  An involution perm, such as a swap,
     maps the image back to `branch`.
     """
     idx = slice(None) if perm is None else list(perm)
-
-    def point(eq):
-        tangent = None if eq.tangent is None else np.append(-eq.tangent[:-1][idx],
-                                                            eq.tangent[-1])
-        return replace(eq, x=-eq.x[idx], tangent=tangent)
-
-    return Branch(points=[point(eq) for eq in branch.points],
+    return Branch(points=[replace(eq, x=-eq.x[idx]) for eq in branch.points],
                   singular_points=[replace(sp, x=-sp.x[idx], null_right=sp.null_right[idx].copy(),
                                            null_left=sp.null_left[idx].copy())
                                    for sp in branch.singular_points])
@@ -680,7 +663,7 @@ def y_s(u: float) -> float:
     return _bisect(lambda y: np.sign(y - u * float(np.tanh(y))), 1e-12, u + 1.0, -1.0, 0.0)
 
 
-def ystar_root(u: float, beta: float, n_agents: int, tol: float = NEWTON_TOL) -> float:
+def ystar_root(u: float, beta: float, n_agents: int) -> float:
     """Unique root of (N-1) y + u tanh(y) - beta = 0 (strictly increasing LHS)."""
     if not (np.isfinite(u) and np.isfinite(beta)):
         raise ValueError(f"u and beta must be finite (got u = {u}, beta = {beta})")
@@ -696,7 +679,8 @@ def ystar_root(u: float, beta: float, n_agents: int, tol: float = NEWTON_TOL) ->
         df = k + u * float(sech2(y))
         step = f(y) / df
         y -= step
-        if abs(step) <= tol * max(1.0, abs(y)) and abs(f(y)) <= 1e-14 * max(1.0, abs(beta)):
+        if (abs(step) <= NEWTON_TOL * max(1.0, abs(y))
+                and abs(f(y)) <= 1e-14 * max(1.0, abs(beta))):
             return float(y)
     raise BifurcationError(f"deadlock root did not converge in 100 Newton steps "
                            f"(u = {u}, beta = {beta}, N = {n_agents})")

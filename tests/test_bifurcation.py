@@ -314,11 +314,12 @@ class TestScalarRoots:
     def test_bisect_returns_a_zero_midpoint(self):
         assert bif._bisect(lambda x: np.sign(x - 0.5), 0.0, 1.0, -1.0, 0.0) == 0.5
 
-    def test_ystar_root_reports_nonconvergence(self):
+    def test_ystar_root_reports_nonconvergence(self, monkeypatch):
         # A zero step tolerance cannot be met here: Newton alternates between
         # neighbouring floats around the root.
+        monkeypatch.setattr(bif, "NEWTON_TOL", 0.0)
         with pytest.raises(BifurcationError, match="did not converge"):
-            ystar_root(1.0, 0.3, 10, tol=0.0)
+            ystar_root(1.0, 0.3, 10)
 
     def test_ystar_root_values(self):
         assert ystar_root(1.0, 0.0, 100) == 0.0
@@ -669,43 +670,51 @@ class TestContinuation:
     def test_refinement_reports_convergence(self, k10, monkeypatch):
         # A det(J) flip (the k10 pitchfork) and a fold (on the quintic beta = 3
         # outer branch) close their brackets; when the corrector fails inside
-        # the bisection, the point is reported unrefined.
-        k10_problem = normalized_problem(k10)
-        trunk = continue_branch(k10_problem, np.zeros(10), 0.5, (0.5, 1.5),
-                                symmetric_trunk=True)
-        scenario = ex.QuinticScenario(beta_grid=(3.0,))
-        quintic = reduced3_problem(scenario.population_spec(), 3.0, 3.0)
-        outer = ex.run_quintic_transition(scenario)[0].outer[0]
-        cases = [(k10_problem, trunk, "pitchfork", lambda a, b: a.det_sign * b.det_sign < 0),
-                 (quintic, outer, "fold", lambda a, b: a.tangent[-1] * b.tangent[-1] < 0)]
+        # the bisection, the point is reported unrefined.  Each bracket is
+        # the one continuation handed to _detect_events, replayed.
+        detect, recorded = bif._detect_events, {}
+
+        def record(problem, branch, lo, hi, symmetric_trunk, lift):
+            known = len(branch.singular_points)
+            detect(problem, branch, lo, hi, symmetric_trunk, lift)
+            for sp in branch.singular_points[known:]:
+                recorded.setdefault(sp.kind, (sp, problem, branch.points[-2:], lo, hi,
+                                              symmetric_trunk, lift))
+
+        with monkeypatch.context() as m:
+            m.setattr(bif, "_detect_events", record)
+            continue_branch(normalized_problem(k10), np.zeros(10), 0.5, (0.5, 1.5),
+                            symmetric_trunk=True)
+            k10_pitchfork = recorded.pop("pitchfork")
+            ex.run_quintic_transition(ex.QuinticScenario(beta_grid=(3.0,)))
         calls = []
 
         def fail(problem, z_pred, row):
             calls.append(z_pred)
             raise BifurcationError("no convergence")
 
-        for problem, branch, kind, flips in cases:
-            assert next(sp for sp in branch.singular_points if sp.kind == kind).refined
-            lo, hi = next((a, b) for a, b in zip(branch.points, branch.points[1:]) if flips(a, b))
+        for sp, problem, points, lo, hi, symmetric_trunk, lift in (k10_pitchfork,
+                                                                   recorded["fold"]):
+            assert sp.refined
             with monkeypatch.context() as m:
                 m.setattr(bif, "_correct", fail)
-                found = bif.Branch()
-                bif._detect_events(problem, found, lo, hi, symmetric_trunk=kind == "pitchfork")
+                found = bif.Branch(points=list(points))
+                bif._detect_events(problem, found, lo, hi, symmetric_trunk, lift)
             assert len(calls) == 1
-            assert not found.singular_points[0].refined
+            assert [found_sp.refined for found_sp in found.singular_points] == [False]
             calls.clear()
 
     def test_failed_end_solve_raises(self, k10, monkeypatch):
         # A branch whose solve at the end of its range fails is a failure, not
         # a branch reported as ending at "range" without its end point.
-        solve = bif._solve_at_param
+        correct = bif._correct
 
-        def fail_at_end(problem, x_guess, p):
-            if p == 1.5:
+        def fail_at_end(problem, z_pred, row):
+            if z_pred[-1] == 1.5:
                 raise BifurcationError("no convergence at the range end")
-            return solve(problem, x_guess, p)
+            return correct(problem, z_pred, row)
 
-        monkeypatch.setattr(bif, "_solve_at_param", fail_at_end)
+        monkeypatch.setattr(bif, "_correct", fail_at_end)
         with pytest.raises(BifurcationError, match="at the range end"):
             continue_branch(normalized_problem(k10), np.zeros(10), 0.5, (0.5, 1.5),
                             symmetric_trunk=True)
@@ -913,29 +922,35 @@ REFLECTION_GRAPHS = {
     "coupled235": {"kind": "population", "n1": 2, "n2": 3, "n3": 5,
                    "coupling": [[1.0, 0.5, 0.8], [0.4, 1.0, 1.2], [0.7, 0.9, 1.0]]},
     "ring8": {"kind": "directed_ring", "n": 8},
+    # five cells, one of them a single agent
+    "path9": {"kind": "weights", "weights": path_graph(9).weights.tolist()},
 }
 
 
 class TestReflection:
     """With no information the field is odd, and every step of continuation
     commutes with x -> -x, so the -1 branch is the reflected +1 branch bit for
-    bit."""
+    bit, on the network and on its quotient."""
 
     @pytest.mark.parametrize("graph", REFLECTION_GRAPHS.values(), ids=REFLECTION_GRAPHS.keys())
     def test_reflected_branch_is_the_continued_mirror(self, graph):
         scenario = ex.PitchforkScenario(graph=graph)
         g = ex.graph_from_config(graph)
-        problem = normalized_problem(g)
-        _, sp = bif.trace_trunk(problem, np.zeros(g.n), scenario.u_range, scenario.h_max)
-        p_range = (sp.param, scenario.u_branch_end)
-        up = bif.switched_branch(problem, sp, +1, p_range, scenario.h_max)
-        down = bif.switched_branch(problem, sp, -1, p_range, scenario.h_max)
-        assert_same_branch(bif.reflected(up), down)
-        # the sign of the null vector, and so of each side, is arbitrary
-        assert up.points[-1].x.mean() * down.points[-1].x.mean() < 0
-        # No singular point on these branches: test_reflects_singular_points
-        # covers their reflection.
-        assert up.singular_points == []
+        quotient, lift = bif.quotient_problem(g)
+        # on the network, then on the quotient with its lift, as
+        # run_pitchfork_diagram continues
+        for problem, x_start, on in ((normalized_problem(g), np.zeros(g.n), None),
+                                     (quotient, np.zeros(len(lift.sizes)), lift)):
+            _, sp = bif.trace_trunk(problem, x_start, scenario.u_range, scenario.h_max, on)
+            p_range = (sp.param, scenario.u_branch_end)
+            up = bif.switched_branch(problem, sp, +1, p_range, scenario.h_max, on)
+            down = bif.switched_branch(problem, sp, -1, p_range, scenario.h_max, on)
+            assert_same_branch(bif.reflected(up), down)
+            # the sign of the null vector, and so of each side, is arbitrary
+            assert up.points[-1].x.mean() * down.points[-1].x.mean() < 0
+            # No singular point on these branches: test_reflects_singular_points
+            # covers their reflection.
+            assert up.singular_points == []
 
     def test_pitchfork_diagram_lower_is_reflected_upper(self):
         res = ex.run_pitchfork_diagram(ex.PitchforkScenario())
@@ -949,7 +964,7 @@ class TestReflection:
                                null_left=np.array([0.0, -0.6, 0.8]),
                                tangent_param=-3e-4, refined=False)
         points = [bif.Equilibrium(x=x, param=1.0, n_unstable=1, det_sign=-1.0,
-                                  log_abs_det=0.5, tangent=np.array([0.1, -0.2, 0.0, 0.9])),
+                                  log_abs_det=0.5),
                   bif.Equilibrium(x=-x, param=1.5, n_unstable=0)]
         branch = bif.Branch(points=points, singular_points=[sp])
         before = [dataclasses.replace(p) for p in points + [sp]]
@@ -957,7 +972,7 @@ class TestReflection:
 
         assert_same_fields(out.points[0], bif.Equilibrium(
             x=np.array([-0.5, 0.0, -2.0]), param=1.0, n_unstable=1, det_sign=-1.0,
-            log_abs_det=0.5, tangent=np.array([-0.1, 0.2, -0.0, 0.9])))
+            log_abs_det=0.5))
         assert_same_fields(out.points[1], bif.Equilibrium(x=x, param=1.5, n_unstable=0))
         assert_same_fields(out.singular_points[0], bif.SingularPoint(
             kind="fold", param=1.25, x=np.array([-0.5, 0.0, -2.0]),
@@ -970,15 +985,13 @@ class TestReflection:
         assert not np.shares_memory(out.singular_points[0].null_right, sp.null_right)
 
     def test_reflects_under_a_permutation(self):
-        # x -> -x[perm]: states and the state part of tangents permuted and
-        # negated, null vectors permuted only.
+        # x -> -x[perm]: states permuted and negated, null vectors permuted only.
         sp = bif.SingularPoint(kind="fold", param=1.25, x=np.array([0.5, -0.0, 2.0]),
                                null_right=np.array([0.6, 0.0, 0.8]),
                                null_left=np.array([0.0, -0.6, 0.8]),
                                tangent_param=-3e-4, refined=True)
         points = [bif.Equilibrium(x=np.array([0.25, -1.0, 0.0]), param=1.0, n_unstable=1,
-                                  det_sign=-1.0, log_abs_det=0.5,
-                                  tangent=np.array([0.1, -0.2, 0.3, 0.9])),
+                                  det_sign=-1.0, log_abs_det=0.5),
                   bif.Equilibrium(x=np.array([1.0, 2.0, -3.0]), param=1.5, n_unstable=0)]
         branch = bif.Branch(points=points, singular_points=[sp])
         before = [dataclasses.replace(p) for p in points + [sp]]
@@ -986,7 +999,7 @@ class TestReflection:
 
         assert_same_fields(out.points[0], bif.Equilibrium(
             x=np.array([1.0, -0.25, -0.0]), param=1.0, n_unstable=1, det_sign=-1.0,
-            log_abs_det=0.5, tangent=np.array([0.2, -0.1, -0.3, 0.9])))
+            log_abs_det=0.5))
         assert_same_fields(out.points[1], bif.Equilibrium(
             x=np.array([-2.0, -1.0, 3.0]), param=1.5, n_unstable=0))
         assert_same_fields(out.singular_points[0], bif.SingularPoint(
