@@ -13,7 +13,7 @@ its range or raises BifurcationError, as do a singular bordered matrix and a
 failed branch switch; nothing falls back.  A fold is a sign change of the
 tangent's parameter component between two branch points, any other singular
 point one of det J; one bisection along the branch, ``_refine``, closes
-either bracket.
+either bracket, and the test that flipped names the point (``_detect_events``).
 
 A pitchfork diagram is ``trace_trunk`` (the symmetric trunk and its first
 pitchfork), then one ``switched_branch`` per bifurcating branch.  When the
@@ -283,8 +283,6 @@ class SingularPoint:
     param: float
     x: np.ndarray
     null_right: np.ndarray
-    null_left: np.ndarray
-    tangent_param: float
     refined: bool               # the bracket closed to REFINE_TOL
 
 
@@ -394,8 +392,9 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
     by an RMS cosine below TANGENT_COS_MIN (the step may have jumped a fold
     pair).  A sign change between consecutive points, of the tangent's
     parameter component (a fold) or else of det(J), is closed by ``_refine``
-    and classified.  The first tangent t is oriented to initial_reference.t
-    > 0 when given, otherwise towards increasing parameter.
+    and named by its test (``_detect_events``).  The first tangent t is
+    oriented to initial_reference.t > 0 when given, otherwise towards
+    increasing parameter.
     The first point is solved at p_start and the last at an end of p_range,
     by the corrector with row e_p; a branch that cannot get there raises
     BifurcationError with the parameter reached and the reason.
@@ -456,27 +455,36 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
 
 
 def _detect_events(problem, branch, lo, hi, symmetric_trunk, lift: Lift):
-    """Refine, classify and append to `branch` the singular point, if any,
-    between its last two points, whose continued (z, tangent) are lo and hi."""
+    """Refine and append to `branch` the singular point, if any, between its
+    last two points, whose continued (z, tangent) are lo and hi.
+
+    The test that flipped names the point, refined or not.  A flip of the
+    tangent's parameter component is a fold (``_fold_kind``).  A flip of
+    det(J) alone is a pitchfork on a symmetric trunk, where symmetry makes
+    the bifurcating pair; elsewhere it is "ambiguous", never silently resolved.
+    """
     tan_lo, tan_hi = lo[1], hi[1]
     prev, new = branch.points[-2:]
-    if tan_lo[-1] * tan_hi[-1] < 0:
+    fold = tan_lo[-1] * tan_hi[-1] < 0
+    if fold:
         # a fold also flips det(J); the tangent test owns the interval
-        sp = _refine(problem, lo, hi, np.sign(tan_lo[-1]),
-                     lambda y, p: np.sign(_tangent(problem, y, p, tan_lo, lift.weights)[-1]),
-                     lift)
+        sign_lo, test = np.sign(tan_lo[-1]), lambda y, p: np.sign(
+            _tangent(problem, y, p, tan_lo, lift.weights)[-1])
     elif prev.det_sign * new.det_sign < 0:
-        sp = _refine(problem, lo, hi, prev.det_sign,
-                     lambda y, p: np.linalg.slogdet(lift.network.jac_x(lift.state(y), p))[0],
-                     lift)
+        sign_lo, test = prev.det_sign, lambda y, p: np.linalg.slogdet(
+            lift.network.jac_x(lift.state(y), p))[0]
     else:
         return
-    sp.kind = classify_singularity(sp, lift.network, symmetric_trunk=symmetric_trunk)
-    branch.singular_points.append(sp)
+    x, p, refined = _refine(problem, lo, hi, sign_lo, test, lift)
+    phi, psi = null_vectors(lift.network.jac_x(x, p))
+    kind = (_fold_kind(lift.network, x, p, phi, psi) if fold
+            else "pitchfork" if symmetric_trunk else "ambiguous")
+    branch.singular_points.append(SingularPoint(kind, p, x, phi, refined))
 
 
 def _refine(problem, lo, hi, sign_lo: float,
-            test: Callable[[np.ndarray, float], float], lift: Lift) -> SingularPoint:
+            test: Callable[[np.ndarray, float], float], lift: Lift
+            ) -> tuple[np.ndarray, float, bool]:
     """Bisect along the branch the sign change of `test` (a fold's tangent
     parameter component, or the sign of det J) between the continued points
     lo = (z_lo, tan_lo), where it is sign_lo, and hi = (z_hi, tan_hi)
@@ -487,9 +495,9 @@ def _refine(problem, lo, hi, sign_lo: float,
     REFINE_TOL in the parameter and 1e-7 in the state within 80 halvings,
     not when the corrector failed first.
 
-    The bisection runs on the continued problem, whose (y, p) `test` reads;
-    the singular point's state, lifted by `lift`, and its null vectors are
-    the network's.
+    The bisection runs on the continued problem, whose (y, p) `test` reads.
+    Returns the bracket's midpoint, its state lifted by `lift`, as (x, p,
+    refined).
     """
     (z_lo, tan_lo), (z_hi, _) = lo, hi
     n = len(z_lo) - 1
@@ -512,39 +520,19 @@ def _refine(problem, lo, hi, sign_lo: float,
             z_lo = z_mid
         else:
             z_hi = z_mid
-    y_sp = 0.5 * (z_lo[:n] + z_hi[:n])
-    p_sp = 0.5 * (z_lo[n] + z_hi[n])
-    x_sp = lift.state(y_sp)
-    right, left = null_vectors(lift.network.jac_x(x_sp, p_sp))
-    return SingularPoint(kind="unclassified", param=float(p_sp), x=x_sp,
-                         null_right=right, null_left=left,
-                         tangent_param=float(_tangent(problem, y_sp, p_sp, tan_lo,
-                                                      lift.weights)[-1]),
-                         refined=bool(closed()))
+    z_sp = 0.5 * (z_lo + z_hi)
+    return lift.state(z_sp[:n]), float(z_sp[n]), bool(closed())
 
 
-def classify_singularity(sp: SingularPoint, problem: ContinuationProblem,
-                         symmetric_trunk: bool = False) -> str:
-    """Distinguish fold from pitchfork at a refined singular point.
-
-    A fold has a vanishing parameter component of the branch tangent and a
-    nonzero quadratic normal-form coefficient.  A det(J) flip with a
-    transversal tangent is a pitchfork on a symmetric trunk, where symmetry
-    makes the bifurcating pair; elsewhere it is reported as ambiguous, never
-    silently resolved.
-    """
-    phi = sp.null_right
-    if abs(sp.tangent_param) < 1e-3:
-        # second derivative of the field along the null direction
-        eps = 1e-4 * max(1.0, np.linalg.norm(sp.x))
-        f0 = problem.f(sp.x, sp.param)
-        fp_ = problem.f(sp.x + eps * phi, sp.param)
-        fm_ = problem.f(sp.x - eps * phi, sp.param)
-        quad = sp.null_left @ (fp_ + fm_ - 2.0 * f0) / eps ** 2
-        if abs(quad) > 1e-4:
-            return "fold"
-        return "ambiguous"
-    return "pitchfork" if symmetric_trunk else "ambiguous"
+def _fold_kind(problem, x, p, phi, psi) -> str:
+    """The kind of the singular point (x, p) of a tangent flip, with null
+    vectors (phi, psi) of J and J^T: a fold when its quadratic normal-form
+    coefficient psi.D^2f[phi, phi] is nonzero, else "ambiguous"."""
+    # second derivative of the field along the null direction
+    eps = 1e-4 * max(1.0, np.linalg.norm(x))
+    quad = psi @ (problem.f(x + eps * phi, p) + problem.f(x - eps * phi, p)
+                  - 2.0 * problem.f(x, p)) / eps ** 2
+    return "fold" if abs(quad) > 1e-4 else "ambiguous"
 
 
 def branch_switch(problem: ContinuationProblem, sp: SingularPoint,
@@ -624,8 +612,7 @@ def reflected(branch: Branch, perm: tuple[int, ...] | None = None) -> Branch:
     """
     idx = slice(None) if perm is None else list(perm)
     return Branch(points=[replace(eq, x=-eq.x[idx]) for eq in branch.points],
-                  singular_points=[replace(sp, x=-sp.x[idx], null_right=sp.null_right[idx].copy(),
-                                           null_left=sp.null_left[idx].copy())
+                  singular_points=[replace(sp, x=-sp.x[idx], null_right=sp.null_right[idx].copy())
                                    for sp in branch.singular_points])
 
 

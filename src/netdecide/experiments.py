@@ -789,6 +789,9 @@ class AdaptiveScenario:
     stop_tol: float = 1e-7
 
     def __post_init__(self):
+        if self.case not in ADAPTIVE_CASES:
+            raise ValueError(f"unknown adaptive case {self.case!r}; "
+                             "expected " + ", ".join(ADAPTIVE_CASES))
         if not (self.epsilon > 0 and self.y_th > 0):
             raise ValueError("epsilon and y_th must be positive")
         if not self.ubar0 > 0:
@@ -825,10 +828,7 @@ ADAPTIVE_CASES = {
 
 def adaptive_scenario(case: str, **overrides) -> AdaptiveScenario:
     """The scenario of a qualitative case, with its defaults overridden."""
-    if case not in ADAPTIVE_CASES:
-        raise ValueError(f"unknown adaptive case {case!r}; "
-                         "expected " + ", ".join(ADAPTIVE_CASES))
-    return AdaptiveScenario(case=case, **{**ADAPTIVE_CASES[case], **overrides})
+    return AdaptiveScenario(case=case, **{**ADAPTIVE_CASES.get(case, {}), **overrides})
 
 
 @dataclass

@@ -42,6 +42,12 @@ CSV_BLOCK_ROWS = 256
 # Bisection width of an event time, unless no float lies inside a wider bracket.
 EVENT_TIME_TOL = 1e-9
 
+# Most attempted steps of one integration.  The longest run of the tests and the
+# benchmark takes about 3 300.  A stiff field pins the explicit step at its
+# stability limit (two agents with weights 1e4 take about 230 000 steps, 1e10
+# about 1e11); such a run ends here in seconds, keeping at most this many states.
+MAX_STEPS = 50_000
+
 # The consensus estimator needs lambda2 above this: a connected undirected graph.
 LAMBDA2_MIN = 1e-12
 DISCONNECTED_GRAPH = "estimator requires a connected undirected graph (lambda2 > 0)"
@@ -245,7 +251,8 @@ def _integrate(field, x0, cfg: IntegratorConfig, events: Sequence[Callable] = ()
     on that step's continuous extension.  After each accepted step,
     `stop_condition(t, x, dxdt)` (if given) is called with the new time, the
     new state and dxdt = field(t, x), the FSAL stage the step already holds;
-    the integration ends when it returns true.
+    the integration ends when it returns true.  A run that would attempt more
+    than MAX_STEPS steps raises SolverError.
     Returns (Trajectory with its SolverStats, event hits in time order).
     """
     x = np.array(x0, dtype=float)
@@ -268,6 +275,9 @@ def _integrate(field, x0, cfg: IntegratorConfig, events: Sequence[Callable] = ()
         h = min(h, t_end - t)
         min_step = 1e-14 * max(abs(t), 1.0)
         while True:
+            if len(times) - 1 + n_rejected >= MAX_STEPS:
+                raise SolverError(f"{MAX_STEPS} attempted steps did not reach "
+                                  f"t = {t_end:g} (stiff field?)", time=t)
             x_new, err, k = _dp_step(field, t, x, h, k1)
             nfev += _DP_NFEV
             # scale = atol + rtol * max(|x|, |x_new|), then the RMS norm of
@@ -373,7 +383,8 @@ def integrate_nonsmooth(x: np.ndarray, g: Graph, alpha: float, tol: float) -> Es
     the step, so the error decreases monotonically and the elapsed time
     inherits the finite-time bound ||err(0)|| / (alpha lambda2).  The initial
     step is 1e-4 / alpha.  The run stops at twice that bound; then the
-    returned error is above tol, and the caller decides what that means.
+    returned error is above tol, and the caller decides what that means.  A
+    run that would attempt more than MAX_STEPS steps raises SolverError.
     The residual r = Lw + x and the step direction sgn(L r) are formed once
     for each accepted w, and a retry reuses them.
     """
@@ -401,6 +412,9 @@ def integrate_nonsmooth(x: np.ndarray, g: Graph, alpha: float, tol: float) -> Es
 
     direction = np.sign(lap @ r)
     while err > tol and s <= cap:
+        if n_steps + n_rejected >= MAX_STEPS:
+            raise SolverError(f"{MAX_STEPS} attempted estimator steps did not reach "
+                              f"tolerance {tol:g}", time=s)
         w_new = w - alpha * h * direction
         r_new = lap @ w_new + x
         err_new = float(np.linalg.norm(r_new - target))

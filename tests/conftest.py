@@ -87,15 +87,6 @@ def spec_223() -> PopulationSpec:
     ]))
 
 
-def lift_to_manifold(y: np.ndarray, spec: PopulationSpec) -> np.ndarray:
-    """Embed group opinions into the full state (same value within a group)."""
-    return np.concatenate([
-        np.full(spec.n1, y[0]),
-        np.full(spec.n2, y[1]),
-        np.full(spec.n3, y[2]),
-    ])
-
-
 @pytest.fixture
 def z2_graph() -> Graph:
     return three_population_graph(PopulationSpec(3, 3, 4))

@@ -653,9 +653,7 @@ class TestContinuation:
     def test_branch_switch_fails_after_one_attempt(self, k10, monkeypatch):
         problem = normalized_problem(k10)
         sp = bif.SingularPoint(kind="pitchfork", param=1.0, x=np.zeros(10),
-                               null_right=np.full(10, 10 ** -0.5),
-                               null_left=np.full(10, 10 ** -0.5),
-                               tangent_param=1.0, refined=True)
+                               null_right=np.full(10, 10 ** -0.5), refined=True)
         amplitudes = []
 
         def fail(problem, z_pred, row):
@@ -670,8 +668,9 @@ class TestContinuation:
     def test_refinement_reports_convergence(self, k10, monkeypatch):
         # A det(J) flip (the k10 pitchfork) and a fold (on the quintic beta = 3
         # outer branch) close their brackets; when the corrector fails inside
-        # the bisection, the point is reported unrefined.  Each bracket is
-        # the one continuation handed to _detect_events, replayed.
+        # the bisection, the point is reported unrefined, and the test that
+        # flipped across the bracket still names it.  Each bracket is the one
+        # continuation handed to _detect_events, replayed.
         detect, recorded = bif._detect_events, {}
 
         def record(problem, branch, lo, hi, symmetric_trunk, lift):
@@ -693,15 +692,15 @@ class TestContinuation:
             calls.append(z_pred)
             raise BifurcationError("no convergence")
 
-        for sp, problem, points, lo, hi, symmetric_trunk, lift in (k10_pitchfork,
-                                                                   recorded["fold"]):
+        for kind, replay in (("pitchfork", k10_pitchfork), ("fold", recorded["fold"])):
+            sp, problem, points, lo, hi, symmetric_trunk, lift = replay
             assert sp.refined
             with monkeypatch.context() as m:
                 m.setattr(bif, "_correct", fail)
                 found = bif.Branch(points=list(points))
                 bif._detect_events(problem, found, lo, hi, symmetric_trunk, lift)
             assert len(calls) == 1
-            assert [found_sp.refined for found_sp in found.singular_points] == [False]
+            assert [(s.kind, s.refined) for s in found.singular_points] == [(kind, False)]
             calls.clear()
 
     def test_failed_end_solve_raises(self, k10, monkeypatch):
@@ -960,9 +959,7 @@ class TestReflection:
     def test_reflects_singular_points(self):
         x = np.array([0.5, -0.0, 2.0])
         sp = bif.SingularPoint(kind="fold", param=1.25, x=x,
-                               null_right=np.array([0.6, 0.8, 0.0]),
-                               null_left=np.array([0.0, -0.6, 0.8]),
-                               tangent_param=-3e-4, refined=False)
+                               null_right=np.array([0.6, 0.8, 0.0]), refined=False)
         points = [bif.Equilibrium(x=x, param=1.0, n_unstable=1, det_sign=-1.0,
                                   log_abs_det=0.5),
                   bif.Equilibrium(x=-x, param=1.5, n_unstable=0)]
@@ -976,8 +973,7 @@ class TestReflection:
         assert_same_fields(out.points[1], bif.Equilibrium(x=x, param=1.5, n_unstable=0))
         assert_same_fields(out.singular_points[0], bif.SingularPoint(
             kind="fold", param=1.25, x=np.array([-0.5, 0.0, -2.0]),
-            null_right=sp.null_right, null_left=sp.null_left,
-            tangent_param=-3e-4, refined=False))
+            null_right=sp.null_right, refined=False))
         # the input is left as it was, and reflecting twice gives it back
         for p, q in zip(points + [sp], before):
             assert_same_fields(p, q)
@@ -987,9 +983,7 @@ class TestReflection:
     def test_reflects_under_a_permutation(self):
         # x -> -x[perm]: states permuted and negated, null vectors permuted only.
         sp = bif.SingularPoint(kind="fold", param=1.25, x=np.array([0.5, -0.0, 2.0]),
-                               null_right=np.array([0.6, 0.0, 0.8]),
-                               null_left=np.array([0.0, -0.6, 0.8]),
-                               tangent_param=-3e-4, refined=True)
+                               null_right=np.array([0.6, 0.0, 0.8]), refined=True)
         points = [bif.Equilibrium(x=np.array([0.25, -1.0, 0.0]), param=1.0, n_unstable=1,
                                   det_sign=-1.0, log_abs_det=0.5),
                   bif.Equilibrium(x=np.array([1.0, 2.0, -3.0]), param=1.5, n_unstable=0)]
@@ -1004,8 +998,7 @@ class TestReflection:
             x=np.array([-2.0, -1.0, 3.0]), param=1.5, n_unstable=0))
         assert_same_fields(out.singular_points[0], bif.SingularPoint(
             kind="fold", param=1.25, x=np.array([0.0, -0.5, -2.0]),
-            null_right=np.array([0.0, 0.6, 0.8]), null_left=np.array([-0.6, 0.0, 0.8]),
-            tangent_param=-3e-4, refined=True))
+            null_right=np.array([0.0, 0.6, 0.8]), refined=True))
         for p, q in zip(points + [sp], before):
             assert_same_fields(p, q)
         assert_same_branch(bif.reflected(out, perm=(1, 0, 2)), branch)
@@ -1053,7 +1046,6 @@ class TestQuinticMirror:
             assert abs(a.param - b.param) <= REFINE_TOL
             # a null vector is defined up to its sign
             assert abs(a.null_right @ b.null_right) >= 1 - 1e-9
-            assert abs(a.null_left @ b.null_left) >= 1 - 1e-9
         if beta == 3.0:
             assert [s.kind for s in down.singular_points] == ["fold"]
 

@@ -16,7 +16,7 @@ from netdecide import bifurcation as bif
 from netdecide import experiments as ex
 from netdecide.cli import COMMANDS, SWEEP_SCENARIOS, load_config, main
 from netdecide.dynamics import Decision
-from netdecide.solver import EstimatorRun
+from netdecide.solver import MAX_STEPS, EstimatorRun
 
 TWO_DYADS = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
 
@@ -233,6 +233,17 @@ class TestNumericalFailure:
         assert main(["validate", "--command", command, "--config", cfg]) == 0
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
         assert f"numerical failure: {message}" in capsys.readouterr().err
+
+    def test_stiff_field_exits_3_within_the_step_budget(self, tmp_path, capsys):
+        # Weights of 1e10 pin the explicit step near 4e-10: without a budget
+        # the default run of t_end = 50 would take about 1e11 steps.
+        cfg = write_cfg(tmp_path, "cfg.json",
+                        {"graph": {"kind": "weights", "weights": [[0, 1e10], [1e10, 0]]}})
+        assert main(["validate", "--command", "simulate", "--config", cfg]) == 0
+        with deadline(10.0):
+            assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert (f"numerical failure: {MAX_STEPS} attempted steps did not reach t = 50"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("scale, message", [
         (0.0, "singular Newton matrix"), (1e3, "Newton did not converge"),

@@ -236,7 +236,6 @@ class TestReductionDemo:
 
     def test_on_manifold_stays(self):
         """States born on the group-consensus manifold never leave it."""
-        from conftest import lift_to_manifold
         from netdecide.dynamics import beta_vector, normalized_field
         from netdecide.graphs import PopulationSpec, three_population_graph
         from netdecide.solver import IntegratorConfig, integrate
@@ -244,7 +243,7 @@ class TestReductionDemo:
         spec = PopulationSpec(4, 4, 4)
         g = three_population_graph(spec)
         beta = beta_vector(spec, 1.0, 1.0)
-        x0 = lift_to_manifold(np.array([0.3, -0.2, 0.1]), spec)
+        x0 = np.repeat([0.3, -0.2, 0.1], spec.sizes)
         f = lambda t, x: normalized_field(x, g, 2.0, beta)
         traj = integrate(f, x0, IntegratorConfig(rtol=1e-11, atol=1e-13, max_time=5.0))
         for x in traj.states:
@@ -393,6 +392,12 @@ class TestAdaptive:
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError, match="unknown adaptive case"):
             ex.adaptive_scenario("case3")
+
+    def test_scenario_rejects_unknown_case(self):
+        # a scenario built directly must not run an unknown case with the
+        # symmetric defaults
+        with pytest.raises(ValueError, match="unknown adaptive case 'bogus'"):
+            ex.AdaptiveScenario(case="bogus")
 
 
 class TestAdaptiveRhs:

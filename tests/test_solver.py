@@ -376,6 +376,14 @@ class TestSettle:
         with pytest.raises(SolverError, match=r"step-size underflow \(at t = 0\)"):
             _integrate(lambda t, x: -1e20 * x, np.ones(1), IntegratorConfig(max_time=1.0))
 
+    def test_step_budget_raises(self, monkeypatch):
+        # accepted and rejected steps both count: this run rejects its first
+        # steps (test_rejected_steps_counted)
+        monkeypatch.setattr(solver, "MAX_STEPS", 5)
+        with pytest.raises(SolverError, match=r"5 attempted steps did not reach t = 0\.001"):
+            _integrate(lambda t, x: -1e4 * x, np.ones(1),
+                       IntegratorConfig(rtol=1e-8, atol=1e-10, max_time=1e-3))
+
 
 class TestEstimatorIntegration:
     def test_immediate_return_at_consensus(self, k10):
@@ -413,6 +421,11 @@ class TestEstimatorIntegration:
         with pytest.raises(SolverError, match="connected"):
             integrate_nonsmooth(np.array([1.0, 0.0, -1.0]),
                                 disconnected, alpha=1.0, tol=1e-6)
+
+    def test_step_budget_raises(self, k10, rng, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_STEPS", 5)
+        with pytest.raises(SolverError, match="5 attempted estimator steps did not reach"):
+            integrate_nonsmooth(rng.uniform(-1, 1, 10), k10, alpha=1.0, tol=1e-9)
 
     def test_tolerance_below_round_off_underflows(self, k10, rng):
         # below round-off every step fails to decrease the error
