@@ -147,10 +147,9 @@ def resolve(command: str, doc: dict, args):
     elif command == "adaptive":
         case = getattr(args, "case", None) or doc.pop("case", "symmetric")
         doc.pop("case", None)
-        if not isinstance(case, str) or case not in ex.ADAPTIVE_CASES:
-            raise ConfigError(f"unknown adaptive case {case!r}; valid cases: "
-                              + ", ".join(ex.ADAPTIVE_CASES))
-        doc = {**ex.ADAPTIVE_CASES[case], **doc, "case": case}
+        # an unhashable case cannot be looked up; build_scenario rejects it
+        defaults = ex.ADAPTIVE_CASES.get(case, {}) if isinstance(case, str) else {}
+        doc = {**defaults, **doc, "case": case}
         cls, runner = COMMANDS[command]
         name = f"adaptive_{case}"
     else:

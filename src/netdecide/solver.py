@@ -42,10 +42,13 @@ CSV_BLOCK_ROWS = 256
 # Bisection width of an event time, unless no float lies inside a wider bracket.
 EVENT_TIME_TOL = 1e-9
 
-# Most attempted steps of one integration.  The longest run of the tests and the
-# benchmark takes about 3 300.  A stiff field pins the explicit step at its
-# stability limit (two agents with weights 1e4 take about 230 000 steps, 1e10
-# about 1e11); such a run ends here in seconds, keeping at most this many states.
+# Attempted steps one integration may take beyond its horizon over its first
+# step (each docstring gives its budget).  The horizon term keeps long runs
+# going: adaptive case1 at epsilon = 1e-4 attempts about 211 000 steps of its
+# 5e6 horizon, the longest run of the tests and the benchmark about 3 300.  A
+# stiff field pins the explicit step at its stability limit, below 0.01 once
+# its fastest rate passes about 330 (two agents with weights 1e4 take about
+# 230 000 steps to t = 50, 1e10 about 1e11); such a run ends here.
 MAX_STEPS = 50_000
 
 # The consensus estimator needs lambda2 above this: a connected undirected graph.
@@ -251,8 +254,9 @@ def _integrate(field, x0, cfg: IntegratorConfig, events: Sequence[Callable] = ()
     on that step's continuous extension.  After each accepted step,
     `stop_condition(t, x, dxdt)` (if given) is called with the new time, the
     new state and dxdt = field(t, x), the FSAL stage the step already holds;
-    the integration ends when it returns true.  A run that would attempt more
-    than MAX_STEPS steps raises SolverError.
+    the integration ends when it returns true.  The first step is
+    min(0.01, max_time / 10); a run that would attempt more than MAX_STEPS +
+    ceil(max_time / first step) steps raises SolverError.
     Returns (Trajectory with its SolverStats, event hits in time order).
     """
     x = np.array(x0, dtype=float)
@@ -271,12 +275,13 @@ def _integrate(field, x0, cfg: IntegratorConfig, events: Sequence[Callable] = ()
     # max_time / 10 underflows to 0 below about 2.5e-323, and a zero step
     # would never advance t: such a horizon is one step.
     h = min(0.01, cfg.max_time / 10) or cfg.max_time
+    budget = MAX_STEPS + math.ceil(t_end / h)
     while t < t_end:
         h = min(h, t_end - t)
         min_step = 1e-14 * max(abs(t), 1.0)
         while True:
-            if len(times) - 1 + n_rejected >= MAX_STEPS:
-                raise SolverError(f"{MAX_STEPS} attempted steps did not reach "
+            if len(times) - 1 + n_rejected >= budget:
+                raise SolverError(f"{budget} attempted steps did not reach "
                                   f"t = {t_end:g} (stiff field?)", time=t)
             x_new, err, k = _dp_step(field, t, x, h, k1)
             nfev += _DP_NFEV
@@ -384,7 +389,8 @@ def integrate_nonsmooth(x: np.ndarray, g: Graph, alpha: float, tol: float) -> Es
     inherits the finite-time bound ||err(0)|| / (alpha lambda2).  The initial
     step is 1e-4 / alpha.  The run stops at twice that bound; then the
     returned error is above tol, and the caller decides what that means.  A
-    run that would attempt more than MAX_STEPS steps raises SolverError.
+    run that would attempt more than MAX_STEPS steps beyond that time cap
+    over the initial step raises SolverError.
     The residual r = Lw + x and the step direction sgn(L r) are formed once
     for each accepted w, and a retry reuses them.
     """
@@ -409,11 +415,12 @@ def integrate_nonsmooth(x: np.ndarray, g: Graph, alpha: float, tol: float) -> Es
     mean_drift = 0.0
     n_steps = n_rejected = 0
     h_min = 1e-16 * h0
+    budget = MAX_STEPS + math.ceil(cap / h0)
 
     direction = np.sign(lap @ r)
     while err > tol and s <= cap:
-        if n_steps + n_rejected >= MAX_STEPS:
-            raise SolverError(f"{MAX_STEPS} attempted estimator steps did not reach "
+        if n_steps + n_rejected >= budget:
+            raise SolverError(f"{budget} attempted estimator steps did not reach "
                               f"tolerance {tol:g}", time=s)
         w_new = w - alpha * h * direction
         r_new = lap @ w_new + x

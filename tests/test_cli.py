@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from netdecide import bifurcation as bif
 from netdecide import experiments as ex
+from netdecide import solver
 from netdecide.cli import COMMANDS, SWEEP_SCENARIOS, load_config, main
 from netdecide.dynamics import Decision
 from netdecide.solver import MAX_STEPS, EstimatorRun
@@ -202,6 +203,21 @@ class TestAdaptive:
         assert main(["adaptive", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
 
+    def test_unknown_case_in_config_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "cfg.json", {"case": "bogus"})
+        assert main(["adaptive", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "unknown adaptive case 'bogus'" in capsys.readouterr().err
+
+    def test_runs_longer_than_max_steps_finish(self, tmp_path, monkeypatch):
+        # The step budgets grow with the horizon: the estimator attempts about
+        # 3 700 steps of its cap and Dormand-Prince about 440 of 50 000 time
+        # units, both above this MAX_STEPS, as a small epsilon makes them
+        # above the real one.
+        monkeypatch.setattr(solver, "MAX_STEPS", 300)
+        cfg = write_cfg(tmp_path, "cfg.json", {
+            "graph": {"kind": "weights", "weights": [[0, 0.5], [0.5, 0]]}, "x0_amplitude": 1})
+        assert main(["adaptive", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
     def test_estimator_at_time_cap_exits_3(self, tmp_path, capsys, monkeypatch):
         def capped(x, g, alpha, tol):
             return EstimatorRun(np.zeros(len(x)), 20.0, 10 * tol, 0.0, 100, 3)
@@ -242,7 +258,8 @@ class TestNumericalFailure:
         assert main(["validate", "--command", "simulate", "--config", cfg]) == 0
         with deadline(10.0):
             assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
-        assert (f"numerical failure: {MAX_STEPS} attempted steps did not reach t = 50"
+        # the budget is MAX_STEPS plus t_end over the first step 0.01
+        assert (f"numerical failure: {MAX_STEPS + 5000} attempted steps did not reach t = 50"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("scale, message", [

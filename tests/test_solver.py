@@ -378,11 +378,20 @@ class TestSettle:
 
     def test_step_budget_raises(self, monkeypatch):
         # accepted and rejected steps both count: this run rejects its first
-        # steps (test_rejected_steps_counted)
+        # steps (test_rejected_steps_counted).  The budget is 5 + 1e-3 / 1e-4,
+        # the horizon over the first step.
         monkeypatch.setattr(solver, "MAX_STEPS", 5)
-        with pytest.raises(SolverError, match=r"5 attempted steps did not reach t = 0\.001"):
+        with pytest.raises(SolverError, match=r"15 attempted steps did not reach t = 0\.001"):
             _integrate(lambda t, x: -1e4 * x, np.ones(1),
                        IntegratorConfig(rtol=1e-8, atol=1e-10, max_time=1e-3))
+
+    def test_step_budget_grows_with_the_horizon(self, monkeypatch):
+        # more than MAX_STEPS steps, far fewer than the horizon over the
+        # first step 0.01
+        monkeypatch.setattr(solver, "MAX_STEPS", 5)
+        traj, _ = _integrate(lambda t, x: -x, np.ones(1), IntegratorConfig(max_time=10.0))
+        assert traj.stats.n_accepted > 5
+        assert traj.final_time == 10.0
 
 
 class TestEstimatorIntegration:
@@ -423,9 +432,20 @@ class TestEstimatorIntegration:
                                 disconnected, alpha=1.0, tol=1e-6)
 
     def test_step_budget_raises(self, k10, rng, monkeypatch):
+        # a small spread gives a time cap of about 4 steps of h0, and the run
+        # attempts more, most of them shorter than h0
         monkeypatch.setattr(solver, "MAX_STEPS", 5)
-        with pytest.raises(SolverError, match="5 attempted estimator steps did not reach"):
-            integrate_nonsmooth(rng.uniform(-1, 1, 10), k10, alpha=1.0, tol=1e-9)
+        with pytest.raises(SolverError, match="9 attempted estimator steps did not reach"):
+            integrate_nonsmooth(1e-3 * rng.uniform(-1, 1, 10), k10, alpha=1.0, tol=1e-9)
+
+    def test_run_longer_than_max_steps_of_h0_converges(self):
+        # the two agents' residuals close at 2 * 0.08 per unit time: 6.25
+        # units, above MAX_STEPS * h0 = 5, within the cap 2 sqrt(2) / 0.16
+        g = Graph(np.array([[0.0, 0.08], [0.08, 0.0]]))
+        run = integrate_nonsmooth(np.array([1.0, -1.0]), g, alpha=1.0, tol=1e-9)
+        assert run.error <= 1e-9
+        assert run.s_elapsed > 5.0
+        assert run.n_steps > solver.MAX_STEPS
 
     def test_tolerance_below_round_off_underflows(self, k10, rng):
         # below round-off every step fails to decrease the error
