@@ -11,6 +11,7 @@ from .bifurcation import (
     branch_switch,
     continue_branch,
     jacobian,
+    model_problem,
     normalized_problem,
     quotient_problem,
     reduced3_jacobian,

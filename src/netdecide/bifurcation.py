@@ -32,13 +32,16 @@ is similar to a symmetric J_sym, and a stable point, where -J_sym is
 positive definite, is tagged by one Cholesky factorization; only a point
 with an eigenvalue >= 0 needs the spectrum.
 
-A network diagram is continued on the quotient of the graph's coarsest
-equitable partition (``quotient_problem``), one unknown per cell, whose
-points and tangents bracket each singular point; each branch point is the
-lifted state (``Lift``).  Tags, det flips and their refinement, null vectors
-and classification use the network's J at the lifted state, so a flip that
-breaks symmetry inside a cell is still found.  With singleton cells the
-quotient is the network, bit for bit.
+Both continuation runners build their problem with one factory,
+``model_problem``: the model equation with its analytic derivatives, jac_p
+included.  The quintic transition continues the three-group quotient with its
+information.  A network diagram is continued on the quotient of the graph's
+coarsest equitable partition (``quotient_problem``), one unknown per cell,
+whose points and tangents bracket each singular point; each branch point is
+the lifted state (``Lift``).  Tags, det flips and their refinement, null
+vectors and classification use the network's J at the lifted state, so a
+flip that breaks symmetry inside a cell is still found.  With singleton cells
+the quotient is the network, bit for bit.
 """
 
 from __future__ import annotations
@@ -82,8 +85,11 @@ def _minus_degrees(coupled, degrees):
 
 
 def _jacobian(x, degrees, weights, u):
-    # np.reshape gives a scalar effort shape (1, 1) and per-agent efforts (n, 1).
-    return _minus_degrees((np.reshape(u, (-1, 1)) * weights) * sech2(x), degrees)
+    # A float (np.float64 too) skips np.reshape, which costs more than the 3x3
+    # product; other efforts take shape (1, 1), or (n, 1) per agent.
+    if not isinstance(u, float):
+        u = np.reshape(u, (-1, 1))
+    return _minus_degrees((u * weights) * sech2(x), degrees)
 
 
 def jacobian(x: np.ndarray, g: Graph, u: float | np.ndarray) -> np.ndarray:
@@ -152,6 +158,8 @@ class ContinuationProblem:
 
     jac_p defaults to a central finite difference of step h = 1e-7, centred
     at max(p, h): a problem without jac_p is continued in an effort u >= 0.
+    Every runner's problem supplies jac_p; only ``reduced3_problem`` and
+    ``ata_problem`` take the difference, as the benchmark tracer's reference.
     jac_sym, when supplied, returns a symmetric matrix similar to jac_x; the
     stability of each branch point is then tagged on it, by one Cholesky
     factorization of -jac_sym at a stable point and by ``eigvalsh`` at any
@@ -232,30 +240,37 @@ def _identity(problem: ContinuationProblem, n: int) -> Lift:
     return Lift(problem, np.arange(n))
 
 
+def model_problem(degrees: np.ndarray, weights: np.ndarray,
+                  beta: np.ndarray | None = None) -> ContinuationProblem:
+    """The model equation -D y + u B tanh(y) + beta over the effort u >= 0,
+    with its analytic derivatives: J = -D + u B diag(sech^2 y) and
+    jac_p = B tanh(y).  degrees, weights B and beta are fixed arrays, so a
+    quotient and the three-group model are built by the same factory."""
+    def f(y, u):
+        if not u >= 0:
+            raise ValueError(NEGATIVE_EFFORT)
+        return _field(y, degrees, weights, u, beta)
+
+    return ContinuationProblem(
+        f=f,
+        jac_x=lambda y, u: _jacobian(y, degrees, weights, u),
+        jac_p=lambda y, u: weights @ np.tanh(y),
+    )
+
+
 def quotient_problem(g: Graph) -> tuple[ContinuationProblem, Lift]:
     """The normalized network field on the quotient of g's coarsest equitable
     partition (``equitable_partition``), over u, and its lift to g.
 
-    The quotient is the model equation on the first agent of each cell: its
-    degrees, and B[k, m], its weight sum into cell m, with jac_p = B tanh(y).
-    The cell-constant states are invariant under the field, which there
-    equals the quotient field, lifted.  A partition into singletons gives
-    B = A and the network's arithmetic bit for bit.
+    The quotient is the model equation (``model_problem``) on the first agent
+    of each cell: its degrees, and B[k, m], its weight sum into cell m.  The
+    cell-constant states are invariant under the field, which there equals
+    the quotient field, lifted.  A partition into singletons gives B = A and
+    the network's arithmetic bit for bit.
     """
     lift = Lift(normalized_problem(g), equitable_partition(g))
-    degrees = g.degrees[lift.first]
-    b = cell_weights(g.weights[lift.first], lift.cells)
-
-    def f(y, u):
-        if not u >= 0:
-            raise ValueError(NEGATIVE_EFFORT)
-        return _field(y, degrees, b, u, None)
-
-    return ContinuationProblem(
-        f=f,
-        jac_x=lambda y, u: _jacobian(y, degrees, b, u),
-        jac_p=lambda y, u: b @ np.tanh(y),
-    ), lift
+    return model_problem(g.degrees[lift.first],
+                         cell_weights(g.weights[lift.first], lift.cells)), lift
 
 
 def reduced3_problem(spec: PopulationSpec, beta_a: float, beta_b: float) -> ContinuationProblem:
@@ -271,8 +286,10 @@ def ata_problem(n: int, n3: int, beta: float) -> ContinuationProblem:
     the three-group problem with n1 = n2 = n, unit coupling, beta_A = beta_B = beta.
 
     No runner calls it: value sensitivity reads u* off the closed-form trunk
-    with ``ustar_numeric``.  It stays as the continuation reference for that
-    scan and as one of the problem factories the benchmark tracer wraps.
+    with ``ustar_numeric``, and the quintic transition continues
+    ``model_problem``.  Like ``reduced3_problem`` it has no jac_p.  It stays
+    as the continuation reference for that scan and as one of the problem
+    factories the benchmark tracer wraps.
     """
     return reduced3_problem(PopulationSpec(n, n, n3), beta, beta)
 

@@ -412,6 +412,11 @@ def run_hysteresis(scenario: HysteresisScenario = HysteresisScenario(),
 GROUP_SWAP = (1, 0, 2)
 
 
+def _beta_tag(beta: float) -> str:
+    """The name of one beta in the quintic transition's summary."""
+    return "%g" % beta
+
+
 @dataclass(frozen=True)
 class QuinticScenario:
     """Swap-symmetric informed network whose pitchfork changes criticality.
@@ -423,7 +428,9 @@ class QuinticScenario:
     swap-symmetric, which gives the trunk its pitchfork (at n1/n2 = 2/3 or
     3/2 the diagram has none and is "ambiguous") and lets
     ``run_quintic_transition`` mirror one outer branch into the other.
-    Every beta must be finite.
+    beta_grid must hold at least one beta, every beta finite, and no two
+    with the same ``"%g"`` tag, which names each beta's files and summary
+    entries.
     """
 
     n1: int = 2
@@ -437,8 +444,14 @@ class QuinticScenario:
 
     def __post_init__(self):
         _check_continuation("u_range", self.u_range, self.h_max)
+        if not self.beta_grid:
+            raise ValueError("beta_grid must hold at least one information strength")
         if not all(math.isfinite(beta) for beta in self.beta_grid):
             raise ValueError("information strengths beta_grid must be finite")
+        tags = [_beta_tag(beta) for beta in self.beta_grid]
+        if len(set(tags)) < len(tags):
+            raise ValueError(f"information strengths beta_grid {list(self.beta_grid)} "
+                             f"must differ in their %g output tags (got {tags})")
         spec = self.population_spec()
         if self.n1 != self.n2:
             raise ValueError("quintic scenario requires n1 = n2 (swap symmetry)")
@@ -481,13 +494,18 @@ def run_quintic_transition(scenario: QuinticScenario = QuinticScenario(),
     the permuted dot products sum in another order and partial pivoting on a
     permuted matrix picks other pivots, so the continued -1 branch would differ in
     the last bits (states about 1e-11 apart at the defaults).
+
+    Each beta continues ``bif.model_problem`` on (spec.degrees, spec.quotient)
+    with the per-group information, whose derivative in u is the exact
+    Q tanh(y); every point is tagged on the 3 x 3 J, whose det_J the CSVs keep.
     """
     spec = scenario.population_spec()
     u0 = scenario.u_range[0]
     d1 = spec.degrees[0]
     diagrams = []
     for beta in scenario.beta_grid:
-        problem = bif.reduced3_problem(spec, beta, beta)
+        problem = bif.model_problem(spec.degrees, spec.quotient,
+                                    dynamics._group_information(beta, beta))
         # continue_branch Newton-solves its start from this deadlock guess
         start = np.array([beta / (d1 + u0), -beta / (d1 + u0), 0.0])
         trunk, sp = bif.trace_trunk(problem, start, scenario.u_range, scenario.h_max)
@@ -509,14 +527,14 @@ def run_quintic_transition(scenario: QuinticScenario = QuinticScenario(),
         names = ["y1", "y2", "y3"]
         tables = {}
         for diag in diagrams:
-            tag = ("%g" % diag.beta).replace(".", "p")
+            tag = _beta_tag(diag.beta).replace(".", "p")
             tables[f"trunk_beta_{tag}.csv"] = _branch_table(diag.trunk, names)
             for i, br in enumerate(diag.outer):
                 tables[f"outer{i}_beta_{tag}.csv"] = _branch_table(br, names)
         _write_outputs(out_dir, scenario, tables, {
-            "classifications": {("%g" % d.beta): d.classification for d in diagrams},
-            "u_star": {("%g" % d.beta): d.u_star for d in diagrams},
-            "folds": {("%g" % d.beta): d.fold_params for d in diagrams},
+            "classifications": {_beta_tag(d.beta): d.classification for d in diagrams},
+            "u_star": {_beta_tag(d.beta): d.u_star for d in diagrams},
+            "folds": {_beta_tag(d.beta): d.fold_params for d in diagrams},
         })
     return diagrams
 

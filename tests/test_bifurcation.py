@@ -177,6 +177,17 @@ class TestJacobianBuilders:
         assert_bitwise(g.weights, weights)
         assert_bitwise(g.degrees, degrees)
 
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_every_effort_form_matches_the_reshaped_product(self, n, rng):
+        # a float effort skips np.reshape; its product must not change
+        weights = rng.uniform(0.0, 2.0, size=(n, n))
+        degrees = weights.sum(axis=1) + 0.5
+        for u in (1.3, np.float64(1.3), np.array(1.3), rng.uniform(0.5, 1.5, size=n)):
+            for x in self.states(n, rng):
+                expected = bif._minus_degrees((np.reshape(u, (-1, 1)) * weights) * sech2(x),
+                                              degrees)
+                assert_bitwise(bif._jacobian(x, degrees, weights, u), expected)
+
     @pytest.mark.parametrize("n", [1, 3, 10, 200])
     def test_jac_sym(self, n, rng):
         g = self.graph(n, rng)
@@ -192,6 +203,52 @@ class TestJacobianBuilders:
             assert out is not jac_sym(x, u)
         assert_bitwise(g.weights, weights)
         assert_bitwise(g.degrees, degrees)
+
+
+class TestModelProblem:
+    """model_problem is the three-group field with its exact derivative in u."""
+
+    @staticmethod
+    def problems(beta):
+        spec = ex.QuinticScenario().population_spec()
+        info = np.array([beta, -beta, 0.0])
+        return spec, bif.model_problem(spec.degrees, spec.quotient, info)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 3.0])
+    def test_equals_reduced3_bit_for_bit(self, beta, rng):
+        spec, problem = self.problems(beta)
+        for _ in range(5):
+            y, u = rng.normal(scale=2.0, size=3), float(rng.uniform(0.0, 3.0))
+            assert_bitwise(problem.f(y, u), reduced3_field(y, spec, u, beta, beta))
+            assert_bitwise(problem.jac_x(y, u), reduced3_jacobian(y, spec, u))
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 3.0])
+    def test_jac_p_is_the_derivative_in_u(self, beta, rng):
+        mpmath = pytest.importorskip("mpmath")
+        spec, problem = self.problems(beta)
+        fd = reduced3_problem(spec, beta, beta)
+        assert fd.jac_p is None
+        info = [beta, -beta, 0.0]
+        for _ in range(5):
+            y, u = rng.normal(scale=2.0, size=3), float(rng.uniform(0.1, 3.0))
+            jac_p = problem.jac_p(y, u)
+            with mpmath.workdps(40):
+                for k in range(3):
+                    def f_k(uu, k=k):
+                        return (-mpmath.mpf(spec.degrees[k]) * mpmath.mpf(y[k])
+                                + uu * mpmath.fsum(mpmath.mpf(spec.quotient[k, m])
+                                                   * mpmath.tanh(mpmath.mpf(y[m]))
+                                                   for m in range(3))
+                                + mpmath.mpf(info[k]))
+                    exact = float(mpmath.diff(f_k, mpmath.mpf(u)))
+                    assert abs(jac_p[k] - exact) <= 1e-13 * abs(exact)
+            assert np.abs(jac_p - fd.fp(y, u)).max() <= 1e-6
+
+    def test_rejects_negative_effort(self):
+        _, problem = self.problems(1.0)
+        for u in (-1e-12, float("nan")):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                problem.f(np.zeros(3), u)
 
 
 class TestFindEquilibrium:
@@ -1011,7 +1068,7 @@ def quintic_pitchfork(beta):
     spec = scenario.population_spec()
     u0 = scenario.u_range[0]
     d1 = spec.degrees[0]
-    problem = reduced3_problem(spec, beta, beta)
+    problem = bif.model_problem(spec.degrees, spec.quotient, np.array([beta, -beta, 0.0]))
     start = np.array([beta / (d1 + u0), -beta / (d1 + u0), 0.0])
     _, sp = bif.trace_trunk(problem, start, scenario.u_range, scenario.h_max)
     assert sp is not None

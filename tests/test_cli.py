@@ -268,8 +268,9 @@ class TestNumericalFailure:
     def test_newton_failure_exits_3(self, tmp_path, capsys, monkeypatch, scale, message):
         # No config is known to reach these raises; a scaled Jacobian makes
         # the quintic sweep's start solve reach them.
-        real = bif.reduced3_jacobian
-        monkeypatch.setattr(bif, "reduced3_jacobian", lambda y, spec, u: scale * real(y, spec, u))
+        real = bif._jacobian
+        monkeypatch.setattr(bif, "_jacobian", lambda y, degrees, weights, u:
+                            scale * real(y, degrees, weights, u))
         out = tmp_path / "out"
         assert main(["sweep", "--scenario", "quintic_transition", "--out", str(out)]) == 3
         assert f"numerical failure: {message}" in capsys.readouterr().err
@@ -406,6 +407,11 @@ class TestValidate:
          "N^9 overflows a float"),
         ("sweep", {"scenario": "hysteresis", "beta_b_max": 1e300, "beta_b_step": 1.0},
          "at most MAX_SWEEP_POINTS"),
+        ("sweep", {"scenario": "quintic_transition", "beta_grid": []},
+         "beta_grid must hold at least one information strength"),
+        # both print as "1", so the second beta's results overwrote the first's
+        ("sweep", {"scenario": "quintic_transition", "beta_grid": [1.0, 1.0000001]},
+         "must differ in their %g output tags"),
     ], ids=["value_sensitivity-h_max", "value_sensitivity-u_scan",
             "value_sensitivity-n1_n2", "uninformed_influence-n3",
             "pitchfork_diagram-disconnected", "simulate-beta",
@@ -428,7 +434,8 @@ class TestValidate:
             "quintic_transition-h_max_cannot_finish", "adaptive-negative_effort",
             "reduction_demo-empty_informed_group", "reduction_demo-empty_uninformed_group",
             "value_sensitivity-series_overflow", "uninformed_influence-series_overflow",
-            "hysteresis-grid_too_large"])
+            "hysteresis-grid_too_large", "quintic_transition-empty_beta_grid",
+            "quintic_transition-beta_tags_collide"])
     def test_runner_preconditions_checked_at_load(self, tmp_path, capsys,
                                                   command, doc, message):
         # validate is the load step of each command, so it rejects every
@@ -735,7 +742,7 @@ def test_quintic_sweep_that_validates_runs(tmp_path_factory):
            st.lists(st.floats(0.0, 4.0), min_size=1, max_size=2),
            st.lists(EFFORTS, min_size=2, max_size=2, unique=True).map(sorted),
            st.floats(0.01, 0.1))
-    # the default scenario from an effort below the finite-difference step of f_p
+    # the default scenario from an effort of 1e-9, at the edge of u >= 0
     @example(2, 2, 0.25, 1.0, [1.0, 3.0], [1e-9, 3.0], 0.02)
     def check(n, n3, a12, a13, beta_grid, u_range, h_max):
         path.write_text(json.dumps({"scenario": "quintic_transition", "n1": n, "n2": n,

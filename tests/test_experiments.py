@@ -210,6 +210,11 @@ class TestQuinticTransition:
         with pytest.raises(ValueError, match="beta_grid must be finite"):
             ex.QuinticScenario(beta_grid=(1.0, beta))
 
+    def test_rejects_a_repeated_beta(self):
+        # each beta's files and summary entries are named by its %g tag
+        with pytest.raises(ValueError, match="must differ in their %g output tags"):
+            ex.QuinticScenario(beta_grid=(3.0, 1.0, 3.0))
+
     def test_failed_branch_switch_raises(self, monkeypatch):
         # A pitchfork whose branches cannot be seeded is a failure, not an
         # "ambiguous" diagram.
