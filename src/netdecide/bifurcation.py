@@ -30,7 +30,13 @@ Each branch point is tagged with its count of unstable eigenvalues and the
 sign and log-magnitude of det J (``_equilibrium``).  On an undirected graph J
 is similar to a symmetric J_sym, and a stable point, where -J_sym is
 positive definite, is tagged by one Cholesky factorization; only a point
-with an eigenvalue >= 0 needs the spectrum.
+with an eigenvalue >= 0 needs the spectrum.  The uninformed trunk x = 0 of
+an undirected graph needs neither: there J = D^{1/2} (u M - I) D^{1/2} with
+M = D^{-1/2} A D^{-1/2}, so one eigendecomposition of M tags every trunk
+point and places every eigenvalue crossing, at u = 1 / mu_k, with its
+multiplicity (``TrunkSpectrum``).  Elsewhere (directed graphs, informed
+trunks and branches off the trunk) a det flip sees only the parity of the
+eigenvalues that cross in one step.
 
 Both continuation runners build their problem with one factory,
 ``model_problem``: the model equation with its analytic derivatives, jac_p
@@ -38,9 +44,10 @@ included.  The quintic transition continues the three-group quotient with its
 information.  A network diagram is continued on the quotient of the graph's
 coarsest equitable partition (``quotient_problem``), one unknown per cell,
 whose points and tangents bracket each singular point; each branch point is
-the lifted state (``Lift``).  Tags, det flips and their refinement, null
-vectors and classification use the network's J at the lifted state, so a
-flip that breaks symmetry inside a cell is still found.  With singleton cells
+the lifted state (``Lift``).  Off the trunk, tags, det flips and their
+refinement, null vectors and classification use the network's J at the
+lifted state, so a flip that breaks symmetry inside a cell is still found;
+on it the trunk spectrum of the whole network does.  With singleton cells
 the quotient is the network, bit for bit.
 """
 
@@ -200,6 +207,70 @@ def normalized_problem(g: Graph) -> ContinuationProblem:
     )
 
 
+class TrunkSpectrum:
+    """The uninformed trunk x = 0 of an undirected graph in closed form.
+
+    There J(0, u) = -D + u A = D^{1/2} (u M - I) D^{1/2} with the symmetric
+    M = D^{-1/2} A D^{-1/2} = V diag(mu) V^T, so one ``eigh(M)`` serves every
+    trunk point.  By Sylvester's law of inertia J and K = u M - I, whose
+    eigenvalues are kappa_k = u mu_k - 1, have the same count of positive,
+    zero and negative eigenvalues, and det J = det D det K (Horn & Johnson,
+    *Matrix Analysis*, 4.5).  Each eigenvalue mu_k > 0 crosses 0 at
+    u_k = 1 / mu_k, with null vector D^{-1/2} v_k.
+    """
+
+    def __init__(self, g: Graph):
+        root_d = np.sqrt(g.degrees)
+        self.mu, self.vectors = np.linalg.eigh(g.weights / root_d[:, None] / root_d)
+        self.root_d = root_d
+        self.d_min, self.d_max = g.degrees.min(), g.degrees.max()
+        self.log_det_d = float(np.sum(np.log(g.degrees)))
+        # the crossings in increasing u; each within REFINE_TOL of the one
+        # before joins its group, kept as its first u, eigenvalue index and size
+        index = np.flatnonzero(self.mu > 0)[::-1]
+        at = 1.0 / self.mu[index]
+        first = np.flatnonzero(np.diff(at, prepend=-np.inf) > REFINE_TOL)
+        self.at, self.index = at[first], index[first]
+        self.multiplicity = np.diff(np.append(first, len(at)))
+
+    def point(self, x: np.ndarray, u: float) -> Equilibrium | None:
+        """The trunk point (x = 0, u) tagged from the kappa_k, or None when
+        the margin test is not decided by them.
+
+        By Ostrowski's theorem each eigenvalue of J is theta_k kappa_k with
+        theta_k in [d_min, d_max] (Horn & Johnson, 4.5.9): kappa_k d_min >
+        STABILITY_MARGIN makes it unstable, kappa_k d_max <= STABILITY_MARGIN
+        stable, and a kappa_k between the two leaves the point to the full
+        tag (``_equilibrium``).
+        """
+        kappa = u * self.mu - 1.0
+        unstable = kappa * self.d_min > STABILITY_MARGIN
+        if np.any(~unstable & (kappa * self.d_max > STABILITY_MARGIN)):
+            return None
+        with np.errstate(divide="ignore"):
+            log_abs_det = self.log_det_d + np.sum(np.log(np.abs(kappa)))
+        return Equilibrium(x=x, param=float(u), n_unstable=int(np.sum(unstable)),
+                           det_sign=float(np.prod(np.sign(kappa))),
+                           log_abs_det=float(log_abs_det))
+
+    def crossings(self, p_from: float, p_to: float, kind: str) -> list[SingularPoint]:
+        """The singular points of a trunk step from p_from to p_to: each group
+        of crossings whose first u lies in (p_from, p_to], in the order of
+        travel, as one point of its multiplicity.  Its null vector is
+        D^{-1/2} v_k of the group's first, of unit norm and nonnegative sum,
+        as ``null_vectors`` orients it."""
+        lo, hi = sorted((p_from, p_to))
+        inside = np.flatnonzero((lo < self.at) & (self.at < hi) | (self.at == p_to))
+        points = []
+        for i in (inside if p_to > p_from else inside[::-1]):
+            phi = self.vectors[:, self.index[i]] / self.root_d
+            phi /= np.linalg.norm(phi)
+            points.append(SingularPoint(kind, float(self.at[i]), np.zeros(len(phi)),
+                                        -phi if phi.sum() < 0 else phi, True,
+                                        int(self.multiplicity[i])))
+        return points
+
+
 @dataclass(frozen=True)
 class Lift:
     """The map from a quotient problem back to the network: a quotient state
@@ -207,15 +278,20 @@ class Lift:
     of agent i, numbered by first agent.  Only states are lifted: tangents
     stay on the quotient.
 
-    ``network`` is the network's problem, on which every lifted point is
-    tagged and every singular point located and classified.  ``sizes``
-    counts the agents of each cell, ``first`` is each cell's first agent,
-    and ``weights`` are the RMS arclength weights (n_k / n per cell, 1 on the
-    parameter): ||y[cells]||^2 / n = sum_k n_k y_k^2 / n.
+    ``network`` is the network's problem, on which every lifted point off
+    the trunk is tagged and every other singular point located and
+    classified.  ``trunk``, when given, is the spectrum of the uninformed
+    trunk x = 0: a lifted point with x = 0 exactly is tagged from it, and
+    the eigenvalue crossings between two such points are placed from it
+    (``TrunkSpectrum``).  ``sizes`` counts the agents of each cell,
+    ``first`` is each cell's first agent, and ``weights`` are the RMS
+    arclength weights (n_k / n per cell, 1 on the parameter):
+    ||y[cells]||^2 / n = sum_k n_k y_k^2 / n.
     """
 
     network: ContinuationProblem
     cells: np.ndarray
+    trunk: TrunkSpectrum | None = None
 
     def __post_init__(self):
         sizes = np.bincount(self.cells).astype(float)
@@ -226,9 +302,19 @@ class Lift:
     def state(self, y: np.ndarray) -> np.ndarray:
         return y[self.cells]
 
+    def on_trunk(self, x: np.ndarray) -> bool:
+        """Whether the lifted state x lies on the trunk ``trunk`` describes."""
+        return self.trunk is not None and not x.any()
+
     def point(self, z: np.ndarray) -> Equilibrium:
-        """The lifted branch point z = (y, p), tagged on the network."""
-        return _equilibrium(self.network, self.state(z[:-1]), z[-1])
+        """The lifted branch point z = (y, p), tagged on the network, or from
+        ``trunk`` on the trunk when its tags are decided there."""
+        x = self.state(z[:-1])
+        if self.on_trunk(x):
+            pt = self.trunk.point(x, z[-1])
+            if pt is not None:
+                return pt
+        return _equilibrium(self.network, x, z[-1])
 
     def constant_on_cells(self, phi: np.ndarray) -> bool:
         """Whether phi is constant on every cell, to REFINE_TOL."""
@@ -267,8 +353,13 @@ def quotient_problem(g: Graph) -> tuple[ContinuationProblem, Lift]:
     cell-constant states are invariant under the field, which there equals
     the quotient field, lifted.  A partition into singletons gives B = A and
     the network's arithmetic bit for bit.
+
+    On an undirected g with positive degrees the lift carries the spectrum of
+    the uninformed trunk (``TrunkSpectrum``): the trunk's points are tagged,
+    and its crossings placed, from one ``eigh`` instead of the network's J.
     """
-    lift = Lift(normalized_problem(g), equitable_partition(g))
+    trunk = TrunkSpectrum(g) if g.is_undirected and g.degrees.min() > 0 else None
+    lift = Lift(normalized_problem(g), equitable_partition(g), trunk)
     return model_problem(g.degrees[lift.first],
                          cell_weights(g.weights[lift.first], lift.cells)), lift
 
@@ -296,11 +387,18 @@ def ata_problem(n: int, n3: int, beta: float) -> ContinuationProblem:
 
 @dataclass
 class SingularPoint:
+    """A singular point of a branch: its kind, parameter, state and unit
+    right null vector; `refined` when its bracket closed to REFINE_TOL, or
+    when it was placed in closed form (``TrunkSpectrum``).  `multiplicity`
+    counts the eigenvalues of J that cross 0 there, each within REFINE_TOL
+    of the one before; a located det flip counts 1."""
+
     kind: str                   # "pitchfork" | "fold" | "ambiguous"
     param: float
     x: np.ndarray
     null_right: np.ndarray
-    refined: bool               # the bracket closed to REFINE_TOL
+    refined: bool
+    multiplicity: int = 1
 
 
 @dataclass
@@ -479,10 +577,17 @@ def _detect_events(problem, branch, lo, hi, symmetric_trunk, lift: Lift):
     tangent's parameter component is a fold (``_fold_kind``).  A flip of
     det(J) alone is a pitchfork on a symmetric trunk, where symmetry makes
     the bifurcating pair; elsewhere it is "ambiguous", never silently resolved.
+    Between two points of a trunk that ``lift.trunk`` describes, every
+    eigenvalue crossing is placed in closed form (``TrunkSpectrum.crossings``)
+    and named the same way: the parity of det(J) would miss an even count.
     """
     tan_lo, tan_hi = lo[1], hi[1]
     prev, new = branch.points[-2:]
     fold = tan_lo[-1] * tan_hi[-1] < 0
+    if not fold and lift.on_trunk(prev.x) and lift.on_trunk(new.x):
+        branch.singular_points += lift.trunk.crossings(
+            prev.param, new.param, "pitchfork" if symmetric_trunk else "ambiguous")
+        return
     if fold:
         # a fold also flips det(J); the tangent test owns the interval
         sign_lo, test = np.sign(tan_lo[-1]), lambda y, p: np.sign(

@@ -11,7 +11,8 @@ sorted-key JSON of that same config dict (not of the bytes of config.json,
 which is indented).  The other files each runner writes:
 
 - run_pitchfork_diagram: branch_trunk.csv, and branch_upper.csv and
-  branch_lower.csv for the branches found; singular_points.json;
+  branch_lower.csv for the branches found; singular_points.json, whose
+  entries carry "multiplicity" only when it exceeds 1;
 - run_hysteresis: loop.csv;
 - run_quintic_transition: trunk_beta_<b>.csv for each b in beta_grid, and
   outer0_beta_<b>.csv and outer1_beta_<b>.csv when that trunk has a pitchfork;
@@ -205,6 +206,7 @@ def _singular_points_doc(branches: dict[str, bif.Branch]) -> list[dict]:
                 "state": sp.x,
                 "nullvec": sp.null_right,
                 "refined": sp.refined,
+                **({"multiplicity": sp.multiplicity} if sp.multiplicity > 1 else {}),
             })
     return docs
 
@@ -255,7 +257,11 @@ def run_pitchfork_diagram(scenario: PitchforkScenario = PitchforkScenario(),
     Both branches are continued on the quotient of the graph's coarsest
     equitable partition (``bif.quotient_problem``), one unknown per cell,
     and every point is lifted to the agents and tagged on the network's J;
-    det flips that break symmetry inside a cell are found there too.  The
+    det flips that break symmetry inside a cell are found there too.  On an
+    undirected graph the trunk x = 0 is tagged instead from one spectrum of
+    D^-1/2 A D^-1/2, which reports every eigenvalue crossing in u_range,
+    each at u = 1 / mu_k and with its multiplicity, not only the det flips
+    (``bif.TrunkSpectrum``); `singular_params` lists them all.  The
     trunk's first pitchfork, at u = 1 on a trunk that starts below it, has
     the null vector 1 (J = -L there), which is constant on the cells, so its
     branch is switched and continued on the quotient as well

@@ -73,6 +73,19 @@ def assert_same_fields(a, b):
             assert va == vb, f.name
 
 
+def count_linalg_calls(monkeypatch, *names):
+    """Replace each named np.linalg function by one that counts its calls;
+    return the counts, by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 def assert_same_branch(a, b):
     assert len(a.points) == len(b.points)
     for pa, pb in zip(a.points, b.points):
@@ -583,37 +596,35 @@ class TestContinuation:
             assert abs(pt.log_abs_det - exact) <= bif.EPS * cond
 
     def test_eigvalsh_only_at_unstable_points(self, monkeypatch):
-        # A stable point is tagged by one Cholesky of -J_sym; only a point
-        # with an eigenvalue >= 0 needs the spectrum.  On the 200-agent
-        # diagram that is 6 of the 49 continued points (the lower branch is
-        # the reflected upper one).
-        calls = [0]
-        real_eigvalsh = np.linalg.eigvalsh
-
-        def counting_eigvalsh(a):
-            calls[0] += 1
-            return real_eigvalsh(a)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-        res = ex.run_pitchfork_diagram(ex.PitchforkScenario(graph={"kind": "complete", "n": 200}))
-        points = res.trunk.points + res.upper.points
-        assert len(points) == 49
-        assert calls[0] == sum(pt.n_unstable > 0 for pt in points) == 6
+        # A trunk point is tagged from the trunk spectrum and a stable branch
+        # point by one Cholesky of -J_sym; only an unstable point off the
+        # trunk needs eigvalsh.  The complete-200 trunk has 6 unstable points
+        # and its upper branch none (the lower branch is the reflected upper
+        # one); the two_cells branch leaves the quotient at a transverse
+        # pitchfork, and its 26 points are all unstable.
+        calls = count_linalg_calls(monkeypatch, "eigvalsh")
+        for case, trunk_unstable, upper_unstable in (("complete200", 6, 0),
+                                                     ("two_cells_transverse_first", 47, 26)):
+            graph, u_range, u_branch_end = QUOTIENT_CASES[case]
+            scenario = ex.PitchforkScenario(graph=graph, u_range=u_range,
+                                            u_branch_end=u_branch_end)
+            calls["eigvalsh"] = 0
+            res = ex.run_pitchfork_diagram(scenario)
+            assert sum(pt.n_unstable > 0 for pt in res.trunk.points) == trunk_unstable
+            assert calls["eigvalsh"] == sum(pt.n_unstable > 0
+                                            for pt in res.upper.points) == upper_unstable
 
     def test_each_point_is_tagged_once(self, monkeypatch):
-        # Each tag starts with one Cholesky of -J_sym, so one call per
-        # recorded point: the branch-switch seed is tagged only as the
-        # switched branch's first point.
-        calls = [0]
-        real_cholesky = np.linalg.cholesky
-
-        def counting_cholesky(a):
-            calls[0] += 1
-            return real_cholesky(a)
-
-        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
-        res = ex.run_pitchfork_diagram(ex.PitchforkScenario(graph={"kind": "complete", "n": 200}))
-        assert calls[0] == len(res.trunk.points) + len(res.upper.points) == 49
+        # The diagram computes the trunk spectrum once, with one eigh, and
+        # tags the trunk from it with no factorization; each upper-branch
+        # point takes one Cholesky of -J_sym, the branch-switch seed only as
+        # the switched branch's first point.
+        scenario = ex.PitchforkScenario(graph={"kind": "complete", "n": 200})
+        calls = count_linalg_calls(monkeypatch, "eigh", "cholesky", "eigvalsh", "slogdet")
+        res = ex.run_pitchfork_diagram(scenario)
+        assert len(res.trunk.points) + len(res.upper.points) == 49
+        assert calls == {"eigh": 1, "cholesky": len(res.upper.points), "eigvalsh": 0,
+                         "slogdet": 0}
 
     def test_directed_graph_has_no_symmetric_jacobian(self):
         assert normalized_problem(directed_ring(6)).jac_sym is None
@@ -931,6 +942,131 @@ class TestQuotientContinuation:
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
         ex.run_pitchfork_diagram(ex.PitchforkScenario(graph={"kind": "complete", "n": 200}))
         assert sizes and max(sizes) <= 2
+
+
+def ring_weights(n):
+    """Weights of the undirected ring of n agents."""
+    ring = directed_ring(n).weights
+    return (ring + ring.T).tolist()
+
+
+def trunk_crossings(g, u_range):
+    """Oracle: the u = 1 / mu_k inside u_range, increasing, for the positive
+    eigenvalues mu_k of D^-1/2 A D^-1/2."""
+    r = 1.0 / np.sqrt(g.degrees)
+    mu = np.linalg.eigvalsh(r[:, None] * g.weights * r[None, :])
+    at = np.sort(1.0 / mu[mu > 0])
+    return at[(at > min(u_range)) & (at < max(u_range))]
+
+
+_COUPLED = [[1.0, 0.5, 0.8], [0.5, 1.0, 1.2], [0.8, 1.2, 1.0]]
+# Undirected uninformed graphs whose trunks are tagged from their spectrum
+TRUNK_GRAPHS = {
+    **{f"complete{n}": {"kind": "complete", "n": n} for n in (20, 200)},
+    **{f"path{n}": {"kind": "weights", "weights": path_graph(n).weights.tolist()}
+       for n in (20, 200)},
+    **{f"ring{n}": {"kind": "weights", "weights": ring_weights(n)} for n in (20, 200)},
+    "population20": {"kind": "population", "n1": 5, "n2": 5, "n3": 10, "coupling": _COUPLED},
+    "population200": {"kind": "population", "n1": 50, "n2": 50, "n3": 100,
+                      "coupling": _COUPLED},
+}
+
+
+def _trunk(g, u_range=(0.5, 1.5)):
+    quotient, lift = bif.quotient_problem(g)
+    trunk, _ = bif.trace_trunk(quotient, np.zeros(len(lift.sizes)), u_range, 0.1, lift)
+    return trunk, lift
+
+
+class TestTrunkSpectrum:
+    """On the uninformed trunk x = 0 of an undirected graph, one eigh of
+    D^-1/2 A D^-1/2 gives every tag and places every crossing at 1/mu_k."""
+
+    @pytest.mark.parametrize("graph", TRUNK_GRAPHS.values(), ids=TRUNK_GRAPHS.keys())
+    def test_trunk_tags_match_the_full_jacobian(self, graph):
+        # Tags within the bound of test_symmetric_tagging_matches_eigvals,
+        # and null vectors equal to null_vectors' SVD up to sign.
+        g = ex.graph_from_config(graph)
+        trunk, lift = _trunk(g)
+        for pt in trunk.points:
+            assert not pt.x.any() and lift.trunk.point(pt.x, pt.param) is not None
+            jac = jacobian(pt.x, g, pt.param)
+            sign, logdet = np.linalg.slogdet(jac)
+            assert pt.n_unstable == int(np.sum(real_parts(jac) > STABILITY_MARGIN))
+            assert pt.det_sign == sign
+            bound = len(jac) * bif.EPS * (np.linalg.cond(jac) + abs(logdet))
+            assert abs(pt.log_abs_det - logdet) <= bound
+        assert trunk.singular_points
+        for sp in trunk.singular_points:
+            jac = jacobian(sp.x, g, sp.param)
+            assert np.linalg.norm(sp.null_right) == pytest.approx(1.0, abs=1e-12)
+            assert sp.null_right.sum() >= 0
+            if sp.multiplicity == 1:
+                phi, _ = bif.null_vectors(jac)
+                assert min(np.abs(sp.null_right - phi).max(),
+                           np.abs(sp.null_right + phi).max()) <= 1e-8
+            else:
+                assert np.abs(jac @ sp.null_right).max() <= 1e-8
+
+    def test_path20_first_pitchfork_is_consensus(self):
+        # One default step crosses u = 1 and 1.0138, so det J keeps its sign;
+        # by parity alone the diagram reported u = 1.0573 first, and its upper
+        # branch was not the consensus branch.
+        graph = {"kind": "weights", "weights": path_graph(20).weights.tolist()}
+        res = ex.run_pitchfork_diagram(ex.PitchforkScenario(graph=graph))
+        g = ex.graph_from_config(graph)
+        assert abs(res.singular_params[0] - 1.0) <= 1e-12
+        assert np.abs(np.array(res.singular_params) - trunk_crossings(g, (0.5, 1.5))).max() <= 1e-12
+        assert res.upper.points[-1].param == 2.2
+        assert np.abs(res.upper.points[-1].x - y_s(2.2)).max() <= 1e-4
+
+    def test_path200_reports_every_crossing(self):
+        # 13 eigenvalues cross between u = 0.92 and 1.02; det J saw one flip.
+        graph = {"kind": "weights", "weights": path_graph(200).weights.tolist()}
+        res = ex.run_pitchfork_diagram(ex.PitchforkScenario(graph=graph, u_range=(0.5, 1.02)))
+        want = trunk_crossings(ex.graph_from_config(graph), (0.5, 1.02))
+        assert len(want) == len(res.trunk.singular_points) == 13
+        assert [sp.multiplicity for sp in res.trunk.singular_points] == [1] * 13
+        assert np.abs(np.array(res.singular_params) - want).max() <= 1e-12
+
+    def test_ring100_reports_each_double_crossing_once(self):
+        # D_100 symmetry makes every crossing after u = 1 double, so det J
+        # never flips there.
+        graph = {"kind": "weights", "weights": ring_weights(100)}
+        res = ex.run_pitchfork_diagram(ex.PitchforkScenario(graph=graph))
+        want = trunk_crossings(ex.graph_from_config(graph), (0.5, 1.5))
+        sps = res.trunk.singular_points
+        assert len(res.trunk.points) == 17
+        assert [sp.multiplicity for sp in sps] == [1] + [2] * 13
+        assert {sp.kind for sp in sps} == {"pitchfork"}
+        assert np.abs(np.array(res.singular_params) - want[[0, *range(1, 27, 2)]]).max() <= 1e-12
+
+    def test_a_multiple_crossing_is_not_split_by_a_step_end(self):
+        # A step ending between the two crossings of a double eigenvalue,
+        # 1/mu and 1/mu' within REFINE_TOL, reports both at the first.
+        _, lift = bif.quotient_problem(Graph(ring_weights(8)))
+        (sp,) = lift.trunk.crossings(1.2, 1.5, "pitchfork")
+        assert sp.param == pytest.approx(np.sqrt(2.0), abs=1e-12) and sp.multiplicity == 2
+        assert [s.multiplicity for s in lift.trunk.crossings(1.2, sp.param, "pitchfork")] == [2]
+        assert lift.trunk.crossings(sp.param, 1.5, "pitchfork") == []
+
+    def test_point_inside_the_ostrowski_band_takes_the_full_tag(self):
+        # On path-8 (degrees 1 and 2) an eigenvalue of J is theta kappa with
+        # theta in [1, 2], so kappa in (STABILITY_MARGIN / 2, STABILITY_MARGIN]
+        # does not decide whether it exceeds the margin.
+        g = path_graph(8)
+        _, lift = bif.quotient_problem(g)
+        x = np.zeros(8)
+        mu = lift.trunk.mu.max()
+        for kappa, decided in ((0.25, True), (0.75, False), (2.0, True)):
+            u = (1.0 + kappa * STABILITY_MARGIN) / mu
+            assert (lift.trunk.point(x, u) is not None) == decided
+        u = (1.0 + 0.75 * STABILITY_MARGIN) / mu
+        pt = lift.point(np.append(np.zeros(len(lift.sizes)), u))
+        assert_same_fields(pt, bif._equilibrium(lift.network, x, u))
+
+    def test_directed_graph_has_no_trunk_spectrum(self):
+        assert bif.quotient_problem(directed_ring(6))[1].trunk is None
 
 
 def assert_switching_holds(g):

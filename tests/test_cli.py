@@ -17,6 +17,7 @@ from netdecide import experiments as ex
 from netdecide import solver
 from netdecide.cli import COMMANDS, SWEEP_SCENARIOS, load_config, main
 from netdecide.dynamics import Decision
+from netdecide.graphs import directed_ring, path_graph
 from netdecide.solver import MAX_STEPS, EstimatorRun
 
 TWO_DYADS = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
@@ -650,6 +651,10 @@ def test_continue_that_validates_runs(tmp_path_factory):
     @example({"kind": "complete", "n": 10}, (0.5, 1.0, 2.2))
     @example({"kind": "complete", "n": 10}, (1.0, 1.5, 2.2))
     @example({"kind": "directed_ring", "n": 6}, (0.5, 1.0, 2.2))
+    @example({"kind": "weights", "weights": path_graph(8).weights.tolist()}, (0.5, 1.5, 2.2))
+    @example({"kind": "weights", "weights": (directed_ring(8).weights
+                                             + directed_ring(8).weights.T).tolist()},
+             (0.5, 1.5, 2.2))
     def check(graph, efforts):
         *u_range, u_branch_end = efforts
         path.write_text(json.dumps({"graph": graph, "u_range": u_range,

@@ -12,6 +12,7 @@ import netdecide.bifurcation as bif
 import netdecide.experiments as ex
 from conftest import adaptive_rhs
 from netdecide.dynamics import Decision, DecisionConfig, classify_decision, normalized_field
+from netdecide.graphs import directed_ring
 from netdecide.solver import EstimatorRun, SolverError
 
 
@@ -46,6 +47,16 @@ class TestPitchforkDiagram:
         assert (tmp_path / "config.json").exists()
         doc = json.loads((tmp_path / "singular_points.json").read_text())
         assert [sp["refined"] for sp in doc["singular_points"]] == [True]
+
+    def test_multiplicity_is_written_only_above_one(self, tmp_path):
+        # The ring of 8 agents crosses at u = 1 once and at sqrt(2) twice.
+        ring = directed_ring(8).weights
+        graph = {"kind": "weights", "weights": (ring + ring.T).tolist()}
+        ex.run_pitchfork_diagram(ex.PitchforkScenario(graph=graph), out_dir=tmp_path)
+        doc = json.loads((tmp_path / "singular_points.json").read_text())
+        assert [(sp["branch"], sp.get("multiplicity")) for sp in doc["singular_points"]] == [
+            ("trunk", None), ("trunk", 2)]
+        assert doc["singular_points"][1]["param"] == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     @pytest.mark.parametrize("u_branch_end", [0.8, 1.0, 1.5, float("nan"), float("inf")])
     def test_rejects_branch_end_not_past_u_range(self, u_branch_end):
