@@ -27,16 +27,23 @@ finds the branch root ``y_s``.  Null vectors come from one SVD, with phi
 oriented to a nonnegative sum (``null_vectors``).
 
 Each branch point is tagged with its count of unstable eigenvalues and the
-sign and log-magnitude of det J (``_equilibrium``).  On an undirected graph J
-is similar to a symmetric J_sym, and a stable point, where -J_sym is
-positive definite, is tagged by one Cholesky factorization; only a point
-with an eigenvalue >= 0 needs the spectrum.  The uninformed trunk x = 0 of
-an undirected graph needs neither: there J = D^{1/2} (u M - I) D^{1/2} with
-M = D^{-1/2} A D^{-1/2}, so one eigendecomposition of M tags every trunk
-point and places every eigenvalue crossing, at u = 1 / mu_k, with its
-multiplicity (``TrunkSpectrum``).  Elsewhere (directed graphs, informed
-trunks and branches off the trunk) a det flip sees only the parity of the
-eigenvalues that cross in one step.
+sign and log-magnitude of det J (``_equilibrium``), in one of three ways:
+
+- the uninformed trunk x = 0 of an undirected graph from its spectrum: there
+  J = D^{1/2} (u M - I) D^{1/2} with M = D^{-1/2} A D^{-1/2}, so one
+  eigendecomposition of M tags every trunk point and places every eigenvalue
+  crossing, at u = 1 / mu_k, with its multiplicity (``TrunkSpectrum``);
+- any other point of an undirected graph on the symmetric J_sym similar to J:
+  one Cholesky factorization of -J_sym tags a stable point, and only a point
+  with an eigenvalue >= 0 takes ``eigvalsh``;
+- a point of a directed graph or of the three-group model by ``slogdet`` and
+  the M-matrix test: weights and efforts are nonnegative, so J is Metzler,
+  and one solve (-J) y = 1 with y > 0 proves the point stable
+  (``_certified_stable``); only the other points take ``eigvals``.
+
+Off the undirected trunk (directed graphs, informed trunks and branches off
+the trunk) a det flip sees only the parity of the eigenvalues that cross in
+one step.
 
 Both continuation runners build their problem with one factory,
 ``model_problem``: the model equation with its analytic derivatives, jac_p
@@ -171,7 +178,11 @@ class ContinuationProblem:
     stability of each branch point is then tagged on it, by one Cholesky
     factorization of -jac_sym at a stable point and by ``eigvalsh`` at any
     other (``_equilibrium``).  Only the tag reads jac_sym: tangents,
-    correctors, null vectors and branch switching use jac_x.
+    correctors, null vectors and branch switching use jac_x.  Without it a
+    point is tagged on jac_x: by ``slogdet``, and by one solve that proves a
+    Metzler J stable, checked at every point, else by ``eigvals``.  A
+    lifted point of the uninformed trunk of an undirected graph reads neither
+    (``TrunkSpectrum``).
     """
 
     f: Callable[[np.ndarray, float], np.ndarray]
@@ -287,6 +298,10 @@ class Lift:
     ``first`` is each cell's first agent, and ``weights`` are the RMS
     arclength weights (n_k / n per cell, 1 on the parameter):
     ||y[cells]||^2 / n = sum_k n_k y_k^2 / n.
+
+    On ``singletons``, cells[i] = i, the continued problem is the network's
+    arithmetic, so its J at a point is the network's and the tag reads it
+    from the point's bordered matrix (``point``).
     """
 
     network: ContinuationProblem
@@ -298,6 +313,7 @@ class Lift:
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "first", np.unique(self.cells, return_index=True)[1])
         object.__setattr__(self, "weights", np.append(sizes / sizes.sum(), 1.0))
+        object.__setattr__(self, "singletons", len(sizes) == len(self.cells))
 
     def state(self, y: np.ndarray) -> np.ndarray:
         return y[self.cells]
@@ -306,15 +322,18 @@ class Lift:
         """Whether the lifted state x lies on the trunk ``trunk`` describes."""
         return self.trunk is not None and not x.any()
 
-    def point(self, z: np.ndarray) -> Equilibrium:
+    def point(self, z: np.ndarray, bordered: np.ndarray | None = None) -> Equilibrium:
         """The lifted branch point z = (y, p), tagged on the network, or from
-        ``trunk`` on the trunk when its tags are decided there."""
+        ``trunk`` on the trunk when its tags are decided there.  `bordered`
+        is the tangent's bordered matrix at z (``_tangent``); on singletons
+        its top-left block is the J that the tag reads."""
         x = self.state(z[:-1])
         if self.on_trunk(x):
             pt = self.trunk.point(x, z[-1])
             if pt is not None:
                 return pt
-        return _equilibrium(self.network, x, z[-1])
+        jac = bordered[:-1, :-1] if bordered is not None and self.singletons else None
+        return _equilibrium(self.network, x, z[-1], jac)
 
     def constant_on_cells(self, phi: np.ndarray) -> bool:
         """Whether phi is constant on every cell, to REFINE_TOL."""
@@ -407,7 +426,7 @@ class Branch:
     singular_points: list[SingularPoint] = field(default_factory=list)
 
 
-def _equilibrium(problem, x, p) -> Equilibrium:
+def _equilibrium(problem, x, p, jac=None) -> Equilibrium:
     """Branch point (x, p) tagged with the number of unstable eigenvalues of
     J and the sign and log-magnitude of det J.
 
@@ -416,13 +435,23 @@ def _equilibrium(problem, x, p) -> Equilibrium:
     factorization -J_sym = L L^T decides (Golub & Van Loan, *Matrix
     Computations*, 4.2): then every eigenvalue is negative, so n_unstable = 0,
     det J has the sign (-1)^n and log|det J| = 2 sum log L_ii.  Only when the
-    factorization fails does ``eigvalsh`` count the eigenvalues.  Without
-    ``jac_sym``, ``eigvals`` gives the count and ``slogdet`` the determinant.
+    factorization fails does ``eigvalsh`` count the eigenvalues.
+
+    Without ``jac_sym``, ``slogdet`` gives the determinant, and a point whose
+    J is Metzler, every off-diagonal entry >= 0, with det J of sign (-1)^n is
+    offered to the M-matrix test (``_certified_stable``); only a point it
+    does not prove stable takes ``eigvals``.  The model's J is Metzler at
+    every point, since its weights and efforts are nonnegative, so on a
+    directed graph and on the three-group model only the unstable points
+    need the spectrum.  `jac`, when given, is J at (x, p), which saves the
+    ``jac_x`` call.
     """
     if problem.jac_sym is None:
-        jac = problem.jac_x(x, p)
-        n_unstable = int(np.sum(np.linalg.eigvals(jac).real > STABILITY_MARGIN))
+        if jac is None:
+            jac = problem.jac_x(x, p)
         sign, logdet = np.linalg.slogdet(jac)
+        n_unstable = 0 if _certified_stable(jac, sign) else int(
+            np.sum(np.linalg.eigvals(jac).real > STABILITY_MARGIN))
     else:
         jac = problem.jac_sym(x, p)
         try:
@@ -442,6 +471,26 @@ def _equilibrium(problem, x, p) -> Equilibrium:
                        log_abs_det=float(logdet))
 
 
+def _certified_stable(jac: np.ndarray, det_sign: float) -> bool:
+    """Whether one solve proves the Metzler matrix `jac` Hurwitz.
+
+    A Metzler J is Hurwitz exactly when -J is a nonsingular M-matrix, which
+    holds exactly when -J y = 1 has a solution y > 0 (Berman & Plemmons,
+    *Nonnegative Matrices in the Mathematical Sciences*, 6.2.3).  A det J
+    not of sign (-1)^n already shows a real eigenvalue >= 0, and a J with a
+    negative off-diagonal entry is not Metzler: neither is tested.
+    det_sign is ``slogdet``'s, so the LU of J has no zero pivot.  The solve
+    is J (-y) = 1, whose pivots and roundings are those of -J y = 1 negated.
+    """
+    n = len(jac)
+    if det_sign != (-1.0) ** n:
+        return False
+    negative = jac < 0
+    if np.count_nonzero(negative) != np.count_nonzero(negative.diagonal()):
+        return False
+    return bool(np.linalg.solve(jac, np.ones(n)).max() < 0)
+
+
 def _bordered(problem, x, p, row):
     """The bordered matrix [[J, f_p], [row]] of the extended system at (x, p)."""
     n = len(x)
@@ -454,7 +503,8 @@ def _bordered(problem, x, p, row):
 
 def _tangent(problem, x, p, reference, weights):
     """Tangent of the solution curve, of unit RMS arclength norm t.(weights t)
-    (``Lift.weights``), oriented along `reference`.
+    (``Lift.weights``), oriented along `reference`, and the bordered matrix
+    it solved, whose top-left block is J (``Lift.point`` reads it).
 
     The last row of the bordered system sets reference.tan = 1, which fixes
     the orientation; a singular bordered matrix raises BifurcationError.
@@ -467,7 +517,7 @@ def _tangent(problem, x, p, reference, weights):
         tan = np.linalg.solve(bordered, rhs)
     except np.linalg.LinAlgError as exc:
         raise BifurcationError(f"singular bordered matrix at p = {p}") from exc
-    return tan / np.sqrt(tan @ (weights * tan))
+    return tan / np.sqrt(tan @ (weights * tan)), bordered
 
 
 def _correct(problem, z_pred, row):
@@ -531,8 +581,8 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
         ref = ref / np.linalg.norm(ref)
     else:
         ref = e_p
-    tan = _tangent(problem, z[:n], z[n], ref, w)
-    branch = Branch(points=[lift.point(z)])
+    tan, bordered = _tangent(problem, z[:n], z[n], ref, w)
+    branch = Branch(points=[lift.point(z, bordered)])
 
     h = H0
     for _ in range(MAX_POINTS - 1):
@@ -548,7 +598,7 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
             else:
                 if not p_lo <= z_new[n] <= p_hi:
                     break
-                tan_new = _tangent(problem, z_new[:n], z_new[n], tan, w)
+                tan_new, bordered = _tangent(problem, z_new[:n], z_new[n], tan, w)
                 if row @ tan_new >= TANGENT_COS_MIN or h * 0.5 < H_MIN:
                     break
             h *= 0.5
@@ -558,8 +608,8 @@ def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
             # the last point is solved at the end of the range itself
             z_new = _correct(problem, np.append(z_new[:n], p_hi if z_new[n] > p_hi else p_lo),
                              e_p)
-            tan_new = _tangent(problem, z_new[:n], z_new[n], tan, w)
-        branch.points.append(lift.point(z_new))
+            tan_new, bordered = _tangent(problem, z_new[:n], z_new[n], tan, w)
+        branch.points.append(lift.point(z_new, bordered))
         _detect_events(problem, branch, (z, tan), (z_new, tan_new), symmetric_trunk, lift)
         if past_end:
             return branch
@@ -591,7 +641,7 @@ def _detect_events(problem, branch, lo, hi, symmetric_trunk, lift: Lift):
     if fold:
         # a fold also flips det(J); the tangent test owns the interval
         sign_lo, test = np.sign(tan_lo[-1]), lambda y, p: np.sign(
-            _tangent(problem, y, p, tan_lo, lift.weights)[-1])
+            _tangent(problem, y, p, tan_lo, lift.weights)[0][-1])
     elif prev.det_sign * new.det_sign < 0:
         sign_lo, test = prev.det_sign, lambda y, p: np.linalg.slogdet(
             lift.network.jac_x(lift.state(y), p))[0]

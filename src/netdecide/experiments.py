@@ -236,9 +236,14 @@ class PitchforkScenario:
             raise ValueError("continuation requires at least two agents")
         if not is_strongly_connected(g):
             raise ValueError("continuation requires a strongly connected graph")
+        # f_p = 0 on the trunk x = 0, so its bordered matrix is singular with J.
+        # On an undirected graph the trunk's crossings are u = 1 / mu_k
+        # (``bif.TrunkSpectrum``), and an end within REFINE_TOL of one is
+        # rejected: whether the trunk reports it would rest on its last bits.
+        trunk = bif.TrunkSpectrum(g) if g.is_undirected else None
         for u in self.u_range:
-            # f_p = 0 on the trunk x = 0, so its bordered matrix is singular with J
-            if np.linalg.slogdet(bif.jacobian(np.zeros(g.n), g, u))[0] == 0:
+            if (np.any(np.abs(trunk.at - u) <= bif.REFINE_TOL) if trunk is not None
+                    else np.linalg.slogdet(bif.jacobian(np.zeros(g.n), g, u))[0] == 0):
                 raise ValueError(f"u_range end {u} is a singular point of the trunk x = 0")
 
 

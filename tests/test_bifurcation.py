@@ -1069,6 +1069,130 @@ class TestTrunkSpectrum:
         assert bif.quotient_problem(directed_ring(6))[1].trunk is None
 
 
+def irregular_digraph(n, seed=7):
+    """The ring i -> i + 1 of n agents plus about 3 % random arcs of weight
+    U(0.5, 1.5): strongly connected, directed, and with singleton cells."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros((n, n))
+    w[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    extra = rng.random((n, n)) < 0.03
+    np.fill_diagonal(extra, False)
+    w[extra] = rng.uniform(0.5, 1.5, extra.sum())
+    return Graph(w)
+
+
+# Directed diagrams: trunk and +1 branch, continued on the quotient
+DIRECTED_GRAPHS = {
+    "ring6": directed_ring(6),
+    "ring8": directed_ring(8),
+    "ring12": directed_ring(12),
+    "weighted_3cycle": Graph(np.array([[0.0, 2.0, 0.0], [0.0, 0.0, 0.5], [1.5, 0.0, 0.0]])),
+    "random9": Graph(np.where(np.eye(9, dtype=bool), 0.0,
+                              np.random.default_rng(7).uniform(0.5, 2.0, (9, 9)))),
+    "irregular40": irregular_digraph(40),
+}
+
+
+def _continued(case):
+    """The continued branches of the default quintic (each beta's trunk and
+    +1 outer branch; the -1 one is its reflected image) or of a directed
+    diagram, and J at a point of them."""
+    if case == "quintic":
+        spec = ex.QuinticScenario().population_spec()
+        return ([br for d in ex.run_quintic_transition() for br in [d.trunk, *d.outer[:1]]],
+                lambda pt: reduced3_jacobian(pt.x, spec, pt.param))
+    g = DIRECTED_GRAPHS[case]
+    return _quotient_diagram(g, (0.5, 1.5), 2.2), lambda pt: jacobian(pt.x, g, pt.param)
+
+
+class TestMetzlerCertificate:
+    """Without jac_sym, a point whose J is Metzler with det J of sign (-1)^n
+    is proved stable by one solve, y = (-J)^-1 1 > 0; only the other points
+    take eigvals, and every tag is the eigvals/slogdet tag bit for bit."""
+
+    @pytest.mark.parametrize("case", ["quintic", "irregular40"])
+    def test_eigvals_only_at_unstable_points(self, monkeypatch, case):
+        calls = count_linalg_calls(monkeypatch, "eigvals")
+        branches, _ = _continued(case)
+        unstable = sum(pt.n_unstable > 0 for br in branches for pt in br.points)
+        assert 0 < unstable < sum(len(br.points) for br in branches)
+        assert calls["eigvals"] == unstable
+
+    @pytest.mark.parametrize("case", ["quintic", "irregular40"])
+    def test_tags_are_the_spectral_tags_bit_for_bit(self, case):
+        branches, jac_at = _continued(case)
+        for pt in (pt for br in branches for pt in br.points):
+            jac = jac_at(pt)
+            sign, logdet = np.linalg.slogdet(jac)
+            assert pt.n_unstable == int(np.sum(real_parts(jac) > STABILITY_MARGIN))
+            assert_bitwise(pt.det_sign, sign)
+            assert_bitwise(pt.log_abs_det, logdet)
+
+    def test_a_negative_off_diagonal_entry_takes_eigvals(self, monkeypatch):
+        # J has the unstable pair 0.247 +- 0.402i and det J < 0, and yet
+        # (-J)^-1 1 = (11, 1, 4) > 0: J[1, 0] < 0, so J is not Metzler and
+        # the solve proves nothing.
+        # The branch of f(x, p) = J x + p 1 is x = -p J^-1 1, with J at every point.
+        jac = np.array([[-1.0, 2.0, 2.0], [-1.0, -2.0, 3.0], [0.0, 3.0, -1.0]])
+        ones = np.ones(3)
+        assert np.all(np.linalg.solve(-jac, ones) > 0)
+        problem = bif.ContinuationProblem(f=lambda x, p: jac @ x + p * ones,
+                                          jac_x=lambda x, p: jac.copy(),
+                                          jac_p=lambda x, p: ones)
+        calls = count_linalg_calls(monkeypatch, "eigvals")
+        branch = continue_branch(problem, np.zeros(3), 0.0, (0.0, 1.0))
+        assert len(branch.points) > 2
+        assert calls["eigvals"] == len(branch.points)
+        assert all(pt.n_unstable == 2 and pt.det_sign == -1.0 for pt in branch.points)
+
+    def test_singleton_lift_tags_from_the_bordered_matrix(self, monkeypatch):
+        # Over a range with no singular point every J that continuation
+        # builds is a bordered matrix's block: on the identity lift jac_x is
+        # called once per bordered matrix, and a quotient's network never.
+        # Each tag equals the one computed from a fresh jac_x.
+        g = DIRECTED_GRAPHS["irregular40"]
+        counts = {"jac_x": 0, "bordered": 0}
+
+        def counting(problem):
+            def jac_x(x, p):
+                counts["jac_x"] += 1
+                return problem.jac_x(x, p)
+            return dataclasses.replace(problem, jac_x=jac_x)
+
+        def bordered(*args, _real=bif._bordered):
+            counts["bordered"] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(bif, "_bordered", bordered)
+        problem = counting(normalized_problem(g))
+        branch = continue_branch(problem, np.zeros(g.n), 0.5, (0.5, 0.9))
+        assert not branch.singular_points
+        assert counts["jac_x"] == counts["bordered"] >= len(branch.points)
+        for pt in branch.points:
+            assert_same_fields(pt, bif._equilibrium(problem, pt.x, pt.param))
+
+        quotient, lift = bif.quotient_problem(g)
+        assert lift.singletons
+        network = counting(lift.network)
+        counts["jac_x"] = 0
+        got = continue_branch(quotient, np.zeros(g.n), 0.5, (0.5, 0.9),
+                              lift=dataclasses.replace(lift, network=network))
+        assert counts["jac_x"] == 0
+        assert_same_branch(got, branch)
+
+
+@pytest.mark.parametrize("graph", DIRECTED_GRAPHS.values(), ids=DIRECTED_GRAPHS.keys())
+def test_unstable_points_of_directed_diagrams_lose_stability_through_a_real_eigenvalue(graph):
+    # J is Metzler and irreducible, so its eigenvalue of largest real part is
+    # real and simple (Perron-Frobenius on J + c I): the fact that lets one
+    # solve, not the spectrum, prove a point stable.
+    for br in _quotient_diagram(graph, (0.5, 1.5), 2.2):
+        for pt in (pt for pt in br.points if pt.n_unstable > 0):
+            jac = jacobian(pt.x, graph, pt.param)
+            ev = np.linalg.eigvals(jac)
+            assert abs(ev[np.argmax(ev.real)].imag) <= 1e-12 * np.linalg.norm(jac, 2)
+
+
 def assert_switching_holds(g):
     """At the trunk's first pitchfork the network's null vector is the lifted
     quotient null vector, so the switched branch starts on the quotient; and

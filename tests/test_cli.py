@@ -391,6 +391,11 @@ class TestValidate:
         ("continue", {"u_range": [1.0, 1.5]}, "u_range end 1.0 is a singular point"),
         ("continue", {"graph": {"kind": "directed_ring", "n": 6}, "u_range": [0.5, 1.0]},
          "u_range end 1.0 is a singular point"),
+        # 3e-16 below the trunk's second crossing, u = 1 / cos(pi / 7), where
+        # det J is not 0 in floating point
+        ("continue", {"graph": {"kind": "weights", "weights": path_graph(8).weights.tolist()},
+                      "u_range": [0.5, 1.1099162641747424]},
+         "u_range end 1.1099162641747424 is a singular point"),
         ("sweep", {"scenario": "uninformed_influence", "nu_grid": []}, "and at least one"),
         ("sweep", {"scenario": "uninformed_influence", "n3_values": []}, "distinct"),
         ("sweep", {"scenario": "uninformed_influence", "n3_values": [3, 3]}, "distinct"),
@@ -428,7 +433,7 @@ class TestValidate:
             "continue-one_agent_complete", "continue-one_agent_weights",
             "continue-branch_end_below_pitchfork", "continue-branch_end_at_pitchfork",
             "continue-range_ends_at_pitchfork", "continue-range_starts_at_pitchfork",
-            "continue-ring_range_ends_at_pitchfork",
+            "continue-ring_range_ends_at_pitchfork", "continue-path8_range_ends_at_crossing",
             "uninformed_influence-empty_nu_grid", "uninformed_influence-no_n3",
             "uninformed_influence-duplicate_n3", "quintic_transition-zero_degree_group",
             "continue-h_max_below_h_min", "continue-h_max_cannot_finish",
