@@ -45,17 +45,11 @@ Off the undirected trunk (directed graphs, informed trunks and branches off
 the trunk) a det flip sees only the parity of the eigenvalues that cross in
 one step.
 
-Both continuation runners build their problem with one factory,
-``model_problem``: the model equation with its analytic derivatives, jac_p
-included.  The quintic transition continues the three-group quotient with its
-information.  A network diagram is continued on the quotient of the graph's
-coarsest equitable partition (``quotient_problem``), one unknown per cell,
-whose points and tangents bracket each singular point; each branch point is
-the lifted state (``Lift``).  Off the trunk, tags, det flips and their
-refinement, null vectors and classification use the network's J at the
-lifted state, so a flip that breaks symmetry inside a cell is still found;
-on it the trunk spectrum of the whole network does.  With singleton cells
-the quotient is the network, bit for bit.
+Every problem of the model equation is built by ``model_problem``, with its
+analytic derivatives: the network's, the three-group quotient of the quintic
+transition, and the quotient of a graph's coarsest equitable partition
+(``quotient_problem``), on which a network diagram is continued, one unknown
+per cell, each branch point lifted to the agents and tagged there (``Lift``).
 """
 
 from __future__ import annotations
@@ -66,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import NEGATIVE_EFFORT, _field, normalized_field, reduced3_field, sech2
+from .dynamics import NEGATIVE_EFFORT, _field, reduced3_field, sech2
 from .graphs import Graph, PopulationSpec, cell_weights, equitable_partition
 
 NEWTON_TOL = 1e-12
@@ -84,6 +78,13 @@ EPS = float(np.finfo(float).eps)
 
 class BifurcationError(RuntimeError):
     pass
+
+
+def _read_only(a) -> np.ndarray:
+    """A view of the array `a` that refuses writes, leaving `a` as it was."""
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
 
 
 # ---------------------------------------------------------------------------
@@ -198,26 +199,6 @@ class ContinuationProblem:
         return (self.f(x, p + h) - self.f(x, p - h)) / (2 * h)
 
 
-def normalized_problem(g: Graph) -> ContinuationProblem:
-    """Continuation of the normalized network field over u.
-
-    On an undirected graph, J = -D + u A diag(s) with s = sech^2(x) is similar
-    to the symmetric -D + u (r r^T o A), r = sqrt(s), by diag(r).
-    """
-    jac_sym = None
-    if g.is_undirected:
-        def jac_sym(x, u):
-            r = np.sqrt(sech2(x))
-            return _minus_degrees((u * r[:, None]) * g.weights * r, g.degrees)
-
-    return ContinuationProblem(
-        f=lambda x, u: normalized_field(x, g, u),
-        jac_x=lambda x, u: jacobian(x, g, u),
-        jac_p=lambda x, u: g.weights @ np.tanh(x),
-        jac_sym=jac_sym,
-    )
-
-
 class TrunkSpectrum:
     """The uninformed trunk x = 0 of an undirected graph in closed form.
 
@@ -232,17 +213,17 @@ class TrunkSpectrum:
 
     def __init__(self, g: Graph):
         root_d = np.sqrt(g.degrees)
-        self.mu, self.vectors = np.linalg.eigh(g.weights / root_d[:, None] / root_d)
-        self.root_d = root_d
+        mu, vectors = np.linalg.eigh(g.weights / root_d[:, None] / root_d)
         self.d_min, self.d_max = g.degrees.min(), g.degrees.max()
         self.log_det_d = float(np.sum(np.log(g.degrees)))
         # the crossings in increasing u; each within REFINE_TOL of the one
         # before joins its group, kept as its first u, eigenvalue index and size
-        index = np.flatnonzero(self.mu > 0)[::-1]
-        at = 1.0 / self.mu[index]
+        index = np.flatnonzero(mu > 0)[::-1]
+        at = 1.0 / mu[index]
         first = np.flatnonzero(np.diff(at, prepend=-np.inf) > REFINE_TOL)
-        self.at, self.index = at[first], index[first]
-        self.multiplicity = np.diff(np.append(first, len(at)))
+        self.mu, self.vectors, self.root_d, self.at, self.index, self.multiplicity = map(
+            _read_only, (mu, vectors, root_d, at[first], index[first],
+                         np.diff(np.append(first, len(at)))))
 
     def point(self, x: np.ndarray, u: float) -> Equilibrium | None:
         """The trunk point (x = 0, u) tagged from the kappa_k, or None when
@@ -297,7 +278,8 @@ class Lift:
     (``TrunkSpectrum``).  ``sizes`` counts the agents of each cell,
     ``first`` is each cell's first agent, and ``weights`` are the RMS
     arclength weights (n_k / n per cell, 1 on the parameter):
-    ||y[cells]||^2 / n = sum_k n_k y_k^2 / n.
+    ||y[cells]||^2 / n = sum_k n_k y_k^2 / n.  These four arrays are
+    read-only, as are the trunk's, so one lift serves any number of runs.
 
     On ``singletons``, cells[i] = i, the continued problem is the network's
     arithmetic, so its J at a point is the network's and the tag reads it
@@ -309,11 +291,13 @@ class Lift:
     trunk: TrunkSpectrum | None = None
 
     def __post_init__(self):
-        sizes = np.bincount(self.cells).astype(float)
+        cells = _read_only(self.cells)
+        sizes = _read_only(np.bincount(cells).astype(float))
+        object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "sizes", sizes)
-        object.__setattr__(self, "first", np.unique(self.cells, return_index=True)[1])
-        object.__setattr__(self, "weights", np.append(sizes / sizes.sum(), 1.0))
-        object.__setattr__(self, "singletons", len(sizes) == len(self.cells))
+        object.__setattr__(self, "first", _read_only(np.unique(cells, return_index=True)[1]))
+        object.__setattr__(self, "weights", _read_only(np.append(sizes / sizes.sum(), 1.0)))
+        object.__setattr__(self, "singletons", len(sizes) == len(cells))
 
     def state(self, y: np.ndarray) -> np.ndarray:
         return y[self.cells]
@@ -347,10 +331,12 @@ def _identity(problem: ContinuationProblem, n: int) -> Lift:
 
 def model_problem(degrees: np.ndarray, weights: np.ndarray,
                   beta: np.ndarray | None = None) -> ContinuationProblem:
-    """The model equation -D y + u B tanh(y) + beta over the effort u >= 0,
-    with its analytic derivatives: J = -D + u B diag(sech^2 y) and
-    jac_p = B tanh(y).  degrees, weights B and beta are fixed arrays, so a
-    quotient and the three-group model are built by the same factory."""
+    """The model equation -D y + u B tanh(y) + beta over the effort u >= 0
+    of a network, a quotient or the three-group model, with its analytic
+    derivatives J = -D + u B diag(sech^2 y) and jac_p = B tanh(y); it reads
+    degrees and weights B through read-only views."""
+    degrees, weights = _read_only(degrees), _read_only(weights)
+
     def f(y, u):
         if not u >= 0:
             raise ValueError(NEGATIVE_EFFORT)
@@ -361,6 +347,21 @@ def model_problem(degrees: np.ndarray, weights: np.ndarray,
         jac_x=lambda y, u: _jacobian(y, degrees, weights, u),
         jac_p=lambda y, u: weights @ np.tanh(y),
     )
+
+
+def normalized_problem(g: Graph) -> ContinuationProblem:
+    """Continuation of the normalized network field over u: the model
+    equation on g's degrees and weights (``model_problem``).
+
+    On an undirected graph, J = -D + u A diag(s) with s = sech^2(x) is similar
+    to the symmetric -D + u (r r^T o A), r = sqrt(s), by diag(r).
+    """
+    def jac_sym(x, u):
+        r = np.sqrt(sech2(x))
+        return _minus_degrees((u * r[:, None]) * g.weights * r, g.degrees)
+
+    return replace(model_problem(g.degrees, g.weights),
+                   jac_sym=jac_sym if g.is_undirected else None)
 
 
 def quotient_problem(g: Graph) -> tuple[ContinuationProblem, Lift]:

@@ -27,6 +27,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,8 +76,8 @@ from .solver import (
 # ---------------------------------------------------------------------------
 
 # Most agents a config may ask for.  The dense n x n float64 weight matrix is
-# then 128 MiB; a Graph holds it and its Laplacian, and the runners' dense
-# linear algebra is cubic in n (a continuation at n = 1000 takes about 30 s).
+# then 128 MiB; a Graph holds it and its Laplacian, and dense linear algebra
+# is cubic in n (complete-1000 loads in 0.25 s and runs in 1 s on one core).
 MAX_AGENTS = 4096
 
 
@@ -88,17 +89,48 @@ def _graph_size(n: int) -> int:
     return n
 
 
+# The keys of a graph document, by kind.
+GRAPH_KEYS = {
+    "complete": ("kind", "n", "weight"),
+    "directed_ring": ("kind", "n", "weight"),
+    "population": ("kind", "n1", "n2", "n3", "coupling"),
+    "weights": ("kind", "weights", "n"),
+}
+
+
+def _is_number(value) -> bool:
+    # float() would also read true and "2" as numbers
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _numbers(value, key: str) -> np.ndarray:
+    """Nested lists of JSON numbers as a float array; a bool, a string or
+    null anywhere in them is rejected."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            # a list of plain ints and floats, a row of a parsed matrix, at C speed
+            if not set(map(type, v)) <= {int, float}:
+                stack.extend(v)
+        elif not _is_number(v):
+            raise ValueError(f"{key!r} must hold numbers only, got {v!r}")
+    return np.array(value, dtype=float)
+
+
 def graph_from_config(cfg: dict) -> Graph:
-    """Build a graph from a {"kind": ...} document; a missing size reads as None."""
+    """Build a graph from a {"kind": ...} document, strictly: a key outside
+    its kind's ``GRAPH_KEYS`` is rejected; a missing size reads as None."""
     if not isinstance(cfg, dict):
         raise ValueError(f"a graph must be a JSON object, got {cfg!r}")
     kind = cfg.get("kind")
-    if kind == "complete":
-        n = _graph_size(agent_count(cfg.get("n"), "n"))
-        return complete_graph(n, float(cfg.get("weight", 1.0)))
-    if kind == "directed_ring":
-        n = _graph_size(agent_count(cfg.get("n"), "n"))
-        return directed_ring(n, float(cfg.get("weight", 1.0)))
+    if not (isinstance(kind, str) and kind in GRAPH_KEYS):
+        raise ValueError(f"unknown graph kind {kind!r}; expected complete, "
+                         "directed_ring, population, or weights")
+    unknown = sorted(map(str, set(cfg) - set(GRAPH_KEYS[kind])))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in a {kind} graph; "
+                         f"valid keys: {sorted(GRAPH_KEYS[kind])}")
     if kind == "population":
         spec = population_spec_from_config(cfg)
         _graph_size(spec.n_total)
@@ -106,32 +138,21 @@ def graph_from_config(cfg: dict) -> Graph:
     if kind == "weights":
         if "weights" not in cfg:
             raise ValueError("a weights graph needs weights")
-        w = np.array(cfg["weights"], dtype=float)
+        w = _numbers(cfg["weights"], "weights")
         n = agent_count(cfg["n"], "n") if "n" in cfg else int(round(len(np.ravel(w)) ** 0.5))
         n = _graph_size(n)
         return Graph(np.reshape(w, (n, n)))
-    raise ValueError(f"unknown graph kind {kind!r}; expected complete, "
-                     "directed_ring, population, or weights")
+    n = _graph_size(agent_count(cfg.get("n"), "n"))
+    weight = cfg.get("weight", 1.0)
+    if not _is_number(weight):
+        raise ValueError(f"'weight' must be a number, got {weight!r}")
+    return (complete_graph if kind == "complete" else directed_ring)(n, float(weight))
 
 
 def population_spec_from_config(cfg: dict) -> PopulationSpec:
-    coupling = np.array(cfg.get("coupling", np.ones((3, 3))), dtype=float)
+    coupling = _numbers(cfg["coupling"], "coupling") if "coupling" in cfg else np.ones((3, 3))
     sizes = [agent_count(cfg.get(key), key) for key in ("n1", "n2", "n3")]
     return PopulationSpec(*sizes, coupling=coupling.reshape(3, 3))
-
-
-def _graph_and_beta(graph_cfg: dict, beta_a: float, beta_b: float):
-    """The graph of a config and its information vector (None when uninformed).
-
-    Information needs the groups of a population graph; any graph may run
-    uninformed.
-    """
-    g = graph_from_config(graph_cfg)
-    if graph_cfg.get("kind") == "population":
-        return g, beta_vector(population_spec_from_config(graph_cfg), beta_a, beta_b)
-    if beta_a == 0.0 and beta_b == 0.0:
-        return g, None
-    raise ValueError("beta_a/beta_b require a population graph")
 
 
 def _check_range(name: str, p_range: tuple[float, float]) -> None:
@@ -217,6 +238,11 @@ def _singular_points_doc(branches: dict[str, bif.Branch]) -> list[dict]:
 
 @dataclass(frozen=True)
 class PitchforkScenario:
+    """The load check builds the continuation problem (``bif.quotient_problem``),
+    checks the ends of u_range on it, and keeps (quotient, lift), read-only,
+    as ``_built``, a plain attribute, not a field: it holds closures, so the
+    scenario does not pickle."""
+
     graph: dict = field(default_factory=lambda: {"kind": "complete", "n": 10})
     u_range: tuple[float, float] = (0.5, 1.5)
     u_branch_end: float = 2.2
@@ -236,15 +262,16 @@ class PitchforkScenario:
             raise ValueError("continuation requires at least two agents")
         if not is_strongly_connected(g):
             raise ValueError("continuation requires a strongly connected graph")
+        quotient, lift = bif.quotient_problem(g)
         # f_p = 0 on the trunk x = 0, so its bordered matrix is singular with J.
         # On an undirected graph the trunk's crossings are u = 1 / mu_k
-        # (``bif.TrunkSpectrum``), and an end within REFINE_TOL of one is
-        # rejected: whether the trunk reports it would rest on its last bits.
-        trunk = bif.TrunkSpectrum(g) if g.is_undirected else None
+        # (``lift.trunk``), and an end within REFINE_TOL of one is rejected:
+        # whether the trunk reports it would rest on its last bits.
         for u in self.u_range:
-            if (np.any(np.abs(trunk.at - u) <= bif.REFINE_TOL) if trunk is not None
-                    else np.linalg.slogdet(bif.jacobian(np.zeros(g.n), g, u))[0] == 0):
+            if (np.any(np.abs(lift.trunk.at - u) <= bif.REFINE_TOL) if lift.trunk is not None
+                    else np.linalg.slogdet(lift.network.jac_x(np.zeros(g.n), u))[0] == 0):
                 raise ValueError(f"u_range end {u} is a singular point of the trunk x = 0")
+        object.__setattr__(self, "_built", (quotient, lift))
 
 
 @dataclass
@@ -259,14 +286,15 @@ def run_pitchfork_diagram(scenario: PitchforkScenario = PitchforkScenario(),
                           out_dir=None) -> PitchforkResult:
     """Trace the undecided trunk, locate its singularity, switch branches.
 
-    Both branches are continued on the quotient of the graph's coarsest
-    equitable partition (``bif.quotient_problem``), one unknown per cell,
-    and every point is lifted to the agents and tagged on the network's J;
-    det flips that break symmetry inside a cell are found there too.  On an
-    undirected graph the trunk x = 0 is tagged instead from one spectrum of
-    D^-1/2 A D^-1/2, which reports every eigenvalue crossing in u_range,
-    each at u = 1 / mu_k and with its multiplicity, not only the det flips
-    (``bif.TrunkSpectrum``); `singular_params` lists them all.  The
+    Both branches are continued on the (quotient, lift) that the scenario
+    built when it loaded (``bif.quotient_problem``), one unknown per cell of
+    the graph's coarsest equitable partition, so a run builds no network.
+    Every point is lifted to the agents and tagged on the network's J; det
+    flips that break symmetry inside a cell are found there too.  On an
+    undirected graph the trunk x = 0 is tagged instead from the lift's
+    spectrum of D^-1/2 A D^-1/2, which reports every eigenvalue crossing in
+    u_range, each at u = 1 / mu_k and with its multiplicity, not only the
+    det flips (``lift.trunk``); `singular_params` lists them all.  The
     trunk's first pitchfork, at u = 1 on a trunk that starts below it, has
     the null vector 1 (J = -L there), which is constant on the cells, so its
     branch is switched and continued on the quotient as well
@@ -282,8 +310,7 @@ def run_pitchfork_diagram(scenario: PitchforkScenario = PitchforkScenario(),
     and sech^2 even, and J(-x) = J(x)), so the continued -1 branch would
     equal it bit for bit.
     """
-    g = graph_from_config(scenario.graph)
-    quotient, lift = bif.quotient_problem(g)
+    quotient, lift = scenario._built
     trunk, sp = bif.trace_trunk(quotient, np.zeros(len(lift.sizes)), scenario.u_range,
                                 scenario.h_max, lift)
     upper = lower = None
@@ -299,7 +326,7 @@ def run_pitchfork_diagram(scenario: PitchforkScenario = PitchforkScenario(),
     result = PitchforkResult(trunk=trunk, upper=upper, lower=lower,
                              singular_params=[sp.param for sp in trunk.singular_points])
     if out_dir is not None:
-        names = [f"x_{i + 1}" for i in range(g.n)]
+        names = [f"x_{i + 1}" for i in range(len(lift.cells))]
         branches = {name: br for name, br in
                     (("trunk", trunk), ("upper", upper), ("lower", lower)) if br is not None}
         _write_outputs(out_dir, scenario,
@@ -797,7 +824,8 @@ class AdaptiveScenario:
     Cases: "symmetric" (no information; passage through the pitchfork with a
     bifurcation delay), "case1" (net preference; smooth slide from deadlock to
     decision), "case2" (near-balanced strong information in the subcritical
-    regime; the deadlock branch folds and the trajectory jumps).
+    regime; the deadlock branch folds and the trajectory jumps).  The load
+    check keeps the network it builds for ``run_adaptive`` (``_build_network``).
     """
 
     case: str = "symmetric"
@@ -832,10 +860,8 @@ class AdaptiveScenario:
         if not self.horizon_factor > 0:
             raise ValueError("horizon_factor must be positive")
         # the estimator's graph requirements: undirected, two agents, connected
-        g, _ = _graph_and_beta(self.graph, self.beta_a, self.beta_b)
-        if lambda2(g) <= LAMBDA2_MIN:
+        if lambda2(_build_network(self, "ubar0", self.ubar0)) <= LAMBDA2_MIN:
             raise ValueError(DISCONNECTED_GRAPH)
-        _check_efforts("ubar0", self.ubar0, g.n, self.utilde_amplitude)
         if self.epsilon > 0.1:
             warnings.warn(
                 f"epsilon = {self.epsilon} is large; the slow/fast timescale "
@@ -866,11 +892,23 @@ class AdaptiveResult:
     diagnostics: dict
 
 
-def _check_efforts(name: str, u: float, n: int, amplitude: float) -> None:
-    """Reject a mean effort `name` = u whose heterogeneities make an effort negative."""
-    if not np.all(u + _utilde_pattern(n, amplitude) >= 0):
+def _build_network(scenario, name: str, u: float) -> Graph:
+    """Build the graph g, information beta (None when uninformed; it needs a
+    population graph's groups) and effort heterogeneities utilde of an
+    adaptive or simulate scenario, reject a mean effort `name` = u that they
+    make negative, and keep (g, beta, utilde), read-only, as ``_built``."""
+    g, beta = graph_from_config(scenario.graph), None
+    if scenario.graph.get("kind") == "population":
+        beta = bif._read_only(beta_vector(population_spec_from_config(scenario.graph),
+                                          scenario.beta_a, scenario.beta_b))
+    elif not (scenario.beta_a == 0.0 and scenario.beta_b == 0.0):
+        raise ValueError("beta_a/beta_b require a population graph")
+    utilde = _utilde_pattern(g.n, scenario.utilde_amplitude)
+    if not np.all(u + utilde >= 0):
         raise ValueError(f"efforts {name} + utilde must be nonnegative: "
                          f"|utilde_amplitude| exceeds {name}")
+    object.__setattr__(scenario, "_built", (g, beta, utilde))
+    return g
 
 
 def _utilde_pattern(n: int, amplitude: float) -> float | np.ndarray:
@@ -880,7 +918,7 @@ def _utilde_pattern(n: int, amplitude: float) -> float | np.ndarray:
     pattern = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(n)])
     if n % 2 == 1:
         pattern[-1] = 0.0
-    return amplitude * pattern
+    return bif._read_only(amplitude * pattern)
 
 
 def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
@@ -903,9 +941,8 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
     solver module); the dense states of event location compute their own.
     The trajectory carries the solver's SolverStats.
     """
-    g, beta = _graph_and_beta(scenario.graph, scenario.beta_a, scenario.beta_b)
+    g, beta, utilde = scenario._built
     n = g.n
-    utilde = _utilde_pattern(n, scenario.utilde_amplitude)
     eps, y_th = scenario.epsilon, scenario.y_th
     rng = np.random.default_rng(scenario.seed)
     x0 = scenario.x0_amplitude * rng.uniform(-1, 1, n)
@@ -976,9 +1013,7 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
     jump_hits = [h for h in hits if h.index == 2]
     ubar_c = float(escape_hits[0].state[n]) if escape_hits else None
 
-    ubar_star_value = None
-    if beta is None:
-        ubar_star_value = bif.ubar_star(g, utilde).ubar
+    ubar_star_value = bif.ubar_star(g, utilde).ubar if beta is None else None
     diagnostics = {
         "case": scenario.case,
         "ubar0": scenario.ubar0,
@@ -1033,8 +1068,7 @@ class SimulateScenario:
             raise ValueError("horizon and tolerances must be positive")
         if not (self.eta > 0 and self.delta_tol >= 0):
             raise ValueError("decision thresholds must be positive")
-        g, _ = _graph_and_beta(self.graph, self.beta_a, self.beta_b)
-        _check_efforts("u", self.u, g.n, self.utilde_amplitude)
+        _build_network(self, "u", self.u)
 
 
 @dataclass
@@ -1047,8 +1081,8 @@ class SimulateResult:
 
 def run_simulate(scenario: SimulateScenario, out_dir=None) -> SimulateResult:
     """Integrate the model with efforts u + utilde and classify the terminal state."""
-    g, beta = _graph_and_beta(scenario.graph, scenario.beta_a, scenario.beta_b)
-    efforts = scenario.u + _utilde_pattern(g.n, scenario.utilde_amplitude)
+    g, beta, utilde = scenario._built
+    efforts = scenario.u + utilde
     f = lambda t, x: normalized_field(x, g, efforts, beta)
     rng = np.random.default_rng(scenario.seed)
     x0 = scenario.x0_amplitude * rng.uniform(-1, 1, g.n)

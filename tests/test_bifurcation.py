@@ -615,12 +615,12 @@ class TestContinuation:
                                             for pt in res.upper.points) == upper_unstable
 
     def test_each_point_is_tagged_once(self, monkeypatch):
-        # The diagram computes the trunk spectrum once, with one eigh, and
-        # tags the trunk from it with no factorization; each upper-branch
-        # point takes one Cholesky of -J_sym, the branch-switch seed only as
-        # the switched branch's first point.
-        scenario = ex.PitchforkScenario(graph={"kind": "complete", "n": 200})
+        # Loading and running the diagram computes the trunk spectrum once,
+        # with one eigh, and tags the trunk from it with no factorization;
+        # each upper-branch point takes one Cholesky of -J_sym, the
+        # branch-switch seed only as the switched branch's first point.
         calls = count_linalg_calls(monkeypatch, "eigh", "cholesky", "eigvalsh", "slogdet")
+        scenario = ex.PitchforkScenario(graph={"kind": "complete", "n": 200})
         res = ex.run_pitchfork_diagram(scenario)
         assert len(res.trunk.points) + len(res.upper.points) == 49
         assert calls == {"eigh": 1, "cholesky": len(res.upper.points), "eigvalsh": 0,

@@ -418,6 +418,25 @@ class TestValidate:
         # both print as "1", so the second beta's results overwrote the first's
         ("sweep", {"scenario": "quintic_transition", "beta_grid": [1.0, 1.0000001]},
          "must differ in their %g output tags"),
+        # a graph document is checked as strictly as a config: a misspelled
+        # key would run with its default, and float() would read "2" and true
+        ("continue", {"graph": {"kind": "complete", "n": 10, "wieght": 2}},
+         "unknown keys ['wieght'] in a complete graph"),
+        ("continue", {"graph": {"kind": "directed_ring", "n": 6, "weights": [[0, 1], [1, 0]]}},
+         "unknown keys ['weights'] in a directed_ring graph"),
+        ("simulate", {"graph": {"kind": "population", "n1": 2, "n2": 2, "n3": 2, "n": 6}},
+         "unknown keys ['n'] in a population graph"),
+        ("simulate", {"graph": {"kind": "weights", "weights": [[0, 1], [1, 0]], "weight": 2}},
+         "unknown keys ['weight'] in a weights graph"),
+        ("continue", {"graph": {"kind": "complete", "n": 10, "weight": "2"}},
+         "'weight' must be a number, got '2'"),
+        ("continue", {"graph": {"kind": "complete", "n": 10, "weight": True}},
+         "'weight' must be a number, got True"),
+        ("continue", {"graph": {"kind": "weights", "weights": [[0, "1"], ["1", 0]]}},
+         "'weights' must hold numbers only, got '1'"),
+        ("adaptive", {"case": "case1", "graph": {"kind": "population", "n1": 2, "n2": 2, "n3": 6,
+                                                 "coupling": [[1, 1, 1], [1, 1, True], [1, 1, 1]]}},
+         "'coupling' must hold numbers only, got True"),
     ], ids=["value_sensitivity-h_max", "value_sensitivity-u_scan",
             "value_sensitivity-n1_n2", "uninformed_influence-n3",
             "pitchfork_diagram-disconnected", "simulate-beta",
@@ -441,7 +460,10 @@ class TestValidate:
             "reduction_demo-empty_informed_group", "reduction_demo-empty_uninformed_group",
             "value_sensitivity-series_overflow", "uninformed_influence-series_overflow",
             "hysteresis-grid_too_large", "quintic_transition-empty_beta_grid",
-            "quintic_transition-beta_tags_collide"])
+            "quintic_transition-beta_tags_collide", "complete-misspelled_key",
+            "directed_ring-weights_key", "population-n_key", "weights-weight_key",
+            "complete-weight_str", "complete-weight_bool", "weights-str_entries",
+            "population-bool_coupling"])
     def test_runner_preconditions_checked_at_load(self, tmp_path, capsys,
                                                   command, doc, message):
         # validate is the load step of each command, so it rejects every

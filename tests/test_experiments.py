@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -12,7 +13,7 @@ import netdecide.bifurcation as bif
 import netdecide.experiments as ex
 from conftest import adaptive_rhs
 from netdecide.dynamics import Decision, DecisionConfig, classify_decision, normalized_field
-from netdecide.graphs import directed_ring
+from netdecide.graphs import directed_ring, path_graph
 from netdecide.solver import EstimatorRun, SolverError
 
 
@@ -423,9 +424,8 @@ class TestAdaptiveRhs:
     def test_matches_field_and_effort_rate(self, monkeypatch, rng, case, amplitude):
         scenario = ex.adaptive_scenario(case, utilde_amplitude=amplitude)
         rhs = adaptive_rhs(monkeypatch, scenario)
-        g, beta = ex._graph_and_beta(scenario.graph, scenario.beta_a, scenario.beta_b)
+        g, beta, utilde = scenario._built
         n = g.n
-        utilde = ex._utilde_pattern(n, amplitude)
         assert isinstance(utilde, np.ndarray) == (amplitude > 0)
         assert (beta is None) == (case == "symmetric")
         eps, y_th = scenario.epsilon, scenario.y_th
@@ -555,6 +555,69 @@ class TestDeterminism:
         ex.run_adaptive(ex.adaptive_scenario("symmetric"), out_dir=a)
         ex.run_adaptive(ex.adaptive_scenario("symmetric"), out_dir=b)
         assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
+
+    @pytest.mark.parametrize("runner, scenario", [
+        ("run_pitchfork_diagram", lambda: ex.PitchforkScenario(
+            graph={"kind": "weights", "weights": path_graph(8).weights.tolist()})),
+        ("run_adaptive", lambda: ex.adaptive_scenario("case1", utilde_amplitude=0.05)),
+        ("run_simulate", lambda: ex.SimulateScenario(
+            graph={"kind": "population", "n1": 2, "n2": 2, "n3": 6}, beta_a=0.3,
+            beta_b=0.2, utilde_amplitude=0.05, t_end=10.0)),
+    ], ids=["pitchfork", "adaptive", "simulate"])
+    def test_one_scenario_runs_twice_alike(self, monkeypatch, runner, scenario):
+        # The load check builds the network once and the scenario keeps it:
+        # the runner builds nothing, and what it reads refuses writes, so a
+        # second run of the same object equals the first bit for bit.
+        scenario = scenario()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a runner built its network again")
+
+        for namespace, name in ((ex, "graph_from_config"), (ex, "_build_network"),
+                                (bif, "quotient_problem")):
+            monkeypatch.setattr(namespace, name, refuse)
+        first, second = (getattr(ex, runner)(scenario) for _ in range(2))
+        assert _bits(first) == _bits(second)
+        kept = _arrays(scenario._built, set())
+        assert len(kept) >= 4
+        for a in kept:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = a
+
+
+def _bits(obj):
+    """obj as nested tuples in which every array and float is its bytes, so
+    that == compares bit for bit."""
+    if dataclasses.is_dataclass(obj):
+        return tuple(_bits(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, (list, tuple)):
+        return tuple(map(_bits, obj))
+    if isinstance(obj, dict):
+        return tuple((key, _bits(value)) for key, value in obj.items())
+    if isinstance(obj, float):
+        return obj.hex()
+    return obj
+
+
+def _arrays(obj, seen: set) -> list[np.ndarray]:
+    """Every array reachable from obj through tuples, attributes and the
+    cells of closures."""
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, tuple):
+        children = obj
+    elif callable(obj):
+        children = [cell.cell_contents for cell in getattr(obj, "__closure__", None) or ()]
+    elif hasattr(obj, "__dict__"):
+        children = vars(obj).values()
+    else:
+        return []
+    return [a for child in children for a in _arrays(child, seen)]
 
 
 class TestDecisionOnBranches:
