@@ -38,7 +38,6 @@ from .graphs import (
     PopulationSpec,
     complete_graph,
     directed_ring,
-    equitable_partition,
     is_strongly_connected,
     lambda2,
     path_graph,

@@ -47,9 +47,10 @@ one step.
 
 Every problem of the model equation is built by ``model_problem``, with its
 analytic derivatives: the network's, the three-group quotient of the quintic
-transition, and the quotient of a graph's coarsest equitable partition
-(``quotient_problem``), on which a network diagram is continued, one unknown
-per cell, each branch point lifted to the agents and tagged there (``Lift``).
+transition, and the network's restriction to its consensus line x = y 1
+(``quotient_problem``), on which an uninformed network diagram is continued
+in one unknown, each branch point lifted to the agents and tagged there
+(``Lift``).
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import NEGATIVE_EFFORT, _field, reduced3_field, sech2
-from .graphs import Graph, PopulationSpec, cell_weights, equitable_partition
+from .graphs import Graph, PopulationSpec
 
 NEWTON_TOL = 1e-12
 REFINE_TOL = 1e-8
@@ -265,10 +266,12 @@ class TrunkSpectrum:
 
 @dataclass(frozen=True)
 class Lift:
-    """The map from a quotient problem back to the network: a quotient state
-    y lifts to the cell-constant state y[cells], where cells[i] is the cell
-    of agent i, numbered by first agent.  Only states are lifted: tangents
-    stay on the quotient.
+    """The map from a continued problem back to the network: its state y
+    lifts to the cell-constant state y[cells], where cells[i] is the cell of
+    agent i, numbered by first agent.  The consensus line is one cell
+    (``quotient_problem``), a problem continued on its own state space n
+    singleton cells (``_identity``).  Only states are lifted: tangents stay
+    on the continued problem.
 
     ``network`` is the network's problem, on which every lifted point off
     the trunk is tagged and every other singular point located and
@@ -365,23 +368,23 @@ def normalized_problem(g: Graph) -> ContinuationProblem:
 
 
 def quotient_problem(g: Graph) -> tuple[ContinuationProblem, Lift]:
-    """The normalized network field on the quotient of g's coarsest equitable
-    partition (``equitable_partition``), over u, and its lift to g.
+    """The normalized network field on its consensus line x = y 1, over u,
+    and its lift to g, which maps y to y 1.
 
-    The quotient is the model equation (``model_problem``) on the first agent
-    of each cell: its degrees, and B[k, m], its weight sum into cell m.  The
-    cell-constant states are invariant under the field, which there equals
-    the quotient field, lifted.  A partition into singletons gives B = A and
-    the network's arithmetic bit for bit.
+    Every row of D^-1 A sums to 1, so f(y 1, u) = d o (u tanh y - y): the
+    line is invariant, and its equilibria are the zeros of the one-unknown
+    model equation (``model_problem``) f = d_1 (u tanh y - y).  It keeps the
+    first agent's degree d_1 as its scale because NEWTON_TOL is absolute: a
+    residual of the quotient is then that agent's residual on the network.
 
     On an undirected g with positive degrees the lift carries the spectrum of
     the uninformed trunk (``TrunkSpectrum``): the trunk's points are tagged,
     and its crossings placed, from one ``eigh`` instead of the network's J.
     """
     trunk = TrunkSpectrum(g) if g.is_undirected and g.degrees.min() > 0 else None
-    lift = Lift(normalized_problem(g), equitable_partition(g), trunk)
-    return model_problem(g.degrees[lift.first],
-                         cell_weights(g.weights[lift.first], lift.cells)), lift
+    d = g.degrees[:1]
+    return (model_problem(d, d[:, None]),
+            Lift(normalized_problem(g), np.zeros(g.n, dtype=np.intp), trunk))
 
 
 def reduced3_problem(spec: PopulationSpec, beta_a: float, beta_b: float) -> ContinuationProblem:

@@ -182,75 +182,6 @@ def lambda2(g: Graph) -> float:
     return float(evals[1])
 
 
-def _ascending_entries(weights: np.ndarray):
-    """The positive entries (rows, cols, vals) of nonnegative weights, row by
-    row, each row's in ascending order of value, with int32 indices
-    (n (n + 1) < 2^31 up to n = 46340 agents)."""
-    cols = np.argsort(weights, axis=1)
-    vals = np.take_along_axis(weights, cols, axis=1)
-    positive = vals > 0
-    rows = np.repeat(np.arange(len(weights), dtype=np.int32),
-                     np.count_nonzero(positive, axis=1))
-    return rows, cols[positive].astype(np.int32), vals[positive]
-
-
-def _label_sums(entries, labels: np.ndarray, n_labels: int, n_rows: int) -> np.ndarray:
-    """S[i, k]: the entries of row i whose column has label k, added one by
-    one in ascending order (``np.add.at`` accumulates in index order), so
-    rows whose entries into a label are one multiset get the same sum bit for
-    bit.  Entries of label n_labels are dropped."""
-    rows, cols, vals = entries
-    sums = np.zeros(n_rows * (n_labels + 1))
-    np.add.at(sums, rows * np.int32(n_labels + 1) + labels[cols], vals)
-    return sums.reshape(n_rows, n_labels + 1)[:, :n_labels]
-
-
-def cell_weights(weights: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Weight sums into each cell: S[i, k] sums weights[i, j] over the agents
-    j of cell k (cells numbered 0, 1, ...), as ``equitable_partition``
-    compares them."""
-    return _label_sums(_ascending_entries(weights), cells, cells.max() + 1, len(weights))
-
-
-def equitable_partition(g: Graph) -> np.ndarray:
-    """Cell of each agent in the coarsest equitable partition of g: every agent
-    of a cell places the same weight sum on each cell, the out-weights that
-    f_i = -d_i x_i + u sum_j a_ij tanh(x_j) reads.
-
-    Colour refinement (1-dimensional Weisfeiler-Leman) starts from one cell
-    and splits each cell by its agents' ``cell_weights``, compared exactly,
-    until no cell splits.  The first round compares the row sums.  A later
-    round compares the sums into the parts of the cells that split in the
-    round before only: the sums into any older cell were equal across each
-    cell when it last split.  It reads only the nonzero weights into those
-    parts, so the n/2 rounds of a path of n agents do not each cost O(n^2).
-    Cells are numbered in the order of their first agent, so a partition
-    into singletons is the identity, cells[i] = i.
-    """
-    cells = np.zeros(g.n, dtype=np.intp)
-    # the ascending row sums, added one by one as _label_sums adds them (the
-    # zeros first add nothing), without the entries a graph of one cell never needs
-    sums = np.cumsum(np.sort(g.weights, axis=1), axis=1)[:, [-1]]
-    entries = None
-    while True:
-        _, first, inverse = np.unique(np.column_stack([cells, sums]), axis=0,
-                                      return_index=True, return_inverse=True)
-        rank = np.empty(len(first), dtype=np.intp)
-        rank[np.argsort(first)] = np.arange(len(first))
-        # a cell split when it holds the first agents of several new cells;
-        # its parts are the fresh cells, whose sums the next round compares
-        fresh = (np.bincount(cells[first]) > 1)[cells]
-        cells = rank[inverse.reshape(-1)]
-        if not fresh.any():
-            return cells
-        if entries is None:
-            entries = _ascending_entries(g.weights)
-        fresh_cells = np.unique(cells[fresh])
-        # each fresh agent's label is its cell's rank among the fresh cells
-        labels = np.where(fresh, np.searchsorted(fresh_cells, cells), len(fresh_cells))
-        sums = _label_sums(entries, labels.astype(np.int32), len(fresh_cells), g.n)
-
-
 def three_population_graph(spec: PopulationSpec) -> Graph:
     """Block graph from a PopulationSpec: coupling[k, m] on every agent pair of
     groups k and m, the agents numbered group by group (``spec.groups``)."""

@@ -861,22 +861,39 @@ def _network_diagram(g, u_range, u_branch_end, h_max=0.1):
     return trunk, bif.switched_branch(problem, sp, +1, (sp.param, u_branch_end), h_max)
 
 
+def assert_quotient_is_network(g, u_range, u_branch_end):
+    """The quotient diagram equals the network's: the same points, states
+    within 1e-10, tags, and singular points within REFINE_TOL.  Returns it."""
+    diagram = _quotient_diagram(g, u_range, u_branch_end)
+    for got, want in zip(diagram, _network_diagram(g, u_range, u_branch_end)):
+        assert len(got.points) == len(want.points)
+        for a, b in zip(got.points, want.points):
+            assert abs(a.param - b.param) <= 1e-10
+            assert np.abs(a.x - b.x).max() <= 1e-10
+            assert (a.n_unstable, a.det_sign) == (b.n_unstable, b.det_sign)
+        assert ([(sp.kind, sp.refined) for sp in got.singular_points]
+                == [(sp.kind, sp.refined) for sp in want.singular_points])
+        for a, b in zip(got.singular_points, want.singular_points):
+            assert abs(a.param - b.param) <= REFINE_TOL
+    return diagram
+
+
 # (graph, u_range, u_branch_end) continued on the quotient and on the network
 QUOTIENT_CASES = {
     "complete20": ({"kind": "complete", "n": 20}, (0.5, 1.5), 2.2),
     "complete200": ({"kind": "complete", "n": 200}, (0.5, 1.5), 2.2),
-    # three cells of 40, 40 and 120 agents
+    # three groups of 40, 40 and 120 agents
     "population40_40_120": ({"kind": "population", "n1": 40, "n2": 40, "n3": 120,
                              "coupling": [[1.0, 0.5, 0.8], [0.5, 1.0, 1.2], [0.8, 1.2, 1.0]]},
                             (0.5, 1.5), 2.2),
-    # five cells, one of them a single agent, and two more det flips past u = 1
+    # irregular, with two more det flips past u = 1
     "path9": ({"kind": "weights", "weights": path_graph(9).weights.tolist()}, (0.5, 1.5), 2.2),
-    # the groups 1 and 2 antisymmetric mode, transverse to the two cells,
-    # flips det J on the trunk at u = 61/11
+    # the groups 1 and 2 antisymmetric mode, transverse to the consensus
+    # line, flips det J on the trunk at u = 61/11
     "two_cells": ({"kind": "population", "n1": 5, "n2": 5, "n3": 10,
                    "coupling": _two_cell_coupling()}, (0.5, 6.0), 7.0),
     # that transverse flip is the trunk's first pitchfork: its branch leaves
-    # the quotient and is continued on the network
+    # the consensus line and is continued on the network
     "two_cells_transverse_first": ({"kind": "population", "n1": 5, "n2": 5, "n3": 10,
                                     "coupling": _two_cell_coupling()}, (2.0, 6.0), 7.0),
     "ring12": ({"kind": "directed_ring", "n": 12}, (0.5, 1.5), 2.2),
@@ -884,24 +901,13 @@ QUOTIENT_CASES = {
 
 
 class TestQuotientContinuation:
-    """A diagram continued on the quotient of the coarsest equitable
-    partition, tagged on the network, is the network's diagram."""
+    """A diagram continued on the consensus line x = y 1, one unknown, and
+    tagged on the network, is the network's diagram."""
 
     @pytest.mark.parametrize("graph, u_range, u_branch_end", QUOTIENT_CASES.values(),
                              ids=QUOTIENT_CASES.keys())
     def test_quotient_diagram_is_the_network_diagram(self, graph, u_range, u_branch_end):
-        g = ex.graph_from_config(graph)
-        for got, want in zip(_quotient_diagram(g, u_range, u_branch_end),
-                             _network_diagram(g, u_range, u_branch_end)):
-            assert len(got.points) == len(want.points)
-            for a, b in zip(got.points, want.points):
-                assert abs(a.param - b.param) <= 1e-10
-                assert np.abs(a.x - b.x).max() <= 1e-10
-                assert (a.n_unstable, a.det_sign) == (b.n_unstable, b.det_sign)
-            assert ([(sp.kind, sp.refined) for sp in got.singular_points]
-                    == [(sp.kind, sp.refined) for sp in want.singular_points])
-            for a, b in zip(got.singular_points, want.singular_points):
-                assert abs(a.param - b.param) <= REFINE_TOL
+        assert_quotient_is_network(ex.graph_from_config(graph), u_range, u_branch_end)
 
     def test_transverse_flip_is_reported(self):
         graph, u_range, u_branch_end = QUOTIENT_CASES["two_cells"]
@@ -914,22 +920,11 @@ class TestQuotientContinuation:
         assert np.abs(phi[10:]).max() <= 1e-8
 
     def test_quotient_arclength_is_the_lifted_rms_arclength(self, rng):
-        # On a consensus branch every cell moves alike, and any weights that
-        # sum to 1 give the same steps; off it the cells weigh n_k / n.
+        # On the consensus line every agent moves alike: y weighs n / n = 1.
         _, lift = bif.quotient_problem(path_graph(9))
-        z = rng.normal(size=6)
+        z = rng.normal(size=len(lift.weights))
         x = lift.state(z[:-1])
         assert z @ (lift.weights * z) == pytest.approx(x @ x / 9 + z[-1] ** 2, rel=1e-14)
-
-    def test_singleton_partition_reproduces_network_arithmetic(self):
-        rng = np.random.default_rng(7)
-        w = rng.uniform(0.5, 2.0, (9, 9))
-        np.fill_diagonal(w, 0.0)
-        g = Graph(w)
-        assert np.array_equal(bif.quotient_problem(g)[1].cells, np.arange(9))
-        for got, want in zip(_quotient_diagram(g, (0.5, 1.5), 2.2),
-                             _network_diagram(g, (0.5, 1.5), 2.2)):
-            assert_same_branch(got, want)
 
     def test_complete_200_diagram_solves_nothing_larger_than_2x2(self, monkeypatch):
         sizes = []
@@ -1071,7 +1066,7 @@ class TestTrunkSpectrum:
 
 def irregular_digraph(n, seed=7):
     """The ring i -> i + 1 of n agents plus about 3 % random arcs of weight
-    U(0.5, 1.5): strongly connected, directed, and with singleton cells."""
+    U(0.5, 1.5): strongly connected, directed and irregular."""
     rng = np.random.default_rng(seed)
     w = np.zeros((n, n))
     w[np.arange(n), (np.arange(n) + 1) % n] = 1.0
@@ -1148,7 +1143,7 @@ class TestMetzlerCertificate:
     def test_singleton_lift_tags_from_the_bordered_matrix(self, monkeypatch):
         # Over a range with no singular point every J that continuation
         # builds is a bordered matrix's block: on the identity lift jac_x is
-        # called once per bordered matrix, and a quotient's network never.
+        # called once per bordered matrix, and a singleton lift's network never.
         # Each tag equals the one computed from a fresh jac_x.
         g = DIRECTED_GRAPHS["irregular40"]
         counts = {"jac_x": 0, "bordered": 0}
@@ -1171,12 +1166,11 @@ class TestMetzlerCertificate:
         for pt in branch.points:
             assert_same_fields(pt, bif._equilibrium(problem, pt.x, pt.param))
 
-        quotient, lift = bif.quotient_problem(g)
+        lift = bif.Lift(counting(normalized_problem(g)), np.arange(g.n))
         assert lift.singletons
-        network = counting(lift.network)
         counts["jac_x"] = 0
-        got = continue_branch(quotient, np.zeros(g.n), 0.5, (0.5, 0.9),
-                              lift=dataclasses.replace(lift, network=network))
+        got = continue_branch(normalized_problem(g), np.zeros(g.n), 0.5, (0.5, 0.9),
+                              lift=lift)
         assert counts["jac_x"] == 0
         assert_same_branch(got, branch)
 
@@ -1220,14 +1214,36 @@ def test_switching_assumption(graph):
     assert_switching_holds(ex.graph_from_config(graph))
 
 
-@given(st.integers(2, 8), st.booleans(), st.data())
-def test_switching_assumption_on_drawn_graphs(n, symmetric, data):
-    w = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
-                                    min_size=n * n, max_size=n * n))).reshape(n, n)
+@st.composite
+def strongly_connected_graphs(draw):
+    """Strongly connected graphs of 2 to 8 agents, directed or undirected,
+    with weights from {0, 0.5, 1, 2}."""
+    n, symmetric = draw(st.integers(2, 8)), draw(st.booleans())
+    w = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                               min_size=n * n, max_size=n * n))).reshape(n, n)
     np.fill_diagonal(w, 0.0)
     g = Graph(w + w.T if symmetric else w)
     assume(is_strongly_connected(g))
+    return g
+
+
+@given(strongly_connected_graphs())
+def test_switching_assumption_on_drawn_graphs(g):
     assert_switching_holds(g)
+
+
+@given(strongly_connected_graphs())
+def test_consensus_line_carries_every_uninformed_diagram(g):
+    # Every row of D^-1 A sums to 1, so the line x = y 1 is invariant and its
+    # one unknown continues the network's diagram.  Its switched branch is
+    # y 1 with u tanh y = y, where u sech^2 y < 1: -J 1 = d (1 - u sech^2 y)
+    # > 0 and J is Metzler, so every point is stable (Berman & Plemmons 6.2.3).
+    _, upper = assert_quotient_is_network(g, (0.5, 1.5), 2.2)
+    for pt in upper.points:
+        y = pt.x[0]
+        assert np.array_equal(pt.x, np.full(g.n, y))
+        assert abs(pt.param * np.tanh(y) - y) <= NEWTON_TOL / g.degrees[0]
+        assert pt.n_unstable == 0 and pt.det_sign == (-1) ** g.n
 
 
 # Graphs whose switched branches are compared with their mirror images.
@@ -1238,7 +1254,7 @@ REFLECTION_GRAPHS = {
     "coupled235": {"kind": "population", "n1": 2, "n2": 3, "n3": 5,
                    "coupling": [[1.0, 0.5, 0.8], [0.4, 1.0, 1.2], [0.7, 0.9, 1.0]]},
     "ring8": {"kind": "directed_ring", "n": 8},
-    # five cells, one of them a single agent
+    # irregular
     "path9": {"kind": "weights", "weights": path_graph(9).weights.tolist()},
 }
 

@@ -1,11 +1,9 @@
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 import pytest
-from conftest import deadline
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,10 +12,8 @@ from netdecide.experiments import graph_from_config
 from netdecide.graphs import (
     Graph,
     PopulationSpec,
-    cell_weights,
     complete_graph,
     directed_ring,
-    equitable_partition,
     is_strongly_connected,
     lambda2,
     path_graph,
@@ -241,85 +237,3 @@ def test_size_ceiling_admits_every_scenario_size(monkeypatch):
     assert built == [ex.MAX_AGENTS]
     with pytest.raises(ValueError, match="agents"):
         graph_from_config({"kind": "complete", "n": ex.MAX_AGENTS + 1})
-
-
-# ---------------------------------------------------------------------------
-# Coarsest equitable partition
-# ---------------------------------------------------------------------------
-
-def _two_cell_population():
-    coupling = np.ones((3, 3))
-    coupling[0, 1] = coupling[1, 0] = 0.25
-    return three_population_graph(PopulationSpec(5, 5, 10, coupling))
-
-
-@pytest.mark.parametrize("g, n_cells", [
-    (complete_graph(1000), 1),
-    (directed_ring(400), 1),
-    (path_graph(9), 5),
-    (three_population_graph(PopulationSpec(200, 200, 600)), 1),
-    # the swap of groups 1 and 2 merges them; the uninformed group stays apart
-    (_two_cell_population(), 2),
-])
-def test_equitable_partition_cells(g, n_cells):
-    assert equitable_partition(g).max() + 1 == n_cells
-
-
-def test_equitable_partition_of_path_pairs_mirror_agents():
-    assert equitable_partition(path_graph(9)).tolist() == [0, 1, 2, 3, 4, 3, 2, 1, 0]
-
-
-def test_long_path_refines_in_time():
-    # 500 rounds: each reads only the weights into the cells that split in
-    # the last one (re-sorting every row every round took 25 s)
-    with deadline(5.0):
-        assert equitable_partition(path_graph(1000)).max() + 1 == 500
-
-
-def test_rotated_rows_are_one_cell_whatever_the_rounding():
-    # Every row of a circulant holds the same weights, so its sums agree
-    # exactly; added in row order they round to three different values.
-    c = np.array([0.0, 0.1, 0.7, 0.3, 1e-3, 5.1, 0.01, 2.9, 0.2, 1 / 3, 1e5, 0.6])
-    w = np.array([np.roll(c, i) for i in range(len(c))])
-    assert len(set(w.sum(axis=1))) > 1
-    assert not equitable_partition(Graph(w)).any()
-
-
-def _weights(n, values, data):
-    w = np.array(data.draw(st.lists(st.sampled_from(values), min_size=n * n, max_size=n * n)))
-    w = w.reshape(n, n)
-    np.fill_diagonal(w, 0.0)
-    return w
-
-
-PARTITION_WEIGHTS = [0.0, 0.1, 0.3, 0.5, 1.0, 2.0]
-
-
-@given(st.integers(1, 12), st.booleans(), st.data())
-def test_equitable_partition_property(n, symmetric, data):
-    w = _weights(n, PARTITION_WEIGHTS, data)
-    w = w + w.T if symmetric else w
-    cells = equitable_partition(Graph(w))
-    n_cells = cells.max() + 1
-    # numbered by first agent: cell k first appears after cells 0..k-1
-    firsts = [np.flatnonzero(cells == k)[0] for k in range(n_cells)]
-    assert firsts == sorted(firsts) and firsts[0] == 0
-    # equitable: every agent of a cell has bit-identical sums into each cell
-    sums = cell_weights(w, cells)
-    for k in range(n_cells):
-        assert len({row.tobytes() for row in sums[cells == k]}) == 1
-    # and those are the weight sums, to the rounding of at most 12 additions
-    exact = [[math.fsum(w[i, cells == m]) for m in range(n_cells)] for i in range(n)]
-    assert np.allclose(sums, exact, rtol=1e-14, atol=0.0)
-    row_sums = cell_weights(w, np.zeros(n, dtype=int))[:, 0]
-    if len(set(row_sums.tolist())) == n:
-        assert np.array_equal(cells, np.arange(n))
-
-
-@given(st.integers(1, 12), st.data())
-def test_distinct_row_sums_give_singletons(n, data):
-    # Row i carries 100 (i + 1) more than any drawn row can sum to.
-    w = _weights(n, PARTITION_WEIGHTS, data)
-    if n > 1:
-        w[np.arange(n), (np.arange(n) + 1) % n] += 100.0 * np.arange(1, n + 1)
-    assert np.array_equal(equitable_partition(Graph(w)), np.arange(n))
