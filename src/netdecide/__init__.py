@@ -14,7 +14,6 @@ from .bifurcation import (
     model_problem,
     normalized_problem,
     quotient_problem,
-    reduced3_jacobian,
     reduced3_problem,
     ubar_star,
     us_star_hat,

@@ -66,10 +66,12 @@ from .graphs import Graph, PopulationSpec
 
 NEWTON_TOL = 1e-12
 REFINE_TOL = 1e-8
-# Continuation step control: first and smallest RMS-arclength step, point
-# budget, and the smallest RMS cosine between the tangents of an accepted step.
+# Continuation step control: first, smallest and largest RMS-arclength step
+# (||dx||^2/n + du^2), point budget, and the smallest RMS cosine between the
+# tangents of an accepted step.
 H0 = 0.01
 H_MIN = 1e-5
+H_MAX = 0.1
 MAX_POINTS = 20_000
 TANGENT_COS_MIN = 0.99
 SWITCH_OFFSET = 1e-3
@@ -111,11 +113,6 @@ def _jacobian(x, degrees, weights, u):
 def jacobian(x: np.ndarray, g: Graph, u: float | np.ndarray) -> np.ndarray:
     """Jacobian -D + U A diag(S'(x)) of normalized_field; u is one effort or one per agent."""
     return _jacobian(np.asarray(x, dtype=float), g.degrees, g.weights, u)
-
-
-def reduced3_jacobian(y: np.ndarray, spec: PopulationSpec, u: float) -> np.ndarray:
-    """3x3 Jacobian of reduced3_field: the same matrix on (spec.degrees, spec.quotient)."""
-    return _jacobian(np.asarray(y, dtype=float), spec.degrees, spec.quotient, u)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +388,7 @@ def reduced3_problem(spec: PopulationSpec, beta_a: float, beta_b: float) -> Cont
     """Continuation of the three-group reduced field over u."""
     return ContinuationProblem(
         f=lambda y, u: reduced3_field(y, spec, u, beta_a, beta_b),
-        jac_x=lambda y, u: reduced3_jacobian(y, spec, u),
+        jac_x=lambda y, u: _jacobian(y, spec.degrees, spec.quotient, u),
     )
 
 
@@ -549,7 +546,7 @@ def null_vectors(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def continue_branch(problem: ContinuationProblem, x_start: np.ndarray,
                     p_start: float, p_range: tuple[float, float],
-                    h_max: float = 0.1,
+                    h_max: float = H_MAX,
                     symmetric_trunk: bool = False,
                     initial_reference: np.ndarray | None = None,
                     lift: Lift | None = None) -> Branch:
@@ -739,7 +736,7 @@ def branch_switch(problem: ContinuationProblem, sp: SingularPoint,
 
 
 def trace_trunk(problem: ContinuationProblem, x_start: np.ndarray,
-                p_range: tuple[float, float], h_max: float, lift: Lift | None = None
+                p_range: tuple[float, float], h_max: float = H_MAX, lift: Lift | None = None
                 ) -> tuple[Branch, SingularPoint | None]:
     """Continue the symmetric trunk from p_range[0] over p_range, on the
     quotient when given its `lift` (``continue_branch``); return it with its
@@ -751,7 +748,7 @@ def trace_trunk(problem: ContinuationProblem, x_start: np.ndarray,
 
 
 def switched_branch(problem: ContinuationProblem, sp: SingularPoint, direction: int,
-                    p_range: tuple[float, float], h_max: float,
+                    p_range: tuple[float, float], h_max: float = H_MAX,
                     lift: Lift | None = None) -> Branch:
     """Continue over p_range the branch bifurcating at pitchfork `sp` on the
     side `direction` (+1 or -1) of its null vector, seeded by branch_switch
@@ -905,7 +902,7 @@ def ustar_numeric(n: int, n3: int, beta: float,
 
     def jac_at(u):
         ys = ystar_root(u, beta, big_n)
-        return reduced3_jacobian(np.array([ys, -ys, 0.0]), spec, u)
+        return _jacobian(np.array([ys, -ys, 0.0]), spec.degrees, spec.quotient, u)
 
     u_star = _first_det_flip(jac_at, np.linspace(u_range[0], u_range[1], 61), 1e-10)
     if u_star is None:

@@ -76,10 +76,10 @@ from .solver import (
 # ---------------------------------------------------------------------------
 
 # Most agents a config may ask for.  The dense n x n float64 weight matrix is
-# then 128 MiB; a Graph holds it and its Laplacian, and dense linear algebra
-# is cubic in n.  On one core of a 2-vCPU x86 host, the pitchfork diagram of
-# complete-4096 loads in 14 s and runs in 52 s (peak RSS 0.96 GB), and that
-# of path-4096, a weights document, loads in 19 s and runs in 50 s.
+# then 128 MiB, and dense linear algebra is cubic in n.  On one core of a
+# 2-vCPU x86 host, the pitchfork diagram of complete-4096 loads in 18 s and
+# runs in 58 s (peak RSS 0.83 GB), and that of path-4096, a weights document,
+# loads in 20 s and runs in 53 s.
 MAX_AGENTS = 4096
 
 
@@ -250,16 +250,15 @@ class PitchforkScenario:
     graph: dict = field(default_factory=lambda: {"kind": "complete", "n": 10})
     u_range: tuple[float, float] = (0.5, 1.5)
     u_branch_end: float = 2.2
-    h_max: float = 0.1          # largest step, in RMS arclength ||dx||^2/n + du^2
 
     def __post_init__(self):
-        _check_continuation("u_range", self.u_range, self.h_max)
+        _check_continuation("u_range", self.u_range, bif.H_MAX)
         if not self.u_range[1] < self.u_branch_end < np.inf:
             # every trunk pitchfork lies in u_range; a branch must run past it
             raise ValueError("u_branch_end must be finite and above u_range[1]")
         # a switched branch runs from its pitchfork, at most u_range[1]
         _check_reachable("(u_range[1], u_branch_end)", self.u_branch_end - self.u_range[1],
-                         self.h_max)
+                         bif.H_MAX)
         g = graph_from_config(self.graph)
         if g.n < 2:
             # one agent has d = 0, so J = 0 and the bordered matrix is singular
@@ -316,11 +315,11 @@ def run_pitchfork_diagram(scenario: PitchforkScenario = PitchforkScenario(),
     """
     quotient, lift = scenario._built
     trunk, sp = bif.trace_trunk(quotient, np.zeros(len(lift.sizes)), scenario.u_range,
-                                scenario.h_max, lift)
+                                lift=lift)
     upper = lower = None
     if sp is not None:
         branch = bif.switched_branch(quotient, sp, +1, (sp.param, scenario.u_branch_end),
-                                     scenario.h_max, lift)
+                                     lift=lift)
         for br in (branch, bif.reflected(branch)):
             # orient by the sign of the consensus component
             if br.points[-1].x.mean() >= 0:
@@ -365,8 +364,6 @@ class HysteresisScenario:
     beta_b_min: float = 0.0
     beta_b_max: float = 12.0
     beta_b_step: float = 0.1
-    settle_tol: float = 1e-8
-    horizon: float = 200.0
 
     def __post_init__(self):
         if not self.u >= 0:
@@ -378,8 +375,6 @@ class HysteresisScenario:
         if not points <= MAX_SWEEP_POINTS:
             raise ValueError(f"the beta_B grid has {points:.3g} points; at most "
                              f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS} are allowed")
-        if not (self.settle_tol > 0 and self.horizon > 0):
-            raise ValueError("settle tolerance and horizon must be positive")
         _graph_size(PopulationSpec(self.n1, self.n2, self.n3).n_total)
 
 
@@ -410,8 +405,7 @@ def run_hysteresis(scenario: HysteresisScenario = HysteresisScenario(),
     def settle(x0, beta_b):
         beta = beta_vector(spec, scenario.beta_a, beta_b)
         f = lambda t, x: normalized_field(x, g, scenario.u, beta)
-        x, ok, _ = integrate_to_equilibrium(f, x0, cfg, tol=scenario.settle_tol,
-                                            horizon=scenario.horizon)
+        x, ok, _ = integrate_to_equilibrium(f, x0, cfg)
         if not ok:
             raise SolverError(f"quasi-static settle failed at beta_B = {beta_b}")
         return x
@@ -1060,18 +1054,14 @@ class SimulateScenario:
     x0_amplitude: float = 1e-3
     seed: int = 0
     t_end: float = 50.0
-    rtol: float = 1e-8
-    atol: float = 1e-10
     eta: float = 0.1
-    delta_tol: float = 1e-6
 
     def __post_init__(self):
         if not self.u >= 0:
             raise ValueError(NEGATIVE_EFFORT)
-        if not (self.t_end > 0 and self.rtol > 0 and self.atol > 0):
-            raise ValueError("horizon and tolerances must be positive")
-        if not (self.eta > 0 and self.delta_tol >= 0):
-            raise ValueError("decision thresholds must be positive")
+        if not self.t_end > 0:
+            raise ValueError("horizon t_end must be positive")
+        DecisionConfig(eta=self.eta)
         _build_network(self, "u", self.u)
 
 
@@ -1090,12 +1080,9 @@ def run_simulate(scenario: SimulateScenario, out_dir=None) -> SimulateResult:
     f = lambda t, x: normalized_field(x, g, efforts, beta)
     rng = np.random.default_rng(scenario.seed)
     x0 = scenario.x0_amplitude * rng.uniform(-1, 1, g.n)
-    cfg = IntegratorConfig(rtol=scenario.rtol, atol=scenario.atol,
-                           max_time=scenario.t_end)
-    traj = integrate(f, x0, cfg)
+    traj = integrate(f, x0, IntegratorConfig(max_time=scenario.t_end))
     x_end = traj.final_state
-    decision = classify_decision(x_end, DecisionConfig(eta=scenario.eta,
-                                                       delta_tol=scenario.delta_tol))
+    decision = classify_decision(x_end, DecisionConfig(eta=scenario.eta))
     result = SimulateResult(
         trajectory=traj,
         terminal_norm=float(np.abs(x_end).max()),

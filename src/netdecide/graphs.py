@@ -19,7 +19,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable weighted interaction graph with cached degree/Laplacian data."""
+    """Immutable weighted interaction graph with cached degrees."""
 
     weights: np.ndarray
 
@@ -38,9 +38,6 @@ class Graph:
         deg = w.sum(axis=1)
         deg.flags.writeable = False
         object.__setattr__(self, "_degrees", deg)
-        lap = np.diag(deg) - w
-        lap.flags.writeable = False
-        object.__setattr__(self, "_laplacian", lap)
 
     @property
     def n(self) -> int:
@@ -53,8 +50,8 @@ class Graph:
 
     @property
     def laplacian(self) -> np.ndarray:
-        """Graph Laplacian L = D - A."""
-        return self._laplacian
+        """Graph Laplacian L = D - A, a new n x n array on each access."""
+        return np.diag(self.degrees) - self.weights
 
     @property
     def is_undirected(self) -> bool:

@@ -21,7 +21,6 @@ from netdecide.bifurcation import (
     jacobian,
     newton_solve,
     normalized_problem,
-    reduced3_jacobian,
     reduced3_problem,
     ubar_star,
     us_star_hat,
@@ -122,7 +121,7 @@ class TestJacobian:
     def test_reduced3_finite_difference(self, spec_223, rng):
         y = rng.normal(size=3)
         u = 1.1
-        jac = reduced3_jacobian(y, spec_223, u)
+        jac = bif.model_problem(spec_223.degrees, spec_223.quotient).jac_x(y, u)
         h = 1e-6
         fd = np.empty((3, 3))
         for j in range(3):
@@ -233,7 +232,7 @@ class TestModelProblem:
         for _ in range(5):
             y, u = rng.normal(scale=2.0, size=3), float(rng.uniform(0.0, 3.0))
             assert_bitwise(problem.f(y, u), reduced3_field(y, spec, u, beta, beta))
-            assert_bitwise(problem.jac_x(y, u), reduced3_jacobian(y, spec, u))
+            assert_bitwise(problem.jac_x(y, u), reduced3_problem(spec, beta, beta).jac_x(y, u))
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 3.0])
     def test_jac_p_is_the_derivative_in_u(self, beta, rng):
@@ -673,7 +672,7 @@ class TestContinuation:
         u0 = 0.4
         start = newton_solve(
             lambda y: reduced3_field(y, spec, u0, beta, beta),
-            lambda y: reduced3_jacobian(y, spec, u0),
+            lambda y: bif.model_problem(spec.degrees, spec.quotient).jac_x(y, u0),
             np.array([beta / (d1 + u0), -beta / (d1 + u0), 0.0]))
         trunk = continue_branch(problem, start, u0, (u0, 3.0), h_max=0.02,
                                 symmetric_trunk=True)
@@ -822,7 +821,7 @@ class TestContinuation:
         spec, u, beta_a = PopulationSpec(5, 5, 10), 1.06, 5.0
         problem = bif.ContinuationProblem(
             f=lambda y, beta_b: reduced3_field(y, spec, u, beta_a, beta_b),
-            jac_x=lambda y, beta_b: reduced3_jacobian(y, spec, u),
+            jac_x=lambda y, beta_b: bif.model_problem(spec.degrees, spec.quotient).jac_x(y, u),
             jac_p=lambda y, beta_b: np.array([0.0, -1.0, 0.0]))
         branch = continue_branch(problem, np.full(3, 3.0), 0.0, (0.0, 12.0), h_max=0.1)
         assert branch.points[0].n_unstable == 0
@@ -1095,7 +1094,7 @@ def _continued(case):
     if case == "quintic":
         spec = ex.QuinticScenario().population_spec()
         return ([br for d in ex.run_quintic_transition() for br in [d.trunk, *d.outer[:1]]],
-                lambda pt: reduced3_jacobian(pt.x, spec, pt.param))
+                lambda pt: bif.model_problem(spec.degrees, spec.quotient).jac_x(pt.x, pt.param))
     g = DIRECTED_GRAPHS[case]
     return _quotient_diagram(g, (0.5, 1.5), 2.2), lambda pt: jacobian(pt.x, g, pt.param)
 
@@ -1273,10 +1272,10 @@ class TestReflection:
         # run_pitchfork_diagram continues
         for problem, x_start, on in ((normalized_problem(g), np.zeros(g.n), None),
                                      (quotient, np.zeros(len(lift.sizes)), lift)):
-            _, sp = bif.trace_trunk(problem, x_start, scenario.u_range, scenario.h_max, on)
+            _, sp = bif.trace_trunk(problem, x_start, scenario.u_range, lift=on)
             p_range = (sp.param, scenario.u_branch_end)
-            up = bif.switched_branch(problem, sp, +1, p_range, scenario.h_max, on)
-            down = bif.switched_branch(problem, sp, -1, p_range, scenario.h_max, on)
+            up = bif.switched_branch(problem, sp, +1, p_range, lift=on)
+            down = bif.switched_branch(problem, sp, -1, p_range, lift=on)
             assert_same_branch(bif.reflected(up), down)
             # the sign of the null vector, and so of each side, is arbitrary
             assert up.points[-1].x.mean() * down.points[-1].x.mean() < 0

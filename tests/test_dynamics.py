@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import adaptive_rhs
-from netdecide.bifurcation import jacobian, reduced3_jacobian, ubar_star
+from netdecide.bifurcation import jacobian, model_problem, ubar_star
 from netdecide.dynamics import (
     Decision,
     DecisionConfig,
@@ -195,7 +195,7 @@ class TestReducedModels:
         assert full == pytest.approx(np.repeat(red, spec.sizes), abs=tol)
 
         full_jv = jacobian(x, g, u) @ np.repeat(v, spec.sizes)
-        red_jv = reduced3_jacobian(y, spec, u) @ v
+        red_jv = model_problem(spec.degrees, spec.quotient).jac_x(y, u) @ v
         assert full_jv == pytest.approx(np.repeat(red_jv, spec.sizes), abs=tol)
 
     def test_reduced_zero(self):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import netdecide.bifurcation as bif
+import netdecide.cli as cli
 import netdecide.experiments as ex
 from conftest import adaptive_rhs
 from netdecide.dynamics import Decision, DecisionConfig, classify_decision, normalized_field
@@ -67,20 +68,18 @@ class TestPitchforkDiagram:
             ex.PitchforkScenario(u_branch_end=u_branch_end)
 
     @pytest.mark.parametrize("overrides, message", [
-        ({"h_max": 1e-7}, "h_max must be at least H_MIN"),
-        ({"h_max": 0.0}, "h_max must be at least H_MIN"),
-        ({"h_max": 1e-5}, "u_range is 1 wide, more than MAX_POINTS"),
+        ({"u_range": (0.5, 2500.0)}, "u_range is 2499.5 wide, more than MAX_POINTS"),
         ({"u_branch_end": 3000.0}, r"\(u_range\[1\], u_branch_end\) is 2998.5 wide"),
-    ], ids=["below_h_min", "zero", "u_range_too_wide", "branch_too_wide"])
+    ], ids=["u_range_too_wide", "branch_too_wide"])
     def test_rejects_h_max_no_branch_can_finish(self, overrides, message):
-        # A step moves u by at most h_max, so MAX_POINTS points cannot cross
-        # a range wider than h_max (MAX_POINTS - 1): such a branch ran out of
+        # A step moves u by at most H_MAX, so MAX_POINTS points cannot cross
+        # a range wider than H_MAX (MAX_POINTS - 1): such a branch ran out of
         # points after 20 000 of them instead of failing at load.
         with pytest.raises(ValueError, match=message):
             ex.PitchforkScenario(**overrides)
 
     def test_accepts_smallest_h_max_on_a_narrow_range(self):
-        ex.PitchforkScenario(h_max=bif.H_MIN, u_range=(0.5, 0.6), u_branch_end=0.7)
+        ex.QuinticScenario(h_max=bif.H_MIN, u_range=(0.5, 0.6))
 
     def test_point_count_independent_of_n(self):
         # Steps are in RMS arclength, so the consensus branches x = y 1 take
@@ -492,14 +491,14 @@ class TestAdaptiveRhs:
 
 
 @pytest.mark.parametrize("cls, field", [
-    (ex.PitchforkScenario, "h_max"),
+    (ex.PitchforkScenario, "u_branch_end"),
     (ex.HysteresisScenario, "u"),
     (ex.QuinticScenario, "h_max"),
     (ex.ReductionScenario, "t_end"),
     (ex.ValueSensitivityScenario, "nu_grid"),
     (ex.UninformedInfluenceScenario, "nu_grid"),
     (ex.AdaptiveScenario, "epsilon"),
-    (ex.SimulateScenario, "rtol"),
+    (ex.SimulateScenario, "t_end"),
 ])
 def test_scenario_rejects_nan(cls, field):
     value = (float("nan"),) if field == "nu_grid" else float("nan")
@@ -537,6 +536,22 @@ def test_output_directory_contract(tmp_path, runner, scenario, files):
     summary = json.loads((tmp_path / "summary.json").read_text())
     blob = json.dumps(config, sort_keys=True).encode()
     assert summary["config_sha256"] == hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("runner, scenario", [(runner, scenario) for runner, scenario, _
+                                              in RUNNER_OUTPUTS],
+                         ids=[runner for runner, _, _ in RUNNER_OUTPUTS])
+def test_run_reproduces_from_its_config_json(tmp_path, runner, scenario):
+    # config.json holds every field, so the scenario the CLI builds from it
+    # writes the same bytes to every file.
+    first, second = tmp_path / "first", tmp_path / "second"
+    getattr(ex, runner)(scenario, out_dir=first)
+    doc = json.loads((first / "config.json").read_text())
+    getattr(ex, runner)(cli.build_scenario(type(scenario), doc), out_dir=second)
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 class TestDeterminism:
