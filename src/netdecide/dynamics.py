@@ -83,10 +83,16 @@ class Decision(enum.Enum):
 # Vector fields
 # ---------------------------------------------------------------------------
 
-def _field(x, degrees, weights, u, beta):
-    # -degrees * x + u * (weights @ tanh(x)) + beta, in place on the fresh
-    # product: u*s - d*x equals (-d)*x + u*s exactly in IEEE arithmetic.
-    out = np.dot(weights, np.tanh(x))
+def _field(x, degrees, weights, u, beta, out=None):
+    """-degrees * x + u * (weights @ tanh(x)) + beta, written into `out` if given.
+
+    In place on the product (a fresh array, or `out`): u*s - d*x equals
+    (-d)*x + u*s exactly in IEEE arithmetic.  The product is ndarray.dot, not
+    the np.dot dispatcher, and a scalar u is best an np.float64 (normalized_field
+    converts a float): a numpy call costs more with a Python float operand, for
+    the same result.
+    """
+    out = weights.dot(np.tanh(x), out)
     out *= u
     out -= degrees * x
     if beta is not None:
@@ -101,23 +107,27 @@ NEGATIVE_EFFORTS = "social efforts u must be nonnegative"
 def normalized_field(x: np.ndarray, g: Graph, u: float | np.ndarray,
                      beta: np.ndarray | None = None) -> np.ndarray:
     """Normalized-time dynamics -D x + U A S(x) + beta; u is one effort or one per agent."""
+    weights = g.weights
+    shape = weights.shape[:1]
     x = np.asarray(x, dtype=float)
-    if x.shape != (g.n,):
-        raise ValueError(f"state has shape {x.shape}, expected ({g.n},)")
+    if x.shape != shape:
+        raise ValueError(f"state has shape {x.shape}, expected {shape}")
     # A scalar effort must not pay for a numpy reduction on every call.
     # Written as not (u >= 0) so that NaN fails the check too.
     if isinstance(u, np.ndarray):
-        if u.shape != (g.n,):
-            raise ValueError(f"efforts have shape {u.shape}, expected ({g.n},)")
+        if u.shape != shape:
+            raise ValueError(f"efforts have shape {u.shape}, expected {shape}")
         if not (u >= 0).all():
             raise ValueError(NEGATIVE_EFFORTS)
     elif not u >= 0:
         raise ValueError(NEGATIVE_EFFORT)
+    elif type(u) is float:
+        u = np.float64(u)
     if beta is not None:
         beta = np.asarray(beta, dtype=float)
-        if beta.shape != (g.n,):
+        if beta.shape != shape:
             raise ValueError("information vector beta has wrong length")
-    return _field(x, g.degrees, g.weights, u, beta)
+    return _field(x, g.degrees, weights, u, beta)
 
 
 def reduced3_field(y: np.ndarray, spec: PopulationSpec, u: float,

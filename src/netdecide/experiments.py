@@ -970,7 +970,7 @@ def run_adaptive(scenario: AdaptiveScenario, out_dir=None) -> AdaptiveResult:
         if not ((u >= 0).all() if per_agent else u >= 0):
             raise SolverError(f"{negative}: the mean effort ubar fell to {z[n]:.6g}", time=t)
         dz = np.empty(n + 1)
-        dz[:n] = field_of(x, degrees, weights, u, beta)
+        field_of(x, degrees, weights, u, beta, dz[:n])
         dz[n] = eps * (y_th2 - y ** 2)
         last_z, last_y = z, y
         return dz

@@ -15,7 +15,11 @@ expression it replaces, so results are bit for bit those of the
 allocate-per-operation form.  The error norm's sum, the finiteness check's
 max and the settle test's max are ufunc reductions (np.add.reduce,
 np.maximum.reduce): the IEEE operations of ndarray.sum and ndarray.max,
-without their Python wrappers.
+without their Python wrappers.  For the same reason the stage and error
+combinations call ndarray.dot, not the np.dot dispatcher, and the step size,
+rtol and atol enter the in-place scalings as np.float64: a Python float
+operand costs each such call more, for the same product.  A run without
+events skips the event bookkeeping.
 
 Every run counts what its numerics did (``SolverStats``): field calls,
 accepted and rejected steps, the extreme accepted step sizes and the event
@@ -209,14 +213,15 @@ def _dp_step(f, t, x, h, k1):
     """
     k = np.empty((7, x.size))
     k[0] = k1
+    h64 = np.float64(h)
     for i, row, c in _DP_STAGES:
         # x + h * (row @ k[:i]), in place on the fresh stage input
-        xi = np.dot(row, k[:i])
-        xi *= h
+        xi = row.dot(k[:i])
+        xi *= h64
         xi += x
         k[i] = f(t + c * h, xi)
-    err = np.dot(_DP_ERR, k)
-    err *= h
+    err = _DP_ERR.dot(k)
+    err *= h64
     return xi, err, k
 
 
@@ -262,7 +267,7 @@ def _integrate(field, x0, cfg: IntegratorConfig, events: Sequence[Callable] = ()
     x = np.array(x0, dtype=float)
     t = 0.0
     t_end = cfg.max_time
-    atol, rtol, n = cfg.atol, cfg.rtol, x.size
+    atol, rtol, n = np.float64(cfg.atol), np.float64(cfg.rtol), x.size
     times = [t]
     states = [x]
     hits: list[EventHit] = []
@@ -313,17 +318,19 @@ def _integrate(field, x0, cfg: IntegratorConfig, events: Sequence[Callable] = ()
             h_max = h
         t_new = t + h
 
-        g_new = [ev(t_new, x_new) for ev in events]
-        step_hits = []
-        for i, (ga, gb) in enumerate(zip(g_prev, g_new)):
-            if (ga < 0 < gb) or (gb < 0 < ga) or (gb == 0.0 and ga != 0.0):
-                t_hit, x_hit, halvings = _locate_event(events[i], t, x, t_new, k)
-                n_bisections += halvings
-                step_hits.append(EventHit(i, t_hit, x_hit))
-        if step_hits:
-            hits.extend(sorted(step_hits, key=lambda hit: hit.time))
+        if events:
+            g_new = [ev(t_new, x_new) for ev in events]
+            step_hits = []
+            for i, (ga, gb) in enumerate(zip(g_prev, g_new)):
+                if (ga < 0 < gb) or (gb < 0 < ga) or (gb == 0.0 and ga != 0.0):
+                    t_hit, x_hit, halvings = _locate_event(events[i], t, x, t_new, k)
+                    n_bisections += halvings
+                    step_hits.append(EventHit(i, t_hit, x_hit))
+            if step_hits:
+                hits.extend(sorted(step_hits, key=lambda hit: hit.time))
+            g_prev = g_new
 
-        t, x, abs_x, g_prev, k1 = t_new, x_new, abs_new, g_new, k[6]
+        t, x, abs_x, k1 = t_new, x_new, abs_new, k[6]
         h *= min(5.0, max(0.2, 0.9 * (err_norm + 1e-16) ** -0.2))
         times.append(t)
         states.append(x)
@@ -349,8 +356,13 @@ def integrate_to_equilibrium(field, x0, cfg: IntegratorConfig | None = None,
     and reads dxdt, the derivative the step already holds, so it calls the
     field no extra time.  The settled flag is the verdict at the final state.
 
+    A tol that is not positive (NaN included) could never be met, and
+    raises ValueError.
+
     Returns (final state, settled flag, elapsed time).
     """
+    if not tol > 0:
+        raise ValueError(f"settle tolerance tol must be positive (got {tol})")
     cfg = replace(cfg or IntegratorConfig(), max_time=horizon)
     residual = np.inf
 

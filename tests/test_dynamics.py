@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import adaptive_rhs
 from netdecide.bifurcation import jacobian, model_problem, ubar_star
 from netdecide.dynamics import (
+    NEGATIVE_EFFORT,
     Decision,
     DecisionConfig,
     beta_vector,
@@ -16,6 +19,7 @@ from netdecide.dynamics import (
     group_opinion,
     normalized_field,
     reduced3_field,
+    _field,
     sech2,
 )
 from netdecide.experiments import AdaptiveScenario, adaptive_scenario
@@ -54,18 +58,51 @@ class TestFields:
             normalized_field(np.zeros(3), k10, 1.0)
         with pytest.raises(ValueError, match="shape"):
             normalized_field(np.zeros(10), k10, np.ones(3))
+        with pytest.raises(ValueError, match=re.escape("state has shape (3,), expected (10,)")):
+            normalized_field(np.zeros(3), k10, np.float64(1.0))
+        with pytest.raises(ValueError,
+                           match=re.escape("efforts have shape (10, 1), expected (10,)")):
+            normalized_field(np.zeros(10), k10, np.ones((10, 1)))
+        for beta in (np.zeros(9), np.zeros(11), np.zeros((10, 1))):
+            with pytest.raises(ValueError, match="information vector beta has wrong length"):
+                normalized_field(np.zeros(10), k10, 1.0, beta)
 
     def test_rejects_negative_efforts(self, k10):
         with pytest.raises(ValueError, match="nonnegative"):
             normalized_field(np.zeros(10), k10, -1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             normalized_field(np.zeros(10), k10, np.array([-0.1] + [1.0] * 9))
+        for u in (np.float64(-1.0), -1, -1e-300):
+            with pytest.raises(ValueError, match=f"^{NEGATIVE_EFFORT}$"):
+                normalized_field(np.zeros(10), k10, u)
+        # -0.0 >= 0: a signed zero is no effort, not a negative one
+        for u in (-0.0, np.float64(-0.0)):
+            assert np.array_equal(normalized_field(np.ones(10), k10, u), -9.0 * np.ones(10))
 
     def test_rejects_nan_efforts(self, k10):
         with pytest.raises(ValueError, match="nonnegative"):
             normalized_field(np.zeros(10), k10, float("nan"))
         with pytest.raises(ValueError, match="nonnegative"):
             normalized_field(np.zeros(10), k10, np.array([float("nan")] + [1.0] * 9))
+        with pytest.raises(ValueError, match=f"^{NEGATIVE_EFFORT}$"):
+            normalized_field(np.zeros(10), k10, np.float64("nan"))
+
+    @pytest.mark.parametrize("effort", ["float", "float64", "int", "per_agent"])
+    def test_equals_allocating_form_bit_for_bit(self, weighted_3cycle, z2_graph, rng, effort):
+        # In-place kernel, float effort as np.float64: the IEEE operations of
+        # u * (W @ tanh(x)) - d * x + beta, in that order; also written into
+        # the caller's buffer, as run_adaptive's right-hand side does.
+        for g in (weighted_3cycle, z2_graph):
+            u = {"float": 1.3, "float64": np.float64(1.3), "int": 2,
+                 "per_agent": 1.0 + 0.1 * rng.normal(size=g.n)}[effort]
+            for _ in range(5):
+                x = 3.0 * rng.normal(size=g.n)
+                beta = rng.normal(size=g.n)
+                want = u * (g.weights @ np.tanh(x)) - g.degrees * x + beta
+                assert np.array_equal(normalized_field(x, g, u, beta), want)
+                buf = np.full(g.n + 1, np.nan)
+                got = _field(x, g.degrees, g.weights, u, beta, buf[:-1])
+                assert np.shares_memory(got, buf) and np.array_equal(buf[:-1], want)
 
     @pytest.mark.parametrize("y", [np.zeros(2), np.zeros(4), np.zeros((3, 1)), np.zeros(())])
     def test_reduced3_field_rejects_wrong_shape(self, spec_223, y):

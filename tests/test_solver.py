@@ -122,6 +122,26 @@ class TestDormandPrinceStep:
         assert calls[6] is x5
         assert np.array_equal(k[6], f(t + h, x5))
 
+    @pytest.mark.parametrize("h", [0.05, 0.1 / 3, 1e-3 * np.pi])
+    def test_in_place_step_equals_allocating_form_bit_for_bit(self, z2_graph, rng, h):
+        # The module docstring's promise: the in-place step performs the IEEE
+        # operations of x + h * (row @ k[:i]) per stage and h * (E @ k), with
+        # h a Python float, in the same order.
+        beta = rng.normal(size=z2_graph.n)
+        f = lambda t, x: normalized_field(x, z2_graph, 1.3, beta)
+        t, x = 0.7, rng.normal(size=z2_graph.n)
+        k1 = f(t, x)
+        x5, err, k = _dp_step(f, t, x, h, k1)
+
+        want = np.empty_like(k)
+        want[0] = k1
+        for i in range(1, 7):
+            xi = x + h * (solver._DP_A[i, :i] @ want[:i])
+            want[i] = f(t + solver._DP_C[i] * h, xi)
+        assert np.array_equal(k, want)
+        assert np.array_equal(x5, xi)
+        assert np.array_equal(err, h * (solver._DP_ERR @ want))
+
 
 class TestOwnership:
     """The in-place arithmetic of a step updates only the buffers it allocated."""
@@ -238,9 +258,9 @@ class TestSettleTestUsesStage:
         seen, now = [], {"t": None}
         real_field, real_integrate = dyn._field, ex._integrate
 
-        def field(x, degrees, weights, u, beta):
+        def field(x, degrees, weights, u, beta, out=None):
             seen.append((now["t"], x.tobytes(), np.asarray(u, dtype=float).tobytes()))
-            return real_field(x, degrees, weights, u, beta)
+            return real_field(x, degrees, weights, u, beta, out)
 
         def timed(fn):
             def call(t, *args):
@@ -384,6 +404,18 @@ class TestSettle:
         with pytest.raises(SolverError, match=r"15 attempted steps did not reach t = 0\.001"):
             _integrate(lambda t, x: -1e4 * x, np.ones(1),
                        IntegratorConfig(rtol=1e-8, atol=1e-10, max_time=1e-3))
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0])
+    def test_rejects_a_tolerance_that_cannot_be_met(self, tol):
+        calls = []
+
+        def f(t, x):
+            calls.append(t)
+            return -x
+
+        with pytest.raises(ValueError, match="tol must be positive"):
+            integrate_to_equilibrium(f, np.ones(2), tol=tol)
+        assert not calls
 
     def test_step_budget_grows_with_the_horizon(self, monkeypatch):
         # more than MAX_STEPS steps, far fewer than the horizon over the
