@@ -91,7 +91,8 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Error tolerances of the Dormand-Prince pair and the integration span."""
+    """Error tolerances of the Dormand-Prince pair and the integration span,
+    which must be finite: the step budget grows with it."""
 
     rtol: float = 1e-8
     atol: float = 1e-10
@@ -101,6 +102,8 @@ class IntegratorConfig:
         # Written as not (x > 0) so that NaN fails the check too.
         if not (self.rtol > 0 and self.atol > 0 and self.max_time > 0):
             raise ValueError("tolerances and max_time must be positive")
+        if not math.isfinite(self.max_time):
+            raise ValueError(f"max_time must be finite (got {self.max_time})")
 
 
 @dataclass(frozen=True)
@@ -357,7 +360,7 @@ def integrate_to_equilibrium(field, x0, cfg: IntegratorConfig | None = None,
     field no extra time.  The settled flag is the verdict at the final state.
 
     A tol that is not positive (NaN included) could never be met, and
-    raises ValueError.
+    raises ValueError, as does a horizon that ``IntegratorConfig`` rejects.
 
     Returns (final state, settled flag, elapsed time).
     """
@@ -402,12 +405,15 @@ def integrate_nonsmooth(x: np.ndarray, g: Graph, alpha: float, tol: float) -> Es
     step is 1e-4 / alpha.  The run stops at twice that bound; then the
     returned error is above tol, and the caller decides what that means.  A
     run that would attempt more than MAX_STEPS steps beyond that time cap
-    over the initial step raises SolverError.
+    over the initial step raises SolverError, and a tol that is not positive
+    (NaN included) raises ValueError.
     The residual r = Lw + x and the step direction sgn(L r) are formed once
     for each accepted w, and a retry reuses them.
     """
     if alpha <= 0:
         raise ValueError("estimator gain alpha must be positive")
+    if not tol > 0:
+        raise ValueError(f"estimator tolerance tol must be positive (got {tol})")
     lam2 = lambda2(g)
     if lam2 <= LAMBDA2_MIN:
         raise SolverError(DISCONNECTED_GRAPH)

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import netdecide.bifurcation as bif
@@ -139,9 +139,9 @@ class TestJacobian:
 
 
 class TestJacobianBuilders:
-    """_jacobian and jac_sym subtract the degrees in place from the diagonal of
-    their product; the result equals the -np.diag(d) + ... expression bit for
-    bit, and the read-only graph arrays stay untouched."""
+    """_jacobian subtracts the degrees in place from the diagonal of its
+    product; the result equals the -np.diag(d) + ... expression bit for bit,
+    and the read-only graph arrays stay untouched."""
 
     @staticmethod
     def states(n, rng):
@@ -199,22 +199,6 @@ class TestJacobianBuilders:
                 expected = bif._minus_degrees((np.reshape(u, (-1, 1)) * weights) * sech2(x),
                                               degrees)
                 assert_bitwise(bif._jacobian(x, degrees, weights, u), expected)
-
-    @pytest.mark.parametrize("n", [1, 3, 10, 200])
-    def test_jac_sym(self, n, rng):
-        g = self.graph(n, rng)
-        weights, degrees = g.weights.copy(), g.degrees.copy()
-        jac_sym = normalized_problem(g).jac_sym
-        u = 1.3
-        for x in self.states(n, rng):
-            r = np.sqrt(sech2(x))
-            out = jac_sym(x, u)
-            assert_bitwise(out, -np.diag(degrees) + (u * r[:, None]) * weights * r)
-            assert out.flags.writeable
-            assert not np.shares_memory(out, g.weights)
-            assert out is not jac_sym(x, u)
-        assert_bitwise(g.weights, weights)
-        assert_bitwise(g.degrees, degrees)
 
 
 class TestModelProblem:
@@ -553,14 +537,14 @@ class TestContinuation:
         {"kind": "weights", "weights": path_graph(8).weights.tolist()},
     ], ids=["complete10", "complete200", "path8"])
     def test_symmetric_tagging_matches_eigvals(self, graph):
-        # On an undirected graph each point is tagged from jac_sym (Cholesky,
-        # or eigvalsh when -J_sym is not positive definite); the tags must
-        # equal those of eigvals/slogdet of jac_x itself.  log|det J| agrees
-        # within n eps (kappa_2(J) + |log|det J||): the first-order effect of
-        # an O(n eps) relative perturbation of J, plus n roundings of a sum
-        # of logarithms.  path8 has points with 2 unstable eigenvalues.
+        # On an undirected graph a trunk point is tagged from the trunk
+        # spectrum and any other from J (slogdet and the Metzler certificate,
+        # or eigvals); the tags must equal those of eigvals/slogdet of jac_x
+        # at the point.  log|det J| agrees within n eps (kappa_2(J) +
+        # |log|det J||): the first-order effect of an O(n eps) relative
+        # perturbation of J, plus n roundings of a sum of logarithms.  path8
+        # has points with 2 unstable eigenvalues.
         problem = normalized_problem(ex.graph_from_config(graph))
-        assert problem.jac_sym is not None
         res = ex.run_pitchfork_diagram(ex.PitchforkScenario(graph=graph))
         points = [pt for br in (res.trunk, res.upper, res.lower) for pt in br.points]
         for pt in points:
@@ -575,7 +559,7 @@ class TestContinuation:
         # The first three upper-branch points of the default diagram are
         # stable and nearly singular (kappa_2(J) from 1.7e7 down to 3.1e3).
         # Against det J evaluated in 40 digits from the same (x, u), the
-        # Cholesky log|det J| errs by at most eps kappa_2(J): the first-order
+        # slogdet log|det J| errs by at most eps kappa_2(J): the first-order
         # effect of rounding J once when the eigenvalue nearest 0 dominates.
         mpmath = pytest.importorskip("mpmath")
         g = complete_graph(10)
@@ -596,37 +580,36 @@ class TestContinuation:
 
     def test_eigvalsh_only_at_unstable_points(self, monkeypatch):
         # A trunk point is tagged from the trunk spectrum and a stable branch
-        # point by one Cholesky of -J_sym; only an unstable point off the
-        # trunk needs eigvalsh.  The complete-200 trunk has 6 unstable points
+        # point by the Metzler certificate; only an unstable point off the
+        # trunk needs eigvals.  The complete-200 trunk has 6 unstable points
         # and its upper branch none (the lower branch is the reflected upper
         # one); the two_cells branch leaves the quotient at a transverse
         # pitchfork, and its 26 points are all unstable.
-        calls = count_linalg_calls(monkeypatch, "eigvalsh")
+        calls = count_linalg_calls(monkeypatch, "eigvals")
         for case, trunk_unstable, upper_unstable in (("complete200", 6, 0),
                                                      ("two_cells_transverse_first", 47, 26)):
             graph, u_range, u_branch_end = QUOTIENT_CASES[case]
             scenario = ex.PitchforkScenario(graph=graph, u_range=u_range,
                                             u_branch_end=u_branch_end)
-            calls["eigvalsh"] = 0
+            calls["eigvals"] = 0
             res = ex.run_pitchfork_diagram(scenario)
             assert sum(pt.n_unstable > 0 for pt in res.trunk.points) == trunk_unstable
-            assert calls["eigvalsh"] == sum(pt.n_unstable > 0
+            assert calls["eigvals"] == sum(pt.n_unstable > 0
                                             for pt in res.upper.points) == upper_unstable
 
     def test_each_point_is_tagged_once(self, monkeypatch):
         # Loading and running the diagram computes the trunk spectrum once,
         # with one eigh, and tags the trunk from it with no factorization;
-        # each upper-branch point takes one Cholesky of -J_sym, the
-        # branch-switch seed only as the switched branch's first point.
-        calls = count_linalg_calls(monkeypatch, "eigh", "cholesky", "eigvalsh", "slogdet")
+        # each upper-branch point takes one slogdet, and its negative row
+        # sums prove it stable; the branch-switch seed is tagged only as the
+        # switched branch's first point.
+        calls = count_linalg_calls(monkeypatch, "eigh", "cholesky", "eigvalsh", "eigvals",
+                                   "slogdet")
         scenario = ex.PitchforkScenario(graph={"kind": "complete", "n": 200})
         res = ex.run_pitchfork_diagram(scenario)
         assert len(res.trunk.points) + len(res.upper.points) == 49
-        assert calls == {"eigh": 1, "cholesky": len(res.upper.points), "eigvalsh": 0,
-                         "slogdet": 0}
-
-    def test_directed_graph_has_no_symmetric_jacobian(self):
-        assert normalized_problem(directed_ring(6)).jac_sym is None
+        assert calls == {"eigh": 1, "cholesky": 0, "eigvalsh": 0, "eigvals": 0,
+                         "slogdet": len(res.upper.points)}
 
     def test_stability_flip_recorded(self, k10):
         problem = normalized_problem(k10)
@@ -1100,9 +1083,10 @@ def _continued(case):
 
 
 class TestMetzlerCertificate:
-    """Without jac_sym, a point whose J is Metzler with det J of sign (-1)^n
-    is proved stable by one solve, y = (-J)^-1 1 > 0; only the other points
-    take eigvals, and every tag is the eigvals/slogdet tag bit for bit."""
+    """A point whose J is Metzler with det J of sign (-1)^n is proved stable
+    by its negative row sums, else by one solve, y = (-J)^-1 1 > 0; only the
+    other points take eigvals, and every tag is the eigvals/slogdet tag bit
+    for bit."""
 
     @pytest.mark.parametrize("case", ["quintic", "irregular40"])
     def test_eigvals_only_at_unstable_points(self, monkeypatch, case):
@@ -1172,6 +1156,40 @@ class TestMetzlerCertificate:
                               lift=lift)
         assert counts["jac_x"] == 0
         assert_same_branch(got, branch)
+
+
+@st.composite
+def metzler_matrices(draw):
+    """Metzler matrices of order 1 to 8: off-diagonal entries from
+    {0, 0.5, 1, 2}, diagonal entries from {-8, -4, -2.5, -1, -0.25, 0.5}, so
+    every row sum is an exact multiple of 0.25."""
+    n = draw(st.integers(1, 8))
+    jac = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                                 min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(jac, draw(st.lists(st.sampled_from([-8.0, -4.0, -2.5, -1.0, -0.25, 0.5]),
+                                        min_size=n, max_size=n)))
+    return jac
+
+
+def _certified(jac):
+    return bif._certified_stable(jac, np.linalg.slogdet(jac)[0])
+
+
+@given(metzler_matrices())
+def test_negative_row_sums_are_certified(jac):
+    # the spectral abscissa of a Metzler J is at most its largest row sum
+    assume(jac.sum(axis=1).max() < 0)
+    assert _certified(jac)
+
+
+# two uncoupled blocks with the eigenvalues 0.25 and -0.75: det J has the sign
+# (-1)^4 and every row sum is 0.25, so a row-sum test that accepted a small
+# positive sum would certify it
+@example(np.kron(np.eye(2), [[-0.25, 0.5], [0.5, -0.25]]))
+@given(metzler_matrices())
+def test_a_certified_matrix_has_no_unstable_eigenvalue(jac):
+    assume(_certified(jac))
+    assert real_parts(jac).max() < STABILITY_MARGIN
 
 
 @pytest.mark.parametrize("graph", DIRECTED_GRAPHS.values(), ids=DIRECTED_GRAPHS.keys())

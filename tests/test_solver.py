@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -417,6 +418,13 @@ class TestSettle:
             integrate_to_equilibrium(f, np.ones(2), tol=tol)
         assert not calls
 
+    def test_rejects_an_infinite_horizon(self):
+        # the step budget grows with the horizon, so an infinite one has none
+        with pytest.raises(ValueError, match="max_time must be finite"):
+            IntegratorConfig(max_time=math.inf)
+        with pytest.raises(ValueError, match="max_time must be finite"):
+            integrate_to_equilibrium(lambda t, x: -x, np.ones(2), horizon=math.inf)
+
     def test_step_budget_grows_with_the_horizon(self, monkeypatch):
         # more than MAX_STEPS steps, far fewer than the horizon over the
         # first step 0.01
@@ -483,6 +491,12 @@ class TestEstimatorIntegration:
         # below round-off every step fails to decrease the error
         with pytest.raises(SolverError, match="estimator step underflow"):
             integrate_nonsmooth(rng.uniform(-1, 1, 10), k10, alpha=1.0, tol=1e-300)
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0])
+    def test_rejects_a_tolerance_that_cannot_be_met(self, k10, tol):
+        # a NaN tol used to return at once with 0 steps and the initial error
+        with pytest.raises(ValueError, match="tol must be positive"):
+            integrate_nonsmooth(np.linspace(-1.0, 1.0, 10), k10, alpha=1.0, tol=tol)
 
     def test_deep_tolerance_reachable(self, k10, rng):
         x = rng.uniform(-1, 1, 10)
