@@ -3,9 +3,10 @@
 Subcommands: simulate, continue, sweep, adaptive, validate.  Configs are JSON
 documents validated strictly (unknown keys rejected); each scenario's
 constructor checks its runner's preconditions, so a config that loads is one
-its command can run, and validate is exactly that load step.  Every run echoes
-its fully resolved configuration to config.json in the output directory so it
-can be reproduced exactly.
+its command can run, and validate is exactly that load step.  --seed applies
+only to a scenario that has a seed; elsewhere it exits 2.  Every run echoes its
+fully resolved configuration to config.json in the output directory so it can
+be reproduced exactly.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure.
 The default output root is $NETDECIDE_OUT or ./netdecide_out.
@@ -156,7 +157,9 @@ def resolve(command: str, doc: dict, args):
         cls, runner = COMMANDS[command]
         name = command
     seed = getattr(args, "seed", None)
-    if seed is not None and "seed" in typing.get_type_hints(cls):
+    if seed is not None:
+        if "seed" not in typing.get_type_hints(cls):
+            raise ConfigError(f"--seed given, but the {name} scenario has no seed")
         doc["seed"] = seed
     return build_scenario(cls, doc), runner, name
 
@@ -195,7 +198,7 @@ def make_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="override the scenario seed")
+        p.add_argument("--seed", type=int, help="override the seed of a scenario that has one")
 
     p = sub.add_parser("simulate", help="integrate the model and classify the decision")
     common(p)
@@ -218,7 +221,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a config without running")
     p.add_argument("--command", dest="command_name",
-                   choices=("simulate", "continue", "sweep", "adaptive"),
+                   choices=(*COMMANDS, "sweep"),
                    help="command the config is for")
     p.add_argument("--config", required=True)
     p.set_defaults(handler=cmd_validate)

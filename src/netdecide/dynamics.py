@@ -13,7 +13,7 @@ u_S and information nu is u_I times this one with u = u_S / u_I and
 beta = nu / u_I.
 
 ``normalized_field`` evaluates it on a graph.  ``reduced3_field`` evaluates
-the same expression on the equitable-partition quotient of a three-group
+the same expression on the three-group quotient of a three-population
 network (``PopulationSpec.degrees``, ``PopulationSpec.quotient``), which is
 the full field restricted to the group-consensus manifold.  The information
 rule, +beta_A on informed-A, -beta_B on informed-B and 0 on uninformed agents,
@@ -59,17 +59,18 @@ def beta_vector(spec: PopulationSpec, beta_a: float, beta_b: float) -> np.ndarra
     return np.repeat(_group_information(float(beta_a), float(beta_b)), spec.sizes)
 
 
+# classify_decision's tolerance on |delta| and on max |x_i|
+DELTA_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class DecisionConfig:
     eta: float
-    delta_tol: float = 1e-6
 
     def __post_init__(self):
         # Written as not (x > 0) so that NaN fails the check too.
         if not self.eta > 0:
             raise ValueError("decision threshold eta must be positive")
-        if not self.delta_tol >= 0:
-            raise ValueError("delta_tol must be nonnegative")
 
 
 class Decision(enum.Enum):
@@ -167,14 +168,14 @@ def classify_decision(x_ss: np.ndarray, cfg: DecisionConfig) -> Decision:
     x_ss = np.asarray(x_ss, dtype=float)
     delta = disagreement(x_ss)
     mean = group_opinion(x_ss)
-    if abs(delta) <= cfg.delta_tol and mean > cfg.eta:
+    if abs(delta) <= DELTA_TOL and mean > cfg.eta:
         return Decision.A
-    if abs(delta) <= cfg.delta_tol and mean < -cfg.eta:
+    if abs(delta) <= DELTA_TOL and mean < -cfg.eta:
         return Decision.B
     # Not implied by the next test in floating point: at x = (tol, -tol, ...)
     # mean(|x|) can round to tol + 1 ulp, and with it |delta|.
-    if np.abs(x_ss).max() <= cfg.delta_tol:
+    if np.abs(x_ss).max() <= DELTA_TOL:
         return Decision.DEADLOCK_NO_DECISION
-    if abs(delta) > cfg.delta_tol:
+    if abs(delta) > DELTA_TOL:
         return Decision.DEADLOCK_DISAGREEMENT
     return Decision.DEADLOCK_NO_DECISION

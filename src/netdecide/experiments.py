@@ -45,7 +45,6 @@ from .dynamics import (
     classify_decision,
     group_opinion,
     normalized_field,
-    reduced3_field,
 )
 from .graphs import (
     Graph,
@@ -459,10 +458,9 @@ class QuinticScenario:
 
     The default weakly couples the two informed groups (a12 < 1) so that the
     transition falls between beta = 1 and beta = 3; strongly coupled
-    populations stay supercritical far beyond that.  The informed groups
-    must be equal, n1 = n2: that and beta_A = beta_B = beta make the model
-    swap-symmetric, which gives the trunk its pitchfork (at n1/n2 = 2/3 or
-    3/2 the diagram has none and is "ambiguous") and lets
+    populations stay supercritical far beyond that.  The two informed groups
+    have n1 agents each: that and beta_A = beta_B = beta make the model
+    swap-symmetric, which gives the trunk its pitchfork and lets
     ``run_quintic_transition`` mirror one outer branch into the other.
     beta_grid must hold at least one beta, every beta finite, and no two
     with the same ``"%g"`` tag, which names each beta's files and summary
@@ -470,7 +468,6 @@ class QuinticScenario:
     """
 
     n1: int = 2
-    n2: int = 2
     n3: int = 2
     a12: float = 0.25
     a13: float = 1.0
@@ -489,8 +486,6 @@ class QuinticScenario:
             raise ValueError(f"information strengths beta_grid {list(self.beta_grid)} "
                              f"must differ in their %g output tags (got {tags})")
         spec = self.population_spec()
-        if self.n1 != self.n2:
-            raise ValueError("quintic scenario requires n1 = n2 (swap symmetry)")
         if min(spec.degrees) == 0:
             # with nonnegative coupling that group's row of J3 is 0 everywhere
             raise ValueError("every group of the quintic scenario needs a positive degree")
@@ -499,7 +494,7 @@ class QuinticScenario:
         c = np.array([[1.0, self.a12, self.a13],
                       [self.a12, 1.0, self.a13],
                       [self.a13, self.a13, 1.0]])
-        return PopulationSpec(self.n1, self.n2, self.n3, coupling=c)
+        return PopulationSpec(self.n1, self.n1, self.n3, coupling=c)
 
 
 @dataclass
@@ -516,9 +511,9 @@ def run_quintic_transition(scenario: QuinticScenario = QuinticScenario(),
                            out_dir=None) -> list[QuinticDiagram]:
     """Classify the bifurcation diagram of the symmetric trunk per beta.
 
-    With n1 = n2 and beta_A = beta_B = beta the reduced field is equivariant
-    under the group swap P y = -(y2, y1, y3): Q and the degrees are invariant
-    under exchanging groups 1 and 2, the coupling is swap-symmetric by
+    With equal informed groups and beta_A = beta_B = beta the reduced field is
+    equivariant under the group swap P y = -(y2, y1, y3): Q and the degrees are
+    invariant under exchanging groups 1 and 2, the coupling is swap-symmetric by
     construction, and b = (beta, -beta, 0), so f(P y, u) = P f(y, u).  The trunk lies in
     Fix(P) = {y2 = -y1, y3 = 0}, where a zero eigenvalue is a fold of the
     trunk, so the null vector phi of a trunk pitchfork has P phi = -phi
@@ -643,9 +638,9 @@ def run_reduction_demo(scenario: ReductionScenario = ReductionScenario(),
     bound_ok = bool(np.all(spread_values <= spread_bounds))
 
     y0 = np.array([x0[grp].mean() for grp in spec.groups])
-    reduced = integrate(
-        lambda t, y: reduced3_field(y, spec, scenario.u, scenario.beta_a, scenario.beta_b),
-        y0, cfg)
+    group_beta = dynamics._group_information(scenario.beta_a, scenario.beta_b)
+    reduced_field = bif.model_problem(spec.degrees, spec.quotient, group_beta).f
+    reduced = integrate(lambda t, y: reduced_field(y, scenario.u), y0, cfg)
     gm_full = np.array([traj.final_state[grp].mean() for grp in spec.groups])
     gm_red = reduced.final_state
     result = ReductionResult(
@@ -709,18 +704,15 @@ def _check_series_size(n_agents: int) -> None:
 
 @dataclass(frozen=True)
 class ValueSensitivityScenario:
-    n1: int = 10
-    n2: int = 10
+    n1: int = 10                # agents in each of the two informed groups
     n3: int = 80
     nu_grid: tuple[float, ...] = (0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
     u_scan: tuple[float, float] = (0.9, 1.1)
 
     def __post_init__(self):
-        if self.n1 != self.n2:
-            raise ValueError("value-sensitivity scenario requires n1 = n2")
         _check_range("u_scan", self.u_scan)
         _check_nu_grid(self.nu_grid, u_max=self.u_scan[1])
-        PopulationSpec(self.n1, self.n2, self.n3)
+        PopulationSpec(self.n1, self.n1, self.n3)
         _check_series_size(2 * self.n1 + self.n3)
 
 

@@ -351,9 +351,10 @@ def integrate(field, x0, cfg: IntegratorConfig) -> Trajectory:
 
 
 def integrate_to_equilibrium(field, x0, cfg: IntegratorConfig | None = None,
-                             tol: float = 1e-8, horizon: float = 200.0
+                             tol: float = 1e-8, horizon: float | None = None
                              ) -> tuple[np.ndarray, bool, float]:
-    """Integrate until ||field||_inf < tol or the horizon is reached.
+    """Integrate until ||field||_inf < tol or the horizon is reached: cfg.max_time,
+    or `horizon` if one is given.
 
     The settle test runs through `_integrate`'s `stop_condition(t, x, dxdt)`
     and reads dxdt, the derivative the step already holds, so it calls the
@@ -366,7 +367,9 @@ def integrate_to_equilibrium(field, x0, cfg: IntegratorConfig | None = None,
     """
     if not tol > 0:
         raise ValueError(f"settle tolerance tol must be positive (got {tol})")
-    cfg = replace(cfg or IntegratorConfig(), max_time=horizon)
+    cfg = cfg or IntegratorConfig()
+    if horizon is not None:
+        cfg = replace(cfg, max_time=horizon)
     residual = np.inf
 
     def settled(t, x, dxdt):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import argparse
 import json
+import math
 import shutil
 import types
 import typing
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from netdecide import bifurcation as bif
 from netdecide import experiments as ex
 from netdecide import solver
-from netdecide.cli import COMMANDS, SWEEP_SCENARIOS, load_config, main
+from netdecide.cli import COMMANDS, SWEEP_SCENARIOS, ConfigError, load_config, main, resolve
 from netdecide.dynamics import Decision
 from netdecide.graphs import directed_ring, path_graph
 from netdecide.solver import MAX_STEPS, EstimatorRun
@@ -131,7 +133,72 @@ class TestSimulate:
         assert echoed["seed"] == 7
 
 
+class TestSeed:
+    """--seed sets the seed of a scenario that has one and is refused elsewhere."""
+
+    @pytest.mark.parametrize("argv", [["continue"], ["sweep", "--scenario", "value_sensitivity"]],
+                             ids=["continue", "value_sensitivity"])
+    def test_seed_without_a_seed_field_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--seed", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--seed given, but the {argv[-1]} scenario has no seed" in err
+        assert not out.exists()
+
+    def test_seed_applies_exactly_where_a_scenario_has_one(self):
+        seeded = set()
+        for command, scenario in TARGETS:
+            args = argparse.Namespace(seed=3, scenario=scenario, case=None)
+            try:
+                loaded, _, _ = resolve(command, {}, args)
+            except ConfigError as exc:
+                assert "has no seed" in str(exc)
+                continue
+            assert loaded.seed == 3
+            seeded.add(scenario or command)
+        assert seeded == {"simulate", "adaptive", "reduction_demo"}
+
+
+def _irregular300():
+    """A seeded irregular undirected graph of 300 agents: a path plus random edges."""
+    rng = np.random.default_rng(300)
+    w = np.triu(rng.uniform(0.5, 1.5, (300, 300)) * (rng.random((300, 300)) < 0.03), 1)
+    w[np.arange(299), np.arange(1, 300)] = 1.0
+    return {"graph": {"kind": "weights", "weights": (w + w.T).tolist()}}
+
+
+def _digraph60():
+    """A seeded irregular digraph of 60 agents: a ring plus random arcs."""
+    rng = np.random.default_rng(60)
+    w = np.where(rng.random((60, 60)) < 0.05, rng.uniform(0.5, 1.5, (60, 60)), 0.0)
+    w[np.arange(60), (np.arange(60) + 1) % 60] = 1.0
+    np.fill_diagonal(w, 0.0)
+    return {"graph": {"kind": "weights", "weights": w.tolist()}}
+
+
+def _path60():
+    """Path-60 over a range whose first crossing, u = 1/cos(3 pi/59), has a
+    null vector that is not constant, so its branch runs on the network and
+    each unstable point takes the eigvals fallback of the tag."""
+    return {"graph": {"kind": "weights", "weights": path_graph(60).weights.tolist()},
+            "u_range": [1.01, 1.9], "u_branch_end": 2.5}
+
+
 class TestContinue:
+    # each continues in well under a second; the deadline catches a loop
+    # that does not end (the digraph's first point is a det-flip bisection
+    # midpoint)
+    @pytest.mark.parametrize("make, first", [
+        (_irregular300, 1.0), (_digraph60, 1.0), (_path60, 1 / math.cos(3 * math.pi / 59)),
+    ], ids=["irregular300", "digraph60", "path60"])
+    def test_graph_continues_to_its_first_pitchfork(self, tmp_path, make, first):
+        cfg = write_cfg(tmp_path, "cfg.json", make())
+        out = tmp_path / "out"
+        with deadline(60.0):
+            assert main(["continue", "--config", cfg, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert abs(summary["singular_params"][0] - first) <= 1e-9
+
     def test_writes_singular_point(self, tmp_path):
         cfg = write_cfg(tmp_path, "cfg.json",
                         {"graph": {"kind": "complete", "n": 10},
@@ -353,7 +420,9 @@ class TestValidate:
     @pytest.mark.parametrize("command, doc, message", [
         ("sweep", {"scenario": "value_sensitivity", "h_max": 0}, "unknown config keys"),
         ("sweep", {"scenario": "value_sensitivity", "u_scan": [1.1, 0.9]}, "u_scan"),
-        ("sweep", {"scenario": "value_sensitivity", "n1": 10, "n2": 12}, "n1 = n2"),
+        # the informed groups of the swap-symmetric scenarios are n1 each
+        ("sweep", {"scenario": "value_sensitivity", "n1": 10, "n2": 12},
+         "unknown config keys ['n2']"),
         ("sweep", {"scenario": "uninformed_influence", "n3_values": [2]}, "integer"),
         ("sweep", {"scenario": "pitchfork_diagram",
                    "graph": {"kind": "weights", "n": 4, "weights": TWO_DYADS}},
@@ -375,8 +444,8 @@ class TestValidate:
         ("sweep", {"scenario": "hysteresis", "n1": 0, "n2": 0, "n3": 1},
          "at least two agents"),
         ("sweep", {"scenario": "quintic_transition", "n1": -1}, "'n1' must be nonnegative"),
-        ("sweep", {"scenario": "quintic_transition", "n1": 2, "n2": 3},
-         "quintic scenario requires n1 = n2 (swap symmetry)"),
+        ("sweep", {"scenario": "quintic_transition", "n1": 2, "n2": 2},
+         "unknown config keys ['n2']"),
         ("sweep", {"scenario": "value_sensitivity", "n3": -5}, "'n3' must be nonnegative"),
         ("sweep", {"scenario": "value_sensitivity", "nu_grid": []}, "and at least one"),
         ("simulate", {"graph": {"kind": "complete"}}, "'n' must be an integer, got None"),
@@ -411,7 +480,7 @@ class TestValidate:
         ("sweep", {"scenario": "reduction_demo", "n1": 0, "n2": 2, "n3": 2},
          "needs at least one agent"),
         ("sweep", {"scenario": "reduction_demo", "n3": 0}, "needs at least one agent"),
-        ("sweep", {"scenario": "value_sensitivity", "n1": 10**40, "n2": 10**40},
+        ("sweep", {"scenario": "value_sensitivity", "n1": 10**40},
          "N^9 overflows a float"),
         ("sweep", {"scenario": "uninformed_influence", "n_total": 10**40 + 1},
          "N^9 overflows a float"),
@@ -593,7 +662,7 @@ def test_validate_exits_0_or_2(tmp_path_factory, command, scenario):
 # ---------------------------------------------------------------------------
 
 # Bounds: 1 to 3 values of nu, each any positive float (subnormals included);
-# for value sensitivity n1 = n2 in [1, 20] or [1, 1e40] and n3 in [0, 100]
+# for value sensitivity n1 in [1, 20] or [1, 1e40] and n3 in [0, 100]
 # or [0, 1e40]; for uninformed influence n_total in [2, 40] or [2, 1e40].
 NU_GRIDS = st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
                     min_size=1, max_size=3)
@@ -618,7 +687,7 @@ def test_nu_sweep_that_validates_runs(tmp_path_factory, scenario):
     def check(nu_grid, n, n3, n_total):
         doc = {"scenario": scenario, "nu_grid": nu_grid}
         if scenario == "value_sensitivity":
-            doc |= {"n1": n, "n2": n, "n3": n3}
+            doc |= {"n1": n, "n3": n3}
         else:
             doc |= {"n_total": n_total}
         path.write_text(json.dumps(doc))
@@ -773,7 +842,7 @@ def test_simulate_that_validates_runs(tmp_path_factory):
 # continued branch ends at an end of its range
 # ---------------------------------------------------------------------------
 
-# Bounds: n1 = n2 in [1, 3] and n3 in [0, 3]; a12 and a13 in
+# Bounds: n1 in [1, 3] and n3 in [0, 3]; a12 and a13 in
 # {0, 0.25, 0.5, 1, 2}; 1 or 2 values of beta in [0, 4]; u_range an
 # increasing pair of distinct floats in (0, 3]; h_max in [0.01, 0.1].
 COUPLINGS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0])
@@ -790,10 +859,9 @@ def test_quintic_sweep_that_validates_runs(tmp_path_factory):
     # the default scenario from an effort of 1e-9, at the edge of u >= 0
     @example(2, 2, 0.25, 1.0, [1.0, 3.0], [1e-9, 3.0], 0.02)
     def check(n, n3, a12, a13, beta_grid, u_range, h_max):
-        path.write_text(json.dumps({"scenario": "quintic_transition", "n1": n, "n2": n,
-                                    "n3": n3, "a12": a12, "a13": a13,
-                                    "beta_grid": beta_grid, "u_range": u_range,
-                                    "h_max": h_max}))
+        path.write_text(json.dumps({"scenario": "quintic_transition", "n1": n, "n3": n3,
+                                    "a12": a12, "a13": a13, "beta_grid": beta_grid,
+                                    "u_range": u_range, "h_max": h_max}))
         shutil.rmtree(out, ignore_errors=True)
         with deadline(10.0):
             if main(["validate", "--command", "sweep", "--config", str(path)]) != 0:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import adaptive_rhs
 from netdecide.bifurcation import jacobian, model_problem, ubar_star
 from netdecide.dynamics import (
+    DELTA_TOL,
     NEGATIVE_EFFORT,
     Decision,
     DecisionConfig,
@@ -379,7 +380,7 @@ class TestDecisionMetrics:
             assert delta == pytest.approx(0.0, abs=1e-12)
 
     def test_classification(self):
-        cfg = DecisionConfig(eta=0.5, delta_tol=1e-6)
+        cfg = DecisionConfig(eta=0.5)
         assert classify_decision(np.zeros(5), cfg) is Decision.DEADLOCK_NO_DECISION
         assert classify_decision(np.ones(3), cfg) is Decision.A
         assert classify_decision(-np.ones(3), cfg) is Decision.B
@@ -387,11 +388,13 @@ class TestDecisionMetrics:
         assert classify_decision(mixed, DecisionConfig(eta=0.1)) is Decision.DEADLOCK_DISAGREEMENT
         small = np.full(3, 0.2)
         assert classify_decision(small, cfg) is Decision.DEADLOCK_NO_DECISION
-        # Every |x| <= delta_tol, yet mean(|x|) rounds to delta_tol + 1 ulp,
-        # so |delta| > delta_tol: only the max-norm test calls this no decision.
-        within_tol = np.tile([1e-6, -1e-6], 5)
-        assert abs(disagreement(within_tol)) > cfg.delta_tol
+        # Every |x| <= DELTA_TOL, yet mean(|x|) rounds to DELTA_TOL + 1 ulp,
+        # so |delta| > DELTA_TOL: only the max-norm test calls this no decision.
+        within_tol = np.tile([DELTA_TOL, -DELTA_TOL], 5)
+        assert abs(disagreement(within_tol)) > DELTA_TOL
         assert classify_decision(within_tol, cfg) is Decision.DEADLOCK_NO_DECISION
-        for bad in ({"eta": np.nan}, {"eta": 0.5, "delta_tol": np.nan}):
-            with pytest.raises(ValueError):
-                DecisionConfig(**bad)
+        with pytest.raises(ValueError):
+            DecisionConfig(eta=np.nan)
+        # the tolerance is the module's DELTA_TOL, not a setting
+        with pytest.raises(TypeError):
+            DecisionConfig(eta=0.5, delta_tol=1e-6)

@@ -392,6 +392,13 @@ class TestSettle:
                                                   horizon=0.5)
         assert not ok
 
+    def test_horizon_is_the_config_span(self):
+        # with no horizon given, cfg.max_time is the span: x(0.5) = e^-0.05
+        x, ok, elapsed = integrate_to_equilibrium(lambda t, x: -0.1 * x, np.ones(2),
+                                                  IntegratorConfig(max_time=0.5))
+        assert not ok and elapsed == 0.5
+        np.testing.assert_allclose(x, np.exp(-0.05), rtol=1e-8)
+
     def test_step_size_underflow_raises(self):
         # stable explicit steps are about 3e-20 long, below the 1e-14 floor
         with pytest.raises(SolverError, match=r"step-size underflow \(at t = 0\)"):
