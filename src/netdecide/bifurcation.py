@@ -50,6 +50,13 @@ transition, and the network's restriction to its consensus line x = y 1
 (``quotient_problem``), on which an uninformed network diagram is continued
 in one unknown, each branch point lifted to the agents and tagged there
 (``Lift``).
+
+Every ``solve``, ``slogdet`` and ``eigvals`` here goes through ``_solve``,
+``_slogdet`` and ``_eigvals``.  On the 3 x 3 and 4 x 4 matrices of the
+three-group model numpy's public wrapper costs two to four times the LAPACK
+call under it, so each calls the gufunc its public function calls, in the
+private ``numpy.linalg._umath_linalg``, with the same signature and error
+state: the same bits, and the same LinAlgError on failure.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .dynamics import NEGATIVE_EFFORT, _field, reduced3_field, sech2
 from .graphs import Graph, PopulationSpec
@@ -87,6 +95,42 @@ def _read_only(a) -> np.ndarray:
     view = np.asarray(a).view()
     view.flags.writeable = False
     return view
+
+
+# ---------------------------------------------------------------------------
+# Dense linear algebra at the gufunc
+# ---------------------------------------------------------------------------
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _raise_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+# np.linalg.solve's error state; as a decorator np.errstate sets it for each
+# call, for less than a with block costs.
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _solve(a, b):
+    """``np.linalg.solve(a, b)`` of a float (n, n) matrix and (n,) vector."""
+    return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
+def _slogdet(a):
+    """``np.linalg.slogdet(a)`` of a float (n, n) matrix: (sign, log|det|)."""
+    return _umath_linalg.slogdet(a, signature="d->dd")
+
+
+@np.errstate(call=_raise_nonconvergence, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _eigvals(a):
+    """``np.linalg.eigvals(a)`` of a float (n, n) matrix, complex even where
+    the public function drops an imaginary part that is 0 throughout."""
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    return _umath_linalg.eigvals(a, signature="d->D")
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +185,7 @@ def newton_solve(f: Callable, jac: Callable, x0: np.ndarray) -> np.ndarray:
         if norm <= NEWTON_TOL:
             return x
         try:
-            step = np.linalg.solve(jac(x), -fx)
+            step = _solve(jac(x), -fx)
         except np.linalg.LinAlgError as exc:
             raise BifurcationError(f"singular Newton matrix: {exc}") from exc
         lam = 1.0
@@ -338,7 +382,7 @@ def model_problem(degrees: np.ndarray, weights: np.ndarray,
     return ContinuationProblem(
         f=f,
         jac_x=lambda y, u: _jacobian(y, degrees, weights, u),
-        jac_p=lambda y, u: weights @ np.tanh(y),
+        jac_p=lambda y, u: weights.dot(np.tanh(y)),
     )
 
 
@@ -425,9 +469,9 @@ def _equilibrium(problem, x, p, jac=None) -> Equilibrium:
     """
     if jac is None:
         jac = problem.jac_x(x, p)
-    sign, logdet = np.linalg.slogdet(jac)
+    sign, logdet = _slogdet(jac)
     n_unstable = 0 if _certified_stable(jac, sign) else int(
-        np.sum(np.linalg.eigvals(jac).real > STABILITY_MARGIN))
+        np.sum(_eigvals(jac).real > STABILITY_MARGIN))
     return Equilibrium(x=np.asarray(x, dtype=float), param=float(p),
                        n_unstable=n_unstable, det_sign=float(sign),
                        log_abs_det=float(logdet))
@@ -459,7 +503,7 @@ def _certified_stable(jac: np.ndarray, det_sign: float) -> bool:
     if np.count_nonzero(negative) != np.count_nonzero(negative.diagonal()):
         return False
     return bool(jac.sum(axis=1).max() < 0
-                or np.linalg.solve(jac, np.ones(n)).max() < 0)
+                or _solve(jac, np.ones(n)).max() < 0)
 
 
 def _bordered(problem, x, p, row):
@@ -485,7 +529,7 @@ def _tangent(problem, x, p, reference, weights):
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
     try:
-        tan = np.linalg.solve(bordered, rhs)
+        tan = _solve(bordered, rhs)
     except np.linalg.LinAlgError as exc:
         raise BifurcationError(f"singular bordered matrix at p = {p}") from exc
     return tan / np.sqrt(tan @ (weights * tan)), bordered
@@ -614,7 +658,7 @@ def _detect_events(problem, branch, lo, hi, symmetric_trunk, lift: Lift):
         sign_lo, test = np.sign(tan_lo[-1]), lambda y, p: np.sign(
             _tangent(problem, y, p, tan_lo, lift.weights)[0][-1])
     elif prev.det_sign * new.det_sign < 0:
-        sign_lo, test = prev.det_sign, lambda y, p: np.linalg.slogdet(
+        sign_lo, test = prev.det_sign, lambda y, p: _slogdet(
             lift.network.jac_x(lift.state(y), p))[0]
     else:
         return
@@ -845,7 +889,7 @@ def _first_det_flip(jac_at: Callable, grid: np.ndarray, tol: float) -> float | N
     or the first flip, whose bracket ``_bisect`` closes to at most tol wide.
     """
     def sign_at(p):
-        return np.linalg.slogdet(jac_at(p))[0]
+        return _slogdet(jac_at(p))[0]
 
     lo, s_lo = None, None
     for hi in grid:

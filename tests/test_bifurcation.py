@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -73,15 +74,20 @@ def assert_same_fields(a, b):
 
 
 def count_linalg_calls(monkeypatch, *names):
-    """Replace each named np.linalg function by one that counts its calls;
-    return the counts, by name."""
+    """Replace each named linear-algebra function by one that counts its
+    calls; return the counts, by name.  A name with a wrapper in
+    ``bifurcation`` (``solve``, ``slogdet``, ``eigvals``: ``_solve``, ...)
+    is counted at the wrapper, which every call there goes through; any
+    other name at np.linalg."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def counting(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+        owner, attr = (bif, f"_{name}") if hasattr(bif, f"_{name}") else (np.linalg, name)
+
+        def counting(*args, _real=getattr(owner, attr), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setattr(owner, attr, counting)
     return calls
 
 
@@ -302,6 +308,25 @@ class TestFindEquilibrium:
         # a Jacobian 1000 times too steep shrinks the residual 0.1 % per step
         with pytest.raises(BifurcationError, match=r"Newton did not converge \(residual 9\.5"):
             newton_solve(lambda x: x, lambda x: np.array([[1e3]]), np.ones(1))
+
+    @pytest.mark.parametrize("nan_residual", [[np.nan, 0.0], [0.0, np.nan]])
+    def test_a_residual_that_turns_nan_after_a_step_raises(self, nan_residual):
+        # every point past the first step, damped or not, has a NaN residual:
+        # a NaN must not pass the tolerance, first entry or not
+        def f(x):
+            return np.array([-1.0, 0.0]) if x[0] <= 0 else np.array(nan_residual)
+
+        with pytest.raises(BifurcationError, match="damping failed"):
+            newton_solve(f, lambda x: np.eye(2), np.zeros(2))
+
+    def test_a_singular_bordered_matrix_raises_at_its_parameter(self):
+        # f = 0 everywhere: the start solves at once, and the bordered
+        # matrix [[J, f_p], [e_p]] of the first tangent has a zero row
+        problem = bif.ContinuationProblem(f=lambda x, p: 0.0 * x,
+                                          jac_x=lambda x, p: np.zeros((1, 1)),
+                                          jac_p=lambda x, p: np.zeros(1))
+        with pytest.raises(BifurcationError, match=r"singular bordered matrix at p = 0\.5$"):
+            continue_branch(problem, np.zeros(1), 0.5, (0.5, 1.0))
 
 
 class TestScalarRoots:
@@ -909,14 +934,15 @@ class TestQuotientContinuation:
         assert z @ (lift.weights * z) == pytest.approx(x @ x / 9 + z[-1] ** 2, rel=1e-14)
 
     def test_complete_200_diagram_solves_nothing_larger_than_2x2(self, monkeypatch):
+        # every solve in bifurcation goes through its wrapper
         sizes = []
-        real_solve = np.linalg.solve
+        real_solve = bif._solve
 
         def recording_solve(a, b):
             sizes.append(len(a))
             return real_solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        monkeypatch.setattr(bif, "_solve", recording_solve)
         ex.run_pitchfork_diagram(ex.PitchforkScenario(graph={"kind": "complete", "n": 200}))
         assert sizes and max(sizes) <= 2
 
@@ -1156,6 +1182,78 @@ class TestMetzlerCertificate:
                               lift=lift)
         assert counts["jac_x"] == 0
         assert_same_branch(got, branch)
+
+
+@st.composite
+def square_matrices(draw):
+    """A float matrix of order 1 to 8 and a right-hand side: of condition
+    number 1 to 1e14, exactly singular (two equal rows, or a zero column),
+    or holding one inf or NaN."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["conditioned", "equal_rows", "zero_column", "nonfinite"]))
+    a = rng.normal(size=(n, n))
+    if kind == "conditioned":
+        left, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        right, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        a = (left * np.logspace(0, -draw(st.floats(0, 14)), n)) @ right.T
+    elif kind == "equal_rows" and n > 1:
+        a[-1] = a[0]
+    elif kind == "zero_column" or kind == "equal_rows":
+        a[:, draw(st.integers(0, n - 1))] = 0.0
+    else:
+        a.flat[draw(st.integers(0, n * n - 1))] = draw(st.sampled_from([np.inf, -np.inf,
+                                                                        np.nan]))
+    return a, rng.normal(size=n)
+
+
+def same_outcome(wrapper, public, *args):
+    """The results of wrapper(*args) and public(*args), or None when the
+    public function raised, after checking that the wrapper raised the same
+    exception type with the same message."""
+    try:
+        want = public(*args)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            wrapper(*args)
+        assert str(raised.value) == str(exc)
+        return None
+    return wrapper(*args), want
+
+
+class TestLinalgWrappers:
+    """``_solve``, ``_slogdet`` and ``_eigvals`` return the public
+    np.linalg results bit for bit, and raise their errors, with warnings as
+    errors, so that none escapes that the public function would not give."""
+
+    @example((np.zeros((3, 3)), np.ones(3)))
+    @example((np.array([[1.0, 2.0], [np.nan, 1.0]]), np.ones(2)))
+    @given(square_matrices())
+    def test_each_wrapper_is_its_public_function(self, case):
+        a, b = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solved = same_outcome(bif._solve, np.linalg.solve, a, b)
+            logdet = same_outcome(bif._slogdet, np.linalg.slogdet, a)
+            eigvals = same_outcome(bif._eigvals, np.linalg.eigvals, a)
+        if solved is not None:
+            assert_bitwise(*solved)
+        if logdet is not None:
+            (sign, log_abs), (want_sign, want_log_abs) = logdet
+            assert_bitwise(sign, want_sign)
+            assert_bitwise(log_abs, want_log_abs)
+        if eigvals is not None:
+            got, want = eigvals
+            # the public eigvals drops an imaginary part that is 0 throughout
+            assert_bitwise(got if np.iscomplexobj(want) else got.real, want)
+            assert np.iscomplexobj(want) or not got.imag.any()
+
+    def test_errors_are_the_public_errors(self):
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            bif._solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^Array must not contain infs or NaNs$"):
+            bif._eigvals(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
 @st.composite
