@@ -109,8 +109,8 @@ def _raise_nonconvergence(err, flag):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
-# np.linalg.solve's error state; as a decorator np.errstate sets it for each
-# call, for less than a with block costs.
+# The error state np.linalg.solve and eigvals set.  As a decorator np.errstate
+# sets it on each call, for less than a with block costs.
 @np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore",
              under="ignore")
 def _solve(a, b):
@@ -119,7 +119,8 @@ def _solve(a, b):
 
 
 def _slogdet(a):
-    """``np.linalg.slogdet(a)`` of a float (n, n) matrix: (sign, log|det|)."""
+    """``np.linalg.slogdet(a)`` of a float (n, n) matrix: (sign, log|det|).
+    Like the public function it sets no error state."""
     return _umath_linalg.slogdet(a, signature="d->dd")
 
 
