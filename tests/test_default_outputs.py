@@ -5,8 +5,9 @@ tools/default_outputs.py against the committed listing of their outputs.
 host that made it (numpy, BLAS, SIMD extensions).  On that host every output
 must have its committed SHA-256.  On any host, each CSV column must keep its
 committed count, sum and sum of squares (``default_outputs_columns.json``)
-within COLUMN_RTOL of the column's scale: another numpy or BLAS moves the
-last bits of an output, not a state by 1e-8.
+within COLUMN_RTOL of the column's scale.  That tolerance assumes that
+another numpy or BLAS moves only the last bits of an output, far less than a
+state moved by 1e-8.
 
 A change that moves an output on purpose rewrites both files, with
 
