@@ -50,7 +50,6 @@ SWEEP_SCENARIOS = {
     "hysteresis": (ex.HysteresisScenario, "run_hysteresis"),
     "quintic_transition": (ex.QuinticScenario, "run_quintic_transition"),
     "reduction_demo": (ex.ReductionScenario, "run_reduction_demo"),
-    "pitchfork_diagram": (ex.PitchforkScenario, "run_pitchfork_diagram"),
 }
 
 # The line a command prints about its result, before "artifacts in ...".

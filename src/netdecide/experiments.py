@@ -74,11 +74,11 @@ from .solver import (
 # Graph configuration language (shared with the CLI)
 # ---------------------------------------------------------------------------
 
-# Most agents a config may ask for.  The dense n x n float64 weight matrix is
-# then 128 MiB, and dense linear algebra is cubic in n.  On one core of a
-# 2-vCPU x86 host, the pitchfork diagram of complete-4096 loads in 18 s and
-# runs in 58 s (peak RSS 0.83 GB), and that of path-4096, a weights document,
-# loads in 20 s and runs in 53 s.
+# Most agents a config may ask for: a dense 128 MiB weight matrix, and dense
+# linear algebra cubic in n.  With one BLAS thread on an idle core of a 2-vCPU
+# x86 host, the pitchfork diagram of complete-4096 loads in 9.5 s and runs in
+# 37 s (peak RSS 0.82 GB), that of path-4096, a weights document, in 12 s and
+# 35 s (1.47 GB); writing the outputs adds 3 s and 36 s (+0.94 GB) respectively.
 MAX_AGENTS = 4096
 
 
@@ -95,7 +95,7 @@ GRAPH_KEYS = {
     "complete": ("kind", "n", "weight"),
     "directed_ring": ("kind", "n", "weight"),
     "population": ("kind", "n1", "n2", "n3", "coupling"),
-    "weights": ("kind", "weights", "n"),
+    "weights": ("kind", "weights"),
 }
 
 
@@ -140,9 +140,8 @@ def graph_from_config(cfg: dict) -> Graph:
         if "weights" not in cfg:
             raise ValueError("a weights graph needs weights")
         w = _numbers(cfg["weights"], "weights")
-        n = agent_count(cfg["n"], "n") if "n" in cfg else int(round(len(np.ravel(w)) ** 0.5))
-        n = _graph_size(n)
-        return Graph(np.reshape(w, (n, n)))
+        _graph_size(len(w) if w.ndim == 2 else 0)     # Graph refuses any other shape
+        return Graph(w)
     n = _graph_size(agent_count(cfg.get("n"), "n"))
     weight = cfg.get("weight", 1.0)
     if not _is_number(weight):
@@ -153,7 +152,7 @@ def graph_from_config(cfg: dict) -> Graph:
 def population_spec_from_config(cfg: dict) -> PopulationSpec:
     coupling = _numbers(cfg["coupling"], "coupling") if "coupling" in cfg else np.ones((3, 3))
     sizes = [agent_count(cfg.get(key), key) for key in ("n1", "n2", "n3")]
-    return PopulationSpec(*sizes, coupling=coupling.reshape(3, 3))
+    return PopulationSpec(*sizes, coupling=coupling)
 
 
 def _check_range(name: str, p_range: tuple[float, float]) -> None:
@@ -845,7 +844,8 @@ class AdaptiveScenario:
             raise ValueError("initial mean effort must be positive")
         if not (self.alpha > 0 and self.estimator_tol > 0):
             raise ValueError("estimator gain and tolerance must be positive")
-        if not (self.escape_band > 0 and self.stop_tol > 0):
+        if not (self.escape_band > 0 and self.stop_tol > 0
+                and (self.jump_band is None or self.jump_band > 0)):
             raise ValueError("bands and tolerances must be positive")
         if not self.horizon_factor > 0:
             raise ValueError("horizon_factor must be positive")

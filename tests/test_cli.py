@@ -74,7 +74,7 @@ class TestSimulate:
 
     def test_nonfinite_weights_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "cfg.json",
-                        {"graph": {"kind": "weights", "weights": [0, float("nan"), 1, 0]}})
+                        {"graph": {"kind": "weights", "weights": [[0, float("nan")], [1, 0]]}})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert main(["validate", "--command", "simulate", "--config", cfg]) == 2
         assert capsys.readouterr().err.count("finite") == 2
@@ -110,18 +110,19 @@ class TestSimulate:
             assert "numerical failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("graph", [{"kind": "directed_ring", "n": 0},
-                                       {"kind": "weights", "weights": []}])
+                                       {"kind": "complete", "n": 0}])
     def test_zero_agent_graph_exits_2(self, tmp_path, capsys, graph):
         cfg = write_cfg(tmp_path, "cfg.json", {"graph": graph})
         assert main(["validate", "--command", "simulate", "--config", cfg]) == 2
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.count("at least one agent") == 2
 
-    def test_weights_size_zero_exits_2(self, tmp_path):
-        # "n": 0 is a size, not a missing one, so the 4 weights do not fit it.
+    def test_weights_size_zero_exits_2(self, tmp_path, capsys):
+        # A weights graph has no size key: its size is its row count.
         cfg = write_cfg(tmp_path, "cfg.json",
-                        {"graph": {"kind": "weights", "n": 0, "weights": [0, 1, 1, 0]}})
+                        {"graph": {"kind": "weights", "n": 0, "weights": [[0, 1], [1, 0]]}})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "unknown keys ['n'] in a weights graph" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_seed_override(self, tmp_path):
@@ -221,7 +222,7 @@ class TestContinue:
 
     def test_disconnected_graph_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "cfg.json",
-                        {"graph": {"kind": "weights", "n": 4, "weights": TWO_DYADS}})
+                        {"graph": {"kind": "weights", "weights": TWO_DYADS}})
         assert main(["continue", "--config", cfg]) == 2
         assert "strongly connected" in capsys.readouterr().err
 
@@ -392,7 +393,7 @@ class TestValidate:
 
     def test_disconnected_continue_graph_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "cfg.json",
-                        {"graph": {"kind": "weights", "n": 4, "weights": TWO_DYADS}})
+                        {"graph": {"kind": "weights", "weights": TWO_DYADS}})
         assert main(["validate", "--command", "continue", "--config", cfg]) == 2
         assert "strongly connected" in capsys.readouterr().err
 
@@ -409,7 +410,7 @@ class TestValidate:
         # lambda2 = 0: the estimator cannot converge, so both commands reject
         # the config at load instead of failing at run time.
         cfg = write_cfg(tmp_path, "cfg.json",
-                        {"graph": {"kind": "weights", "n": 4, "weights": TWO_DYADS}})
+                        {"graph": {"kind": "weights", "weights": TWO_DYADS}})
         assert main(["validate", "--command", "adaptive", "--config", cfg]) == 2
         assert "connected undirected graph" in capsys.readouterr().err
         out = tmp_path / "out"
@@ -424,9 +425,7 @@ class TestValidate:
         ("sweep", {"scenario": "value_sensitivity", "n1": 10, "n2": 12},
          "unknown config keys ['n2']"),
         ("sweep", {"scenario": "uninformed_influence", "n3_values": [2]}, "integer"),
-        ("sweep", {"scenario": "pitchfork_diagram",
-                   "graph": {"kind": "weights", "n": 4, "weights": TWO_DYADS}},
-         "strongly connected"),
+        ("continue", {"graph": {"kind": "weights", "weights": TWO_DYADS}}, "strongly connected"),
         ("simulate", {"beta_a": 1.0}, "require a population graph"),
         ("simulate", {"u": 0.1, "utilde_amplitude": 0.2}, "|utilde_amplitude| exceeds u"),
         ("adaptive", {"beta_a": 1.0}, "require a population graph"),
@@ -518,9 +517,37 @@ class TestValidate:
         ("simulate", {"rtol": 1e-8}, "unknown config keys ['rtol']"),
         ("simulate", {"atol": 1e-10}, "unknown config keys ['atol']"),
         ("simulate", {"delta_tol": 1e-6}, "unknown config keys ['delta_tol']"),
+        # a matrix is read in the shape it is given: this 2x8 list was the
+        # complete graph K4, and the 3-d one the 2-agent graph
+        ("continue", {"graph": {"kind": "weights", "weights": [[0, 1, 1, 1, 1, 0, 1, 1],
+                                                               [1, 1, 0, 1, 1, 1, 1, 0]]}},
+         "weights must be a square matrix, got shape (2, 8)"),
+        ("continue", {"graph": {"kind": "weights", "weights": [[[0, 1]], [[1, 0]]]}},
+         "weights must be a square matrix, got shape (2, 1, 2)"),
+        ("continue", {"graph": {"kind": "weights", "weights": [0, 1, 1, 0]}},
+         "weights must be a square matrix, got shape (4,)"),
+        ("simulate", {"graph": {"kind": "weights", "weights": []}},
+         "weights must be a square matrix, got shape (0,)"),
+        ("simulate", {"graph": {"kind": "weights", "weights": 2}},
+         "weights must be a square matrix, got shape ()"),
+        ("continue", {"graph": {"kind": "weights", "weights": [[0, 1], [1, 0]], "n": 2}},
+         "unknown keys ['n'] in a weights graph"),
+        ("simulate", {"graph": {"kind": "population", "n1": 2, "n2": 2, "n3": 2,
+                                "coupling": [1] * 9}},
+         "coupling must be 3x3, got shape (9,)"),
+        ("simulate", {"graph": {"kind": "population", "n1": 2, "n2": 2, "n3": 2,
+                                "coupling": [[1] * 9]}},
+         "coupling must be 3x3, got shape (1, 9)"),
+        # continue is the one command that runs run_pitchfork_diagram
+        ("sweep", {"scenario": "pitchfork_diagram"},
+         "unknown scenario 'pitchfork_diagram'; valid scenarios: hysteresis, "
+         "quintic_transition, reduction_demo, uninformed_influence, value_sensitivity"),
+        # a band that |y| never crosses: case2 ran and wrote "jump_time": null
+        ("adaptive", {"case": "case2", "jump_band": -1.0}, "bands and tolerances must be positive"),
+        ("adaptive", {"case": "case2", "jump_band": 0.0}, "bands and tolerances must be positive"),
     ], ids=["value_sensitivity-h_max", "value_sensitivity-u_scan",
             "value_sensitivity-n1_n2", "uninformed_influence-n3",
-            "pitchfork_diagram-disconnected", "simulate-beta",
+            "continue-disconnected", "simulate-beta",
             "simulate-negative_effort", "adaptive-beta",
             "adaptive-horizon_factor", "simulate-seed_str", "simulate-seed_float",
             "adaptive-seed_str", "adaptive-seed_float", "reduction_demo-seed_str",
@@ -546,7 +573,10 @@ class TestValidate:
             "complete-weight_str", "complete-weight_bool", "weights-str_entries",
             "population-bool_coupling", "continue-removed_h_max",
             "hysteresis-removed_settle_tol", "hysteresis-removed_horizon",
-            "simulate-removed_rtol", "simulate-removed_atol", "simulate-removed_delta_tol"])
+            "simulate-removed_rtol", "simulate-removed_atol", "simulate-removed_delta_tol",
+            "weights-2x8", "weights-3d", "weights-flat", "weights-empty", "weights-number",
+            "weights-n_key", "coupling-flat", "coupling-1x9", "pitchfork_diagram-sweep",
+            "adaptive-negative_jump_band", "adaptive-zero_jump_band"])
     def test_runner_preconditions_checked_at_load(self, tmp_path, capsys,
                                                   command, doc, message):
         # validate is the load step of each command, so it rejects every
@@ -928,9 +958,7 @@ def test_reduction_demo_that_validates_runs(tmp_path_factory):
 
 # Bounds: 0 to 3 agents per group; u in [0, 3]; beta_a and beta_b_min in
 # [-6, 6], beta_b_max - beta_b_min in [0, 12] and beta_b_step in [1, 6], so a
-# grid has at most 13 points; 25 examples.  `sweep --scenario
-# pitchfork_diagram` runs the scenario and runner of `continue`, whose
-# property is test_continue_that_validates_runs.
+# grid has at most 13 points; 25 examples.
 def test_hysteresis_sweep_that_validates_runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("hysteresis")
     path, out = root / "cfg.json", root / "out"

@@ -1,4 +1,4 @@
-"""The byte-identity gate: the 11 default invocations of
+"""The byte-identity gate: the 10 default invocations of
 tools/default_outputs.py against the committed listing of their outputs.
 
 ``default_outputs.sha256`` is the tool's listing, whose first line names the
@@ -70,6 +70,20 @@ def test_every_output_has_its_committed_digest(outputs):
         pytest.skip(f"the digests were listed on another host ({host[2:]}); "
                     f"the column sums compare here")
     assert default_outputs.listing(outputs)[1:] == digests
+
+
+def test_no_two_invocations_write_the_same_outputs(outputs):
+    # the gate is as wide as its distinct invocations
+    written = {}
+    for line in default_outputs.listing(outputs)[1:]:
+        digest, path = line.split("  ", 1)
+        name, _, file = path.partition("/")
+        if file:                                    # not <name>.stdout
+            written.setdefault(name, set()).add((file, digest))
+    by_outputs = {}
+    for name, files in written.items():
+        by_outputs.setdefault(frozenset(files), []).append(name)
+    assert [names for names in by_outputs.values() if len(names) > 1] == []
 
 
 def test_every_csv_column_keeps_its_committed_sums(outputs):

@@ -499,6 +499,7 @@ class TestAdaptiveRhs:
     (ex.UninformedInfluenceScenario, "nu_grid"),
     (ex.AdaptiveScenario, "epsilon"),
     (ex.SimulateScenario, "t_end"),
+    (ex.AdaptiveScenario, "jump_band"),
 ])
 def test_scenario_rejects_nan(cls, field):
     value = (float("nan"),) if field == "nu_grid" else float("nan")

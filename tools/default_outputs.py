@@ -1,11 +1,11 @@
-"""Run the 11 default netdecide invocations and print a SHA-256 of each output.
+"""Run the 10 default netdecide invocations and print a SHA-256 of each output.
 
 Usage, from any directory:
 
     python tools/default_outputs.py OUT_DIR
 
 The invocations are ``simulate --seed 3``, ``continue``, ``adaptive --case``
-symmetric, case1 and case2, and ``sweep --scenario`` for each of the six
+symmetric, case1 and case2, and ``sweep --scenario`` for each of the five
 scenarios.  Each runs as ``python -m netdecide.cli`` on the ``src`` tree of the
 checkout that holds this script, and writes into OUT_DIR/<name>/; OUT_DIR
 should be new or empty.  Its stdout is saved as OUT_DIR/<name>.stdout, with
@@ -36,7 +36,7 @@ import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SWEEPS = ("value_sensitivity", "uninformed_influence", "hysteresis",
-          "quintic_transition", "reduction_demo", "pitchfork_diagram")
+          "quintic_transition", "reduction_demo")
 INVOCATIONS = {
     "simulate": ["simulate", "--seed", "3"],
     "continue": ["continue"],
